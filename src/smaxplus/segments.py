@@ -371,13 +371,38 @@ def traditional_segment(a: SVector, b: SVector) -> Optional[SegmentSet]:
 # ---------------------------------------------------------------------------
 #
 # With max(lam, gam) = 0 the segment splits into the two one-parameter
-# families {(lam (*) a) (+) b : lam <= 0} and {a (+) (gam (*) b) : gam <= 0}.
-# In one family, coordinate i of the scaled copy has magnitude exponent
-# lam + |a(i)|, which overtakes the frozen partner's |b(i)| exactly at
-# lam = |b(i)| - |a(i)|.  Between consecutive such event values the set of
-# "moving" coordinates is constant and the image is an affine arc in chart
-# coordinates (parameterized by e**lam); at an event the tying coordinate
-# either joins continuously (equal signs) or jumps through a balanced value.
+# families {(lam (*) a) (+) b : lam <= 0} and {a (+) (gam (*) b) : gam <= 0},
+# which share their lam = gam = 0 point a (+) b.  In the first family,
+# coordinate i of the scaled copy has magnitude exponent lam + |a(i)|, which
+# overtakes the frozen partner's |b(i)| exactly at the event value
+# lam = |b(i)| - |a(i)|.  One sweep per family walks lam down from 0 over the
+# sorted negative event values.  The set of "moving" coordinates (those the
+# scaled copy dominates) only shrinks, and between consecutive events the
+# image is an affine arc in chart coordinates, parameterized by e**lam; below
+# the last event only coordinates where b is zero still move, down to b at
+# lam = eps.
+#
+# Tie rule.  At an event a tying coordinate takes the value
+# (sign a(i), |b(i)|) (+) b(i).  With equal signs this is b(i): the coordinate
+# joins continuously, and the event point is both the lower end of the arc
+# above and the upper end of the arc below.  With opposite signs it jumps
+# through the balanced value (o, |b(i)|), which is the arc above's end when
+# a(i) is balanced, the arc below's end when b(i) is, and neither otherwise.
+#
+# Flags.  Each arc end is offered to exactly one point: an event point to
+# the two arcs beside it (the arc above first), the shared point a (+) b to
+# the top arcs of both families (the first family first), and b (resp. a) to
+# the lower end of its family's last arc.  A point closes the first offered
+# end it equals; a point that closes nothing is an isolated piece, and a
+# point equal to one placed before is dropped.  So every flag is final once
+# the sweep ends.  Pieces come out as the first family's arcs from lam = 0
+# down, the second family's, then the isolated points in sweep order.
+#
+# Cost.  Sorting the events is O(n log n); each event builds one event point
+# and one arc in O(n).  A segment with P pieces costs O(P n), the size of its
+# output.
+
+_LO, _HI = 1, 2  # positions of the end vectors in an arc record
 
 
 def _scaled_coord(ai: SElem, bi: SElem, lam: float) -> SElem:
@@ -390,139 +415,75 @@ def _scaled_coord(ai: SElem, bi: SElem, lam: float) -> SElem:
     return SElem(ai.sign, lam + ai.exp)
 
 
-def _family_value(a: SVector, b: SVector, lam) -> SVector:
-    if lam is EPS:
-        return b
+def _family_value(a: SVector, b: SVector, lam: float) -> SVector:
     return SVector(tuple(s_oplus(_scaled_coord(ai, bi, lam), bi) for ai, bi in zip(a, b)))
 
 
-def _interval_limit(a: SVector, b: SVector, moving: Sequence[bool], lam) -> SVector:
+def _event_point(p: SVector, q: SVector, ends: list, moving: set, lam: float) -> SVector:
+    # (lam (*) p) (+) q, as _family_value computes it: moving coordinates
+    # reuse their scaled value from ``ends``; elsewhere q wins unless the
+    # float sum lam + |p(i)| reaches |q(i)|
     coords = []
-    for i, (ai, bi) in enumerate(zip(a, b)):
-        if moving[i]:
-            coords.append(ZERO if lam is None else _scaled_coord(ai, bi, lam))
+    for i, (pi, qi) in enumerate(zip(p, q)):
+        if i in moving:
+            coords.append(s_oplus(ends[i], qi))
+        elif pi.is_zero or lam + pi.exp < qi.exp:
+            coords.append(qi)
         else:
-            coords.append(bi)
+            coords.append(s_oplus(SElem(pi.sign, lam + pi.exp), qi))
     return SVector(tuple(coords))
 
 
-def _family_atoms(a: SVector, b: SVector):
-    """Point atoms and raw open arcs of {(lam (*) a) (+) b : lam in [eps, 0]}."""
-    n = len(a)
-    exps_a = [c.exp for c in a]
-    exps_b = [c.exp for c in b]
-    events = sorted(
-        {
-            exps_b[i] - exps_a[i]
-            for i in range(n)
-            if exps_a[i] is not EPS and exps_b[i] is not EPS and exps_b[i] - exps_a[i] < 0
-        },
-        reverse=True,
-    )
+def _family_sweep(p: SVector, q: SVector, offset: int):
+    """Sweep {(lam (*) p) (+) q : lam <= 0} from lam = 0 down.
 
-    points = [_family_value(a, b, 0)]
-    points += [_family_value(a, b, e) for e in events]
-    points.append(_family_value(a, b, EPS))
-
-    cuts = [0.0] + events
-    arcs = []  # (chart, lo_vec, hi_vec)
-    for idx, hi in enumerate(cuts):
-        lo = cuts[idx + 1] if idx + 1 < len(cuts) else None
-        moving = []
-        for i in range(n):
-            if exps_a[i] is EPS:
-                moving.append(False)
-            elif exps_b[i] is EPS:
-                moving.append(True)
-            else:
-                ev = exps_b[i] - exps_a[i]
-                moving.append(lo is not None and ev <= lo)
-        if not any(moving):
+    Returns the arcs as (chart, lo_vec, hi_vec, start, end) records, and the
+    points the sweep meets below lam = 0 (each event point, then q) with the
+    arc ends offered to each as (record index + ``offset``, end) pairs.
+    """
+    ties = {}
+    moving = set()
+    for i, (pi, qi) in enumerate(zip(p, q)):
+        if pi.is_zero:
             continue
-        chart = []
-        for i in range(n):
-            if moving[i]:
-                chart.append((a[i].sign, a[i].sign))
-            elif b[i].is_zero:
-                chart.append((Sign.PLUS, Sign.PLUS))
-            else:
-                chart.append((b[i].sign, b[i].sign))
-        chart = tuple(chart)
-        lo_vec = _interval_limit(a, b, moving, lo)
-        hi_vec = _interval_limit(a, b, moving, hi)
-        arcs.append((chart, lo_vec, hi_vec))
-    return points, arcs
+        if not qi.is_zero:
+            event = qi.exp - pi.exp
+            if not event < 0:
+                continue
+            ties.setdefault(event, []).append(i)
+        moving.add(i)
+    # every arc chart maps a coordinate's own ray to +magnitude, so the
+    # chart images are the coordinates' magnitudes
+    fixed = [(Sign.PLUS, Sign.PLUS) if c.is_zero else (c.sign, c.sign) for c in q]
+    chart = list(fixed)
+    ends = list(q.coords)
+    mags = [magnitude(c) for c in q]
 
+    def scale_moving(lam):
+        for i in moving:
+            ends[i] = _scaled_coord(p[i], q[i], lam)
+            mags[i] = magnitude(ends[i])
 
-class _RawArc:
-    __slots__ = ("chart", "lo_vec", "hi_vec", "closed_lo", "closed_hi")
-
-    def __init__(self, chart, lo_vec, hi_vec):
-        self.chart = chart
-        self.lo_vec = lo_vec
-        self.hi_vec = hi_vec
-        self.closed_lo = False
-        self.closed_hi = False
-
-    def piece(self) -> ArcPiece:
-        return ArcPiece(
-            self.chart,
-            psi(self.chart, self.lo_vec),
-            psi(self.chart, self.hi_vec),
-            self.closed_lo,
-            self.closed_hi,
-        )
-
-
-def _merge_atoms(points: List[SVector], raw_arcs: List[_RawArc]) -> Tuple[object, ...]:
-    uniq: List[SVector] = []
-    for p in points:
-        if p not in uniq:
-            uniq.append(p)
-
-    kept: List[SVector] = []
-    for p in uniq:
-        placed = False
-        for arc in raw_arcs:
-            if arc.piece().contains(p):
-                placed = True
-                break
-        if not placed:
-            for arc in raw_arcs:
-                if not arc.closed_lo and arc.lo_vec == p:
-                    arc.closed_lo = True
-                    placed = True
-                    break
-                if not arc.closed_hi and arc.hi_vec == p:
-                    arc.closed_hi = True
-                    placed = True
-                    break
-        if not placed:
-            kept.append(p)
-
-    # arcs ending at the same closed point keep the point once
-    for i, arc in enumerate(raw_arcs):
-        for other in raw_arcs[:i]:
-            for mine in ("closed_lo", "closed_hi"):
-                vec = arc.lo_vec if mine == "closed_lo" else arc.hi_vec
-                if not getattr(arc, mine):
-                    continue
-                if (other.closed_lo and other.lo_vec == vec) or (
-                    other.closed_hi and other.hi_vec == vec
-                ):
-                    setattr(arc, mine, False)
-
-    pieces: List[object] = []
-    for arc in raw_arcs:
-        if arc.lo_vec == arc.hi_vec:
-            if arc.closed_lo or arc.closed_hi:
-                pt = arc.lo_vec
-                if all(not (isinstance(q, PointPiece) and q.point == pt) for q in pieces):
-                    pieces.append(PointPiece(pt))
-            continue
-        pieces.append(arc.piece())
-    pieces.extend(PointPiece(p) for p in kept)
-    return tuple(pieces)
+    for i in moving:
+        chart[i] = (p[i].sign, p[i].sign)
+    scale_moving(0.0)
+    hi_vec, hi = SVector(tuple(ends)), tuple(mags)
+    arcs, claims = [], []
+    for event in sorted(ties, reverse=True):
+        scale_moving(event)
+        arcs.append((tuple(chart), SVector(tuple(ends)), hi_vec, tuple(mags), hi))
+        point = _event_point(p, q, ends, moving, event)
+        for i in ties[event]:
+            ends[i], mags[i], chart[i] = q[i], magnitude(q[i]), fixed[i]
+            moving.discard(i)
+        hi_vec, hi = SVector(tuple(ends)), tuple(mags)
+        below = [(offset + len(arcs), _HI)] if moving else []
+        claims.append((point, [(offset + len(arcs) - 1, _LO)] + below))
+    if moving:
+        # only coordinates where q is zero still move; they reach it at eps
+        arcs.append((tuple(chart), q, hi_vec, tuple(magnitude(c) for c in q), hi))
+    claims.append((q, [(offset + len(arcs) - 1, _LO)] if arcs else []))
+    return arcs, claims
 
 
 def semimodule_segment(a: SVector, b: SVector) -> SegmentSet:
@@ -530,24 +491,80 @@ def semimodule_segment(a: SVector, b: SVector) -> SegmentSet:
     as disjoint pieces with explicit endpoint flags."""
     if len(a) != len(b):
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    points: List[SVector] = []
-    raw: List[_RawArc] = []
-    for p, q in ((a, b), (b, a)):
-        pts, arcs = _family_atoms(p, q)
-        points.extend(pts)
-        raw.extend(_RawArc(*t) for t in arcs)
-    return SegmentSet(_merge_atoms(points, raw))
+    arcs_a, claims_a = _family_sweep(a, b, 0)
+    arcs_b, claims_b = _family_sweep(b, a, len(arcs_a))
+    arcs = arcs_a + arcs_b
+    tops = [(0, _HI)] if arcs_a else []
+    if arcs_b:
+        tops.append((len(arcs_a), _HI))
+    closed = set()
+    seen = set()
+    isolated: List[SVector] = []
+    for x, offered in [(_family_value(a, b, 0), tops)] + claims_a + claims_b:
+        if x in seen:
+            continue
+        seen.add(x)
+        for end in offered:
+            if arcs[end[0]][end[1]] == x:
+                closed.add(end)
+                break
+        else:
+            isolated.append(x)
+    pieces: List[object] = []
+    for j, (chart, lo_vec, hi_vec, start, end) in enumerate(arcs):
+        closed_lo, closed_hi = (j, _LO) in closed, (j, _HI) in closed
+        if lo_vec == hi_vec:
+            # exponents near 1e16 absorb the step between two events, so
+            # both ends round to the same floats: the arc is one point
+            if (closed_lo or closed_hi) and PointPiece(lo_vec) not in pieces:
+                pieces.append(PointPiece(lo_vec))
+            continue
+        pieces.append(ArcPiece(chart, start, end, closed_lo, closed_hi))
+    pieces.extend(PointPiece(x) for x in isolated)
+    return SegmentSet(tuple(pieces))
 
 
 # ---------------------------------------------------------------------------
 # Connectivity of a segment set
 # ---------------------------------------------------------------------------
+#
+# Two connected pieces have a connected union iff the closure of one meets
+# the other, and a piece's closure adds at most its two endpoints.  Every
+# closure endpoint gets an exact key: per coordinate its ray and radial
+# magnitude (None at the origin), read off the chart value or the point's
+# magnitude with no log/exp round trip.  A dict from keys to pieces joins the
+# pieces that share an endpoint, unless every one of them leaves it open.
+# An endpoint can also lie inside another arc; the interior of an arc keeps
+# one ray per coordinate, so arcs are indexed by that sign signature and the
+# general membership test runs only on the arcs whose signature matches the
+# endpoint's.  Pieces built by the sweep meet only at shared endpoints, so
+# for them that test almost never runs, and the whole pass is O(P n).
 
 
-def _closure_points(piece) -> List[SVector]:
-    if isinstance(piece, PointPiece):
-        return [piece.point]
-    return [psi_inverse(piece.chart, piece.start), psi_inverse(piece.chart, piece.end)]
+def _point_key(x: SVector) -> tuple:
+    out = []
+    for c in x:
+        m = magnitude(c)
+        out.append((c.sign._value_, m) if m > 0.0 else None)
+    return tuple(out)
+
+
+def _chart_key(chart: PsiChart, p: Sequence[float]) -> tuple:
+    return tuple(
+        (u._value_, s) if s > 0.0 else (v._value_, -s) if s < 0.0 else None
+        for (u, v), s in zip(chart, p)
+    )
+
+
+def _interior_signature(arc: ArcPiece) -> tuple:
+    return tuple(
+        u._value_ if s > 0.0 or e > 0.0 else v._value_ if s < 0.0 or e < 0.0 else None
+        for (u, v), s, e in zip(arc.chart, arc.start, arc.end)
+    )
+
+
+def _signature(key: tuple) -> tuple:
+    return tuple(c[0] if c else None for c in key)
 
 
 def _piece_member(piece, x: SVector) -> bool:
@@ -556,17 +573,16 @@ def _piece_member(piece, x: SVector) -> bool:
     return piece.contains(x)
 
 
-def _touch(p, q) -> bool:
-    # union of two connected sets is connected iff cl(p) meets q or p meets cl(q)
-    return any(_piece_member(q, e) for e in _closure_points(p)) or any(
-        _piece_member(p, e) for e in _closure_points(q)
-    )
+def _closure_point(piece, end: int) -> SVector:
+    if isinstance(piece, PointPiece):
+        return piece.point
+    return psi_inverse(piece.chart, piece.end if end else piece.start)
 
 
 def components(seg: SegmentSet) -> List[List[int]]:
     """Indices of the pieces grouped into connected components."""
-    n = len(seg.pieces)
-    parent = list(range(n))
+    pieces = seg.pieces
+    parent = list(range(len(pieces)))
 
     def find(i):
         while parent[i] != i:
@@ -574,14 +590,47 @@ def components(seg: SegmentSet) -> List[List[int]]:
             i = parent[i]
         return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _touch(seg.pieces[i], seg.pieces[j]):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
+    def union(i, j):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[rj] = ri
+
+    keys = []  # per piece: the keys of its closure endpoints
+    at_key: dict = {}  # endpoint key -> [(piece index, whether the piece contains it)]
+    by_signature: dict = {}  # sign signature of a point / of an arc's interior -> pieces
+    for i, piece in enumerate(pieces):
+        if isinstance(piece, PointPiece):
+            keys.append((_point_key(piece.point),))
+            at_key.setdefault(keys[i][0], []).append((i, True))
+            by_signature.setdefault(_signature(keys[i][0]), []).append(i)
+            continue
+        keys.append((_chart_key(piece.chart, piece.start), _chart_key(piece.chart, piece.end)))
+        at_key.setdefault(keys[i][0], []).append((i, piece.closed_lo))
+        at_key.setdefault(keys[i][1], []).append((i, piece.closed_hi))
+        by_signature.setdefault(_interior_signature(piece), []).append(i)
+
+    # pieces sharing an endpoint touch unless every one of them leaves it open
+    for sharing in at_key.values():
+        holder = next((i for i, contains in sharing if contains), None)
+        if holder is not None:
+            for i, _ in sharing:
+                union(holder, i)
+
+    # an endpoint inside another arc, or next to a point within the
+    # membership tolerance: test only the pieces with the endpoint's signs
+    for i, piece in enumerate(pieces):
+        for end, key in enumerate(keys[i]):
+            x = None
+            for j in by_signature.get(_signature(key), ()):
+                if j == i or key in keys[j] or find(i) == find(j):
+                    continue
+                if x is None:
+                    x = _closure_point(piece, end)
+                if _piece_member(pieces[j], x):
+                    union(i, j)
+
     groups: dict = {}
-    for i in range(n):
+    for i in range(len(pieces)):
         groups.setdefault(find(i), []).append(i)
     return sorted(groups.values())
 
