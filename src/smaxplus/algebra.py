@@ -69,10 +69,11 @@ def is_eps(a: ExtReal) -> bool:
 
 
 def as_ext(value) -> ExtReal:
-    """Coerce a raw number into a scalar; IEEE -inf maps to ``EPS``."""
+    """Coerce a raw number into a scalar; IEEE -inf maps to ``EPS``.  ``bool``
+    is rejected although Python counts it as an ``int``."""
     if value is EPS:
         return EPS
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         if value == float("-inf"):
             return EPS
         if isinstance(value, float) and not math.isfinite(value):

@@ -15,7 +15,7 @@ from typing import Optional
 from .algebra import SElem
 from .exprs import eval_expr
 from .metrics import MetricId, SVector, parse_metric_id
-from .oracle import GridSpec, grid_connected, grid_project, grid_segment_sm
+from .oracle import DEFAULT_GRID, GridSpec, grid_connected, grid_project, grid_segment_sm
 from .projection import (
     is_chebyshev,
     project_box,
@@ -42,18 +42,33 @@ def _load_json(path: str):
         return json.load(fh)
 
 
+def _malformed(path: str, what: str, exc: Exception) -> ValueError:
+    return ValueError(f"{path}: not {what} ({type(exc).__name__}: {exc})")
+
+
+# the JSON boundary: wrong types and shapes become domain errors here, so
+# main() reports them as {"error": ...} instead of a traceback
+_SHAPE_ERRORS = (TypeError, KeyError, IndexError, AttributeError, ValueError)
+
+
 def _load_vector(path: str) -> SVector:
     data = _load_json(path)
-    if "coords" in data:
-        return SVector.from_json(data)
-    return SVector((SElem.from_json(data),))
+    try:
+        if isinstance(data, dict) and "coords" in data:
+            return SVector.from_json(data)
+        return SVector((SElem.from_json(data),))
+    except _SHAPE_ERRORS as exc:
+        raise _malformed(path, "an element or vector", exc) from None
 
 
 def _load_set(path: str):
     data = _load_json(path)
-    if "factors" in data:
-        return BoxSet.from_json(data)
-    return RaySet.from_json(data)
+    try:
+        if isinstance(data, dict) and "factors" in data:
+            return BoxSet.from_json(data)
+        return RaySet.from_json(data)
+    except _SHAPE_ERRORS as exc:
+        raise _malformed(path, "a ray set or box", exc) from None
 
 
 def _emit(args, payload, svg: Optional[str] = None) -> str:
@@ -67,9 +82,8 @@ def _emit(args, payload, svg: Optional[str] = None) -> str:
 
 
 def _grid_from_args(args) -> GridSpec:
-    return GridSpec(
-        resolution=args.resolution, max_magnitude=args.max_magnitude, seed=args.seed
-    )
+    bound = DEFAULT_GRID.max_magnitude if args.max_magnitude is None else args.max_magnitude
+    return GridSpec(resolution=args.resolution, max_magnitude=bound, seed=args.seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,7 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--out", choices=("json", "svg", "text"), default="json")
         p.add_argument("--resolution", type=float, default=1e-3)
-        p.add_argument("--max-magnitude", dest="max_magnitude", type=float, default=20.085536923187668)
+        # None lets project_box_max fit the grid to its inputs; the oracle
+        # subcommand falls back to the default grid's bound
+        p.add_argument("--max-magnitude", dest="max_magnitude", type=float, default=None)
         p.add_argument("--seed", type=int, default=42)
 
     p_eval = sub.add_parser("eval", help="evaluate a max-plus expression")

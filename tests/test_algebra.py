@@ -299,6 +299,12 @@ class TestNormalization:
         with pytest.raises(ValueError):
             SElem(Sign.PLUS, float("inf"))
 
+    def test_rejects_bool_exponents(self):
+        with pytest.raises(TypeError):
+            SElem.pos(True)
+        with pytest.raises(TypeError):
+            SElem.from_json({"sign": "+", "exp": False})
+
     def test_json_round_trip(self):
         for a in GRID_ELEMS:
             assert SElem.from_json(a.to_json()) == a

@@ -125,6 +125,45 @@ class TestProject:
         assert "empty" in json.loads(err)["error"]
 
 
+class TestMaxCombine:
+    QUERY = {"coords": [{"sign": "+", "exp": 4.2}, {"sign": "+", "exp": 0}]}
+
+    def test_grid_bound_fits_the_inputs(self, capsys, files):
+        # the query lies inside the box; a grid cut at e**3 put it 46.6 away
+        x = files["write"]("q.json", self.QUERY)
+        box = files["write"]("box.json", {"factors": [{"plus": [[10, 100]]}, {"plus": [[0.5, 2]]}]})
+        code, out, _ = run(capsys, "project", x, box, "--metric", "rho02", "--resolution", "0.01")
+        assert code == 0
+        assert json.loads(out)["distance"] == pytest.approx(0.0, abs=0.01)
+
+    def test_box_beyond_the_default_bound(self, capsys, files):
+        x = files["write"]("q.json", self.QUERY)
+        box = files["write"]("box.json", {"factors": [{"plus": [[30, 40]]}, {"plus": [[25, 26]]}]})
+        code, out, _ = run(capsys, "project", x, box, "--metric", "rho02", "--resolution", "0.01")
+        assert code == 0
+        assert json.loads(out)["points"]
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [{"sign": "+", "exp": "abc"}, [{"sign": "+", "exp": 1}], {"sign": "+", "exp": True}],
+    ids=["string-exp", "top-level-array", "bool-exp"],
+)
+def test_malformed_query_is_a_domain_error(capsys, files, payload):
+    query = files["write"]("bad.json", payload)
+    code, out, err = run(capsys, "project", query, files["triple"])
+    assert code == 1 and out == ""
+    assert "Traceback" not in err
+    assert "error" in json.loads(err)
+
+
+def test_malformed_set_is_a_domain_error(capsys, files):
+    bad = files["write"]("bad_set.json", [[1, 2]])
+    code, _, err = run(capsys, "check", bad)
+    assert code == 1
+    assert "error" in json.loads(err)
+
+
 class TestCheck:
     def test_chebyshev_report(self, capsys, files):
         code, out, _ = run(capsys, "check", "--chebyshev", files["triple"])

@@ -20,6 +20,7 @@ from smaxplus import (
     as_segment_set,
     chart_for,
     component_count,
+    components,
     d2,
     d_segment_contains,
     geometric_segment,
@@ -349,3 +350,61 @@ class TestJson:
         seg = semimodule_segment(V(SElem.pos(1)), V(SElem.neg(0)))
         again = SegmentSet.from_json(seg.to_json())
         assert again == seg
+
+
+
+LINE = ((Sign.PLUS, Sign.MINUS),)
+PLANE = LINE * 2
+
+
+def _arc(start, end, lo=True, hi=True):
+    return ArcPiece(LINE if len(start) == 1 else PLANE, start, end, lo, hi)
+
+
+def _point(*ms):
+    # given by exponents, so its magnitudes differ from chart values by the
+    # log/exp round trip
+    return PointPiece(
+        V(*(ZERO if m == 0 else SElem(Sign.PLUS if m > 0 else Sign.MINUS, math.log(abs(m))) for m in ms))
+    )
+
+
+HAND_BUILT = {
+    "point-inside": ((_arc((1.0,), (3.0,)), _point(2.0)), [[0, 1]]),
+    "point-at-open-end": ((_arc((1.0,), (3.0,), False, False), _point(3.0)), [[0, 1]]),
+    "open-meets-open": ((_arc((1.0,), (2.0,), True, False), _arc((2.0,), (3.0,), False)), [[0], [1]]),
+    "closed-meets-open": ((_arc((1.0,), (2.0,)), _arc((2.0,), (3.0,), False)), [[0, 1]]),
+    "through-origin": ((_arc((-1.0,), (0.0,), True, False), _arc((0.0,), (2.0,))), [[0, 1]]),
+    "t-junction": (
+        (_arc((1.0, 1.0), (3.0, 1.0), False, False), _arc((2.0, 1.0), (2.0, 3.0), False)),
+        [[0, 1]],
+    ),
+    "apart": ((_arc((1.0,), (3.0,)), _point(4.0), _point(-2.0)), [[0], [1], [2]]),
+}
+
+
+class TestComponents:
+    @pytest.mark.parametrize("name", sorted(HAND_BUILT))
+    def test_hand_built_sets(self, name):
+        pieces, expected = HAND_BUILT[name]
+        seg = SegmentSet(pieces)
+        assert components(seg) == expected
+        assert components(SegmentSet.from_json(seg.to_json())) == expected
+
+    def test_membership_tests_stay_linear(self, monkeypatch):
+        # the sweep never calls the general membership test, and the
+        # endpoint index calls it at most a constant times per piece (the
+        # all-pairs scan made O(P**2) calls)
+        calls = []
+        param_of = ArcPiece.param_of
+        monkeypatch.setattr(
+            ArcPiece, "param_of", lambda self, x, tol=1e-9: calls.append(1) or param_of(self, x, tol)
+        )
+        rng = random.Random(128)
+        a, b = random_svector(rng, 128), random_svector(rng, 128)
+        seg = semimodule_segment(a, b)
+        assert len(calls) == 0
+        assert len(seg.pieces) > 100
+        groups = components(seg)
+        assert len(calls) <= 2 * len(seg.pieces)
+        assert sorted(i for g in groups for i in g) == list(range(len(seg.pieces)))
