@@ -415,14 +415,10 @@ def _scaled_coord(ai: SElem, bi: SElem, lam: float) -> SElem:
     return SElem(ai.sign, lam + ai.exp)
 
 
-def _family_value(a: SVector, b: SVector, lam: float) -> SVector:
-    return SVector(tuple(s_oplus(_scaled_coord(ai, bi, lam), bi) for ai, bi in zip(a, b)))
-
-
-def _event_point(p: SVector, q: SVector, ends: list, moving: set, lam: float) -> SVector:
-    # (lam (*) p) (+) q, as _family_value computes it: moving coordinates
-    # reuse their scaled value from ``ends``; elsewhere q wins unless the
-    # float sum lam + |p(i)| reaches |q(i)|
+def _family_value(p: SVector, q: SVector, ends: list, moving: set, lam: float) -> SVector:
+    # (lam (*) p) (+) q.  The moving coordinates' scaled values are in ends;
+    # elsewhere q wins the signed max unless the float sum lam + |p(i)|
+    # reaches |q(i)|, so a scaled copy is built only then
     coords = []
     for i, (pi, qi) in enumerate(zip(p, q)):
         if i in moving:
@@ -430,7 +426,7 @@ def _event_point(p: SVector, q: SVector, ends: list, moving: set, lam: float) ->
         elif pi.is_zero or lam + pi.exp < qi.exp:
             coords.append(qi)
         else:
-            coords.append(s_oplus(SElem(pi.sign, lam + pi.exp), qi))
+            coords.append(s_oplus(_scaled_coord(pi, qi, lam), qi))
     return SVector(tuple(coords))
 
 
@@ -438,8 +434,8 @@ def _family_sweep(p: SVector, q: SVector, offset: int):
     """Sweep {(lam (*) p) (+) q : lam <= 0} from lam = 0 down.
 
     Returns the arcs as (chart, lo_vec, hi_vec, start, end) records, and the
-    points the sweep meets below lam = 0 (each event point, then q) with the
-    arc ends offered to each as (record index + ``offset``, end) pairs.
+    points the sweep meets (the lam = 0 point, each event point, then q) with
+    the arc ends offered to each as (record index + ``offset``, end) pairs.
     """
     ties = {}
     moving = set()
@@ -466,13 +462,14 @@ def _family_sweep(p: SVector, q: SVector, offset: int):
 
     for i in moving:
         chart[i] = (p[i].sign, p[i].sign)
-    scale_moving(0.0)
+    scale_moving(0)  # an int, so integer exponents stay ints in a (+) b
     hi_vec, hi = SVector(tuple(ends)), tuple(mags)
-    arcs, claims = [], []
+    arcs = []
+    claims = [(_family_value(p, q, ends, moving, 0), [(offset, _HI)] if moving else [])]
     for event in sorted(ties, reverse=True):
         scale_moving(event)
         arcs.append((tuple(chart), SVector(tuple(ends)), hi_vec, tuple(mags), hi))
-        point = _event_point(p, q, ends, moving, event)
+        point = _family_value(p, q, ends, moving, event)
         for i in ties[event]:
             ends[i], mags[i], chart[i] = q[i], magnitude(q[i]), fixed[i]
             moving.discard(i)
@@ -494,13 +491,12 @@ def semimodule_segment(a: SVector, b: SVector) -> SegmentSet:
     arcs_a, claims_a = _family_sweep(a, b, 0)
     arcs_b, claims_b = _family_sweep(b, a, len(arcs_a))
     arcs = arcs_a + arcs_b
-    tops = [(0, _HI)] if arcs_a else []
-    if arcs_b:
-        tops.append((len(arcs_a), _HI))
+    # both sweeps start at a (+) b, which may close either family's top arc
+    (top, top_a), (_, top_b) = claims_a.pop(0), claims_b.pop(0)
     closed = set()
     seen = set()
     isolated: List[SVector] = []
-    for x, offered in [(_family_value(a, b, 0), tops)] + claims_a + claims_b:
+    for x, offered in [(top, top_a + top_b)] + claims_a + claims_b:
         if x in seen:
             continue
         seen.add(x)
