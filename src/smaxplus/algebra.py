@@ -73,11 +73,13 @@ def as_ext(value) -> ExtReal:
     is rejected although Python counts it as an ``int``."""
     if value is EPS:
         return EPS
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        if value == float("-inf"):
+    if isinstance(value, float):
+        if value == -math.inf:
             return EPS
-        if isinstance(value, float) and not math.isfinite(value):
+        if not math.isfinite(value):
             raise ValueError(f"not a valid magnitude exponent: {value!r}")
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise TypeError(f"expected a real number or eps, got {type(value).__name__}")
 
