@@ -1,7 +1,10 @@
 """Signed (symmetrized) max-plus arithmetic and the geometry built on it:
 tripod metrics, geodesic and semimodule segments, interval-union set
-representations with convexity predicates, and metric projections with an
-independent brute-force oracle."""
+representations with convexity predicates, and metric projections.
+
+The independent brute-force oracle that checks them lives in
+``smaxplus.oracle``; it needs numpy, and importing this package does not
+load it."""
 
 from .algebra import (
     EPS,
@@ -16,7 +19,6 @@ from .algebra import (
     ext_oplus,
     ext_otimes,
     ext_power,
-    is_eps,
     lift,
     pair_balance,
     pair_minus,
@@ -46,14 +48,6 @@ from .metrics import (
     phi,
     phi_n,
     rho,
-)
-from .oracle import (
-    DEFAULT_GRID,
-    GridSpec,
-    grid_connected,
-    grid_project,
-    grid_segment_sm,
-    hausdorff_phi,
 )
 from .projection import (
     ProjectionResult,
@@ -95,7 +89,6 @@ from .segments import (
     semimodule_segment,
     traditional_segment,
     vec_oplus,
-    vec_otimes,
     vec_scale,
 )
 

@@ -64,10 +64,6 @@ EPS = _Eps()
 ExtReal = Union[int, float, _Eps]
 
 
-def is_eps(a: ExtReal) -> bool:
-    return a is EPS
-
-
 def as_ext(value) -> ExtReal:
     """Coerce a raw number into a scalar; IEEE -inf maps to ``EPS``.  ``bool``
     is rejected although Python counts it as an ``int``."""
@@ -169,7 +165,10 @@ class Sign(Enum):
     BALANCED = "o"
 
 
-_SIGN_ORDER = {Sign.PLUS: 0, Sign.MINUS: 1, Sign.BALANCED: 2}
+# the three rays of the tripod, in the order every enumeration uses
+RAYS = (Sign.PLUS, Sign.MINUS, Sign.BALANCED)
+
+_SIGN_ORDER = {sign: i for i, sign in enumerate(RAYS)}
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from typing import Optional
 from .algebra import SElem
 from .exprs import eval_expr
 from .metrics import MetricId, SVector, parse_metric_id
-from .oracle import DEFAULT_GRID, GridSpec, grid_connected, grid_project, grid_segment_sm
 from .projection import (
     is_chebyshev,
     project_box,
@@ -81,11 +80,6 @@ def _emit(args, payload, svg: Optional[str] = None) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def _grid_from_args(args) -> GridSpec:
-    bound = DEFAULT_GRID.max_magnitude if args.max_magnitude is None else args.max_magnitude
-    return GridSpec(resolution=args.resolution, max_magnitude=bound, seed=args.seed)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="smaxplus",
@@ -93,31 +87,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_out(p):
         p.add_argument("--out", choices=("json", "svg", "text"), default="json")
+
+    def add_grid(p):
         p.add_argument("--resolution", type=float, default=1e-3)
         # None lets project_box_max fit the grid to its inputs; the oracle
         # subcommand falls back to the default grid's bound
         p.add_argument("--max-magnitude", dest="max_magnitude", type=float, default=None)
-        p.add_argument("--seed", type=int, default=42)
 
     p_eval = sub.add_parser("eval", help="evaluate a max-plus expression")
     p_eval.add_argument("expression", help="expression text, or '-' to read stdin")
     p_eval.add_argument("--mode", choices=("mpa", "smpa"), default="smpa")
-    add_common(p_eval)
+    add_out(p_eval)
 
     p_seg = sub.add_parser("segment", help="compute a segment between two vectors")
     p_seg.add_argument("--kind", choices=("geometric", "semimodule", "traditional"), default="geometric")
     p_seg.add_argument("a", help="path to the first endpoint JSON")
     p_seg.add_argument("b", help="path to the second endpoint JSON")
-    add_common(p_seg)
+    add_out(p_seg)
 
     p_proj = sub.add_parser("project", help="nearest points of a query in a set")
     p_proj.add_argument("x", help="path to the query JSON (element or vector)")
     p_proj.add_argument("set", help="path to the set JSON (ray set or box)")
     p_proj.add_argument("--metric", default=None, help="rho<k><j>, D1 or D2 (boxes)")
     p_proj.add_argument("--base", choices=("d1", "d2"), default="d2")
-    add_common(p_proj)
+    add_out(p_proj)
+    add_grid(p_proj)
 
     p_check = sub.add_parser("check", help="connectedness / convexity / Chebyshev decisions")
     p_check.add_argument("set", help="path to the set JSON")
@@ -128,13 +124,14 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("traditional", "geometric", "semimodule", "box"),
         default=None,
     )
-    add_common(p_check)
+    add_out(p_check)
 
     p_oracle = sub.add_parser("oracle", help=argparse.SUPPRESS)
     p_oracle.add_argument("routine", choices=("project", "segment-sm", "connected"))
     p_oracle.add_argument("inputs", nargs="+", help="input JSON paths")
     p_oracle.add_argument("--metric", default="rho12")
-    add_common(p_oracle)
+    add_out(p_oracle)
+    add_grid(p_oracle)
 
     return parser
 
@@ -167,6 +164,8 @@ def _cmd_project(args) -> str:
     target = _load_set(args.set)
     base = 1 if args.base == "d1" else 2
     if isinstance(target, RaySet):
+        if args.metric is not None:
+            raise ValueError("--metric applies to boxes; a ray set takes --base")
         if len(x) != 1:
             raise ValueError("a ray set expects a one-coordinate query")
         result = project_ray(x[0], target, base)
@@ -222,21 +221,24 @@ def _cmd_check(args) -> str:
 
 
 def _cmd_oracle(args) -> str:
-    g = _grid_from_args(args)
+    from . import oracle  # deferred: only this subcommand builds grids
+
+    bound = oracle.DEFAULT_GRID.max_magnitude if args.max_magnitude is None else args.max_magnitude
+    g = oracle.GridSpec(resolution=args.resolution, max_magnitude=bound)
     if args.routine == "project":
         x = _load_vector(args.inputs[0])
         target = _load_set(args.inputs[1])
         if isinstance(target, RaySet):
             target = BoxSet((target,))
-        result = grid_project(x, target, parse_metric_id(args.metric), g)
+        result = oracle.grid_project(x, target, parse_metric_id(args.metric), g)
         return _emit(args, result.to_json())
     if args.routine == "segment-sm":
         a = _load_vector(args.inputs[0])
         b = _load_vector(args.inputs[1])
-        cloud = grid_segment_sm(a, b, g)
+        cloud = oracle.grid_segment_sm(a, b, g)
         return _emit(args, {"points": [v.to_json() for v in cloud]})
     target = _load_set(args.inputs[0])
-    return _emit(args, {"connected": grid_connected(target, g)})
+    return _emit(args, {"connected": oracle.grid_connected(target, g)})
 
 
 _DISPATCH = {

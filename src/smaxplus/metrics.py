@@ -23,7 +23,8 @@ from .algebra import EPS, SElem, Sign
 
 
 class MagnitudeRangeWarning(RuntimeWarning):
-    """Emitted when e**t overflows the float range and saturates."""
+    """Emitted when e**t leaves the float range: it saturates at the float
+    maximum on overflow and rounds to 0.0 on underflow."""
 
 
 _MAX_EXP_ARG = math.log(sys.float_info.max)
@@ -39,7 +40,8 @@ _RAY_DIRECTION = {
 
 def magnitude(a: SElem) -> float:
     """Radial coordinate e**|a| of the embedded point; exactly 0 for the zero
-    element, saturating (with a warning) on float overflow."""
+    element, saturating on float overflow and reaching 0.0 on underflow, each
+    with a warning."""
     t = a.exp
     if t is EPS:
         return 0.0
@@ -50,7 +52,14 @@ def magnitude(a: SElem) -> float:
             stacklevel=2,
         )
         return sys.float_info.max
-    return math.exp(t)
+    m = math.exp(t)
+    if m == 0.0:
+        warnings.warn(
+            f"magnitude exponent {t} underflows the float range; embedding at the origin",
+            MagnitudeRangeWarning,
+            stacklevel=2,
+        )
+    return m
 
 
 def phi(a: SElem) -> complex:
@@ -58,18 +67,25 @@ def phi(a: SElem) -> complex:
     return _RAY_DIRECTION[a.sign] * magnitude(a)
 
 
-def d1(a: SElem, b: SElem) -> float:
-    """Chord distance between the embedded points.
+def cross_distance(m: float, mp: float, base: int) -> float:
+    """Distance between points of radial coordinates m and m' on two
+    distinct rays: m + m' through the origin for the path metric (base 2),
+    and for the chord metric (base 1) the law of cosines at 120 degrees,
+    sqrt(m^2 + m'^2 + m m'), which avoids the roundoff of complex
+    subtraction."""
+    if base == 2:
+        return m + mp
+    return math.sqrt(m * m + mp * mp + m * mp)
 
-    Same-ray pairs reduce to |m - m'| on the common ray; distinct rays use
-    the law of cosines at 120 degrees, sqrt(m^2 + m'^2 + m m'), which avoids
-    the roundoff of complex subtraction.
-    """
+
+def d1(a: SElem, b: SElem) -> float:
+    """Chord distance between the embedded points; same-ray pairs reduce to
+    |m - m'| on the common ray."""
     m = magnitude(a)
     mp = magnitude(b)
     if a.sign is b.sign:
         return abs(m - mp)
-    return math.sqrt(m * m + mp * mp + m * mp)
+    return cross_distance(m, mp, 1)
 
 
 def d2(a: SElem, b: SElem) -> float:
@@ -78,7 +94,7 @@ def d2(a: SElem, b: SElem) -> float:
     mp = magnitude(b)
     if a.sign is b.sign:
         return abs(m - mp)
-    return m + mp
+    return cross_distance(m, mp, 2)
 
 
 _BASE = {1: d1, 2: d2}

@@ -3,22 +3,20 @@
 Everything here is intentionally naive: nearest points by scoring grid
 points, segment enumeration by sweeping the scaling parameter, connectivity
 by flooding a discretized graph.  Grids are deterministic functions of the
-``GridSpec`` alone; random-instance generators take explicit seeds.
+``GridSpec`` alone.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .algebra import EPS, SElem, Sign, ZERO, s_oplus
-from .metrics import MetricId, SVector, magnitude, phi
+from .metrics import MetricId, SVector, magnitude
 from .projection import ProjectionResult
 from .raysets import BoxSet, RaySet, point_on_ray
 
@@ -32,7 +30,6 @@ class GridSpec:
 
     resolution: float = 1e-3
     max_magnitude: float = math.exp(3.0)
-    seed: int = 42
 
     def __post_init__(self):
         if not (0 < self.resolution < self.max_magnitude):
@@ -44,11 +41,10 @@ class GridSpec:
 DEFAULT_GRID = GridSpec()
 
 
-def grid_of_ray_set(C: RaySet, g: GridSpec) -> List[Tuple[Sign, float]]:
-    """Grid points of the set, clipped at the truncation bound.  Interval
-    endpoints are always included exactly."""
-    points: List[Tuple[Sign, float]] = []
-    seen = set()
+def _interval_grids(C: RaySet, g: GridSpec) -> Iterator[Tuple[Sign, List[float]]]:
+    """Per interval of the set, clipped at the truncation bound: its ray and
+    its grid values, one resolution step apart from the low endpoint, with
+    the clipped high endpoint included exactly."""
     for ray in _RAYS:
         for lo, hi in C.intervals(ray):
             hi = min(hi, g.max_magnitude)
@@ -58,11 +54,20 @@ def grid_of_ray_set(C: RaySet, g: GridSpec) -> List[Tuple[Sign, float]]:
             values = [lo + k * g.resolution for k in range(n_steps + 1)]
             if values[-1] != hi:
                 values.append(hi)
-            for m in values:
-                key = (Sign.BALANCED, 0.0) if m == 0.0 else (ray, m)
-                if key not in seen:
-                    seen.add(key)
-                    points.append(key)
+            yield ray, values
+
+
+def grid_of_ray_set(C: RaySet, g: GridSpec) -> List[Tuple[Sign, float]]:
+    """Grid points of the set, clipped at the truncation bound.  Interval
+    endpoints are always included exactly."""
+    points: List[Tuple[Sign, float]] = []
+    seen = set()
+    for ray, values in _interval_grids(C, g):
+        for m in values:
+            key = (Sign.BALANCED, 0.0) if m == 0.0 else (ray, m)
+            if key not in seen:
+                seen.add(key)
+                points.append(key)
     if not points:
         raise ValueError("grid intersection is empty (truncation too small)")
     return points
@@ -80,10 +85,6 @@ def _coord_distances(x: SElem, grid: Sequence[Tuple[Sign, float]], base: int) ->
     else:
         cross = np.sqrt(ms * ms + mx * mx + ms * mx)
     return np.where(same, radial, cross)
-
-
-def _grid_slack(mid: MetricId, n: int, g: GridSpec) -> float:
-    return g.resolution * n
 
 
 def grid_project(x: SVector, A: BoxSet, mid: MetricId, g: GridSpec) -> ProjectionResult:
@@ -111,7 +112,7 @@ def grid_project(x: SVector, A: BoxSet, mid: MetricId, g: GridSpec) -> Projectio
         feasible = float(np.sqrt((mins**2).sum()))
     else:
         feasible = float(mins.max())
-    slack = _grid_slack(mid, n, g)
+    slack = g.resolution * n
     threshold = feasible + slack
 
     keep: List[np.ndarray] = []
@@ -244,149 +245,16 @@ def grid_connected(C: RaySet, g: GridSpec) -> bool:
             parent[rj] = ri
 
     origin_node = None
-    for ray in _RAYS:
-        for lo, hi in C.intervals(ray):
-            hi = min(hi, g.max_magnitude)
-            if hi < lo:
-                continue
-            n_steps = int(math.floor((hi - lo) / g.resolution))
-            values = [lo + k * g.resolution for k in range(n_steps + 1)]
-            if values[-1] != hi:
-                values.append(hi)
-            prev = None
-            for m in values:
-                node = add((ray, m))
-                if prev is not None:
-                    link(prev, node)
-                if m < g.resolution:
-                    if origin_node is None:
-                        origin_node = node
-                    link(origin_node, node)
-                prev = node
+    for ray, values in _interval_grids(C, g):
+        prev = None
+        for m in values:
+            node = add((ray, m))
+            if prev is not None:
+                link(prev, node)
+            if m < g.resolution:
+                if origin_node is None:
+                    origin_node = node
+                link(origin_node, node)
+            prev = node
     roots = {find(i) for i in range(len(nodes))}
     return len(roots) == 1
-
-
-def phi_cloud(points: Sequence[SVector]) -> np.ndarray:
-    """Flatten vectors into embedded coordinates in R^(2n)."""
-    rows = []
-    for v in points:
-        row: List[float] = []
-        for c in v:
-            z = phi(c)
-            row.extend((z.real, z.imag))
-        rows.append(row)
-    return np.asarray(rows, dtype=float)
-
-
-def hausdorff_phi(xs: Sequence[SVector], ys: Sequence[SVector]) -> float:
-    """Symmetric Hausdorff distance between two point clouds, measured in the
-    embedded coordinates."""
-    ax, ay = phi_cloud(xs), phi_cloud(ys)
-    d_xy = cKDTree(ay).query(ax)[0].max()
-    d_yx = cKDTree(ax).query(ay)[0].max()
-    return float(max(d_xy, d_yx))
-
-
-# ---------------------------------------------------------------------------
-# Random instances (explicitly seeded; used by the property tests)
-# ---------------------------------------------------------------------------
-
-_EXP_RANGE = (-3.0, 3.0)  # radial coordinates in [e**-3, e**3] subset of [0, e**3]
-_MIN_GAP = 0.05  # keeps gaps resolvable by the default grid
-
-
-def random_selem(rng: random.Random, zero_prob: float = 0.05) -> SElem:
-    if rng.random() < zero_prob:
-        return ZERO
-    sign = rng.choice(_RAYS)
-    return SElem(sign, rng.uniform(*_EXP_RANGE))
-
-
-def random_svector(rng: random.Random, n: int, zero_prob: float = 0.05) -> SVector:
-    return SVector(tuple(random_selem(rng, zero_prob) for _ in range(n)))
-
-
-def _random_intervals(rng: random.Random, count: int) -> List[Tuple[float, float]]:
-    values = sorted(math.exp(rng.uniform(*_EXP_RANGE)) for _ in range(2 * count))
-    intervals = []
-    cursor = 0.0
-    for i in range(count):
-        lo, hi = values[2 * i], values[2 * i + 1]
-        lo = max(lo, cursor + _MIN_GAP)
-        hi = max(hi, lo)
-        intervals.append((lo, hi))
-        cursor = hi
-    return intervals
-
-
-def random_ray_set(rng: random.Random) -> RaySet:
-    """Magnitudes log-uniform within [0, e**3], one to four intervals per ray,
-    the origin attached with probability one half."""
-    per_ray = {ray: _random_intervals(rng, rng.randint(1, 4)) for ray in _RAYS}
-    if rng.random() < 0.5:
-        ray = rng.choice(_RAYS)
-        lo, hi = per_ray[ray][0]
-        per_ray[ray][0] = (0.0, hi)
-    return RaySet(tuple(per_ray[Sign.PLUS]), tuple(per_ray[Sign.MINUS]), tuple(per_ray[Sign.BALANCED]))
-
-
-def random_connected_ray_set(rng: random.Random) -> RaySet:
-    """A single interval on one ray, or a star anchored at the origin."""
-    if rng.random() < 0.5:
-        ray = rng.choice(_RAYS)
-        a = math.exp(rng.uniform(*_EXP_RANGE))
-        b = math.exp(rng.uniform(*_EXP_RANGE))
-        lo, hi = min(a, b), max(a, b)
-        if rng.random() < 0.25:
-            lo = 0.0
-        ivs = {r: () for r in _RAYS}
-        ivs[ray] = ((lo, hi),)
-    else:
-        ivs = {r: () for r in _RAYS}
-        arms = rng.randint(1, 3)
-        rays = rng.sample(_RAYS, arms)
-        for r in rays:
-            ivs[r] = ((0.0, math.exp(rng.uniform(*_EXP_RANGE))),)
-    return RaySet(ivs[Sign.PLUS], ivs[Sign.MINUS], ivs[Sign.BALANCED])
-
-
-def random_disconnected_ray_set(rng: random.Random) -> RaySet:
-    from .raysets import is_connected
-
-    for _ in range(100):
-        C = random_ray_set(rng)
-        if not is_connected(C):
-            return C
-    raise AssertionError("failed to draw a disconnected set")
-
-
-def random_semimodule_convex_ray_set(rng: random.Random) -> RaySet:
-    """Shapes closed under the scaled-combination segments: single ray
-    intervals, balanced-tied opposite pairs, origin stars with a long enough
-    balanced arm, and a signed point with its balanced stretch."""
-    kind = rng.randrange(4)
-    if kind == 0:
-        ray = rng.choice(_RAYS)
-        a, b = sorted(math.exp(rng.uniform(*_EXP_RANGE)) for _ in range(2))
-        ivs = {r: () for r in _RAYS}
-        ivs[ray] = ((a, b),)
-    elif kind == 1:
-        m = math.exp(rng.uniform(*_EXP_RANGE))
-        ivs = {r: ((m, m),) for r in _RAYS}
-    elif kind == 2:
-        p = math.exp(rng.uniform(*_EXP_RANGE))
-        mm = math.exp(rng.uniform(*_EXP_RANGE))
-        b = max(min(p, mm), math.exp(rng.uniform(*_EXP_RANGE)))
-        ivs = {
-            Sign.PLUS: ((0.0, p),),
-            Sign.MINUS: ((0.0, mm),),
-            Sign.BALANCED: ((0.0, b),),
-        }
-    else:
-        ray = rng.choice((Sign.PLUS, Sign.MINUS))
-        r, s = sorted(math.exp(rng.uniform(*_EXP_RANGE)) for _ in range(2))
-        ivs = {t: () for t in _RAYS}
-        ivs[ray] = ((r, r),)
-        ivs[Sign.BALANCED] = ((r, s),)
-    return RaySet(ivs[Sign.PLUS], ivs[Sign.MINUS], ivs[Sign.BALANCED])

@@ -15,24 +15,12 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .algebra import SElem, Sign, ZERO
-from .metrics import MetricId, SVector, magnitude
+from .algebra import RAYS, SElem, Sign, ZERO
+from .metrics import MetricId, SVector, cross_distance, magnitude
 from .raysets import BoxSet, RaySet, is_connected, point_on_ray
 from .segments import ArcPiece, PointPiece, SegmentSet
 
-_RAYS = (Sign.PLUS, Sign.MINUS, Sign.BALANCED)
-
 TIE_TOL = 1e-9
-
-
-def _cross_dist(m: float, mp: float, base: int) -> float:
-    if base == 2:
-        return m + mp
-    return math.sqrt(m * m + mp * mp + m * mp)
-
-
-def _radial_dist(m: float, mp: float) -> float:
-    return abs(m - mp)
 
 
 @dataclass(frozen=True)
@@ -78,15 +66,15 @@ def project_ray(x: SElem, C: RaySet, base: int = 2) -> ProjectionResult:
     mx = magnitude(x)
     own_ray = None if x.is_zero else x.sign
     cands: List[Tuple[SElem, float]] = []
-    for ray in _RAYS:
+    for ray in RAYS:
         same = own_ray is None or ray is own_ray
         for lo, hi in C.intervals(ray):
             if same:
                 m = min(max(mx, lo), hi)
-                d = _radial_dist(mx, m)
+                d = abs(mx - m)
             else:
                 m = lo
-                d = _cross_dist(mx, lo, base)
+                d = cross_distance(mx, lo, base)
             cands.append((point_on_ray(ray, m), d))
     return _result_from_candidates(cands)
 
@@ -157,16 +145,13 @@ def project_box_max(
     from . import oracle  # deferred: the oracle module builds on this one
 
     if max_magnitude is None:
-        bound = max(max(f.max_magnitude() for f in A.factors), magnitude_bound(x)) + 1.0
+        mx = max(magnitude(c) for c in x)
+        bound = max(max(f.max_magnitude() for f in A.factors), mx) + 1.0
         # unbounded factors are truncated at the default grid bound
         max_magnitude = bound if math.isfinite(bound) else oracle.DEFAULT_GRID.max_magnitude
-        max_magnitude = max(max_magnitude, magnitude_bound(x) + 1.0)
-    g = oracle.GridSpec(resolution=resolution, max_magnitude=max_magnitude, seed=0)
+        max_magnitude = max(max_magnitude, mx + 1.0)
+    g = oracle.GridSpec(resolution=resolution, max_magnitude=max_magnitude)
     return oracle.grid_project(x, A, MetricId("max", base), g)
-
-
-def magnitude_bound(x: SVector) -> float:
-    return max((magnitude(c) for c in x), default=0.0)
 
 
 def project_segment_set(x: SElem, S: SegmentSet, base: int = 2) -> ProjectionResult:
@@ -183,8 +168,8 @@ def project_segment_set(x: SElem, S: SegmentSet, base: int = 2) -> ProjectionRes
 
     def elem_dist(e: SElem) -> float:
         if own_ray is None or e.is_zero or e.sign is own_ray:
-            return _radial_dist(mx, magnitude(e))
-        return _cross_dist(mx, magnitude(e), base)
+            return abs(mx - magnitude(e))
+        return cross_distance(mx, magnitude(e), base)
 
     attained: List[Tuple[SElem, float]] = []
     infimum = math.inf
@@ -233,7 +218,7 @@ def _arc_candidates(x: SElem, arc: ArcPiece, base: int):
         if psi_x is not None:
             d = _chart_line_dist(psi_x, val, base)
         else:
-            d = _cross_dist(mx, abs(val), base)
+            d = cross_distance(mx, abs(val), base)
         out.append((e, d, closed))
 
     if psi_x is not None:
@@ -277,7 +262,7 @@ def _chart_line_dist(psi_x: float, val: float, base: int) -> float:
     same_side = psi_x == 0.0 or val == 0.0 or (psi_x > 0) == (val > 0)
     if same_side or base == 2:
         return abs(psi_x - val)
-    return _cross_dist(abs(psi_x), abs(val), base)
+    return cross_distance(abs(psi_x), abs(val), base)
 
 
 def find_multipoint_witness(C: RaySet, base: int = 2) -> Optional[SElem]:
@@ -291,7 +276,7 @@ def find_multipoint_witness(C: RaySet, base: int = 2) -> Optional[SElem]:
     if C.is_empty:
         raise ValueError("empty set")
     candidates: List[SElem] = []
-    for ray in _RAYS:
+    for ray in RAYS:
         ivs = C.intervals(ray)
         for (lo1, hi1), (lo2, hi2) in zip(ivs, ivs[1:]):
             candidates.append(point_on_ray(ray, (hi1 + lo2) / 2.0))
@@ -301,7 +286,7 @@ def find_multipoint_witness(C: RaySet, base: int = 2) -> Optional[SElem]:
             candidates.append(point_on_ray(ray, ivs[0][0] / 2.0))
     if not C.has_origin:
         firsts = [
-            (C.intervals(ray)[0][0], ray) for ray in _RAYS if C.intervals(ray)
+            (C.intervals(ray)[0][0], ray) for ray in RAYS if C.intervals(ray)
         ]
         if len(firsts) >= 2:
             firsts.sort()

@@ -16,12 +16,10 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .algebra import SElem, Sign, ZERO
+from .algebra import RAYS, SElem, Sign, ZERO
 from .metrics import magnitude
 
 Interval = Tuple[float, float]
-
-_RAYS = (Sign.PLUS, Sign.MINUS, Sign.BALANCED)
 
 
 def _canonical_intervals(intervals) -> Tuple[Interval, ...]:
@@ -136,7 +134,7 @@ def ray_components(C: RaySet) -> List[dict]:
         raise ValueError("empty set")
     comps: List[dict] = []
     arms = {}
-    for ray in _RAYS:
+    for ray in RAYS:
         for lo, hi in C.intervals(ray):
             if lo == 0.0:
                 arms[ray] = hi
@@ -152,7 +150,7 @@ def is_connected(C: RaySet) -> bool:
     nonempty ray a single interval anchored at the origin."""
     if C.is_empty:
         raise ValueError("empty set")
-    per_ray = [C.intervals(r) for r in _RAYS]
+    per_ray = [C.intervals(r) for r in RAYS]
     nonempty = [ivs for ivs in per_ray if ivs]
     if any(len(ivs) > 1 for ivs in nonempty):
         return False
@@ -208,11 +206,11 @@ def is_semimodule_convex(C: RaySet) -> bool:
     """
     if C.is_empty:
         raise ValueError("empty set")
-    for ray in _RAYS:
+    for ray in RAYS:
         if len(C.intervals(ray)) > 1:
             return False
     if C.has_origin:
-        for ray in _RAYS:
+        for ray in RAYS:
             for lo, _ in C.intervals(ray):
                 if lo > 0.0:
                     return False

@@ -25,12 +25,10 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .algebra import EPS, SElem, Sign, ZERO, s_oplus, s_otimes, scalar_mul
+from .algebra import EPS, RAYS, SElem, Sign, ZERO, s_oplus, scalar_mul
 from .metrics import D1, MetricId, SVector, magnitude, rho
 
 PsiChart = Tuple[Tuple[Sign, Sign], ...]
-
-_TAG_ORDER = (Sign.PLUS, Sign.MINUS, Sign.BALANCED)
 
 
 class ChartError(ValueError):
@@ -43,18 +41,12 @@ def vec_oplus(x: SVector, y: SVector) -> SVector:
     return SVector(tuple(s_oplus(a, b) for a, b in zip(x, y)))
 
 
-def vec_otimes(x: SVector, y: SVector) -> SVector:
-    if len(x) != len(y):
-        raise ValueError(f"dimension mismatch: {len(x)} vs {len(y)}")
-    return SVector(tuple(s_otimes(a, b) for a, b in zip(x, y)))
-
-
 def vec_scale(lam, x: SVector) -> SVector:
     return SVector(tuple(scalar_mul(lam, c) for c in x))
 
 
 def _complement(tag: Sign) -> Sign:
-    for t in _TAG_ORDER:
+    for t in RAYS:
         if t is not tag:
             return t
     raise AssertionError
@@ -137,9 +129,6 @@ class BrokenLine:
     vertices: Tuple[Tuple[float, ...], ...]
     breakpoint_params: Tuple[float, ...]
     length: float
-
-    def endpoint_vectors(self) -> Tuple[SVector, SVector]:
-        return psi_inverse(self.chart, self.vertices[0]), psi_inverse(self.chart, self.vertices[-1])
 
     def to_json(self) -> dict:
         return {
@@ -245,7 +234,9 @@ class ArcPiece:
                 elif abs(ti - t) > 1e-6:
                     return None
         if t is None:
-            t = 0.0
+            # every span is within tol, so the arc is one point up to tol
+            # and the parameter is undetermined: take an end the arc includes
+            t = 0.0 if self.closed_lo else 1.0
         if t < -tol or t > 1.0 + tol:
             return None
         if abs(t) <= tol and not self.closed_lo:

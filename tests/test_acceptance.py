@@ -27,9 +27,6 @@ from smaxplus import (
     ext_otimes,
     find_multipoint_witness,
     geometric_segment,
-    grid_project,
-    grid_segment_sm,
-    hausdorff_phi,
     lift,
     pair_balance,
     pair_minus,
@@ -45,15 +42,17 @@ from smaxplus import (
     s_otimes,
     semimodule_segment,
 )
-from smaxplus.oracle import (
-    GridSpec,
+from smaxplus.oracle import GridSpec, grid_project, grid_segment_sm
+from smaxplus.segments import ArcPiece, PointPiece, component_count, isolated_points
+
+from instances import (
+    hausdorff_phi,
     random_connected_ray_set,
     random_disconnected_ray_set,
     random_ray_set,
     random_selem,
     random_svector,
 )
-from smaxplus.segments import ArcPiece, PointPiece, component_count, isolated_points
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -102,7 +101,7 @@ def test_criterion_02_worked_geodesic():
 
 
 def test_criterion_03_segment_closed_forms_match_sweep():
-    g = GridSpec(resolution=1e-3, max_magnitude=math.exp(3.0), seed=0)
+    g = GridSpec(resolution=1e-3, max_magnitude=math.exp(3.0))
     levels = [0.0, LN2, 1.0, 2.0]
     cases = []
     for r in levels:
@@ -154,7 +153,7 @@ def test_criterion_06_triple_power_projections():
     assert len(r.points) == 3
     all_codes = [f"rho{k}{j}" for k in "012" for j in "12"]
     analytic_codes = [f"rho{k}{j}" for k in "12" for j in "12"]
-    g = GridSpec(resolution=1e-2, max_magnitude=4.0, seed=0)
+    g = GridSpec(resolution=1e-2, max_magnitude=4.0)
     for n in (1, 2, 3):
         box = BoxSet((TRIPLE,) * n)
         x0 = V(*(ZERO,) * n)
@@ -191,7 +190,7 @@ def test_criterion_07_unique_projection_suite():
 
 def test_criterion_08_product_factorization():
     rng = random.Random(78)
-    g = GridSpec(resolution=1e-3, max_magnitude=6.0, seed=0)
+    g = GridSpec(resolution=1e-3, max_magnitude=6.0)
     codes = [f"rho{k}{j}" for k in "12" for j in "12"]
     instances = 0
     for _ in range(25):
@@ -218,7 +217,7 @@ def test_criterion_08_product_factorization():
     ball = RaySet(plus=((0, 1),), minus=((0, 1),))
     box = BoxSet((ball, ball))
     x = V(ZERO, SElem.pos(LN2))
-    joint = grid_project(x, box, parse_metric_id("rho02"), GridSpec(0.01, 4.0, 0))
+    joint = grid_project(x, box, parse_metric_id("rho02"), GridSpec(0.01, 4.0))
     per = [project_ray(xi, Ci, 2) for xi, Ci in zip(x, box.factors)]
     assert len(joint.points) > len(per[0].points) * len(per[1].points)
     print(f"criterion 8: {instances} factorizing instances; max-combine cloud "
@@ -318,7 +317,7 @@ def test_criterion_10_metric_suite():
 
 def test_criterion_11_oracle_equivalence():
     rng = random.Random(80)
-    g = GridSpec(resolution=1e-3, max_magnitude=25.0, seed=0)
+    g = GridSpec(resolution=1e-3, max_magnitude=25.0)
     for i in range(100):
         C = random_ray_set(rng)
         box = BoxSet((C,))

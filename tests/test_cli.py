@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import smaxplus
 from smaxplus import BrokenLine, ProjectionResult, SElem, SVector, SegmentSet, ZERO
 from smaxplus.cli import main
 
@@ -125,6 +130,13 @@ class TestProject:
         assert "empty" in json.loads(err)["error"]
 
 
+def test_metric_with_a_ray_set_is_a_domain_error(capsys, files):
+    # a ray set is projected under --base; a --metric it would ignore is refused
+    code, out, err = run(capsys, "project", files["x"], files["triple"], "--metric", "rho12")
+    assert code == 1 and out == ""
+    assert "--metric" in json.loads(err)["error"]
+
+
 class TestMaxCombine:
     QUERY = {"coords": [{"sign": "+", "exp": 4.2}, {"sign": "+", "exp": 0}]}
 
@@ -242,3 +254,32 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["definitely-not-a-command"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--seed", "1", "1"],
+        ["segment", "--resolution", "0.1", "a.json", "b.json"],
+        ["check", "--max-magnitude", "5", "set.json"],
+        ["oracle", "connected", "set.json", "--seed", "1"],
+    ],
+    ids=["eval-seed", "segment-resolution", "check-max-magnitude", "oracle-seed"],
+)
+def test_grid_options_only_where_a_grid_is_built(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_import_loads_neither_numpy_nor_scipy():
+    # the analytic package and the CLI stand alone; only the oracle grids
+    # (the oracle subcommand and max-combine boxes) load numpy
+    code = (
+        "import sys, smaxplus, smaxplus.cli; "
+        "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))"
+    )
+    src = str(Path(smaxplus.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -26,7 +26,8 @@ from smaxplus import (
     s_oplus,
     s_otimes,
 )
-from smaxplus.oracle import random_selem, random_svector
+
+from instances import random_selem, random_svector
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -73,6 +74,13 @@ class TestEmbedding:
         with pytest.warns(MagnitudeRangeWarning):
             m = magnitude(SElem.pos(1e4))
         assert math.isfinite(m)
+
+    def test_magnitude_underflow_warns(self):
+        # e**-800 rounds to 0.0: the point lands on the origin, which is
+        # reported as overflow is
+        with pytest.warns(MagnitudeRangeWarning, match="underflow"):
+            m = magnitude(SElem.pos(-800))
+        assert m == 0.0
 
 
 class TestBaseMetrics:

@@ -12,18 +12,17 @@ from smaxplus import (
     SElem,
     SVector,
     ZERO,
-    grid_connected,
-    grid_project,
-    grid_segment_sm,
     is_connected,
 )
 from smaxplus.oracle import (
     GridSpec,
+    grid_connected,
     grid_of_ray_set,
-    random_connected_ray_set,
-    random_disconnected_ray_set,
-    random_ray_set,
+    grid_project,
+    grid_segment_sm,
 )
+
+from instances import random_connected_ray_set, random_disconnected_ray_set, random_ray_set
 
 CORPUS = [
     RaySet(plus=((1, 2),)),
@@ -44,20 +43,20 @@ class TestGridSpec:
             GridSpec(resolution=1e-3, max_magnitude=math.inf)
 
     def test_grid_includes_endpoints(self):
-        g = GridSpec(resolution=0.3, max_magnitude=10.0, seed=0)
+        g = GridSpec(resolution=0.3, max_magnitude=10.0)
         pts = grid_of_ray_set(RaySet(plus=((1.0, 2.0),)), g)
         ms = sorted(m for _, m in pts)
         assert ms[0] == 1.0 and ms[-1] == 2.0
 
     def test_truncation_error(self):
-        g = GridSpec(resolution=0.1, max_magnitude=2.0, seed=0)
+        g = GridSpec(resolution=0.1, max_magnitude=2.0)
         with pytest.raises(ValueError):
             grid_of_ray_set(RaySet(plus=((5.0, 6.0),)), g)
 
 
 class TestDeterminism:
     def test_identical_spec_identical_output(self):
-        g = GridSpec(resolution=0.01, max_magnitude=10.0, seed=42)
+        g = GridSpec(resolution=0.01, max_magnitude=10.0)
         x = SVector((SElem.neg(0.3),))
         for C in CORPUS:
             box = BoxSet((C,))
@@ -77,7 +76,7 @@ class TestRefinement:
         for C in CORPUS:
             expected = is_connected(C)
             for res in (0.04, 0.02, 0.01):
-                g = GridSpec(resolution=res, max_magnitude=10.0, seed=0)
+                g = GridSpec(resolution=res, max_magnitude=10.0)
                 assert grid_connected(C, g) == expected
 
     def test_argmin_cloud_diameter_shrinks(self):
@@ -86,7 +85,7 @@ class TestRefinement:
         box = BoxSet((C,))
         diameters = []
         for res in (0.08, 0.04, 0.02, 0.01):
-            g = GridSpec(resolution=res, max_magnitude=10.0, seed=0)
+            g = GridSpec(resolution=res, max_magnitude=10.0)
             r = grid_project(x, box, MetricId("euclid", 2), g)
             ms = [0.0 if p[0].is_zero else math.exp(p[0].exp) for p in r.points]
             diameters.append(max(ms) - min(ms))
@@ -101,23 +100,23 @@ class TestRefinement:
 
 class TestExamples:
     def test_member_projects_to_itself_within_a_step(self):
-        g = GridSpec(resolution=0.02, max_magnitude=10.0, seed=0)
+        g = GridSpec(resolution=0.02, max_magnitude=10.0)
         C = RaySet(plus=((1, 2),), balanced=((3, 4),))
         x = SVector((SElem.pos(math.log(1.37)),))
         r = grid_project(x, BoxSet((C,)), MetricId("euclid", 2), g)
         assert r.distance <= g.resolution
 
     def test_balanced_tie_sweep_has_three_points(self):
-        g = GridSpec(resolution=0.01, max_magnitude=10.0, seed=0)
+        g = GridSpec(resolution=0.01, max_magnitude=10.0)
         a, b = SVector((SElem.pos(1),)), SVector((SElem.neg(1),))
         cloud = grid_segment_sm(a, b, g)
         assert set(cloud) == {a, b, SVector((SElem.bal(1),))}
 
     def test_identical_endpoints_sweep_is_a_point(self):
-        g = GridSpec(resolution=0.01, max_magnitude=10.0, seed=0)
+        g = GridSpec(resolution=0.01, max_magnitude=10.0)
         a = SVector((SElem.pos(1),))
         assert set(grid_segment_sm(a, a, g)) == {a}
 
     def test_grid_connected_origin_only(self):
-        g = GridSpec(resolution=0.01, max_magnitude=10.0, seed=0)
+        g = GridSpec(resolution=0.01, max_magnitude=10.0)
         assert grid_connected(RaySet(balanced=((0, 0),)), g)

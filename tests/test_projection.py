@@ -18,7 +18,6 @@ from smaxplus import (
     d2,
     distance_to_set,
     find_multipoint_witness,
-    grid_project,
     is_chebyshev,
     is_connected,
     is_geometrically_convex,
@@ -32,8 +31,9 @@ from smaxplus import (
     project_union,
     semimodule_segment,
 )
-from smaxplus.oracle import (
-    GridSpec,
+from smaxplus.oracle import GridSpec, grid_project
+
+from instances import (
     random_connected_ray_set,
     random_disconnected_ray_set,
     random_ray_set,
@@ -65,7 +65,7 @@ class TestProjectRay:
         r = project_ray(SElem.neg(0), C, 1)
         assert r.distance == pytest.approx(math.sqrt(3), abs=1e-12)
         # grid search agrees
-        g = GridSpec(resolution=1e-3, max_magnitude=5.0, seed=0)
+        g = GridSpec(resolution=1e-3, max_magnitude=5.0)
         for base in (1, 2):
             got = grid_project(
                 SVector((SElem.neg(0),)), BoxSet((C,)), MetricId("euclid", base), g
@@ -266,7 +266,7 @@ class TestProjectBoxMax:
 class TestFactorization:
     def test_joint_grid_matches_product(self):
         rng = random.Random(49)
-        g = GridSpec(resolution=5e-3, max_magnitude=8.0, seed=0)
+        g = GridSpec(resolution=5e-3, max_magnitude=8.0)
         for _ in range(6):
             n = rng.randint(2, 3)
             box = BoxSet(tuple(_small_ray_set(rng) for _ in range(n)))
@@ -288,7 +288,7 @@ class TestFactorization:
         ball = RaySet(plus=((0, 1),), minus=((0, 1),))
         box = BoxSet((ball, ball))
         x = SVector((ZERO, SElem.pos(math.log(2))))
-        g = GridSpec(resolution=0.05, max_magnitude=4.0, seed=0)
+        g = GridSpec(resolution=0.05, max_magnitude=4.0)
         joint = grid_project(x, box, parse_metric_id("rho02"), g)
         per = [project_ray(xi, Ci, 2) for xi, Ci in zip(x, box.factors)]
         product_count = len(per[0].points) * len(per[1].points)
@@ -428,7 +428,7 @@ class TestSegmentSetProjection:
 class TestOracleAgreement:
     def test_project_ray_matches_grid(self):
         rng = random.Random(53)
-        g = GridSpec(resolution=1e-3, max_magnitude=25.0, seed=0)
+        g = GridSpec(resolution=1e-3, max_magnitude=25.0)
         for _ in range(20):
             C = random_ray_set(rng)
             box = BoxSet((C,))

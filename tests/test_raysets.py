@@ -12,8 +12,6 @@ from smaxplus import (
     SVector,
     Sign,
     ZERO,
-    grid_connected,
-    grid_segment_sm,
     is_box_semimodule_convex,
     is_connected,
     is_geometrically_convex,
@@ -23,8 +21,9 @@ from smaxplus import (
     ray_components,
     semimodule_segment,
 )
-from smaxplus.oracle import (
-    GridSpec,
+from smaxplus.oracle import GridSpec, grid_connected, grid_segment_sm
+
+from instances import (
     random_connected_ray_set,
     random_ray_set,
     random_semimodule_convex_ray_set,
@@ -108,7 +107,7 @@ class TestConnectedness:
 
     def test_agrees_with_grid_flooding(self):
         rng = random.Random(32)
-        g = GridSpec(resolution=0.01, max_magnitude=25.0, seed=0)
+        g = GridSpec(resolution=0.01, max_magnitude=25.0)
         for i in range(100):
             C = random_connected_ray_set(rng) if i % 2 else random_ray_set(rng)
             assert is_connected(C) == grid_connected(C, g)
@@ -140,7 +139,7 @@ class TestGeometricConvexity:
         # the geodesic between two points lies in every connected set
         # containing both
         rng = random.Random(34)
-        from smaxplus.oracle import random_selem
+        from instances import random_selem
         from smaxplus.segments import as_segment_set, geometric_segment
 
         for _ in range(50):
@@ -195,7 +194,7 @@ class TestSemimoduleConvexity:
         # sampled-pair soundness: the endpoint-based decision agrees with
         # enumerating actual segments between members (~200 pairs per verdict)
         rng = random.Random(36)
-        g = GridSpec(resolution=0.02, max_magnitude=25.0, seed=0)
+        g = GridSpec(resolution=0.02, max_magnitude=25.0)
         convex_pairs = 0
         nonconvex_sets = 0
         for i in range(24):

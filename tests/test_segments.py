@@ -24,8 +24,6 @@ from smaxplus import (
     d2,
     d_segment_contains,
     geometric_segment,
-    grid_segment_sm,
-    hausdorff_phi,
     isolated_points,
     psi,
     psi_inverse,
@@ -33,8 +31,10 @@ from smaxplus import (
     semimodule_segment,
     traditional_segment,
 )
-from smaxplus.oracle import GridSpec, random_svector
+from smaxplus.oracle import GridSpec, grid_segment_sm
 from smaxplus.segments import vec_oplus, vec_scale
+
+from instances import hausdorff_phi, random_svector
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -307,7 +307,7 @@ class TestSemimoduleSegment:
             (V(SElem.neg(r)), V(SElem.bal(s))),
             (V(SElem.pos(r)), V(SElem.pos(s))),
         ]
-        g = GridSpec(resolution=2e-3, max_magnitude=math.exp(3), seed=0)
+        g = GridSpec(resolution=2e-3, max_magnitude=math.exp(3))
         for a, b in cases:
             seg = semimodule_segment(a, b)
             cloud = grid_segment_sm(a, b, g)
@@ -316,7 +316,7 @@ class TestSemimoduleSegment:
 
     def test_matches_parameter_sweep_2d(self):
         rng = random.Random(26)
-        g = GridSpec(resolution=5e-3, max_magnitude=math.exp(3), seed=0)
+        g = GridSpec(resolution=5e-3, max_magnitude=math.exp(3))
         for _ in range(10):
             a, b = random_svector(rng, 2), random_svector(rng, 2)
             seg = semimodule_segment(a, b)
@@ -338,6 +338,26 @@ class TestSemimoduleSegment:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             semimodule_segment(V(SElem.pos(1)), V(SElem.pos(1), SElem.pos(2)))
+
+    def test_sub_tolerance_arc_contains_its_closed_end(self):
+        # two event values 1 ulp apart make piece 0 an arc of length 2.2e-16,
+        # closed only at a (+) b; every coordinate span is within the
+        # membership tolerance, so the parameter must fall on the closed end
+        a = V(
+            SElem.neg(0.3), SElem.bal(0.2999999999999999), SElem.bal(0.3), ZERO,
+            SElem.bal(0.29999999999999977), SElem.neg(0.3000000000000001),
+            SElem.bal(0.6999999999999998), SElem.neg(0.1),
+        )
+        b = V(
+            SElem.bal(2.3), SElem.pos(1.1), SElem.neg(0.20000000000000032), SElem.pos(1.1),
+            SElem.bal(0.7), SElem.bal(0.3), SElem.pos(0.1), SElem.bal(2.3),
+        )
+        seg = semimodule_segment(a, b)
+        arc = seg.pieces[0]
+        assert isinstance(arc, ArcPiece) and not arc.closed_lo and arc.closed_hi
+        assert arc.chord_length() < 1e-9
+        assert seg.contains(vec_oplus(a, b))
+        assert components(seg) == [[0, 3, 4], [1], [2], [5], [6], [7], [8]]
 
 
 class TestJson:
