@@ -5,7 +5,11 @@ metrics; across rays the path metric gives m + m' and the chord metric
 sqrt(m^2 + m'^2 + m m').  Both cross-ray forms are strictly increasing in
 m', so per interval only one candidate can attain the minimum: the clamp of
 the query's radial coordinate on its own ray, and the low endpoint on the
-other rays.  Projections therefore reduce to scoring a finite candidate set.
+other rays.  Ray sets and one-coordinate segment sets both reduce to radial
+intervals with open/closed ends (an arc to the part of its chord on the
+query's side of the origin), and one kernel scores every candidate in
+floats, keeps the attained ones within the absolute TIE_TOL of the best,
+and builds elements only for those.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .algebra import RAYS, SElem, Sign, ZERO
+from .algebra import RAYS, SElem, Sign
 from .metrics import MetricId, SVector, cross_distance, magnitude
 from .raysets import BoxSet, RaySet, is_connected, point_on_ray
 from .segments import ArcPiece, PointPiece, SegmentSet
@@ -46,14 +50,54 @@ class ProjectionResult:
         return cls(tuple(pts), data["distance"], data["singleton"])
 
 
-def _result_from_candidates(cands: List[Tuple[SElem, float]]) -> ProjectionResult:
-    best = min(d for _, d in cands)
-    argmins: List[SElem] = []
-    for p, d in cands:
-        if d <= best + TIE_TOL and p not in argmins:
-            argmins.append(p)
-    argmins.sort(key=SElem.sort_key)
-    return ProjectionResult(tuple(argmins), best, len(argmins) == 1)
+# A radial interval: (ray, lo, hi, closed_lo, closed_hi, point), where
+# ``point`` is the element to report for a one-point interval that came as an
+# element (a segment's point piece), and None elsewhere.
+Interval = Tuple[Sign, float, float, bool, bool, Optional[SElem]]
+
+
+def _tied(d: float, ref: float) -> bool:
+    """The one tie test: ``d`` is as near as ``ref`` up to the absolute
+    TIE_TOL."""
+    return d <= ref + TIE_TOL
+
+
+def _nearest(x: SElem, intervals: List[Interval], base: int) -> ProjectionResult:
+    """All nearest points of ``x`` among radial intervals.
+
+    Each interval offers one candidate, scored in floats: the clamp of the
+    query's radial coordinate on its own ray (every ray for a zero query),
+    the low end on the other rays.  The origin lies on every ray, so a low
+    end at 0 is at radial distance.  A candidate at an excluded end lowers
+    the infimum but is not attained.  Elements are built only for the
+    argmins.
+    """
+    mx = magnitude(x)
+    own = None if x.is_zero else x.sign
+    infimum = best = math.inf
+    attained = []
+    for ray, lo, hi, closed_lo, closed_hi, point in intervals:
+        if own is None or ray is own:
+            m = min(max(mx, lo), hi)
+            d = abs(mx - m)
+        elif lo == 0.0:
+            m, d = lo, mx
+        else:
+            m, d = lo, cross_distance(mx, lo, base)
+        infimum = min(infimum, d)
+        if (m != lo or closed_lo) and (m != hi or closed_hi):
+            best = min(best, d)
+            attained.append((d, ray, m, point))
+    if not attained or not _tied(best, infimum):
+        raise ValueError("nearest-point infimum is not attained in the segment set")
+    points: List[SElem] = []
+    for d, ray, m, point in attained:
+        if _tied(d, best):
+            p = point_on_ray(ray, m) if point is None else point
+            if p not in points:
+                points.append(p)
+    points.sort(key=SElem.sort_key)
+    return ProjectionResult(tuple(points), best, len(points) == 1)
 
 
 def project_ray(x: SElem, C: RaySet, base: int = 2) -> ProjectionResult:
@@ -63,20 +107,8 @@ def project_ray(x: SElem, C: RaySet, base: int = 2) -> ProjectionResult:
         raise ValueError("empty set")
     if base not in (1, 2):
         raise ValueError("base metric must be 1 or 2")
-    mx = magnitude(x)
-    own_ray = None if x.is_zero else x.sign
-    cands: List[Tuple[SElem, float]] = []
-    for ray in RAYS:
-        same = own_ray is None or ray is own_ray
-        for lo, hi in C.intervals(ray):
-            if same:
-                m = min(max(mx, lo), hi)
-                d = abs(mx - m)
-            else:
-                m = lo
-                d = cross_distance(mx, lo, base)
-            cands.append((point_on_ray(ray, m), d))
-    return _result_from_candidates(cands)
+    intervals = [(ray, lo, hi, True, True, None) for ray in RAYS for lo, hi in C.intervals(ray)]
+    return _nearest(x, intervals, base)
 
 
 def distance_to_set(x: SElem, C: RaySet, base: int = 2) -> float:
@@ -163,106 +195,40 @@ def project_segment_set(x: SElem, S: SegmentSet, base: int = 2) -> ProjectionRes
     """
     if not S.pieces:
         raise ValueError("empty segment set")
-    mx = magnitude(x)
-    own_ray = None if x.is_zero else x.sign
-
-    def elem_dist(e: SElem) -> float:
-        if own_ray is None or e.is_zero or e.sign is own_ray:
-            return abs(mx - magnitude(e))
-        return cross_distance(mx, magnitude(e), base)
-
-    attained: List[Tuple[SElem, float]] = []
-    infimum = math.inf
+    intervals: List[Interval] = []
     for piece in S.pieces:
         if isinstance(piece, PointPiece):
             if len(piece.point) != 1:
                 raise ValueError("segment projection is defined on the line only")
             e = piece.point[0]
-            d = elem_dist(e)
-            attained.append((e, d))
-            infimum = min(infimum, d)
-            continue
-        for e, d, closed in _arc_candidates(x, piece, base):
-            infimum = min(infimum, d)
-            if closed:
-                attained.append((e, d))
-    if not attained or min(d for _, d in attained) > infimum + TIE_TOL:
-        raise ValueError("nearest-point infimum is not attained in the segment set")
-    return _result_from_candidates(attained)
+            m = magnitude(e)
+            intervals.append((e.sign, m, m, True, True, e))
+        else:
+            intervals.append(_arc_interval(x, piece))
+    return _nearest(x, intervals, base)
 
 
-def _arc_candidates(x: SElem, arc: ArcPiece, base: int):
-    """Per-arc minimizer candidates as (element, distance, attained)."""
+def _arc_interval(x: SElem, arc: ArcPiece) -> Interval:
+    """The radial interval of a one-coordinate arc that holds its nearest
+    point to ``x``.  An arc on chart (u, v) lies on u where its chart value
+    is >= 0 and on v where it is <= 0; the part taken is the one on the
+    query's ray when the arc reaches it, else the other (for a zero or
+    third-ray query, u unless the arc lies wholly below 0).  A chord that
+    crosses 0 holds the origin as an interior, hence closed, point."""
     if len(arc.start) != 1:
         raise ValueError("segment projection is defined on the line only")
     (u, v) = arc.chart[0]
     p, q = arc.start[0], arc.end[0]
-    lo_val, hi_val = (p, q) if p <= q else (q, p)
-    lo_closed = arc.closed_lo if p <= q else arc.closed_hi
-    hi_closed = arc.closed_hi if p <= q else arc.closed_lo
-
-    mx = magnitude(x)
-    if x.is_zero:
-        psi_x: Optional[float] = 0.0
-    elif x.sign is u:
-        psi_x = mx
-    elif x.sign is v:
-        psi_x = -mx
-    else:
-        psi_x = None
-
-    out = []
-
-    def emit(val: float, closed: bool):
-        e = _chart_point(u, v, val)
-        if psi_x is not None:
-            d = _chart_line_dist(psi_x, val, base)
-        else:
-            d = cross_distance(mx, abs(val), base)
-        out.append((e, d, closed))
-
-    if psi_x is not None:
-        t = min(max(psi_x, lo_val), hi_val)
-        if t == lo_val:
-            emit(lo_val, lo_closed)
-            if not lo_closed:
-                # the closed part of the arc still attains values arbitrarily
-                # close to the open end; nothing attains the infimum there
-                pass
-        elif t == hi_val:
-            emit(hi_val, hi_closed)
-        else:
-            emit(t, True)
-    else:
-        # distance decreases toward small |value|; candidates are the point
-        # of smallest absolute value (0 if the arc crosses the origin)
-        if lo_val <= 0.0 <= hi_val:
-            interior = lo_val < 0.0 < hi_val
-            closed = interior or (lo_val == 0.0 and lo_closed) or (hi_val == 0.0 and hi_closed)
-            emit(0.0, closed)
-        elif lo_val > 0.0:
-            emit(lo_val, lo_closed)
-        else:
-            emit(hi_val, hi_closed)
-    return out
-
-
-def _chart_point(u: Sign, v: Sign, val: float) -> SElem:
-    if val > 0:
-        return SElem(u, math.log(val))
-    if val < 0:
-        return SElem(v, math.log(-val))
-    return ZERO
-
-
-def _chart_line_dist(psi_x: float, val: float, base: int) -> float:
-    # same side of the chart (or either at the origin) is radial distance
-    # for both metrics; opposite sides go through the origin, which only the
-    # chord metric shortcuts
-    same_side = psi_x == 0.0 or val == 0.0 or (psi_x > 0) == (val > 0)
-    if same_side or base == 2:
-        return abs(psi_x - val)
-    return cross_distance(abs(psi_x), abs(val), base)
+    lo, hi, closed_lo, closed_hi = (
+        (p, q, arc.closed_lo, arc.closed_hi) if p <= q else (q, p, arc.closed_hi, arc.closed_lo)
+    )
+    toward_v = not x.is_zero and x.sign is v and x.sign is not u
+    ray = u
+    if (lo <= 0.0) if toward_v else (hi < 0.0):
+        ray, lo, hi, closed_lo, closed_hi = v, -hi, -lo, closed_hi, closed_lo
+    if lo < 0.0:
+        lo, closed_lo = 0.0, True
+    return (ray, lo, hi, closed_lo, closed_hi, None)
 
 
 def find_multipoint_witness(C: RaySet, base: int = 2) -> Optional[SElem]:
