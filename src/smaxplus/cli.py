@@ -91,9 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", choices=("json", "svg", "text"), default="json")
 
     def add_grid(p):
-        p.add_argument("--resolution", type=float, default=1e-3)
-        # None lets project_box_max fit the grid to its inputs; the oracle
-        # subcommand falls back to the default grid's bound
+        # None takes the library's grid: project_box_max fits the bound to
+        # its inputs, the oracle subcommand uses the default grid
+        p.add_argument("--resolution", type=float, default=None)
         p.add_argument("--max-magnitude", dest="max_magnitude", type=float, default=None)
 
     p_eval = sub.add_parser("eval", help="evaluate a max-plus expression")
@@ -163,9 +163,13 @@ def _cmd_project(args) -> str:
     x = _load_vector(args.x)
     target = _load_set(args.set)
     base = 1 if args.base == "d1" else 2
+    gridless = "--resolution and --max-magnitude apply to max-combine box metrics only"
+    grid_given = args.resolution is not None or args.max_magnitude is not None
     if isinstance(target, RaySet):
         if args.metric is not None:
             raise ValueError("--metric applies to boxes; a ray set takes --base")
+        if grid_given:
+            raise ValueError(gridless)
         if len(x) != 1:
             raise ValueError("a ray set expects a one-coordinate query")
         result = project_ray(x[0], target, base)
@@ -175,6 +179,8 @@ def _cmd_project(args) -> str:
         mid = parse_metric_id(args.metric) if args.metric else MetricId("euclid", base)
         if mid.combine == "max":
             result = project_box_max(x, target, mid.base, args.resolution, args.max_magnitude)
+        elif grid_given:
+            raise ValueError(gridless)
         else:
             result = project_box(x, target, mid)
         points = list(result.points)
@@ -223,8 +229,11 @@ def _cmd_check(args) -> str:
 def _cmd_oracle(args) -> str:
     from . import oracle  # deferred: only this subcommand builds grids
 
-    bound = oracle.DEFAULT_GRID.max_magnitude if args.max_magnitude is None else args.max_magnitude
-    g = oracle.GridSpec(resolution=args.resolution, max_magnitude=bound)
+    d = oracle.DEFAULT_GRID
+    g = oracle.GridSpec(
+        resolution=d.resolution if args.resolution is None else args.resolution,
+        max_magnitude=d.max_magnitude if args.max_magnitude is None else args.max_magnitude,
+    )
     if args.routine == "project":
         x = _load_vector(args.inputs[0])
         target = _load_set(args.inputs[1])

@@ -72,10 +72,16 @@ def cross_distance(m: float, mp: float, base: int) -> float:
     distinct rays: m + m' through the origin for the path metric (base 2),
     and for the chord metric (base 1) the law of cosines at 120 degrees,
     sqrt(m^2 + m'^2 + m m'), which avoids the roundoff of complex
-    subtraction."""
+    subtraction.  Where m^2 overflows but the distance fits, it is taken as
+    big * sqrt(1 + r + r^2) with r = small / big."""
     if base == 2:
         return m + mp
-    return math.sqrt(m * m + mp * mp + m * mp)
+    d = math.sqrt(m * m + mp * mp + m * mp)
+    if d == math.inf:
+        big, small = max(m, mp), min(m, mp)
+        r = small / big
+        d = big * math.sqrt(1.0 + r + r * r)
+    return d
 
 
 def d1(a: SElem, b: SElem) -> float:

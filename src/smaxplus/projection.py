@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .algebra import RAYS, SElem, Sign
+from .algebra import RAYS, SElem
 from .metrics import MetricId, SVector, cross_distance, magnitude
 from .raysets import BoxSet, RaySet, is_connected, point_on_ray
 from .segments import ArcPiece, PointPiece, SegmentSet
@@ -50,20 +50,17 @@ class ProjectionResult:
         return cls(tuple(pts), data["distance"], data["singleton"])
 
 
-# A radial interval: (ray, lo, hi, closed_lo, closed_hi, point), where
-# ``point`` is the element to report for a one-point interval that came as an
-# element (a segment's point piece), and None elsewhere.
-Interval = Tuple[Sign, float, float, bool, bool, Optional[SElem]]
-
-
 def _tied(d: float, ref: float) -> bool:
     """The one tie test: ``d`` is as near as ``ref`` up to the absolute
     TIE_TOL."""
     return d <= ref + TIE_TOL
 
 
-def _nearest(x: SElem, intervals: List[Interval], base: int) -> ProjectionResult:
-    """All nearest points of ``x`` among radial intervals.
+def _nearest(x: SElem, intervals: List[tuple], base: int) -> ProjectionResult:
+    """All nearest points of ``x`` among radial intervals, given as
+    (ray, lo, hi, closed_lo, closed_hi, point) with ``point`` the element to
+    report for a one-point interval that came as one (a segment's point
+    piece), else None.
 
     Each interval offers one candidate, scored in floats: the clamp of the
     query's radial coordinate on its own ray (every ray for a zero query),
@@ -167,15 +164,18 @@ def project_box_max(
     x: SVector,
     A: BoxSet,
     base: int = 2,
-    resolution: float = 1e-3,
+    resolution: Optional[float] = None,
     max_magnitude: Optional[float] = None,
 ) -> ProjectionResult:
     """Grid argmin under the max-combine metric, which genuinely does not
-    factorize; returns the sampled argmin cloud."""
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
+    factorize; returns the sampled argmin cloud.  The resolution defaults to
+    the default grid's, and the bound to one fitted to the inputs."""
     from . import oracle  # deferred: the oracle module builds on this one
 
+    if resolution is None:
+        resolution = oracle.DEFAULT_GRID.resolution
+    if resolution <= 0:
+        raise ValueError("resolution must be positive")
     if max_magnitude is None:
         mx = max(magnitude(c) for c in x)
         bound = max(max(f.max_magnitude() for f in A.factors), mx) + 1.0
@@ -195,7 +195,7 @@ def project_segment_set(x: SElem, S: SegmentSet, base: int = 2) -> ProjectionRes
     """
     if not S.pieces:
         raise ValueError("empty segment set")
-    intervals: List[Interval] = []
+    intervals = []
     for piece in S.pieces:
         if isinstance(piece, PointPiece):
             if len(piece.point) != 1:
@@ -208,7 +208,7 @@ def project_segment_set(x: SElem, S: SegmentSet, base: int = 2) -> ProjectionRes
     return _nearest(x, intervals, base)
 
 
-def _arc_interval(x: SElem, arc: ArcPiece) -> Interval:
+def _arc_interval(x: SElem, arc: ArcPiece) -> tuple:
     """The radial interval of a one-coordinate arc that holds its nearest
     point to ``x``.  An arc on chart (u, v) lies on u where its chart value
     is >= 0 and on v where it is <= 0; the part taken is the one on the

@@ -158,21 +158,26 @@ def geometric_segment(a: SVector, b: SVector) -> BrokenLine:
     Only coordinates whose chart values have strictly opposite signs generate
     interior breakpoints (a coordinate that is zero at an endpoint crosses
     nowhere in the open chord); equal crossing parameters collapse to one
-    vertex.  The length equals the inner product distance of the endpoints.
+    vertex, in which each crossing coordinate is exactly 0.0.  The length
+    equals the inner product distance of the endpoints.
     """
     chart = chart_for(a, b)
     alpha = psi(chart, a)
     beta = psi(chart, b)
-    ts = sorted(
-        {
-            alpha[j] / (alpha[j] - beta[j])
-            for j in range(len(alpha))
-            if (alpha[j] > 0.0 > beta[j]) or (alpha[j] < 0.0 < beta[j])
-        }
-    )
+    crossing = {
+        j: alpha[j] / (alpha[j] - beta[j])
+        for j in range(len(alpha))
+        if (alpha[j] > 0.0 > beta[j]) or (alpha[j] < 0.0 < beta[j])
+    }
+    ts = sorted(set(crossing.values()))
     vertices = [alpha]
     for t in ts:
-        vertices.append(tuple((1.0 - t) * alpha[j] + t * beta[j] for j in range(len(alpha))))
+        vertices.append(
+            tuple(
+                0.0 if crossing.get(j) == t else (1.0 - t) * alpha[j] + t * beta[j]
+                for j in range(len(alpha))
+            )
+        )
     vertices.append(beta)
     length = sum(_euclid(vertices[i], vertices[i + 1]) for i in range(len(vertices) - 1))
     return BrokenLine(chart, tuple(vertices), tuple(ts), length)
@@ -263,9 +268,6 @@ class ArcPiece:
         }
 
 
-SegmentPiece = "PointPiece | ArcPiece"
-
-
 def _piece_from_json(data: dict):
     if data["kind"] == "point":
         return PointPiece(SVector.from_json(data["point"]))
@@ -287,13 +289,7 @@ class SegmentSet:
     pieces: Tuple[object, ...]
 
     def contains(self, x: SVector) -> bool:
-        for piece in self.pieces:
-            if isinstance(piece, PointPiece):
-                if piece.point == x or _phi_close(piece.point, x, 1e-9):
-                    return True
-            elif piece.contains(x):
-                return True
-        return False
+        return any(_piece_member(piece, x) for piece in self.pieces)
 
     def has_open_piece(self) -> bool:
         return any(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence, Tuple
 
-from .algebra import Sign
+from .algebra import RAYS, Sign
 from .metrics import SVector, phi
 from .raysets import BoxSet, RaySet
 from .segments import BrokenLine, PointPiece, SegmentSet, as_segment_set, psi_inverse
@@ -79,7 +79,7 @@ class Scene:
 
     def add_ray_set(self, coord: int, C: RaySet):
         panel = self.panels[coord]
-        for ray in (Sign.PLUS, Sign.MINUS, Sign.BALANCED):
+        for ray in RAYS:
             for lo, hi in C.intervals(ray):
                 hi = min(hi, self.ray_extent * 4.0)
                 self.ray_extent = max(self.ray_extent, hi)
@@ -128,7 +128,7 @@ class Scene:
     def render(self) -> str:
         extent = self.ray_extent * 1.05
         for panel in self.panels:
-            for ray in (Sign.PLUS, Sign.MINUS, Sign.BALANCED):
+            for ray in RAYS:
                 panel.line(complex(0, 0), self._ray_point(ray, extent), _STYLE_RAY)
         spacing = 2.6 * extent
         min_x = min(p.min_x + i * spacing for i, p in enumerate(self.panels))

@@ -43,7 +43,7 @@ from smaxplus import (
     semimodule_segment,
 )
 from smaxplus.oracle import GridSpec, grid_project, grid_segment_sm
-from smaxplus.segments import ArcPiece, PointPiece, component_count, isolated_points
+from smaxplus.segments import ArcPiece, component_count, isolated_points
 
 from instances import (
     hausdorff_phi,

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import smaxplus
-from smaxplus import BrokenLine, ProjectionResult, SElem, SVector, SegmentSet, ZERO
+from smaxplus import BrokenLine, ProjectionResult, SElem, SegmentSet
 from smaxplus.cli import main
 
 
@@ -135,6 +135,26 @@ def test_metric_with_a_ray_set_is_a_domain_error(capsys, files):
     code, out, err = run(capsys, "project", files["x"], files["triple"], "--metric", "rho12")
     assert code == 1 and out == ""
     assert "--metric" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize(
+    "target, extra",
+    [
+        ("triple", ["--resolution", "0.5", "--max-magnitude", "0.1"]),
+        ("triple", ["--max-magnitude", "0.1"]),
+        ("box", ["--metric", "rho12", "--resolution", "0.5"]),
+        ("box", ["--resolution", "0.5"]),
+    ],
+    ids=["ray-set", "ray-set-bound-only", "euclid-box", "default-metric-box"],
+)
+def test_grid_options_without_a_grid_are_a_domain_error(capsys, files, target, extra):
+    # only the max-combine metric builds a grid; elsewhere the options
+    # would be ignored, so they are refused
+    sets = {"triple": files["triple"], "box": files["write"]("box.json", {"factors": [{"plus": [[1, 2]]}]})}
+    query = files["x"] if target == "triple" else files["write"]("q.json", {"coords": [{"sign": "+", "exp": 0}]})
+    code, out, err = run(capsys, "project", query, sets[target], *extra)
+    assert code == 1 and out == ""
+    assert "--resolution" in json.loads(err)["error"]
 
 
 class TestMaxCombine:

@@ -11,6 +11,7 @@ from smaxplus import (
     D2,
     MagnitudeRangeWarning,
     MetricId,
+    RaySet,
     SElem,
     SVector,
     Sign,
@@ -22,10 +23,13 @@ from smaxplus import (
     parse_metric_id,
     phi,
     phi_n,
+    project_ray,
     rho,
     s_oplus,
     s_otimes,
 )
+
+from smaxplus.metrics import cross_distance
 
 from instances import random_selem, random_svector
 
@@ -160,6 +164,19 @@ class TestBaseMetrics:
             cheb = max(abs(qa[0] - qb[0]), abs(qa[1] - qb[1]))
             assert d2(a, b) == pytest.approx(taxi, rel=1e-12, abs=1e-12)
             assert d2(a, b) == pytest.approx(cheb, rel=1e-12, abs=1e-12)
+
+    def test_chord_distance_beyond_the_square_range(self):
+        # m * m overflows past about 1.3e154 although the distance fits
+        big = math.exp(400.0)
+        assert d1(SElem.pos(400.0), SElem.neg(0.0)) == pytest.approx(big, rel=1e-15)
+        assert d1(SElem.pos(400.0), SElem.bal(399.0)) == pytest.approx(
+            big * math.sqrt(1 + math.exp(-1) + math.exp(-2)), rel=1e-15
+        )
+        r = project_ray(SElem.pos(400.0), RaySet(minus=((1.0, 2.0),)), 1)
+        assert r.distance == pytest.approx(big, rel=1e-15)
+        assert r.points == (SElem.neg(0.0),)
+        # results in range keep the direct form's floats
+        assert cross_distance(3.0, 4.0, 1) == math.sqrt(9.0 + 16.0 + 12.0)
 
 
 class TestProductMetrics:

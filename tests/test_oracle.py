@@ -11,7 +11,6 @@ from smaxplus import (
     RaySet,
     SElem,
     SVector,
-    ZERO,
     is_connected,
 )
 from smaxplus.oracle import (

@@ -130,6 +130,24 @@ class TestGeometricSegment:
             assert list(line.breakpoint_params) == sorted(set(line.breakpoint_params))
             assert all(0 < t < 1 for t in line.breakpoint_params)
 
+    def test_breakpoints_sit_at_the_origin_exactly(self):
+        # interpolating (p:-0.8) to (m:0.6) at the crossing gives -5.6e-17,
+        # which pulls back to m:-37.4 instead of eps
+        line = geometric_segment(V(SElem.pos(-0.8)), V(SElem.neg(0.6)))
+        assert line.vertices[1] == (0.0,)
+        assert psi_inverse(line.chart, line.vertices[1]) == V(ZERO)
+        rng = random.Random(25)
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            a, b = random_svector(rng, n), random_svector(rng, n)
+            line = geometric_segment(a, b)
+            alpha, beta = line.vertices[0], line.vertices[-1]
+            for t, vert in zip(line.breakpoint_params, line.vertices[1:-1]):
+                for j in range(n):
+                    if alpha[j] * beta[j] < 0.0 and alpha[j] / (alpha[j] - beta[j]) == t:
+                        assert vert[j] == 0.0
+                        assert psi_inverse(line.chart, vert)[j] == ZERO
+
     def test_vertices_are_geodesic_points(self):
         rng = random.Random(23)
         for _ in range(200):
