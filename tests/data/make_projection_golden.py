@@ -65,7 +65,8 @@ def _ray_set(rng) -> RaySet:
         # the same interval on two or three rays, so queries tie across rays
         lo = rng.choice((0.0, math.exp(_exp(rng))))
         iv = ((lo, lo * math.exp(rng.uniform(0.0, 1.0)) or 1.0),)
-        return RaySet(*(iv if ray in rng.sample(RAYS, rng.choice((2, 3))) else () for ray in RAYS))
+        rays = rng.sample(RAYS, rng.choice((2, 3)))
+        return RaySet(*(iv if ray in rays else () for ray in RAYS))
     per_ray = {}
     for ray in RAYS:
         ivs = []
