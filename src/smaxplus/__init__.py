@@ -3,8 +3,8 @@ tripod metrics, geodesic and semimodule segments, interval-union set
 representations with convexity predicates, and metric projections.
 
 The independent brute-force oracle that checks them lives in
-``smaxplus.oracle``; it needs numpy, and importing this package does not
-load it."""
+``smaxplus.oracle``; it needs numpy, a test dependency, and nothing in the
+package calls it except the CLI's hidden ``oracle`` subcommand."""
 
 from .algebra import (
     EPS,

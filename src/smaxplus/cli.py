@@ -91,8 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", choices=("json", "svg", "text"), default="json")
 
     def add_grid(p):
-        # None takes the library's grid: project_box_max fits the bound to
-        # its inputs, the oracle subcommand uses the default grid
+        # None takes the defaults: project_box_max samples its argmin cloud
+        # 1e-3 apart and truncates nothing, the oracle uses the default grid
         p.add_argument("--resolution", type=float, default=None)
         p.add_argument("--max-magnitude", dest="max_magnitude", type=float, default=None)
 

@@ -28,6 +28,7 @@ class MagnitudeRangeWarning(RuntimeWarning):
 
 
 _MAX_EXP_ARG = math.log(sys.float_info.max)
+_SQRT_FLOAT_MIN = math.sqrt(sys.float_info.min)
 
 THETA = complex(-0.5, math.sqrt(3.0) / 2.0)
 
@@ -72,12 +73,13 @@ def cross_distance(m: float, mp: float, base: int) -> float:
     distinct rays: m + m' through the origin for the path metric (base 2),
     and for the chord metric (base 1) the law of cosines at 120 degrees,
     sqrt(m^2 + m'^2 + m m'), which avoids the roundoff of complex
-    subtraction.  Where m^2 overflows but the distance fits, it is taken as
-    big * sqrt(1 + r + r^2) with r = small / big."""
+    subtraction.  Where the squares overflow, or fall below the normal
+    float range (d < sqrt(float min), where they round to 0.0 or lose
+    digits), it is taken as big * sqrt(1 + r + r^2) with r = small / big."""
     if base == 2:
         return m + mp
     d = math.sqrt(m * m + mp * mp + m * mp)
-    if d == math.inf:
+    if d == math.inf or (d < _SQRT_FLOAT_MIN and (m or mp)):
         big, small = max(m, mp), min(m, mp)
         r = small / big
         d = big * math.sqrt(1.0 + r + r * r)

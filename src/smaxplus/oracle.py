@@ -3,7 +3,8 @@
 Everything here is intentionally naive: nearest points by scoring grid
 points, segment enumeration by sweeping the scaling parameter, connectivity
 by flooding a discretized graph.  Grids are deterministic functions of the
-``GridSpec`` alone.
+``GridSpec`` alone.  The tests and the CLI's hidden ``oracle`` subcommand
+are the only callers; numpy, which the grids use, is a test dependency.
 """
 
 from __future__ import annotations

@@ -9,7 +9,9 @@ other rays.  Ray sets and one-coordinate segment sets both reduce to radial
 intervals with open/closed ends (an arc to the part of its chord on the
 query's side of the origin), and one kernel scores every candidate in
 floats, keeps the attained ones within the absolute TIE_TOL of the best,
-and builds elements only for those.
+and builds elements only for those.  Boxes call the kernel per factor: the
+sum and Euclidean combines take the product of the factor argmins, and the
+max combine cuts each factor by the ball of the largest factor distance.
 """
 
 from __future__ import annotations
@@ -146,7 +148,7 @@ def project_box(x: SVector, A: BoxSet, mid: MetricId) -> ProjectionResult:
     if mid.combine == "max":
         raise ValueError(
             "max-combine projection does not factorize over coordinates; "
-            "use project_box_max (grid search) instead"
+            "use project_box_max instead"
         )
     per = [project_ray(xi, Ci, mid.base) for xi, Ci in zip(x, A.factors)]
     dists = [r.distance for r in per]
@@ -167,23 +169,89 @@ def project_box_max(
     resolution: Optional[float] = None,
     max_magnitude: Optional[float] = None,
 ) -> ProjectionResult:
-    """Grid argmin under the max-combine metric, which genuinely does not
-    factorize; returns the sampled argmin cloud.  The resolution defaults to
-    the default grid's, and the bound to one fitted to the inputs."""
-    from . import oracle  # deferred: the oracle module builds on this one
-
+    """All nearest points under the max-combine metric, which does not
+    factorize: the distance is D = max_i dist(x_i, C_i), and the argmin set
+    is the box of the factors B_i = C_i cut by the closed ball of radius D
+    around x_i.  A factor whose own distance is D has for B_i exactly its
+    nearest points; every other B_i is a union of radial intervals, returned
+    as a cloud sampled ``resolution`` apart (default 1e-3) from each low
+    end, with the high end and the factor's own nearest points included
+    exactly.  ``max_magnitude``, when given, truncates the factors first.
+    Clouds of more than 5,000,000 vectors are refused before any is built.
+    """
+    if A.is_empty:
+        raise ValueError("empty set")
+    if len(x) != len(A):
+        raise ValueError(f"dimension mismatch: {len(x)} vs {len(A)}")
     if resolution is None:
-        resolution = oracle.DEFAULT_GRID.resolution
-    if resolution <= 0:
+        resolution = 1e-3
+    if not resolution > 0:
         raise ValueError("resolution must be positive")
-    if max_magnitude is None:
-        mx = max(magnitude(c) for c in x)
-        bound = max(max(f.max_magnitude() for f in A.factors), mx) + 1.0
-        # unbounded factors are truncated at the default grid bound
-        max_magnitude = bound if math.isfinite(bound) else oracle.DEFAULT_GRID.max_magnitude
-        max_magnitude = max(max_magnitude, mx + 1.0)
-    g = oracle.GridSpec(resolution=resolution, max_magnitude=max_magnitude)
-    return oracle.grid_project(x, A, MetricId("max", base), g)
+    factors = A.factors
+    if max_magnitude is not None:
+        factors = tuple(_truncate(C, max_magnitude) for C in factors)
+        if any(C.is_empty for C in factors):
+            raise ValueError(f"the box has no point of magnitude at most {max_magnitude}")
+    per = [project_ray(xi, Ci, base) for xi, Ci in zip(x, factors)]
+    D = max(r.distance for r in per)
+    cuts = [
+        () if r.distance == D else _ball_cut(xi, Ci, D, base)
+        for xi, Ci, r in zip(x, factors, per)
+    ]
+    total = 1.0
+    for r, cut in zip(per, cuts):
+        total *= len(r.points) + sum((hi - lo) / resolution + 2.0 for _, lo, hi in cut)
+    if total > 5_000_000:
+        raise ValueError(f"argmin cloud too large ({total:.0f} points); raise the resolution")
+    clouds = [_sample(r.points, cut, resolution) for r, cut in zip(per, cuts)]
+    points = tuple(SVector(combo) for combo in itertools.product(*clouds))
+    return ProjectionResult(points, D, all(len(c) == 1 for c in clouds))
+
+
+def _truncate(C: RaySet, bound: float) -> RaySet:
+    """The part of a ray set of magnitude at most ``bound``."""
+    return RaySet(*(
+        tuple((lo, min(hi, bound)) for lo, hi in C.intervals(ray) if lo <= bound)
+        for ray in RAYS
+    ))
+
+
+def _ball_cut(x: SElem, C: RaySet, D: float, base: int) -> List[tuple]:
+    """The radial intervals (ray, lo, hi) of ``C`` within distance ``D`` of
+    ``x``.  On the query's own ray (every ray for a zero query) the ball is
+    [mx - D, mx + D]; on another ray it is empty when D < mx, else [0, D - mx]
+    under the path metric and, solving m^2 + m mx + mx^2 = D^2, [0, (-mx +
+    D sqrt(4 - 3 (mx/D)^2)) / 2] under the chord metric (scaled by D so the
+    squares neither overflow nor underflow)."""
+    mx = magnitude(x)
+    cut = []
+    for ray in RAYS:
+        if x.is_zero or ray is x.sign:
+            b_lo, b_hi = mx - D, mx + D
+        elif D < mx:
+            continue
+        elif base == 2:
+            b_lo, b_hi = 0.0, D - mx
+        else:
+            r = mx / D if D else 0.0
+            b_lo, b_hi = 0.0, (D * math.sqrt(4.0 - 3.0 * r * r) - mx) / 2.0
+        for lo, hi in C.intervals(ray):
+            lo, hi = max(lo, b_lo), min(hi, b_hi)
+            if lo <= hi:
+                cut.append((ray, lo, hi))
+    return cut
+
+
+def _sample(exact: Tuple[SElem, ...], cut: List[tuple], step: float) -> List[SElem]:
+    """One factor's argmin cloud: the exact points, then each interval from
+    its low end ``step`` apart with its high end, deduplicated (the origin
+    lies on every ray) and sorted."""
+    out = set(exact)
+    for ray, lo, hi in cut:
+        k = int((hi - lo) / step)
+        out.update(point_on_ray(ray, min(lo + i * step, hi)) for i in range(k + 1))
+        out.add(point_on_ray(ray, hi))
+    return sorted(out, key=SElem.sort_key)
 
 
 def project_segment_set(x: SElem, S: SegmentSet, base: int = 2) -> ProjectionResult:

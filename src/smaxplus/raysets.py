@@ -93,10 +93,6 @@ class RaySet:
             self.balanced + other.balanced,
         )
 
-    def max_magnitude(self) -> float:
-        tops = [hi for ivs in (self.plus, self.minus, self.balanced) for _, hi in ivs]
-        return max(tops, default=0.0)
-
     def to_json(self) -> dict:
         def enc(ivs):
             return [[lo, "inf" if math.isinf(hi) else hi] for lo, hi in ivs]

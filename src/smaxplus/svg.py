@@ -113,9 +113,7 @@ class Scene:
 
     def add_broken_line(self, line: BrokenLine):
         self.add_segment_set(as_segment_set(line))
-        for t in line.breakpoint_params:
-            alpha, beta = line.vertices[0], line.vertices[-1]
-            p = tuple((1 - t) * a + t * b for a, b in zip(alpha, beta))
+        for p in line.vertices[1:-1]:
             self.add_point(psi_inverse(line.chart, p), "#ff7f0e", 0.05)
 
     def add_projection(self, x: SVector, targets: Sequence[SVector]):

@@ -293,10 +293,14 @@ def test_grid_options_only_where_a_grid_is_built(argv):
 
 
 def test_import_loads_neither_numpy_nor_scipy():
-    # the analytic package and the CLI stand alone; only the oracle grids
-    # (the oracle subcommand and max-combine boxes) load numpy
+    # the analytic package and the CLI stand alone, max-combine boxes
+    # included; only the oracle grids (the hidden oracle subcommand) load numpy
     code = (
         "import sys, smaxplus, smaxplus.cli; "
+        "from smaxplus import BoxSet, RaySet, SElem, SVector, project_box_max; "
+        "ball = RaySet(plus=((0, 1),), minus=((0, 1),)); "
+        "r = project_box_max(SVector((SElem.pos(0), SElem.neg(1))), BoxSet((ball, ball)), 1, 0.1); "
+        "assert len(r.points) > 1; "
         "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))"
     )
     src = str(Path(smaxplus.__file__).resolve().parent.parent)

@@ -178,6 +178,18 @@ class TestBaseMetrics:
         # results in range keep the direct form's floats
         assert cross_distance(3.0, 4.0, 1) == math.sqrt(9.0 + 16.0 + 12.0)
 
+    def test_chord_distance_below_the_square_range(self):
+        # m * m underflows to 0.0 below about 1.5e-154 although the distance
+        # is a normal float
+        small = math.exp(-460.0)
+        d = d1(SElem.pos(-460.0), SElem.neg(-470.0))
+        assert d > 0.0
+        assert d == pytest.approx(small * math.sqrt(1 + math.exp(-10) + math.exp(-20)), rel=1e-15, abs=0.0)
+        r = project_ray(SElem.pos(-460.0), RaySet(minus=((1e-205, 1e-204),)), 1)
+        assert r.distance > 0.0
+        assert r.distance == pytest.approx(small, rel=1e-4, abs=0.0)
+        assert cross_distance(0.0, 0.0, 1) == 0.0
+
 
 class TestProductMetrics:
     def test_metric_id_codes(self):

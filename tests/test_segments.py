@@ -33,6 +33,7 @@ from smaxplus import (
 )
 from smaxplus.oracle import GridSpec, grid_segment_sm
 from smaxplus.segments import vec_oplus, vec_scale
+from smaxplus.svg import Scene
 
 from instances import hausdorff_phi, random_svector
 
@@ -147,6 +148,16 @@ class TestGeometricSegment:
                     if alpha[j] * beta[j] < 0.0 and alpha[j] / (alpha[j] - beta[j]) == t:
                         assert vert[j] == 0.0
                         assert psi_inverse(line.chart, vert)[j] == ZERO
+
+    def test_svg_breakpoint_dots_are_the_vertices(self, monkeypatch):
+        # the dot is drawn at the stored breakpoint, eps, not re-interpolated
+        # to m:-37.4 (both print as 0.000000 in the SVG)
+        line = geometric_segment(V(SElem.pos(-0.8)), V(SElem.neg(0.6)))
+        scene = Scene(1)
+        dots = []
+        monkeypatch.setattr(scene, "add_point", lambda x, fill, radius: dots.append((x, fill)))
+        scene.add_broken_line(line)
+        assert [x for x, fill in dots if fill == "#ff7f0e"] == [V(ZERO)]
 
     def test_vertices_are_geodesic_points(self):
         rng = random.Random(23)
