@@ -2,9 +2,9 @@
 tripod metrics, geodesic and semimodule segments, interval-union set
 representations with convexity predicates, and metric projections.
 
-The independent brute-force oracle that checks them lives in
-``smaxplus.oracle``; it needs numpy, a test dependency, and nothing in the
-package calls it except the CLI's hidden ``oracle`` subcommand."""
+The package runs on the standard library alone.  The brute-force grid
+oracle that checks it is a test-only reference, ``tests/grid_oracle.py``,
+which imports nothing from here but the data classes."""
 
 from .algebra import (
     EPS,

@@ -90,12 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_out(p):
         p.add_argument("--out", choices=("json", "svg", "text"), default="json")
 
-    def add_grid(p):
-        # None takes the defaults: project_box_max samples its argmin cloud
-        # 1e-3 apart and truncates nothing, the oracle uses the default grid
-        p.add_argument("--resolution", type=float, default=None)
-        p.add_argument("--max-magnitude", dest="max_magnitude", type=float, default=None)
-
     p_eval = sub.add_parser("eval", help="evaluate a max-plus expression")
     p_eval.add_argument("expression", help="expression text, or '-' to read stdin")
     p_eval.add_argument("--mode", choices=("mpa", "smpa"), default="smpa")
@@ -113,7 +107,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_proj.add_argument("--metric", default=None, help="rho<k><j>, D1 or D2 (boxes)")
     p_proj.add_argument("--base", choices=("d1", "d2"), default="d2")
     add_out(p_proj)
-    add_grid(p_proj)
+    # None takes project_box_max's defaults: its argmin cloud is sampled 1e-3
+    # apart and nothing is truncated
+    p_proj.add_argument("--resolution", type=float, default=None)
+    p_proj.add_argument("--max-magnitude", dest="max_magnitude", type=float, default=None)
 
     p_check = sub.add_parser("check", help="connectedness / convexity / Chebyshev decisions")
     p_check.add_argument("set", help="path to the set JSON")
@@ -125,13 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
     )
     add_out(p_check)
-
-    p_oracle = sub.add_parser("oracle", help=argparse.SUPPRESS)
-    p_oracle.add_argument("routine", choices=("project", "segment-sm", "connected"))
-    p_oracle.add_argument("inputs", nargs="+", help="input JSON paths")
-    p_oracle.add_argument("--metric", default="rho12")
-    add_out(p_oracle)
-    add_grid(p_oracle)
 
     return parser
 
@@ -226,36 +216,11 @@ def _cmd_check(args) -> str:
     return _emit(args, out)
 
 
-def _cmd_oracle(args) -> str:
-    from . import oracle  # deferred: only this subcommand builds grids
-
-    d = oracle.DEFAULT_GRID
-    g = oracle.GridSpec(
-        resolution=d.resolution if args.resolution is None else args.resolution,
-        max_magnitude=d.max_magnitude if args.max_magnitude is None else args.max_magnitude,
-    )
-    if args.routine == "project":
-        x = _load_vector(args.inputs[0])
-        target = _load_set(args.inputs[1])
-        if isinstance(target, RaySet):
-            target = BoxSet((target,))
-        result = oracle.grid_project(x, target, parse_metric_id(args.metric), g)
-        return _emit(args, result.to_json())
-    if args.routine == "segment-sm":
-        a = _load_vector(args.inputs[0])
-        b = _load_vector(args.inputs[1])
-        cloud = oracle.grid_segment_sm(a, b, g)
-        return _emit(args, {"points": [v.to_json() for v in cloud]})
-    target = _load_set(args.inputs[0])
-    return _emit(args, {"connected": oracle.grid_connected(target, g)})
-
-
 _DISPATCH = {
     "eval": _cmd_eval,
     "segment": _cmd_segment,
     "project": _cmd_project,
     "check": _cmd_check,
-    "oracle": _cmd_oracle,
 }
 
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .algebra import RAYS, SElem, Sign, ZERO
-from .metrics import magnitude
 
 Interval = Tuple[float, float]
 
@@ -70,7 +69,11 @@ class RaySet:
         object.__setattr__(self, "balanced", tuple(lists["balanced"]))
 
     def intervals(self, ray: Sign) -> Tuple[Interval, ...]:
-        return {Sign.PLUS: self.plus, Sign.MINUS: self.minus, Sign.BALANCED: self.balanced}[ray]
+        if ray is Sign.PLUS:
+            return self.plus
+        if ray is Sign.MINUS:
+            return self.minus
+        return self.balanced
 
     @property
     def is_empty(self) -> bool:
@@ -81,10 +84,17 @@ class RaySet:
         return any(ivs and ivs[0][0] == 0.0 for ivs in (self.plus, self.minus, self.balanced))
 
     def contains(self, a: SElem) -> bool:
-        m = magnitude(a)
+        """Membership, decided on exponents: ``point_on_ray`` stores the
+        radius ``m`` as ``log m``, and ``exp(log m)`` can round below an
+        interval's low end, while ``log`` is monotone, so every point built
+        from a radius in an interval is a member."""
         if a.is_zero:
             return self.has_origin
-        return any(lo <= m <= hi for lo, hi in self.intervals(a.sign))
+        t = a.exp
+        return any(
+            hi > 0.0 and (lo == 0.0 or math.log(lo) <= t) and t <= math.log(hi)
+            for lo, hi in self.intervals(a.sign)
+        )
 
     def union(self, other: "RaySet") -> "RaySet":
         return RaySet(

@@ -1,27 +1,41 @@
-"""Brute-force reference routines used to validate the analytic operations.
+"""Brute-force reference routines that check the analytic operations.
 
 Everything here is intentionally naive: nearest points by scoring grid
 points, segment enumeration by sweeping the scaling parameter, connectivity
 by flooding a discretized graph.  Grids are deterministic functions of the
-``GridSpec`` alone.  The tests and the CLI's hidden ``oracle`` subcommand
-are the only callers; numpy, which the grids use, is a test dependency.
+``GridSpec`` alone.  Only the tests call these routines, and numpy, which
+the grids use, is a test dependency.
+
+The reference shares no code with what it checks: from ``smaxplus`` it
+imports only the data classes, and it takes its own radii (``math.exp``),
+its own points on rays (``math.log``) and its own signed max.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from functools import reduce
+from typing import Dict, Iterator, List, NamedTuple, Tuple
 
 import numpy as np
 
-from .algebra import EPS, SElem, Sign, ZERO, s_oplus
-from .metrics import MetricId, SVector, magnitude
-from .projection import ProjectionResult
-from .raysets import BoxSet, RaySet, point_on_ray
+from smaxplus import BoxSet, MetricId, RaySet, SElem, SVector, Sign
 
+# a grid point is a ray code (an index into _RAYS, which is also the output
+# order) and a radius m = e**|a|; the origin, on every ray, is kept once, on
+# the balanced ray
 _RAYS = (Sign.PLUS, Sign.MINUS, Sign.BALANCED)
+_ORIGIN_CODE = 2
+_ZERO = SElem(Sign.BALANCED, -math.inf)
+
+
+class GridResult(NamedTuple):
+    """The grid argmin cloud, its distance, and whether it is one point."""
+
+    points: Tuple[SVector, ...]
+    distance: float
+    is_singleton: bool
 
 
 @dataclass(frozen=True)
@@ -39,47 +53,62 @@ class GridSpec:
             raise ValueError("resolution and max_magnitude must be finite")
 
 
-DEFAULT_GRID = GridSpec()
+def _radius(a: SElem) -> float:
+    return 0.0 if a.is_zero else math.exp(a.exp)
 
 
-def _interval_grids(C: RaySet, g: GridSpec) -> Iterator[Tuple[Sign, List[float]]]:
-    """Per interval of the set, clipped at the truncation bound: its ray and
-    its grid values, one resolution step apart from the low endpoint, with
-    the clipped high endpoint included exactly."""
-    for ray in _RAYS:
-        for lo, hi in C.intervals(ray):
+def _point(code: int, m: float) -> SElem:
+    return _ZERO if m == 0.0 else SElem(_RAYS[code], math.log(m))
+
+
+def _signed_max(a: SElem, b: SElem) -> SElem:
+    """The larger magnitude wins; on a tie, equal signs keep the sign and
+    distinct signs balance."""
+    if a.is_zero:
+        return b
+    if b.is_zero:
+        return a
+    if a.exp != b.exp:
+        return a if a.exp > b.exp else b
+    return a if a.sign is b.sign else SElem(Sign.BALANCED, a.exp)
+
+
+def _interval_grids(C: RaySet, g: GridSpec) -> Iterator[Tuple[int, np.ndarray]]:
+    """Per interval of the set, clipped at the truncation bound: its ray code
+    and its grid values, one resolution step apart from the low endpoint,
+    with the clipped high endpoint included exactly."""
+    for code, intervals in enumerate((C.plus, C.minus, C.balanced)):
+        for lo, hi in intervals:
             hi = min(hi, g.max_magnitude)
             if hi < lo:
                 continue
             n_steps = int(math.floor((hi - lo) / g.resolution))
-            values = [lo + k * g.resolution for k in range(n_steps + 1)]
+            values = lo + np.arange(n_steps + 1) * g.resolution
             if values[-1] != hi:
-                values.append(hi)
-            yield ray, values
+                values = np.append(values, hi)
+            yield code, values
 
 
-def grid_of_ray_set(C: RaySet, g: GridSpec) -> List[Tuple[Sign, float]]:
-    """Grid points of the set, clipped at the truncation bound.  Interval
-    endpoints are always included exactly."""
-    points: List[Tuple[Sign, float]] = []
-    seen = set()
-    for ray, values in _interval_grids(C, g):
-        for m in values:
-            key = (Sign.BALANCED, 0.0) if m == 0.0 else (ray, m)
-            if key not in seen:
-                seen.add(key)
-                points.append(key)
-    if not points:
+def grid_of_ray_set(C: RaySet, g: GridSpec) -> Tuple[np.ndarray, np.ndarray]:
+    """Grid points of the set, clipped at the truncation bound, as ray codes
+    and radii.  Interval endpoints are always included exactly."""
+    grids = list(_interval_grids(C, g))
+    if not grids:
         raise ValueError("grid intersection is empty (truncation too small)")
-    return points
+    codes = np.concatenate([np.full(len(values), code) for code, values in grids])
+    ms = np.concatenate([values for _, values in grids])
+    origin = ms == 0.0
+    if origin.any():
+        keep = ~origin
+        keep[np.argmax(origin)] = True
+        codes[origin] = _ORIGIN_CODE
+        codes, ms = codes[keep], ms[keep]
+    return codes, ms
 
 
-def _coord_distances(x: SElem, grid: Sequence[Tuple[Sign, float]], base: int) -> np.ndarray:
-    mx = magnitude(x)
-    same = np.array(
-        [x.is_zero or m == 0.0 or ray is x.sign for ray, m in grid], dtype=bool
-    )
-    ms = np.array([m for _, m in grid], dtype=float)
+def _coord_distances(x: SElem, codes: np.ndarray, ms: np.ndarray, base: int) -> np.ndarray:
+    mx = _radius(x)
+    same = (codes == _RAYS.index(x.sign)) | (ms == 0.0) | x.is_zero
     radial = np.abs(ms - mx)
     if base == 2:
         cross = ms + mx
@@ -88,7 +117,7 @@ def _coord_distances(x: SElem, grid: Sequence[Tuple[Sign, float]], base: int) ->
     return np.where(same, radial, cross)
 
 
-def grid_project(x: SVector, A: BoxSet, mid: MetricId, g: GridSpec) -> ProjectionResult:
+def grid_project(x: SVector, A: BoxSet, mid: MetricId, g: GridSpec) -> GridResult:
     """Exhaustive argmin over the grid of the box, with one grid step of
     metric slack for ties.
 
@@ -104,7 +133,7 @@ def grid_project(x: SVector, A: BoxSet, mid: MetricId, g: GridSpec) -> Projectio
         raise ValueError(f"dimension mismatch: {len(x)} vs {len(A)}")
     n = len(x)
     grids = [grid_of_ray_set(C, g) for C in A.factors]
-    dists = [_coord_distances(xi, gi, mid.base) for xi, gi in zip(x, grids)]
+    dists = [_coord_distances(xi, codes, ms, mid.base) for xi, (codes, ms) in zip(x, grids)]
     mins = np.array([float(d.min()) for d in dists])
 
     if mid.combine == "sum":
@@ -134,31 +163,25 @@ def grid_project(x: SVector, A: BoxSet, mid: MetricId, g: GridSpec) -> Projectio
     if total > 5_000_000:
         raise ValueError(f"pruned grid still too large ({total} points)")
 
-    best = math.inf
-    cloud: List[Tuple[Tuple[Tuple[Sign, float], ...], float]] = []
-    for combo in itertools.product(*[range(len(idx)) for idx in keep]):
-        ds = [float(dists[i][keep[i][combo[i]]]) for i in range(n)]
-        if mid.combine == "sum":
-            d = sum(ds)
-        elif mid.combine == "euclid":
-            d = math.sqrt(sum(v * v for v in ds))
-        else:
-            d = max(ds)
-        if d < best:
-            best = d
-        if d <= threshold:
-            point = tuple(grids[i][keep[i][combo[i]]] for i in range(n))
-            cloud.append((point, d))
+    # the joint distance of every kept combination: coordinate i runs along
+    # axis i, and the coordinates combine in index order
+    axes = [dists[i][keep[i]].reshape((1,) * i + (-1,) + (1,) * (n - 1 - i)) for i in range(n)]
+    if mid.combine == "sum":
+        joint = reduce(np.add, axes)
+    elif mid.combine == "euclid":
+        joint = np.sqrt(reduce(np.add, [d * d for d in axes]))
+    else:
+        joint = reduce(np.maximum, axes)
+    best = float(joint.min())
 
-    final = [(pt, d) for pt, d in cloud if d <= best + slack]
-    vectors = sorted(
-        {tuple(pt) for pt, _ in final},
-        key=lambda pt: tuple((0 if r is Sign.PLUS else 1 if r is Sign.MINUS else 2, m) for r, m in pt),
-    )
-    points = tuple(
-        SVector(tuple(point_on_ray(ray, m) for ray, m in pt)) for pt in vectors
-    )
-    return ProjectionResult(points, best, len(points) == 1)
+    hits = np.nonzero((joint <= threshold) & (joint <= best + slack))
+    columns = []
+    for (codes, ms), idx, hit in zip(grids, keep, hits):
+        chosen = idx[hit]
+        columns.append(zip(codes[chosen].tolist(), ms[chosen].tolist()))
+    vectors = sorted(set(zip(*columns)))
+    points = tuple(SVector(tuple(_point(code, m) for code, m in pt)) for pt in vectors)
+    return GridResult(points, best, len(points) == 1)
 
 
 def grid_segment_sm(a: SVector, b: SVector, g: GridSpec) -> List[SVector]:
@@ -168,13 +191,14 @@ def grid_segment_sm(a: SVector, b: SVector, g: GridSpec) -> List[SVector]:
     The sweep is uniform in s = e**lam so consecutive outputs move by at most
     one resolution step in the radial coordinate; the finitely many tie
     parameters (where a scaled magnitude equals its partner's) are included
-    exactly, since the balanced outputs occur only there.
+    exactly, since the balanced outputs occur only there.  ``lam = -inf`` is
+    the zero scalar.
     """
     if len(a) != len(b):
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
     scale = max(
-        max((magnitude(c) for c in a), default=0.0),
-        max((magnitude(c) for c in b), default=0.0),
+        max((_radius(c) for c in a), default=0.0),
+        max((_radius(c) for c in b), default=0.0),
         1.0,
     )
     n_steps = min(int(math.ceil(scale / g.resolution)), 2_000_000)
@@ -186,29 +210,29 @@ def grid_segment_sm(a: SVector, b: SVector, g: GridSpec) -> List[SVector]:
             seen.add(v)
             out.append(v)
 
-    def scaled_point(p: SVector, q: SVector, lam) -> SVector:
+    def scaled_point(p: SVector, q: SVector, lam: float) -> SVector:
         # direct evaluation of (lam (*) p) (+) q; where lam was inserted as a
         # tie value qi - pi, form the scaled exponent as exactly qi so the
         # float tie is hit (naively (qi - pi) + pi can miss by an ulp)
         coords = []
         for pi, qi in zip(p, q):
-            if lam is EPS or pi.exp is EPS:
-                scaled = ZERO
-            elif qi.exp is not EPS and qi.exp - pi.exp == lam:
+            if lam == -math.inf or pi.is_zero:
+                scaled = _ZERO
+            elif not qi.is_zero and qi.exp - pi.exp == lam:
                 scaled = SElem(pi.sign, qi.exp)
             else:
                 scaled = SElem(pi.sign, lam + pi.exp)
-            coords.append(s_oplus(scaled, qi))
+            coords.append(_signed_max(scaled, qi))
         return SVector(tuple(coords))
 
     for p, q in ((a, b), (b, a)):
-        lams: List[object] = [EPS]
+        lams: List[float] = [-math.inf]
         for k in range(n_steps + 1):
             s = k / n_steps
             if s > 0.0:
                 lams.append(math.log(s))
         for pi, qi in zip(p, q):
-            if pi.exp is not EPS and qi.exp is not EPS:
+            if not (pi.is_zero or qi.is_zero):
                 tie = qi.exp - pi.exp
                 if tie <= 0:
                     lams.append(tie)
@@ -223,8 +247,8 @@ def grid_connected(C: RaySet, g: GridSpec) -> bool:
     with m < resolution counts as touching the origin)."""
     if C.is_empty:
         raise ValueError("empty set")
-    nodes: List[Tuple[Sign, float]] = []
-    index: Dict[Tuple[Sign, float], int] = {}
+    nodes: List[Tuple[int, float]] = []
+    index: Dict[Tuple[int, float], int] = {}
     parent: List[int] = []
 
     def add(key) -> int:
@@ -246,10 +270,10 @@ def grid_connected(C: RaySet, g: GridSpec) -> bool:
             parent[rj] = ri
 
     origin_node = None
-    for ray, values in _interval_grids(C, g):
+    for code, values in _interval_grids(C, g):
         prev = None
-        for m in values:
-            node = add((ray, m))
+        for m in values.tolist():
+            node = add((code, m))
             if prev is not None:
                 link(prev, node)
             if m < g.resolution:

@@ -42,9 +42,9 @@ from smaxplus import (
     s_otimes,
     semimodule_segment,
 )
-from smaxplus.oracle import GridSpec, grid_project, grid_segment_sm
 from smaxplus.segments import ArcPiece, component_count, isolated_points
 
+from grid_oracle import GridSpec, grid_project, grid_segment_sm
 from instances import (
     hausdorff_phi,
     random_connected_ray_set,

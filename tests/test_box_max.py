@@ -23,8 +23,8 @@ from smaxplus import (
 )
 from smaxplus.algebra import RAYS
 from smaxplus.metrics import cross_distance
-from smaxplus.oracle import GridSpec, grid_project
 
+from grid_oracle import GridSpec, grid_project
 from instances import random_ray_set, random_svector
 
 RESOLUTION = 1e-2
@@ -46,15 +46,6 @@ def _farthest(qs, ps) -> float:
     same = (qr[:, None] == pr[None, :]) | (qr[:, None] < 0) | (pr[None, :] < 0)
     d = np.where(same, np.abs(qm[:, None] - pm[None, :]), qm[:, None] + pm[None, :])
     return float(d.min(axis=1).max())
-
-
-def _in_ray_set(e: SElem, C: RaySet) -> bool:
-    # up to a relative 1e-12: point_on_ray rounds a radius m through
-    # exp(log m), which can leave an interval end by an ulp
-    if e.is_zero:
-        return C.has_origin
-    m = magnitude(e)
-    return any(lo * (1 - 1e-12) <= m <= hi * (1 + 1e-12) for lo, hi in C.intervals(e.sign))
 
 
 def _coords(points, i):
@@ -87,7 +78,7 @@ def test_against_the_grid():
         grid = grid_project(x, box, mid, g)
         assert 0.0 <= grid.distance - D <= RESOLUTION * n, k
         for p in exact.points:
-            assert all(_in_ray_set(c, C) for c, C in zip(p, box.factors)), (k, p)
+            assert all(C.contains(c) for c, C in zip(p, box.factors)), (k, p)
             assert math.isclose(rho(mid, x, p), D, rel_tol=REL, abs_tol=1e-12), (k, p)
         attaining = [q for q in grid.points if rho(mid, x, q) <= D * (1 + REL) + 1e-12]
         held += len(attaining)

@@ -215,31 +215,6 @@ class TestCheck:
         assert json.loads(out) == {"semimodule_convex": True}
 
 
-class TestOracleCommand:
-    def test_grid_project(self, capsys, files):
-        code, out, _ = run(
-            capsys,
-            "oracle",
-            "project",
-            files["x"],
-            files["triple"],
-            "--metric",
-            "rho01",
-            "--resolution",
-            "0.01",
-            "--max-magnitude",
-            "5",
-        )
-        assert code == 0
-        assert len(json.loads(out)["points"]) == 3
-
-    def test_grid_connected(self, capsys, files):
-        code, out, _ = run(
-            capsys, "oracle", "connected", files["triple"], "--resolution", "0.01", "--max-magnitude", "5"
-        )
-        assert json.loads(out) == {"connected": False}
-
-
 class TestSvg:
     def test_deterministic_bytes(self, capsys, files):
         outputs = []
@@ -282,9 +257,8 @@ def test_usage_error_exit_code():
         ["eval", "--seed", "1", "1"],
         ["segment", "--resolution", "0.1", "a.json", "b.json"],
         ["check", "--max-magnitude", "5", "set.json"],
-        ["oracle", "connected", "set.json", "--seed", "1"],
     ],
-    ids=["eval-seed", "segment-resolution", "check-max-magnitude", "oracle-seed"],
+    ids=["eval-seed", "segment-resolution", "check-max-magnitude"],
 )
 def test_grid_options_only_where_a_grid_is_built(argv):
     with pytest.raises(SystemExit) as exc:
@@ -292,11 +266,21 @@ def test_grid_options_only_where_a_grid_is_built(argv):
     assert exc.value.code == 2
 
 
+def test_no_oracle_subcommand(files):
+    # the grid oracle is a test-only reference; the CLI does not expose it
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "connected", files["triple"], "--resolution", "0.01", "--max-magnitude", "5"])
+    assert exc.value.code == 2
+
+
 def test_import_loads_neither_numpy_nor_scipy():
-    # the analytic package and the CLI stand alone, max-combine boxes
-    # included; only the oracle grids (the hidden oracle subcommand) load numpy
+    # every module of the package stands alone, the CLI and max-combine
+    # boxes included; numpy and scipy are test dependencies
     code = (
-        "import sys, smaxplus, smaxplus.cli; "
+        "import importlib, pkgutil, sys, smaxplus; "
+        "names = [m.name for m in pkgutil.walk_packages(smaxplus.__path__, 'smaxplus.')]; "
+        "assert 'smaxplus.cli' in names; "
+        "[importlib.import_module(name) for name in names]; "
         "from smaxplus import BoxSet, RaySet, SElem, SVector, project_box_max; "
         "ball = RaySet(plus=((0, 1),), minus=((0, 1),)); "
         "r = project_box_max(SVector((SElem.pos(0), SElem.neg(1))), BoxSet((ball, ball)), 1, 0.1); "

@@ -31,8 +31,8 @@ from smaxplus import (
     project_union,
     semimodule_segment,
 )
-from smaxplus.oracle import GridSpec, grid_project
 
+from grid_oracle import GridSpec, grid_project
 from instances import (
     random_connected_ray_set,
     random_disconnected_ray_set,

@@ -18,14 +18,16 @@ from smaxplus import (
     is_semimodule_convex,
     is_traditionally_convex,
     point_on_ray,
+    project_ray,
     ray_components,
     semimodule_segment,
 )
-from smaxplus.oracle import GridSpec, grid_connected, grid_segment_sm
 
+from grid_oracle import GridSpec, grid_connected, grid_segment_sm
 from instances import (
     random_connected_ray_set,
     random_ray_set,
+    random_selem,
     random_semimodule_convex_ray_set,
 )
 
@@ -113,6 +115,26 @@ class TestConnectedness:
             assert is_connected(C) == grid_connected(C, g)
 
 
+class TestMembership:
+    """Membership is decided on exponents, where points live: a point built
+    from a radius in an interval is a member even when ``exp(log m)`` rounds
+    out of the interval."""
+
+    def test_low_end_that_rounds_below_itself(self):
+        m = 0.17199819598650706
+        assert math.exp(math.log(m)) < m
+        assert RaySet(balanced=((m, 1.0),)).contains(point_on_ray(Sign.BALANCED, m))
+
+    def test_nearest_points_are_members(self):
+        rng = random.Random(11)
+        outside = []
+        for _ in range(20_000):
+            C = random_ray_set(rng)
+            x = random_selem(rng)
+            outside += [(x, C, p) for p in project_ray(x, C, 2).points if not C.contains(p)]
+        assert outside == []
+
+
 class TestTraditionalConvexity:
     def test_examples(self):
         assert is_traditionally_convex(RaySet(plus=((1, 2),)))
@@ -139,7 +161,6 @@ class TestGeometricConvexity:
         # the geodesic between two points lies in every connected set
         # containing both
         rng = random.Random(34)
-        from instances import random_selem
         from smaxplus.segments import as_segment_set, geometric_segment
 
         for _ in range(50):

@@ -31,10 +31,10 @@ from smaxplus import (
     semimodule_segment,
     traditional_segment,
 )
-from smaxplus.oracle import GridSpec, grid_segment_sm
 from smaxplus.segments import vec_oplus, vec_scale
 from smaxplus.svg import Scene
 
+from grid_oracle import GridSpec, grid_segment_sm
 from instances import hausdorff_phi, random_svector
 
 LN2 = math.log(2.0)
