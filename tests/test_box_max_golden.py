@@ -1,0 +1,50 @@
+"""Byte-level regression corpus for the max-combine box projection
+(regenerate with ``tests/data/make_box_max_golden.py``)."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from smaxplus import BoxSet, SVector, project_box_max
+
+CORPUS = json.loads((Path(__file__).parent / "data" / "box_max_golden.json").read_text())
+RESOLUTION = 0.05
+
+
+def _outcome(entry) -> dict:
+    x, A = SVector.from_json(entry["x"]), BoxSet.from_json(entry["box"])
+    try:
+        return {"result": project_box_max(x, A, entry["base"], RESOLUTION, entry["max_magnitude"]).to_json()}
+    except ValueError as exc:
+        return {"error": str(exc)}
+
+
+@pytest.mark.parametrize("group", ["n1", "n2", "n3", "pinned"])
+def test_box_max_matches_corpus(group):
+    cases = [e for e in CORPUS if e["group"] == group]
+    assert cases
+    mismatched = []
+    for k, entry in enumerate(cases):
+        expected = {key: entry[key] for key in ("result", "error") if key in entry}
+        if json.dumps(_outcome(entry), sort_keys=True) != json.dumps(expected, sort_keys=True):
+            mismatched.append(k)
+    assert mismatched == []
+
+
+def test_corpus_covers_the_box_max_cases():
+    assert {(len(e["x"]["coords"]), e["base"]) for e in CORPUS} == {
+        (n, base) for n in (1, 2, 3) for base in (1, 2)
+    }
+    assert {t for e in CORPUS for t in e["tags"]} == {
+        "cloud",
+        "cut reaches the origin",
+        "error",
+        "origin-anchored factor",
+        "truncated",
+        "unbounded factor",
+        "zero query",
+    }
+    errors = [e["error"] for e in CORPUS if "error" in e]
+    assert any("too large" in err for err in errors)
+    assert any("no point of magnitude" in err for err in errors)
