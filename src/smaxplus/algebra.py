@@ -19,7 +19,6 @@ and every operation is a pure function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Tuple, Union
 
@@ -164,6 +163,10 @@ class Sign(Enum):
     MINUS = "-"
     BALANCED = "o"
 
+    # members are singletons that compare by identity, so the identity hash
+    # agrees with equality (and runs in C, unlike Enum's hash of the name)
+    __hash__ = object.__hash__
+
 
 # the three rays of the tripod, in the order every enumeration uses
 RAYS = (Sign.PLUS, Sign.MINUS, Sign.BALANCED)
@@ -171,25 +174,44 @@ RAYS = (Sign.PLUS, Sign.MINUS, Sign.BALANCED)
 _SIGN_ORDER = {sign: i for i, sign in enumerate(RAYS)}
 
 
-@dataclass(frozen=True)
 class SElem:
     """A signed max-plus element: sign tag plus magnitude exponent.
 
     Normalization is enforced at construction: the zero element (magnitude
     ``EPS``) is always tagged balanced, so structural equality coincides with
-    algebraic equality.
+    algebraic equality.  Instances are immutable: assigning or deleting an
+    attribute raises AttributeError.
     """
 
+    __slots__ = ("sign", "exp")
     sign: Sign
     exp: ExtReal
 
-    def __post_init__(self):
-        if not isinstance(self.sign, Sign):
+    def __init__(self, sign: Sign, exp: ExtReal):
+        if not isinstance(sign, Sign):
             raise TypeError("sign must be a Sign")
-        exp = as_ext(self.exp)
-        object.__setattr__(self, "exp", exp)
-        if exp is EPS and self.sign is not Sign.BALANCED:
-            object.__setattr__(self, "sign", Sign.BALANCED)
+        exp = as_ext(exp)
+        if exp is EPS:
+            sign = Sign.BALANCED
+        _set_sign(self, sign)
+        _set_exp(self, exp)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (SElem, (self.sign, self.exp))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.sign is other.sign and self.exp == other.exp
+
+    def __hash__(self) -> int:
+        return hash((self.sign, self.exp))
 
     @classmethod
     def pos(cls, r) -> "SElem":
@@ -227,6 +249,9 @@ class SElem:
             exp = EPS
         return cls(Sign(data["sign"]), exp)
 
+
+_set_sign = SElem.sign.__set__
+_set_exp = SElem.exp.__set__
 
 ZERO = SElem(Sign.BALANCED, EPS)
 UNIT = SElem(Sign.PLUS, 0)

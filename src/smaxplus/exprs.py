@@ -123,7 +123,8 @@ class _Parser:
                 raise ExprError("exponent must be an integer literal", etok.pos)
             try:
                 value = s_power(value, k)
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
+                # OverflowError: a huge integer k times a float exponent
                 raise ExprError(str(exc), etok.pos) from None
         return value
 
@@ -160,6 +161,10 @@ def eval_expr(source: str, mode: str = "smpa") -> SElem:
     if mode not in ("mpa", "smpa"):
         raise ValueError(f"unknown mode {mode!r}")
     parser = _Parser(_tokenize(source), mode, len(source))
-    value = parser.expr()
+    try:
+        value = parser.expr()
+    except RecursionError:
+        tok = parser.peek()
+        raise ExprError("expression nested too deeply", tok.pos if tok else len(source)) from None
     parser.expect_end()
     return value

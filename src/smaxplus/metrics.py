@@ -108,19 +108,37 @@ def d2(a: SElem, b: SElem) -> float:
 _BASE = {1: d1, 2: d2}
 
 
-@dataclass(frozen=True)
 class SVector:
-    """A fixed-length tuple of signed elements."""
+    """A fixed-length tuple of signed elements; immutable like ``SElem``."""
 
+    __slots__ = ("coords",)
     coords: Tuple[SElem, ...]
 
-    def __post_init__(self):
-        coords = tuple(self.coords)
+    def __init__(self, coords: Tuple[SElem, ...]):
+        coords = tuple(coords)
         if not coords:
             raise ValueError("vectors must have at least one coordinate")
-        if not all(isinstance(c, SElem) for c in coords):
-            raise TypeError("vector coordinates must be SElem")
-        object.__setattr__(self, "coords", coords)
+        for c in coords:
+            if not isinstance(c, SElem):
+                raise TypeError("vector coordinates must be SElem")
+        _set_coords(self, coords)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (SVector, (self.coords,))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __hash__(self) -> int:
+        return hash((self.coords,))
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -140,6 +158,9 @@ class SVector:
     @classmethod
     def from_json(cls, data: dict) -> "SVector":
         return cls(tuple(SElem.from_json(c) for c in data["coords"]))
+
+
+_set_coords = SVector.coords.__set__
 
 
 def phi_n(x: SVector) -> Tuple[complex, ...]:

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .algebra import RAYS, SElem
+from .algebra import RAYS, ZERO, SElem
 from .metrics import MetricId, SVector, cross_distance, magnitude
 from .raysets import BoxSet, RaySet, is_connected, point_on_ray
 from .segments import ArcPiece, PointPiece, SegmentSet
@@ -242,16 +242,24 @@ def _ball_cut(x: SElem, C: RaySet, D: float, base: int) -> List[tuple]:
     return cut
 
 
+_ORIGIN_KEY = ZERO.sort_key()
+
+
 def _sample(exact: Tuple[SElem, ...], cut: List[tuple], step: float) -> List[SElem]:
     """One factor's argmin cloud: the exact points, then each interval from
     its low end ``step`` apart with its high end, deduplicated (the origin
-    lies on every ray) and sorted."""
-    out = set(exact)
+    lies on every ray) and sorted.  Samples are kept as their sort keys (ray
+    order, exponent), and an element is built only for each new key."""
+    points = {e.sort_key(): e for e in exact}
+    keys = set()
     for ray, lo, hi in cut:
-        k = int((hi - lo) / step)
-        out.update(point_on_ray(ray, min(lo + i * step, hi)) for i in range(k + 1))
-        out.add(point_on_ray(ray, hi))
-    return sorted(out, key=SElem.sort_key)
+        order = RAYS.index(ray)
+        ms = [min(lo + i * step, hi) for i in range(int((hi - lo) / step) + 1)]
+        ms.append(hi)
+        keys.update((order, math.log(m)) if m else _ORIGIN_KEY for m in ms)
+    for key in keys.difference(points):
+        points[key] = ZERO if key == _ORIGIN_KEY else SElem(RAYS[key[0]], key[1])
+    return [points[key] for key in sorted(points)]
 
 
 def project_segment_set(x: SElem, S: SegmentSet, base: int = 2) -> ProjectionResult:

@@ -61,18 +61,6 @@ def _point(code: int, m: float) -> SElem:
     return _ZERO if m == 0.0 else SElem(_RAYS[code], math.log(m))
 
 
-def _signed_max(a: SElem, b: SElem) -> SElem:
-    """The larger magnitude wins; on a tie, equal signs keep the sign and
-    distinct signs balance."""
-    if a.is_zero:
-        return b
-    if b.is_zero:
-        return a
-    if a.exp != b.exp:
-        return a if a.exp > b.exp else b
-    return a if a.sign is b.sign else SElem(Sign.BALANCED, a.exp)
-
-
 def _interval_grids(C: RaySet, g: GridSpec) -> Iterator[Tuple[int, np.ndarray]]:
     """Per interval of the set, clipped at the truncation bound: its ray code
     and its grid values, one resolution step apart from the low endpoint,
@@ -184,6 +172,40 @@ def grid_project(x: SVector, A: BoxSet, mid: MetricId, g: GridSpec) -> GridResul
     return GridResult(points, best, len(points) == 1)
 
 
+def _sweep_columns(p: SVector, q: SVector, lam: np.ndarray):
+    """Per swept parameter and coordinate, the value of (lam (*) p) (+) q as
+    a ray code and an exponent (the origin is code 2 at -inf), and whether
+    the scaled coordinate, not q's, gives it.  The signed max is taken
+    directly: the larger magnitude wins, and on a tie equal signs keep the
+    sign and distinct signs balance."""
+    codes, exps, scaled = [], [], []
+    for pi, qi in zip(p, q):
+        q_code = _ORIGIN_CODE if qi.is_zero else _RAYS.index(qi.sign)
+        q_exp = -math.inf if qi.is_zero else float(qi.exp)
+        if pi.is_zero:
+            wins = balanced = np.zeros(len(lam), dtype=bool)
+            e = lam
+        else:
+            live = lam > -math.inf  # lam = -inf is the zero scalar
+            if qi.is_zero:
+                e = lam + pi.exp
+                wins, balanced = live, np.zeros(len(lam), dtype=bool)
+            else:
+                # where lam was inserted as a tie value qi - pi, the scaled
+                # exponent is exactly qi's (naively (qi - pi) + pi can miss
+                # by an ulp)
+                e = np.where(lam == qi.exp - pi.exp, q_exp, lam + pi.exp)
+                tie = live & (e == q_exp)
+                if pi.sign is qi.sign:
+                    wins, balanced = (live & (e > q_exp)) | tie, np.zeros(len(lam), dtype=bool)
+                else:
+                    wins, balanced = live & (e > q_exp), tie
+        codes.append(np.where(wins, _RAYS.index(pi.sign), np.where(balanced, _ORIGIN_CODE, q_code)))
+        exps.append(np.where(wins | balanced, e, q_exp))
+        scaled.append(wins | balanced)
+    return np.stack(codes, axis=1), np.stack(exps, axis=1), np.stack(scaled, axis=1)
+
+
 def grid_segment_sm(a: SVector, b: SVector, g: GridSpec) -> List[SVector]:
     """Deduplicated cloud of scaled combinations with max-normalized
     parameters, swept over a grid.
@@ -192,7 +214,8 @@ def grid_segment_sm(a: SVector, b: SVector, g: GridSpec) -> List[SVector]:
     one resolution step in the radial coordinate; the finitely many tie
     parameters (where a scaled magnitude equals its partner's) are included
     exactly, since the balanced outputs occur only there.  ``lam = -inf`` is
-    the zero scalar.
+    the zero scalar.  The sweep runs as arrays; vectors are built only for
+    the distinct rows, in order of first occurrence.
     """
     if len(a) != len(b):
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
@@ -202,42 +225,31 @@ def grid_segment_sm(a: SVector, b: SVector, g: GridSpec) -> List[SVector]:
         1.0,
     )
     n_steps = min(int(math.ceil(scale / g.resolution)), 2_000_000)
-    out: List[SVector] = []
-    seen = set()
-
-    def emit(v: SVector):
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-
-    def scaled_point(p: SVector, q: SVector, lam: float) -> SVector:
-        # direct evaluation of (lam (*) p) (+) q; where lam was inserted as a
-        # tie value qi - pi, form the scaled exponent as exactly qi so the
-        # float tie is hit (naively (qi - pi) + pi can miss by an ulp)
-        coords = []
-        for pi, qi in zip(p, q):
-            if lam == -math.inf or pi.is_zero:
-                scaled = _ZERO
-            elif not qi.is_zero and qi.exp - pi.exp == lam:
-                scaled = SElem(pi.sign, qi.exp)
-            else:
-                scaled = SElem(pi.sign, lam + pi.exp)
-            coords.append(_signed_max(scaled, qi))
-        return SVector(tuple(coords))
-
+    grid = [-math.inf] + [math.log(k / n_steps) for k in range(1, n_steps + 1)]
+    rows = []  # (p, q, lam) per swept parameter, both families in turn
+    columns = []
     for p, q in ((a, b), (b, a)):
-        lams: List[float] = [-math.inf]
-        for k in range(n_steps + 1):
-            s = k / n_steps
-            if s > 0.0:
-                lams.append(math.log(s))
-        for pi, qi in zip(p, q):
-            if not (pi.is_zero or qi.is_zero):
-                tie = qi.exp - pi.exp
-                if tie <= 0:
-                    lams.append(tie)
-        for lam in lams:
-            emit(scaled_point(p, q, lam))
+        ties = [qi.exp - pi.exp for pi, qi in zip(p, q) if not (pi.is_zero or qi.is_zero)]
+        lams = grid + [t for t in ties if t <= 0]
+        rows += [(p, q, lam) for lam in lams]
+        columns.append(_sweep_columns(p, q, np.array(lams, dtype=float)))
+    codes, exps, scaled = (np.concatenate(c) for c in zip(*columns))
+    # + 0.0 turns -0.0 into 0.0, which equal elements need for equal rows
+    keys = np.concatenate([codes, exps + 0.0], axis=1)
+    _, first = np.unique(keys, axis=0, return_index=True)
+    keep = np.sort(first)
+    out = []
+    for r, row_codes, row_scaled in zip(keep.tolist(), codes[keep].tolist(), scaled[keep].tolist()):
+        p, q, lam = rows[r]
+        coords = []
+        for pi, qi, code, own in zip(p, q, row_codes, row_scaled):
+            if not own:
+                coords.append(qi)
+            elif not qi.is_zero and qi.exp - pi.exp == lam:
+                coords.append(SElem(_RAYS[code], qi.exp))
+            else:
+                coords.append(SElem(_RAYS[code], lam + pi.exp))
+        out.append(SVector(tuple(coords)))
     return out
 
 

@@ -1,6 +1,8 @@
 """Scalar, pair and signed-element arithmetic."""
 
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -309,3 +311,47 @@ class TestNormalization:
         for a in GRID_ELEMS:
             assert SElem.from_json(a.to_json()) == a
         assert ZERO.to_json() == {"sign": "o", "exp": "-inf"}
+
+
+class TestValueContract:
+    def test_immutable(self):
+        a = SElem.pos(1.0)
+        with pytest.raises(AttributeError):
+            a.exp = 2.0
+        with pytest.raises(AttributeError):
+            a.sign = Sign.MINUS
+        with pytest.raises(AttributeError):
+            a.other = 0
+        with pytest.raises(AttributeError):
+            del a.exp
+        assert a == SElem.pos(1.0)
+
+    def test_int_and_float_exponents_agree(self):
+        assert SElem.pos(1) == SElem.pos(1.0)
+        assert hash(SElem.pos(1)) == hash(SElem.pos(1.0))
+        assert len({SElem.pos(1), SElem.pos(1.0), SElem.neg(1)}) == 2
+
+    def test_zero_is_balanced(self):
+        z = SElem(Sign.PLUS, EPS)
+        assert z == ZERO and hash(z) == hash(ZERO)
+        assert z.sign is Sign.BALANCED and z.is_zero
+
+    def test_not_equal_to_a_tuple(self):
+        assert SElem.pos(1.0) != (Sign.PLUS, 1.0)
+        assert (Sign.PLUS, 1.0) != SElem.pos(1.0)
+
+    def test_pickle_and_deepcopy(self):
+        for a in GRID_ELEMS:
+            for b in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a), copy.copy(a)):
+                assert b == a and type(b.exp) is type(a.exp)
+        assert pickle.loads(pickle.dumps(ZERO)).exp is EPS
+
+    def test_constructor_checks(self):
+        with pytest.raises(TypeError):
+            SElem("+", 1)
+        with pytest.raises(TypeError):
+            SElem(Sign.PLUS, "1")
+
+    def test_sign_hash_is_identity(self):
+        assert {s: s.value for s in Sign}[Sign.MINUS] == "-"
+        assert all(hash(s) == object.__hash__(s) for s in Sign)

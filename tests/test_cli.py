@@ -71,6 +71,17 @@ class TestEval:
         assert code == 1
         assert "mpa" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("depth", [300, 10000])
+    def test_deep_nesting_exit_code(self, capsys, depth):
+        code, out, err = run(capsys, "eval", "(" * depth + "1" + ")" * depth)
+        assert code == 1 and out == ""
+        assert "nested too deeply" in json.loads(err)["error"]
+
+    def test_huge_power_exit_code(self, capsys):
+        code, out, err = run(capsys, "eval", "2.5 ^ 1" + "0" * 400)
+        assert code == 1 and out == ""
+        assert "error" in json.loads(err)
+
 
 class TestSegment:
     def test_geometric_round_trip(self, capsys, files):

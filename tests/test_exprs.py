@@ -63,3 +63,17 @@ def test_parse_errors_carry_position():
 def test_unknown_mode():
     with pytest.raises(ValueError):
         eval_expr("1", mode="nope")
+
+
+@pytest.mark.parametrize("depth", [300, 10000])
+def test_deep_nesting_is_a_parse_error(depth):
+    assert eval_expr("(" * 200 + "1" + ")" * 200) == SElem.pos(1)
+    with pytest.raises(ExprError, match="nested too deeply"):
+        eval_expr("(" * depth + "1" + ")" * depth)
+
+
+def test_huge_power_is_a_parse_error():
+    with pytest.raises(ExprError) as err:
+        eval_expr("2.5 ^ 1" + "0" * 400)
+    assert err.value.pos == 6
+    assert eval_expr("2 ^ 1" + "0" * 400) == SElem.pos(2 * 10**400)

@@ -1,7 +1,9 @@
 """Embedding, base metrics and the six product metrics."""
 
 import cmath
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -263,3 +265,34 @@ class TestOperationContinuity:
 def test_svector_json_round_trip():
     v = SVector((SElem.pos(1), ZERO, SElem.bal(-0.5)))
     assert SVector.from_json(v.to_json()) == v
+
+
+class TestSVectorContract:
+    V = SVector((SElem.pos(1), ZERO, SElem.bal(-0.5)))
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            self.V.coords = (ZERO,)
+        with pytest.raises(AttributeError):
+            del self.V.coords
+        assert self.V == SVector((SElem.pos(1.0), ZERO, SElem.bal(-0.5)))
+
+    def test_equality_and_hash(self):
+        w = SVector([SElem.pos(1.0), ZERO, SElem.bal(-0.5)])
+        assert w == self.V and hash(w) == hash(self.V)
+        assert self.V != self.V.coords
+        assert self.V.coords != self.V
+        assert SVector((ZERO,)) != SVector((ZERO, ZERO))
+
+    def test_pickle_and_deepcopy(self):
+        for w in (pickle.loads(pickle.dumps(self.V)), copy.deepcopy(self.V), copy.copy(self.V)):
+            assert w == self.V and type(w.coords) is tuple
+            assert w.to_json() == self.V.to_json()
+
+    def test_constructor_checks(self):
+        with pytest.raises(ValueError):
+            SVector(())
+        with pytest.raises(TypeError):
+            SVector((1.0,))
+        with pytest.raises(TypeError):
+            SVector((ZERO, (Sign.PLUS, 1.0)))
