@@ -203,7 +203,7 @@ class SElem:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return (SElem, (self.sign, self.exp))
+        return (self.__class__, (self.sign, self.exp))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -130,7 +130,7 @@ class SVector:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return (SVector, (self.coords,))
+        return (self.__class__, (self.coords,))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

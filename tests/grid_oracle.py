@@ -178,29 +178,28 @@ def _sweep_columns(p: SVector, q: SVector, lam: np.ndarray):
     the scaled coordinate, not q's, gives it.  The signed max is taken
     directly: the larger magnitude wins, and on a tie equal signs keep the
     sign and distinct signs balance."""
+    none = np.zeros(len(lam), dtype=bool)
+    live = lam > -math.inf  # lam = -inf is the zero scalar
     codes, exps, scaled = [], [], []
     for pi, qi in zip(p, q):
         q_code = _ORIGIN_CODE if qi.is_zero else _RAYS.index(qi.sign)
         q_exp = -math.inf if qi.is_zero else float(qi.exp)
         if pi.is_zero:
-            wins = balanced = np.zeros(len(lam), dtype=bool)
-            e = lam
+            e, wins, balanced = lam, none, none
+        elif qi.is_zero:
+            e, wins, balanced = lam + pi.exp, live, none
         else:
-            live = lam > -math.inf  # lam = -inf is the zero scalar
-            if qi.is_zero:
-                e = lam + pi.exp
-                wins, balanced = live, np.zeros(len(lam), dtype=bool)
+            # where lam was inserted as a tie value qi - pi, the scaled
+            # exponent is exactly qi's (naively (qi - pi) + pi can miss by
+            # an ulp)
+            e = np.where(lam == qi.exp - pi.exp, q_exp, lam + pi.exp)
+            tie = live & (e == q_exp)
+            if pi.sign is qi.sign:
+                wins, balanced = (live & (e > q_exp)) | tie, none
             else:
-                # where lam was inserted as a tie value qi - pi, the scaled
-                # exponent is exactly qi's (naively (qi - pi) + pi can miss
-                # by an ulp)
-                e = np.where(lam == qi.exp - pi.exp, q_exp, lam + pi.exp)
-                tie = live & (e == q_exp)
-                if pi.sign is qi.sign:
-                    wins, balanced = (live & (e > q_exp)) | tie, np.zeros(len(lam), dtype=bool)
-                else:
-                    wins, balanced = live & (e > q_exp), tie
-        codes.append(np.where(wins, _RAYS.index(pi.sign), np.where(balanced, _ORIGIN_CODE, q_code)))
+                wins, balanced = live & (e > q_exp), tie
+        code = np.where(balanced, _RAYS.index(Sign.BALANCED), q_code)
+        codes.append(np.where(wins, _RAYS.index(pi.sign), code))
         exps.append(np.where(wins | balanced, e, q_exp))
         scaled.append(wins | balanced)
     return np.stack(codes, axis=1), np.stack(exps, axis=1), np.stack(scaled, axis=1)
@@ -234,9 +233,9 @@ def grid_segment_sm(a: SVector, b: SVector, g: GridSpec) -> List[SVector]:
         rows += [(p, q, lam) for lam in lams]
         columns.append(_sweep_columns(p, q, np.array(lams, dtype=float)))
     codes, exps, scaled = (np.concatenate(c) for c in zip(*columns))
-    # + 0.0 turns -0.0 into 0.0, which equal elements need for equal rows
-    keys = np.concatenate([codes, exps + 0.0], axis=1)
-    _, first = np.unique(keys, axis=0, return_index=True)
+    # rows compare as numbers (so -0.0 == 0.0, as for elements), and the
+    # stable sort behind return_index gives each row's first occurrence
+    _, first = np.unique(np.concatenate([codes, exps], axis=1), axis=0, return_index=True)
     keep = np.sort(first)
     out = []
     for r, row_codes, row_scaled in zip(keep.tolist(), codes[keep].tolist(), scaled[keep].tolist()):

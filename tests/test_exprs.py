@@ -67,7 +67,7 @@ def test_unknown_mode():
 
 @pytest.mark.parametrize("depth", [300, 10000])
 def test_deep_nesting_is_a_parse_error(depth):
-    assert eval_expr("(" * 200 + "1" + ")" * 200) == SElem.pos(1)
+    assert eval_expr("(" * 100 + "1" + ")" * 100) == SElem.pos(1)
     with pytest.raises(ExprError, match="nested too deeply"):
         eval_expr("(" * depth + "1" + ")" * depth)
 
