@@ -168,19 +168,59 @@ class Sign(Enum):
     __hash__ = object.__hash__
 
 
+class _Record:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields in ``__slots__`` and sets them in its own
+    ``__init__`` (through ``object.__setattr__`` or the slot descriptors).
+    The base supplies the rest of the value contract: assigning or deleting
+    an attribute raises AttributeError; equality needs the same class and
+    equal field tuples, and the hash is that of the field tuple; the repr is
+    ``Name(field=value, ...)``; pickling and copying call the constructor on
+    the field tuple, so the constructor takes the fields in slot order.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (self.__class__, self._values())
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
 # the three rays of the tripod, in the order every enumeration uses
 RAYS = (Sign.PLUS, Sign.MINUS, Sign.BALANCED)
 
 _SIGN_ORDER = {sign: i for i, sign in enumerate(RAYS)}
 
 
-class SElem:
+class SElem(_Record):
     """A signed max-plus element: sign tag plus magnitude exponent.
 
     Normalization is enforced at construction: the zero element (magnitude
     ``EPS``) is always tagged balanced, so structural equality coincides with
     algebraic equality.  Instances are immutable: assigning or deleting an
-    attribute raises AttributeError.
+    attribute raises AttributeError.  Equality and the hash are the
+    ``_Record`` ones, written out because they are hot.
     """
 
     __slots__ = ("sign", "exp")
@@ -195,15 +235,6 @@ class SElem:
             sign = Sign.BALANCED
         _set_sign(self, sign)
         _set_exp(self, exp)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return (self.__class__, (self.sign, self.exp))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -240,7 +271,7 @@ class SElem:
         return f"{prefix}:{self.exp}"
 
     def to_json(self) -> dict:
-        return {"sign": self.sign.value, "exp": "-inf" if self.is_zero else self.exp}
+        return {"sign": self.sign._value_, "exp": "-inf" if self.is_zero else self.exp}
 
     @classmethod
     def from_json(cls, data: dict) -> "SElem":

@@ -3,6 +3,10 @@
 Exit codes: 0 on success, 2 on usage errors (argparse), 1 on domain errors
 (empty sets, dimension mismatches, parse failures), with a machine-readable
 ``{"error": ...}`` object on stderr for the latter.
+
+Each subcommand imports the package modules it runs when it runs, so a
+process loads only those: ``eval`` loads ``algebra`` and ``exprs``, and the
+SVG renderer loads only for ``--out svg``.
 """
 
 from __future__ import annotations
@@ -10,35 +14,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
-
-from .algebra import SElem
-from .exprs import eval_expr
-from .metrics import MetricId, SVector, parse_metric_id
-from .projection import (
-    is_chebyshev,
-    project_box,
-    project_box_max,
-    project_ray,
-)
-from .raysets import (
-    BoxSet,
-    RaySet,
-    is_box_semimodule_convex,
-    is_connected,
-    is_geometrically_convex,
-    is_semimodule_convex,
-    is_traditionally_convex,
-)
-from .segments import geometric_segment, semimodule_segment, traditional_segment
-from .svg import render_projection_svg, render_segment_svg
+from typing import Callable, Optional
 
 
 def _load_json(path: str):
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except RecursionError:
+        # the decoder recurses once per nested array or object
+        raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _malformed(path: str, what: str, exc: Exception) -> ValueError:
@@ -50,7 +37,10 @@ def _malformed(path: str, what: str, exc: Exception) -> ValueError:
 _SHAPE_ERRORS = (TypeError, KeyError, IndexError, AttributeError, ValueError)
 
 
-def _load_vector(path: str) -> SVector:
+def _load_vector(path: str):
+    from .algebra import SElem
+    from .metrics import SVector
+
     data = _load_json(path)
     try:
         if isinstance(data, dict) and "coords" in data:
@@ -61,6 +51,8 @@ def _load_vector(path: str) -> SVector:
 
 
 def _load_set(path: str):
+    from .raysets import BoxSet, RaySet
+
     data = _load_json(path)
     try:
         if isinstance(data, dict) and "factors" in data:
@@ -70,11 +62,13 @@ def _load_set(path: str):
         raise _malformed(path, "a ray set or box", exc) from None
 
 
-def _emit(args, payload, svg: Optional[str] = None) -> str:
+def _emit(args, payload, svg: Optional[Callable[[], str]] = None) -> str:
+    """The output text; ``svg`` renders the SVG and is called only for
+    ``--out svg``."""
     if args.out == "svg":
         if svg is None:
             raise ValueError("svg output is not available for this command")
-        return svg
+        return svg()
     if args.out == "text":
         return json.dumps(payload, indent=2, sort_keys=True)
     return json.dumps(payload, sort_keys=True)
@@ -127,29 +121,44 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_eval(args) -> str:
+    from .exprs import eval_expr
+
     source = sys.stdin.read() if args.expression == "-" else args.expression
     value = eval_expr(source, args.mode)
     return _emit(args, value.to_json())
 
 
 def _cmd_segment(args) -> str:
+    from .segments import geometric_segment, semimodule_segment, traditional_segment
+
     a = _load_vector(args.a)
     b = _load_vector(args.b)
     if args.kind == "geometric":
-        line = geometric_segment(a, b)
-        return _emit(args, line.to_json(), svg=render_segment_svg(line) if len(a) <= 2 else None)
-    if args.kind == "semimodule":
+        seg = geometric_segment(a, b)
+        payload = seg.to_json()
+    elif args.kind == "semimodule":
         seg = semimodule_segment(a, b)
-        return _emit(args, seg.to_json(), svg=render_segment_svg(seg) if len(a) <= 2 else None)
-    seg = traditional_segment(a, b)
-    if seg is None:
-        return _emit(args, {"representable": False})
-    payload = seg.to_json()
-    payload["representable"] = True
-    return _emit(args, payload, svg=render_segment_svg(seg) if len(a) <= 2 else None)
+        payload = seg.to_json()
+    else:
+        seg = traditional_segment(a, b)
+        if seg is None:
+            return _emit(args, {"representable": False})
+        payload = seg.to_json()
+        payload["representable"] = True
+
+    def svg():
+        from .svg import render_segment_svg
+
+        return render_segment_svg(seg)
+
+    return _emit(args, payload, svg=svg if len(a) <= 2 else None)
 
 
 def _cmd_project(args) -> str:
+    from .metrics import MetricId, SVector, parse_metric_id
+    from .projection import project_box, project_box_max, project_ray
+    from .raysets import BoxSet, RaySet
+
     x = _load_vector(args.x)
     target = _load_set(args.set)
     base = 1 if args.base == "d1" else 2
@@ -163,8 +172,6 @@ def _cmd_project(args) -> str:
         if len(x) != 1:
             raise ValueError("a ray set expects a one-coordinate query")
         result = project_ray(x[0], target, base)
-        points = [SVector((p,)) for p in result.points]
-        box = BoxSet((target,))
     else:
         mid = parse_metric_id(args.metric) if args.metric else MetricId("euclid", base)
         if mid.combine == "max":
@@ -173,13 +180,30 @@ def _cmd_project(args) -> str:
             raise ValueError(gridless)
         else:
             result = project_box(x, target, mid)
-        points = list(result.points)
-        box = target
-    svg = render_projection_svg(x, points, box) if len(x) <= 2 else None
-    return _emit(args, result.to_json(), svg=svg)
+
+    def svg():
+        from .svg import render_projection_svg
+
+        if isinstance(target, RaySet):
+            points, box = [SVector((p,)) for p in result.points], BoxSet((target,))
+        else:
+            points, box = list(result.points), target
+        return render_projection_svg(x, points, box)
+
+    return _emit(args, result.to_json(), svg=svg if len(x) <= 2 else None)
 
 
 def _cmd_check(args) -> str:
+    from .projection import is_chebyshev
+    from .raysets import (
+        BoxSet,
+        is_box_semimodule_convex,
+        is_connected,
+        is_geometrically_convex,
+        is_semimodule_convex,
+        is_traditionally_convex,
+    )
+
     target = _load_set(args.set)
     out = {}
     if isinstance(target, BoxSet):

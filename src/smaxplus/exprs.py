@@ -67,11 +67,14 @@ def _tokenize(source: str) -> List[_Token]:
     return tokens
 
 
-def _parse_number(text: str):
+def _parse_number(text: str, pos: int):
+    if "." in text or "e" in text or "E" in text:
+        return float(text)
     try:
         return int(text)
     except ValueError:
-        return float(text)
+        # int() refuses more digits than sys.get_int_max_str_digits()
+        raise ExprError(f"integer literal too long ({len(text.lstrip('-'))} digits)", pos) from None
 
 
 class _Parser:
@@ -118,7 +121,7 @@ class _Parser:
                 raise ExprError("missing exponent", self.source_len)
             if etok.kind != "NUM":
                 raise ExprError("exponent must be an integer literal", etok.pos)
-            k = _parse_number(etok.text)
+            k = _parse_number(etok.text, etok.pos)
             if not isinstance(k, int):
                 raise ExprError("exponent must be an integer literal", etok.pos)
             try:
@@ -142,12 +145,12 @@ class _Parser:
         if tok.kind == "EPS":
             return ZERO
         if tok.kind == "NUM":
-            return SElem(Sign.PLUS, _parse_number(tok.text))
+            return SElem(Sign.PLUS, _parse_number(tok.text, tok.pos))
         if tok.kind == "SIGNED":
             if self.mode == "mpa":
                 raise ExprError("signed literal in mpa mode", tok.pos)
             sign = {"p": Sign.PLUS, "m": Sign.MINUS, "b": Sign.BALANCED}[tok.text[0]]
-            return SElem(sign, _parse_number(tok.text[2:]))
+            return SElem(sign, _parse_number(tok.text[2:], tok.pos))
         raise ExprError(f"unexpected token {tok.text!r}", tok.pos)
 
 

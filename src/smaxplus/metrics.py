@@ -16,10 +16,9 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 from typing import Iterator, Tuple
 
-from .algebra import EPS, SElem, Sign
+from .algebra import EPS, SElem, Sign, _Record
 
 
 class MagnitudeRangeWarning(RuntimeWarning):
@@ -108,8 +107,10 @@ def d2(a: SElem, b: SElem) -> float:
 _BASE = {1: d1, 2: d2}
 
 
-class SVector:
-    """A fixed-length tuple of signed elements; immutable like ``SElem``."""
+class SVector(_Record):
+    """A fixed-length tuple of signed elements; immutable like ``SElem``,
+    with the ``_Record`` equality and hash written out because they are
+    hot."""
 
     __slots__ = ("coords",)
     coords: Tuple[SElem, ...]
@@ -122,15 +123,6 @@ class SVector:
             if not isinstance(c, SElem):
                 raise TypeError("vector coordinates must be SElem")
         _set_coords(self, coords)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return (self.__class__, (self.coords,))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -172,18 +164,20 @@ _COMBINE_BY_K = {0: "max", 1: "euclid", 2: "sum"}
 _K_BY_COMBINE = {v: k for k, v in _COMBINE_BY_K.items()}
 
 
-@dataclass(frozen=True)
-class MetricId:
+class MetricId(_Record):
     """One of the six product metrics: a combine rule over a base metric."""
 
+    __slots__ = ("combine", "base")
     combine: str  # "max" | "euclid" | "sum"
     base: int  # 1 (chord) | 2 (path)
 
-    def __post_init__(self):
-        if self.combine not in _K_BY_COMBINE:
-            raise ValueError(f"unknown combine rule {self.combine!r}")
-        if self.base not in (1, 2):
-            raise ValueError(f"unknown base metric {self.base!r}")
+    def __init__(self, combine: str, base: int):
+        if combine not in _K_BY_COMBINE:
+            raise ValueError(f"unknown combine rule {combine!r}")
+        if base not in (1, 2):
+            raise ValueError(f"unknown base metric {base!r}")
+        object.__setattr__(self, "combine", combine)
+        object.__setattr__(self, "base", base)
 
     @property
     def code(self) -> str:

@@ -18,24 +18,30 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from .algebra import RAYS, ZERO, SElem
+from .algebra import RAYS, ZERO, SElem, _Record
 from .metrics import MetricId, SVector, cross_distance, magnitude
 from .raysets import BoxSet, RaySet, is_connected, point_on_ray
-from .segments import ArcPiece, PointPiece, SegmentSet
+
+if TYPE_CHECKING:
+    from .segments import ArcPiece, SegmentSet
 
 TIE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class ProjectionResult:
+class ProjectionResult(_Record):
     """All nearest points of a query in a set, with the attained distance."""
 
+    __slots__ = ("points", "distance", "is_singleton")
     points: Tuple[object, ...]  # SElem for the line, SVector for products
     distance: float
     is_singleton: bool
+
+    def __init__(self, points: Tuple[object, ...], distance: float, is_singleton: bool):
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "distance", distance)
+        object.__setattr__(self, "is_singleton", is_singleton)
 
     def to_json(self) -> dict:
         return {
@@ -269,6 +275,10 @@ def project_segment_set(x: SElem, S: SegmentSet, base: int = 2) -> ProjectionRes
     endpoint it contributes no candidate.  When nothing attains the overall
     infimum the set is not proximinal at ``x`` and a ValueError is raised.
     """
+    # imported here, so that projecting onto ray sets and boxes (a cold
+    # `smaxplus project` or `check`) never loads the segments layer
+    from .segments import PointPiece
+
     if not S.pieces:
         raise ValueError("empty segment set")
     intervals = []

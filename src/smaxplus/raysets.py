@@ -13,10 +13,9 @@ Cantor-like sets); that restriction is deliberate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .algebra import RAYS, SElem, Sign, ZERO
+from .algebra import RAYS, SElem, Sign, ZERO, _Record
 
 Interval = Tuple[float, float]
 
@@ -41,18 +40,18 @@ def _canonical_intervals(intervals) -> Tuple[Interval, ...]:
     return tuple((lo, hi) for lo, hi in merged)
 
 
-@dataclass(frozen=True)
-class RaySet:
+class RaySet(_Record):
     """A closed subset of the tripod, as per-ray interval unions."""
 
-    plus: Tuple[Interval, ...] = ()
-    minus: Tuple[Interval, ...] = ()
-    balanced: Tuple[Interval, ...] = ()
+    __slots__ = ("plus", "minus", "balanced")
+    plus: Tuple[Interval, ...]
+    minus: Tuple[Interval, ...]
+    balanced: Tuple[Interval, ...]
 
-    def __post_init__(self):
-        plus = _canonical_intervals(self.plus)
-        minus = _canonical_intervals(self.minus)
-        balanced = _canonical_intervals(self.balanced)
+    def __init__(self, plus=(), minus=(), balanced=()):
+        plus = _canonical_intervals(plus)
+        minus = _canonical_intervals(minus)
+        balanced = _canonical_intervals(balanced)
         # a degenerate [0,0] interval is just the origin; if the origin is
         # already present through a fatter interval, drop the duplicates,
         # otherwise keep a single copy on the balanced ray by convention
@@ -246,14 +245,14 @@ def is_semimodule_convex(C: RaySet) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class BoxSet:
+class BoxSet(_Record):
     """A Cartesian product of per-coordinate ray sets."""
 
+    __slots__ = ("factors",)
     factors: Tuple[RaySet, ...]
 
-    def __post_init__(self):
-        factors = tuple(self.factors)
+    def __init__(self, factors):
+        factors = tuple(factors)
         if not factors:
             raise ValueError("boxes must have at least one factor")
         object.__setattr__(self, "factors", factors)

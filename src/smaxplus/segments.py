@@ -22,10 +22,9 @@ in chart coordinates with explicit open/closed endpoint flags.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .algebra import EPS, RAYS, SElem, Sign, ZERO, s_oplus, scalar_mul
+from .algebra import EPS, RAYS, SElem, Sign, ZERO, _Record, s_oplus, scalar_mul
 from .metrics import D1, MetricId, SVector, magnitude, rho
 
 PsiChart = Tuple[Tuple[Sign, Sign], ...]
@@ -88,7 +87,7 @@ def psi(chart: PsiChart, x: SVector) -> Tuple[float, ...]:
         elif c.sign is v:
             out.append(-magnitude(c))
         else:
-            raise ChartError(f"coordinate {c!r} lies on neither chart ray ({u.value},{v.value})")
+            raise ChartError(f"coordinate {c!r} lies on neither chart ray ({u._value_},{v._value_})")
     return tuple(out)
 
 
@@ -109,15 +108,14 @@ def psi_inverse(chart: PsiChart, p: Sequence[float]) -> SVector:
 
 
 def _chart_json(chart: PsiChart) -> list:
-    return [[u.value, v.value] for u, v in chart]
+    return [[u._value_, v._value_] for u, v in chart]
 
 
 def _chart_from_json(data) -> PsiChart:
     return tuple((Sign(u), Sign(v)) for u, v in data)
 
 
-@dataclass(frozen=True)
-class BrokenLine:
+class BrokenLine(_Record):
     """A geodesic for the inner metric, in chart coordinates.
 
     ``vertices`` holds the chart images of both endpoints with the interior
@@ -125,10 +123,17 @@ class BrokenLine:
     chord parameters in (0, 1) at which some coordinate crosses zero.
     """
 
+    __slots__ = ("chart", "vertices", "breakpoint_params", "length")
     chart: PsiChart
     vertices: Tuple[Tuple[float, ...], ...]
     breakpoint_params: Tuple[float, ...]
     length: float
+
+    def __init__(self, chart: PsiChart, vertices, breakpoint_params, length: float):
+        object.__setattr__(self, "chart", chart)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "breakpoint_params", breakpoint_params)
+        object.__setattr__(self, "length", length)
 
     def to_json(self) -> dict:
         return {
@@ -189,16 +194,20 @@ def d_segment_contains(x: SVector, y: SVector, z: SVector, mid: MetricId, tol: f
     return abs(rho(mid, x, z) + rho(mid, z, y) - rho(mid, x, y)) <= tol
 
 
-@dataclass(frozen=True)
-class PointPiece:
+class PointPiece(_Record):
+    """A segment piece that is one point."""
+
+    __slots__ = ("point",)
     point: SVector
+
+    def __init__(self, point: SVector):
+        object.__setattr__(self, "point", point)
 
     def to_json(self) -> dict:
         return {"kind": "point", "point": self.point.to_json()}
 
 
-@dataclass(frozen=True)
-class ArcPiece:
+class ArcPiece(_Record):
     """An affine arc in chart coordinates, with endpoint inclusion flags.
 
     The arc is {psi_inverse(chart, (1-t) start + t end) : t in (0,1)} plus
@@ -206,11 +215,19 @@ class ArcPiece:
     coordinate zero, so the pullback is continuous and injective.
     """
 
+    __slots__ = ("chart", "start", "end", "closed_lo", "closed_hi")
     chart: PsiChart
     start: Tuple[float, ...]
     end: Tuple[float, ...]
     closed_lo: bool
     closed_hi: bool
+
+    def __init__(self, chart: PsiChart, start, end, closed_lo: bool, closed_hi: bool):
+        object.__setattr__(self, "chart", chart)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
+        object.__setattr__(self, "closed_lo", closed_lo)
+        object.__setattr__(self, "closed_hi", closed_hi)
 
     def point_at(self, t: float) -> SVector:
         p = tuple((1.0 - t) * s + t * e for s, e in zip(self.start, self.end))
@@ -282,11 +299,14 @@ def _piece_from_json(data: dict):
     raise ValueError(f"unknown piece kind {data['kind']!r}")
 
 
-@dataclass(frozen=True)
-class SegmentSet:
+class SegmentSet(_Record):
     """A segment as a finite union of pairwise disjoint pieces."""
 
+    __slots__ = ("pieces",)
     pieces: Tuple[object, ...]
+
+    def __init__(self, pieces):
+        object.__setattr__(self, "pieces", pieces)
 
     def contains(self, x: SVector) -> bool:
         return any(_piece_member(piece, x) for piece in self.pieces)

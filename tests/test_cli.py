@@ -1,5 +1,6 @@
 """Command dispatch, exit codes, and output round-trips."""
 
+import importlib
 import json
 import math
 import os
@@ -81,6 +82,11 @@ class TestEval:
         code, out, err = run(capsys, "eval", "2.5 ^ 1" + "0" * 400)
         assert code == 1 and out == ""
         assert "error" in json.loads(err)
+
+    def test_integer_literal_too_long_exit_code(self, capsys):
+        code, out, err = run(capsys, "eval", "2 ^ 1" + "0" * 4400)
+        assert code == 1 and out == ""
+        assert "integer literal too long" in json.loads(err)["error"]
 
 
 class TestSegment:
@@ -200,6 +206,18 @@ def test_malformed_query_is_a_domain_error(capsys, files, payload):
     assert "error" in json.loads(err)
 
 
+@pytest.mark.parametrize("command", ["project", "segment", "check"])
+def test_deeply_nested_json_is_a_domain_error(capsys, files, command):
+    # the JSON decoder recurses once per nesting level
+    deep = files["write"]("deep.json", [])
+    Path(deep).write_text("[" * 100000 + "]" * 100000)
+    argv = {"project": [files["x"], deep], "segment": [files["p1"], deep], "check": [deep]}
+    code, out, err = run(capsys, command, *argv[command])
+    assert code == 1 and out == ""
+    assert "Traceback" not in err
+    assert "nested too deeply" in json.loads(err)["error"]
+
+
 def test_malformed_set_is_a_domain_error(capsys, files):
     bad = files["write"]("bad_set.json", [[1, 2]])
     code, _, err = run(capsys, "check", bad)
@@ -284,21 +302,76 @@ def test_no_oracle_subcommand(files):
     assert exc.value.code == 2
 
 
-def test_import_loads_neither_numpy_nor_scipy():
-    # every module of the package stands alone, the CLI and max-combine
-    # boxes included; numpy and scipy are test dependencies
+# the package's exports before they became lazy, by home module
+OLD_EXPORTS = {
+    "algebra": """EPS Pair SElem Sign UNIT ZERO balance_rel classify equiv_rel ext_oplus
+        ext_otimes ext_power lift pair_balance pair_minus pair_norm pair_oplus pair_otimes
+        parts s_abs s_minus s_oplus s_otimes s_power scalar_mul""",
+    "exprs": "ExprError eval_expr",
+    "metrics": """D1 D2 MagnitudeRangeWarning MetricId SVector THETA d1 d2 magnitude
+        parse_metric_id phi phi_n rho""",
+    "projection": """ProjectionResult distance_to_set find_multipoint_witness is_chebyshev
+        project_box project_box_max project_ray project_segment_set project_union""",
+    "raysets": """BoxSet RaySet is_box_semimodule_convex is_connected is_geometrically_convex
+        is_semimodule_convex is_traditionally_convex point_on_ray ray_components""",
+    "segments": """ArcPiece BrokenLine ChartError PointPiece SegmentSet as_segment_set chart_for
+        component_count components d_segment_contains geometric_segment isolated_points psi
+        psi_inverse semimodule_segment traditional_segment vec_oplus vec_scale""",
+}
+
+
+def _newly_loaded(body: str, *argv: str) -> set:
+    """The modules a fresh interpreter loads while running ``body``."""
     code = (
-        "import importlib, pkgutil, sys, smaxplus; "
-        "names = [m.name for m in pkgutil.walk_packages(smaxplus.__path__, 'smaxplus.')]; "
-        "assert 'smaxplus.cli' in names; "
-        "[importlib.import_module(name) for name in names]; "
-        "from smaxplus import BoxSet, RaySet, SElem, SVector, project_box_max; "
-        "ball = RaySet(plus=((0, 1),), minus=((0, 1),)); "
-        "r = project_box_max(SVector((SElem.pos(0), SElem.neg(1))), BoxSet((ball, ball)), 1, 0.1); "
-        "assert len(r.points) > 1; "
-        "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))"
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        f"{body}\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
     )
     src = str(Path(smaxplus.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert proc.stdout.strip() == "[]"
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env=env, check=True)
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_import_loads_neither_numpy_nor_scipy(files):
+    # every module of the package stands alone, the CLI and max-combine
+    # boxes included; numpy and scipy are test dependencies
+    loaded = _newly_loaded(
+        "import importlib, pkgutil, smaxplus\n"
+        "names = [m.name for m in pkgutil.walk_packages(smaxplus.__path__, 'smaxplus.')]\n"
+        "assert 'smaxplus.cli' in names\n"
+        "[importlib.import_module(name) for name in names]\n"
+        "from smaxplus import BoxSet, RaySet, SElem, SVector, project_box_max\n"
+        "ball = RaySet(plus=((0, 1),), minus=((0, 1),))\n"
+        "r = project_box_max(SVector((SElem.pos(0), SElem.neg(1))), BoxSet((ball, ball)), 1, 0.1)\n"
+        "assert len(r.points) > 1"
+    )
+    assert "smaxplus.svg" in loaded and not loaded & {"numpy", "scipy"}
+
+    # the import path of a cold CLI call: no dataclasses (nor the inspect
+    # and ast it imports), and only the modules the subcommand runs
+    heavy = {"dataclasses", "inspect", "ast"}
+    loaded = _newly_loaded("import smaxplus.cli")
+    assert "smaxplus.cli" in loaded and not loaded & heavy
+    assert not any(m.startswith("smaxplus.") for m in loaded - {"smaxplus.cli"})
+    loaded = _newly_loaded("from smaxplus.cli import main\nmain(['eval', '1'])")
+    assert {"smaxplus.algebra", "smaxplus.exprs"} <= loaded and not loaded & heavy
+    assert not loaded & {f"smaxplus.{m}" for m in ("metrics", "raysets", "segments", "projection")}
+    loaded = _newly_loaded("from smaxplus.cli import main\nmain(['segment', *sys.argv[1:]])",
+                           files["a"], files["b"])
+    assert "smaxplus.segments" in loaded and not loaded & heavy
+    assert not loaded & {"smaxplus.exprs", "smaxplus.projection"}
+
+    # the lazy package: the old names, each the object of its home module,
+    # and its submodules as attributes
+    loaded = _newly_loaded("import smaxplus\nassert smaxplus.raysets.RaySet")
+    assert "smaxplus.raysets" in loaded and "smaxplus.segments" not in loaded
+    namespace = {}
+    exec("from smaxplus import *", namespace)
+    del namespace["__builtins__"]
+    homes = {name: module for module, names in OLD_EXPORTS.items() for name in names.split()}
+    assert set(namespace) == set(homes) == set(smaxplus.__all__) <= set(dir(smaxplus))
+    for name, module in homes.items():
+        assert namespace[name] is vars(importlib.import_module(f"smaxplus.{module}"))[name]

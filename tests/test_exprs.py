@@ -77,3 +77,17 @@ def test_huge_power_is_a_parse_error():
         eval_expr("2.5 ^ 1" + "0" * 400)
     assert err.value.pos == 6
     assert eval_expr("2 ^ 1" + "0" * 400) == SElem.pos(2 * 10**400)
+
+
+@pytest.mark.parametrize(
+    "source, pos",
+    [("2 ^ 1" + "0" * 4400, 4), ("1" + "0" * 4400, 0), ("m:-" + "7" * 5000, 0)],
+    ids=["exponent", "bare", "signed"],
+)
+def test_integer_literal_beyond_the_int_digit_limit(source, pos):
+    # int() refuses more than sys.get_int_max_str_digits() digits; the
+    # literal is still an integer, not a float
+    with pytest.raises(ExprError, match="integer literal too long") as err:
+        eval_expr(source)
+    assert err.value.pos == pos
+    assert eval_expr("2 ^ 1" + "0" * 4000) == SElem.pos(2 * 10**4000)
