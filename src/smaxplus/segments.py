@@ -22,10 +22,12 @@ in chart coordinates with explicit open/closed endpoint flags.
 from __future__ import annotations
 
 import math
+import sys
+import warnings
 from typing import List, Optional, Sequence, Tuple
 
 from .algebra import EPS, RAYS, SElem, Sign, ZERO, _Record, s_oplus, scalar_mul
-from .metrics import D1, MetricId, SVector, magnitude, rho
+from .metrics import _MAX_EXP_ARG, D1, MagnitudeRangeWarning, MetricId, SVector, magnitude, rho
 
 PsiChart = Tuple[Tuple[Sign, Sign], ...]
 
@@ -154,7 +156,31 @@ class BrokenLine(_Record):
 
 
 def _euclid(p: Sequence[float], q: Sequence[float]) -> float:
-    return math.sqrt(sum((a - b) ** 2 for a, b in zip(p, q)))
+    """Chart distance; inf where it exceeds the float range."""
+    try:
+        d = math.sqrt(sum((a - b) ** 2 for a, b in zip(p, q)))
+    except OverflowError:  # float ** raises where * would give inf
+        d = math.inf
+    if d == math.inf:
+        # the squares overflow: rescale by the largest difference, halving
+        # first because a difference itself can exceed the float maximum
+        diffs = [abs(0.5 * a - 0.5 * b) for a, b in zip(p, q)]
+        big = max(diffs)
+        d = 2.0 * big * math.sqrt(sum((x / big) ** 2 for x in diffs))
+    return d
+
+
+def _saturated(length: float) -> float:
+    """A length beyond the float range saturates at the float maximum with
+    a warning, as ``magnitude`` does."""
+    if length == math.inf:
+        warnings.warn(
+            "geometric length overflows the float range; saturating",
+            MagnitudeRangeWarning,
+            stacklevel=3,
+        )
+        return sys.float_info.max
+    return length
 
 
 def geometric_segment(a: SVector, b: SVector) -> BrokenLine:
@@ -184,7 +210,7 @@ def geometric_segment(a: SVector, b: SVector) -> BrokenLine:
             )
         )
     vertices.append(beta)
-    length = sum(_euclid(vertices[i], vertices[i + 1]) for i in range(len(vertices) - 1))
+    length = _saturated(sum(_euclid(vertices[i], vertices[i + 1]) for i in range(len(vertices) - 1)))
     return BrokenLine(chart, tuple(vertices), tuple(ts), length)
 
 
@@ -234,7 +260,7 @@ class ArcPiece(_Record):
         return psi_inverse(self.chart, p)
 
     def chord_length(self) -> float:
-        return _euclid(self.start, self.end)
+        return _saturated(_euclid(self.start, self.end))
 
     def param_of(self, x: SVector, tol: float = 1e-9) -> Optional[float]:
         """Chord parameter of ``x`` on this arc, or None when off the arc
@@ -405,6 +431,11 @@ def traditional_segment(a: SVector, b: SVector) -> Optional[SegmentSet]:
 # the sweep ends.  Pieces come out as the first family's arcs from lam = 0
 # down, the second family's, then the isolated points in sweep order.
 #
+# Values.  The sweep runs on (sign, exp) pairs, the fields of an SElem, so
+# its equality tests and its set of met points compare and hash tuples in C;
+# SElem and SVector values are built only for the point pieces it returns.
+# Radii are magnitude()'s: math.exp in the float range, magnitude outside.
+#
 # Cost.  Sorting the events is O(n log n); each event builds one event point
 # and one arc in O(n).  A segment with P pieces costs O(P n), the size of its
 # output.
@@ -412,82 +443,100 @@ def traditional_segment(a: SVector, b: SVector) -> Optional[SegmentSet]:
 _LO, _HI = 1, 2  # positions of the end vectors in an arc record
 
 
-def _scaled_coord(ai: SElem, bi: SElem, lam: float) -> SElem:
-    # scaled copy of a's coordinate; at the tie the exponent is taken from
-    # the partner so the equality is exact in floats
-    if ai.exp is EPS:
-        return ZERO
-    if bi.exp is not EPS and (bi.exp - ai.exp) == lam:
-        return SElem(ai.sign, bi.exp)
-    return SElem(ai.sign, lam + ai.exp)
+def _radius(c: tuple) -> float:
+    if c[1] is EPS:
+        return 0.0
+    m = math.exp(c[1]) if c[1] <= _MAX_EXP_ARG else 0.0
+    return m or magnitude(SElem(*c))
 
 
-def _family_value(p: SVector, q: SVector, ends: list, moving: set, lam: float) -> SVector:
+def _oplus(x: tuple, y: tuple) -> tuple:
+    # s_oplus on (sign, exp) pairs
+    if x[1] is EPS or y[1] is EPS:
+        return y if x[1] is EPS else x
+    if x[1] != y[1]:
+        return x if x[1] > y[1] else y
+    return x if x[0] is y[0] else (Sign.BALANCED, x[1])
+
+
+def _scaled_coord(pi: tuple, qi: tuple, lam) -> tuple:
+    # scaled copy of p's nonzero coordinate; at the tie the exponent is
+    # taken from the partner so the equality is exact in floats, and a sum
+    # that overflows to -inf is the zero element, as SElem makes it
+    if qi[1] is not EPS and qi[1] - pi[1] == lam:
+        return (pi[0], qi[1])
+    t = lam + pi[1]
+    return (pi[0], t) if t != -math.inf else (Sign.BALANCED, EPS)
+
+
+def _family_value(p: tuple, q: tuple, ends: list, moving: set, lam) -> tuple:
     # (lam (*) p) (+) q.  The moving coordinates' scaled values are in ends;
     # elsewhere q wins the signed max unless the float sum lam + |p(i)|
     # reaches |q(i)|, so a scaled copy is built only then
-    coords = []
-    for i, (pi, qi) in enumerate(zip(p, q)):
-        if i in moving:
-            coords.append(s_oplus(ends[i], qi))
-        elif pi.is_zero or lam + pi.exp < qi.exp:
-            coords.append(qi)
-        else:
-            coords.append(s_oplus(_scaled_coord(pi, qi, lam), qi))
-    return SVector(tuple(coords))
+    return tuple([
+        _oplus(ends[i], qi) if i in moving
+        else qi if pi[1] is EPS or lam + pi[1] < qi[1]
+        else _oplus(_scaled_coord(pi, qi, lam), qi)
+        for i, (pi, qi) in enumerate(zip(p, q))
+    ])
 
 
-def _family_sweep(p: SVector, q: SVector, offset: int):
-    """Sweep {(lam (*) p) (+) q : lam <= 0} from lam = 0 down.
+def _family_sweep(p: tuple, q: tuple, offset: int):
+    """Sweep {(lam (*) p) (+) q : lam <= 0} from lam = 0 down, on
+    (sign, exp) pairs.
 
     Returns the arcs as (chart, lo_vec, hi_vec, start, end) records, and the
     points the sweep meets (the lam = 0 point, each event point, then q) with
     the arc ends offered to each as (record index + ``offset``, end) pairs.
     """
+    # every arc chart maps a coordinate's own ray to +magnitude, so the
+    # chart images are the coordinates' magnitudes
+    fixed = [(Sign.PLUS, Sign.PLUS) if e is EPS else (s, s) for s, e in q]
+    chart = list(fixed)
     ties = {}
     moving = set()
-    for i, (pi, qi) in enumerate(zip(p, q)):
-        if pi.is_zero:
+    for i, ((ps, pe), (_, qe)) in enumerate(zip(p, q)):
+        if pe is EPS:
             continue
-        if not qi.is_zero:
-            event = qi.exp - pi.exp
+        if qe is not EPS:
+            event = qe - pe
             if not event < 0:
                 continue
             ties.setdefault(event, []).append(i)
         moving.add(i)
-    # every arc chart maps a coordinate's own ray to +magnitude, so the
-    # chart images are the coordinates' magnitudes
-    fixed = [(Sign.PLUS, Sign.PLUS) if c.is_zero else (c.sign, c.sign) for c in q]
-    chart = list(fixed)
-    ends = list(q.coords)
-    mags = [magnitude(c) for c in q]
+        chart[i] = (ps, ps)
+    ends = list(q)
+    radii = tuple(map(_radius, q))
+    mags = list(radii)
 
     def scale_moving(lam):
         for i in moving:
-            ends[i] = _scaled_coord(p[i], q[i], lam)
-            mags[i] = magnitude(ends[i])
+            ends[i] = c = _scaled_coord(p[i], q[i], lam)
+            mags[i] = _radius(c)
 
-    for i in moving:
-        chart[i] = (p[i].sign, p[i].sign)
     scale_moving(0)  # an int, so integer exponents stay ints in a (+) b
-    hi_vec, hi = SVector(tuple(ends)), tuple(mags)
+    hi_vec, hi = tuple(ends), tuple(mags)
     arcs = []
     claims = [(_family_value(p, q, ends, moving, 0), [(offset, _HI)] if moving else [])]
     for event in sorted(ties, reverse=True):
         scale_moving(event)
-        arcs.append((tuple(chart), SVector(tuple(ends)), hi_vec, tuple(mags), hi))
+        arcs.append((tuple(chart), tuple(ends), hi_vec, tuple(mags), hi))
         point = _family_value(p, q, ends, moving, event)
         for i in ties[event]:
-            ends[i], mags[i], chart[i] = q[i], magnitude(q[i]), fixed[i]
+            ends[i], mags[i], chart[i] = q[i], radii[i], fixed[i]
             moving.discard(i)
-        hi_vec, hi = SVector(tuple(ends)), tuple(mags)
+        hi_vec, hi = tuple(ends), tuple(mags)
         below = [(offset + len(arcs), _HI)] if moving else []
         claims.append((point, [(offset + len(arcs) - 1, _LO)] + below))
     if moving:
         # only coordinates where q is zero still move; they reach it at eps
-        arcs.append((tuple(chart), q, hi_vec, tuple(magnitude(c) for c in q), hi))
+        arcs.append((tuple(chart), q, hi_vec, radii, hi))
     claims.append((q, [(offset + len(arcs) - 1, _LO)] if arcs else []))
     return arcs, claims
+
+
+def _point_piece(x: tuple) -> PointPiece:
+    return PointPiece(SVector(tuple([SElem(s, e) for s, e in x])))
 
 
 def semimodule_segment(a: SVector, b: SVector) -> SegmentSet:
@@ -495,14 +544,16 @@ def semimodule_segment(a: SVector, b: SVector) -> SegmentSet:
     as disjoint pieces with explicit endpoint flags."""
     if len(a) != len(b):
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    arcs_a, claims_a = _family_sweep(a, b, 0)
-    arcs_b, claims_b = _family_sweep(b, a, len(arcs_a))
+    pa = tuple([(c.sign, c.exp) for c in a])
+    pb = tuple([(c.sign, c.exp) for c in b])
+    arcs_a, claims_a = _family_sweep(pa, pb, 0)
+    arcs_b, claims_b = _family_sweep(pb, pa, len(arcs_a))
     arcs = arcs_a + arcs_b
     # both sweeps start at a (+) b, which may close either family's top arc
     (top, top_a), (_, top_b) = claims_a.pop(0), claims_b.pop(0)
     closed = set()
     seen = set()
-    isolated: List[SVector] = []
+    isolated = []
     for x, offered in [(top, top_a + top_b)] + claims_a + claims_b:
         if x in seen:
             continue
@@ -519,11 +570,11 @@ def semimodule_segment(a: SVector, b: SVector) -> SegmentSet:
         if lo_vec == hi_vec:
             # exponents near 1e16 absorb the step between two events, so
             # both ends round to the same floats: the arc is one point
-            if (closed_lo or closed_hi) and PointPiece(lo_vec) not in pieces:
-                pieces.append(PointPiece(lo_vec))
+            if (closed_lo or closed_hi) and _point_piece(lo_vec) not in pieces:
+                pieces.append(_point_piece(lo_vec))
             continue
         pieces.append(ArcPiece(chart, start, end, closed_lo, closed_hi))
-    pieces.extend(PointPiece(x) for x in isolated)
+    pieces.extend(_point_piece(x) for x in isolated)
     return SegmentSet(tuple(pieces))
 
 
@@ -533,41 +584,31 @@ def semimodule_segment(a: SVector, b: SVector) -> SegmentSet:
 #
 # Two connected pieces have a connected union iff the closure of one meets
 # the other, and a piece's closure adds at most its two endpoints.  Every
-# closure endpoint gets an exact key: per coordinate its ray and radial
-# magnitude (None at the origin), read off the chart value or the point's
+# closure endpoint gets an exact key (signature, radii), two tuples that
+# compare and hash in C: per coordinate the ray as a Sign (None at the
+# origin) and the radial magnitude, read off the chart value or the point's
 # magnitude with no log/exp round trip.  A dict from keys to pieces joins the
 # pieces that share an endpoint, unless every one of them leaves it open.
 # An endpoint can also lie inside another arc; the interior of an arc keeps
 # one ray per coordinate, so arcs are indexed by that sign signature and the
-# general membership test runs only on the arcs whose signature matches the
+# general membership test runs only on the arcs whose signature is the
 # endpoint's.  Pieces built by the sweep meet only at shared endpoints, so
 # for them that test almost never runs, and the whole pass is O(P n).
 
 
 def _point_key(x: SVector) -> tuple:
-    out = []
-    for c in x:
-        m = magnitude(c)
-        out.append((c.sign._value_, m) if m > 0.0 else None)
-    return tuple(out)
+    radii = tuple([magnitude(c) for c in x])
+    return tuple([c.sign if m > 0.0 else None for c, m in zip(x, radii)]), radii
 
 
 def _chart_key(chart: PsiChart, p: Sequence[float]) -> tuple:
-    return tuple(
-        (u._value_, s) if s > 0.0 else (v._value_, -s) if s < 0.0 else None
-        for (u, v), s in zip(chart, p)
-    )
+    signs = tuple([u if s > 0.0 else v if s < 0.0 else None for (u, v), s in zip(chart, p)])
+    return signs, tuple(map(abs, p))
 
 
 def _interior_signature(arc: ArcPiece) -> tuple:
-    return tuple(
-        u._value_ if s > 0.0 or e > 0.0 else v._value_ if s < 0.0 or e < 0.0 else None
-        for (u, v), s, e in zip(arc.chart, arc.start, arc.end)
-    )
-
-
-def _signature(key: tuple) -> tuple:
-    return tuple(c[0] if c else None for c in key)
+    return tuple([u if s > 0.0 or e > 0.0 else v if s < 0.0 or e < 0.0 else None
+                  for (u, v), s, e in zip(arc.chart, arc.start, arc.end)])
 
 
 def _piece_member(piece, x: SVector) -> bool:
@@ -605,7 +646,7 @@ def components(seg: SegmentSet) -> List[List[int]]:
         if isinstance(piece, PointPiece):
             keys.append((_point_key(piece.point),))
             at_key.setdefault(keys[i][0], []).append((i, True))
-            by_signature.setdefault(_signature(keys[i][0]), []).append(i)
+            by_signature.setdefault(keys[i][0][0], []).append(i)
             continue
         keys.append((_chart_key(piece.chart, piece.start), _chart_key(piece.chart, piece.end)))
         at_key.setdefault(keys[i][0], []).append((i, piece.closed_lo))
@@ -624,7 +665,7 @@ def components(seg: SegmentSet) -> List[List[int]]:
     for i, piece in enumerate(pieces):
         for end, key in enumerate(keys[i]):
             x = None
-            for j in by_signature.get(_signature(key), ()):
+            for j in by_signature.get(key[0], ()):
                 if j == i or key in keys[j] or find(i) == find(j):
                     continue
                 if x is None:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import smaxplus
-from smaxplus import BrokenLine, ProjectionResult, SElem, SegmentSet
+from smaxplus import BrokenLine, MagnitudeRangeWarning, ProjectionResult, SElem, SegmentSet
 from smaxplus.cli import main
 
 
@@ -108,6 +108,21 @@ class TestSegment:
         code, out, _ = run(capsys, "segment", "--kind", "traditional", p0, files["m0"])
         assert code == 0
         assert json.loads(out) == {"representable": False}
+
+    @pytest.mark.parametrize("out", ["json", "svg", "text"])
+    def test_geometric_length_beyond_the_float_range(self, capsys, files, out):
+        # the squared chart differences overflow float **; the length
+        # saturates with a warning instead of a traceback
+        a = files["write"]("huge_a.json", {"coords": [{"sign": "+", "exp": 800}, {"sign": "-", "exp": 1}]})
+        b = files["write"]("huge_b.json", {"coords": [{"sign": "-", "exp": 2}, {"sign": "o", "exp": 805}]})
+        with pytest.warns(MagnitudeRangeWarning) as record:
+            code, text, err = run(capsys, "segment", "--kind", "geometric", a, b, "--out", out)
+        assert (code, err) == (0, "")
+        assert "geometric length overflows the float range; saturating" in {str(w.message) for w in record}
+        if out == "svg":
+            assert text.startswith("<?xml")
+        else:
+            assert BrokenLine.from_json(json.loads(text)).length == sys.float_info.max
 
     def test_dimension_mismatch_is_domain_error(self, capsys, files):
         code, _, err = run(capsys, "segment", files["a"], files["p1"])

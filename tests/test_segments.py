@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+import warnings
 
 import pytest
 
@@ -11,6 +13,7 @@ from smaxplus import (
     ArcPiece,
     BrokenLine,
     ChartError,
+    MagnitudeRangeWarning,
     PointPiece,
     SElem,
     SVector,
@@ -130,6 +133,24 @@ class TestGeometricSegment:
             assert len(line.breakpoint_params) <= n
             assert list(line.breakpoint_params) == sorted(set(line.breakpoint_params))
             assert all(0 < t < 1 for t in line.breakpoint_params)
+
+    def test_squares_beyond_the_float_range_rescale(self):
+        # e**460 squared overflows, while the path length 2 e**460 fits
+        m = math.exp(460)
+        assert geometric_segment(V(SElem.pos(460)), V(SElem.neg(460))).length == 2 * m
+        arc = ArcPiece(((Sign.PLUS, Sign.MINUS),) * 2, (m, m), (-m, m), True, True)
+        assert arc.chord_length() == 2 * m
+
+    def test_length_beyond_the_float_range_saturates(self):
+        a, b = V(SElem.pos(800), SElem.neg(1)), V(SElem.neg(2), SElem.bal(805))
+        with pytest.warns(MagnitudeRangeWarning) as record:
+            line = geometric_segment(a, b)
+        assert line.length == sys.float_info.max
+        assert "geometric length overflows the float range; saturating" in {str(w.message) for w in record}
+        top = sys.float_info.max
+        arc = ArcPiece(((Sign.PLUS, Sign.MINUS),), (top,), (-top,), True, True)
+        with pytest.warns(MagnitudeRangeWarning, match="geometric length overflows"):
+            assert arc.chord_length() == top
 
     def test_breakpoints_sit_at_the_origin_exactly(self):
         # interpolating (p:-0.8) to (m:0.6) at the crossing gives -5.6e-17,
@@ -389,6 +410,32 @@ class TestSemimoduleSegment:
         assert components(seg) == [[0, 3, 4], [1], [2], [5], [6], [7], [8]]
 
 
+class TestWideMagnitudes:
+    @pytest.mark.parametrize(
+        "exps, match", [((800, 0, 1, 805), "overflows"), ((-800, 0, -1, -805), "underflows")]
+    )
+    def test_range_warnings_stay_loud(self, exps, match):
+        # the sweep's radii leave the float range with a warning, and the
+        # segment stays usable
+        a = V(SElem.pos(exps[0]), SElem.neg(exps[1]))
+        b = V(SElem.neg(exps[2]), SElem.pos(exps[3]))
+        with pytest.warns(MagnitudeRangeWarning, match=match):
+            seg = semimodule_segment(a, b)
+        with warnings.catch_warnings(record=True):
+            groups = components(seg)
+        assert sorted(i for g in groups for i in g) == list(range(len(seg.pieces)))
+
+    def test_exponent_sum_past_the_float_range_is_zero(self):
+        # the event lam = -1e308 - 1e308 rounds to -inf, where the scaled copy
+        # of p:0 is the zero element, as SElem makes it: the arc down to b is
+        # the point b
+        a, b = V(SElem.bal(1e308), SElem.pos(0)), V(SElem.neg(-1e308), ZERO)
+        with warnings.catch_warnings(record=True):
+            seg = semimodule_segment(a, b)
+        assert [type(piece) for piece in seg.pieces] == [ArcPiece, PointPiece]
+        assert seg.pieces[1] == PointPiece(b)
+
+
 class TestJson:
     def test_broken_line_round_trip(self):
         line = geometric_segment(A3, B3)
@@ -457,3 +504,16 @@ class TestComponents:
         groups = components(seg)
         assert len(calls) <= 2 * len(seg.pieces)
         assert sorted(i for g in groups for i in g) == list(range(len(seg.pieces)))
+
+    def test_sweep_builds_vectors_only_for_point_pieces(self, monkeypatch):
+        # the sweep runs on (sign, exp) pairs; the only SVectors it builds
+        # are the points of the point pieces it returns
+        rng = random.Random(128)
+        a, b = random_svector(rng, 128), random_svector(rng, 128)
+        built = []
+        init = SVector.__init__
+        monkeypatch.setattr(SVector, "__init__", lambda self, coords: built.append(1) or init(self, coords))
+        seg = semimodule_segment(a, b)
+        points = sum(isinstance(piece, PointPiece) for piece in seg.pieces)
+        assert points > 0
+        assert len(built) == points
