@@ -278,11 +278,35 @@ class SElem(_Record):
         exp = data["exp"]
         if exp == "-inf":
             exp = EPS
-        return cls(Sign(data["sign"]), exp)
+        e = cls(Sign(data["sign"]), exp)
+        _check_keys(data, ("sign", "exp"))
+        return e
 
 
 _set_sign = SElem.sign.__set__
 _set_exp = SElem.exp.__set__
+
+
+def _trusted_selem(sign: Sign, exp: float) -> SElem:
+    """An SElem built without ``__init__``'s checks, for an exponent the
+    library has just computed.  The caller guarantees what those checks
+    establish: ``sign`` is a Sign and ``exp`` is a finite float, such as
+    ``math.log`` of a positive finite float, so the element is nonzero and
+    needs no normalization.  Outside input goes through ``SElem(...)``."""
+    e = object.__new__(SElem)
+    _set_sign(e, sign)
+    _set_exp(e, exp)
+    return e
+
+
+def _check_keys(data: dict, known: Tuple[str, ...]) -> None:
+    """Reject the keys of a JSON object that ``known`` does not name, which
+    a ``from_json`` would otherwise silently ignore.  Callers run it after
+    reading the known keys, so input that is not an object at all fails on
+    the key it lacks, not here."""
+    unknown = [key for key in data if key not in known]
+    if unknown:
+        raise ValueError(f"unknown keys {unknown}; expected only {list(known)}")
 
 ZERO = SElem(Sign.BALANCED, EPS)
 UNIT = SElem(Sign.PLUS, 0)

@@ -18,7 +18,7 @@ import sys
 import warnings
 from typing import Iterator, Tuple
 
-from .algebra import EPS, SElem, Sign, _Record
+from .algebra import EPS, SElem, Sign, _check_keys, _Record
 
 
 class MagnitudeRangeWarning(RuntimeWarning):
@@ -149,10 +149,21 @@ class SVector(_Record):
 
     @classmethod
     def from_json(cls, data: dict) -> "SVector":
-        return cls(tuple(SElem.from_json(c) for c in data["coords"]))
+        v = cls(tuple(SElem.from_json(c) for c in data["coords"]))
+        _check_keys(data, ("coords",))
+        return v
 
 
 _set_coords = SVector.coords.__set__
+
+
+def _trusted_svector(coords: Tuple[SElem, ...]) -> SVector:
+    """An SVector built without ``__init__``'s checks.  The caller
+    guarantees a nonempty tuple whose parts are SElem values the library
+    returned."""
+    v = object.__new__(SVector)
+    _set_coords(v, coords)
+    return v
 
 
 def phi_n(x: SVector) -> Tuple[complex, ...]:

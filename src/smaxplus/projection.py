@@ -12,6 +12,15 @@ floats, keeps the attained ones within the absolute TIE_TOL of the best,
 and builds elements only for those.  Boxes call the kernel per factor: the
 sum and Euclidean combines take the product of the factor argmins, and the
 max combine cuts each factor by the ball of the largest factor distance.
+
+Results are built without the public constructors' checks, through
+``_trusted_selem`` and ``_trusted_svector``, and only from values the
+kernels have just computed: an argmin or sample at a positive finite
+radius ``m`` has exponent ``math.log(m)``, which is finite, and a product
+vector is a tuple of such elements.  The checks took most of the time of a
+large max-combine cloud.  A radius that is not positive and finite (a
+segment set read from JSON can carry one) still goes through
+``point_on_ray``, which raises.
 """
 
 from __future__ import annotations
@@ -20,8 +29,8 @@ import itertools
 import math
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from .algebra import RAYS, ZERO, SElem, _Record
-from .metrics import MetricId, SVector, cross_distance, magnitude
+from .algebra import RAYS, ZERO, SElem, _Record, _trusted_selem
+from .metrics import MetricId, SVector, _trusted_svector, cross_distance, magnitude
 from .raysets import BoxSet, RaySet, is_connected, point_on_ray
 
 if TYPE_CHECKING:
@@ -39,9 +48,9 @@ class ProjectionResult(_Record):
     is_singleton: bool
 
     def __init__(self, points: Tuple[object, ...], distance: float, is_singleton: bool):
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "distance", distance)
-        object.__setattr__(self, "is_singleton", is_singleton)
+        _set_points(self, points)
+        _set_distance(self, distance)
+        _set_is_singleton(self, is_singleton)
 
     def to_json(self) -> dict:
         return {
@@ -56,6 +65,11 @@ class ProjectionResult(_Record):
         for p in data["points"]:
             pts.append(SVector.from_json(p) if "coords" in p else SElem.from_json(p))
         return cls(tuple(pts), data["distance"], data["singleton"])
+
+
+_set_points = ProjectionResult.points.__set__
+_set_distance = ProjectionResult.distance.__set__
+_set_is_singleton = ProjectionResult.is_singleton.__set__
 
 
 def _tied(d: float, ref: float) -> bool:
@@ -95,14 +109,13 @@ def _nearest(x: SElem, intervals: List[tuple], base: int) -> ProjectionResult:
             attained.append((d, ray, m, point))
     if not attained or not _tied(best, infimum):
         raise ValueError("nearest-point infimum is not attained in the segment set")
-    points: List[SElem] = []
+    points = {}  # sort key -> the first argmin with it; equal keys are equal elements
     for d, ray, m, point in attained:
         if _tied(d, best):
-            p = point_on_ray(ray, m) if point is None else point
-            if p not in points:
-                points.append(p)
-    points.sort(key=SElem.sort_key)
-    return ProjectionResult(tuple(points), best, len(points) == 1)
+            if point is None:
+                point = _trusted_selem(ray, math.log(m)) if 0.0 < m < math.inf else point_on_ray(ray, m)
+            points.setdefault(point.sort_key(), point)
+    return ProjectionResult(tuple([points[key] for key in sorted(points)]), best, len(points) == 1)
 
 
 def project_ray(x: SElem, C: RaySet, base: int = 2) -> ProjectionResult:
@@ -112,7 +125,8 @@ def project_ray(x: SElem, C: RaySet, base: int = 2) -> ProjectionResult:
         raise ValueError("empty set")
     if base not in (1, 2):
         raise ValueError("base metric must be 1 or 2")
-    intervals = [(ray, lo, hi, True, True, None) for ray in RAYS for lo, hi in C.intervals(ray)]
+    rays = zip(RAYS, (C.plus, C.minus, C.balanced))
+    intervals = [(ray, lo, hi, True, True, None) for ray, ivs in rays for lo, hi in ivs]
     return _nearest(x, intervals, base)
 
 
@@ -162,9 +176,7 @@ def project_box(x: SVector, A: BoxSet, mid: MetricId) -> ProjectionResult:
         distance = float(sum(dists))
     else:
         distance = math.sqrt(sum(d * d for d in dists))
-    points = tuple(
-        SVector(combo) for combo in itertools.product(*[r.points for r in per])
-    )
+    points = tuple(map(_trusted_svector, itertools.product(*[r.points for r in per])))
     return ProjectionResult(points, distance, len(points) == 1)
 
 
@@ -193,6 +205,9 @@ def project_box_max(
         resolution = 1e-3
     if not resolution > 0:
         raise ValueError("resolution must be positive")
+    if resolution == math.inf:
+        # the first sample would be lo + 0 * inf = nan
+        raise ValueError("resolution must be finite")
     factors = A.factors
     if max_magnitude is not None:
         factors = tuple(_truncate(C, max_magnitude) for C in factors)
@@ -210,7 +225,7 @@ def project_box_max(
     if total > 5_000_000:
         raise ValueError(f"argmin cloud too large ({total:.0f} points); raise the resolution")
     clouds = [_sample(r.points, cut, resolution) for r, cut in zip(per, cuts)]
-    points = tuple(SVector(combo) for combo in itertools.product(*clouds))
+    points = tuple(map(_trusted_svector, itertools.product(*clouds)))
     return ProjectionResult(points, D, all(len(c) == 1 for c in clouds))
 
 
@@ -254,17 +269,26 @@ _ORIGIN_KEY = ZERO.sort_key()
 def _sample(exact: Tuple[SElem, ...], cut: List[tuple], step: float) -> List[SElem]:
     """One factor's argmin cloud: the exact points, then each interval from
     its low end ``step`` apart with its high end, deduplicated (the origin
-    lies on every ray) and sorted.  Samples are kept as their sort keys (ray
-    order, exponent), and an element is built only for each new key."""
+    lies on every ray) and sorted.  Samples are keyed by their sort keys
+    (ray order, exponent) in one dict, and an element is built only for a
+    new key.  Every interval is finite (``project_box_max`` refuses
+    unbounded clouds) and ``step`` is finite, so a sample other than the
+    origin, which is the low end 0 only, has a positive finite radius."""
     points = {e.sort_key(): e for e in exact}
-    keys = set()
+    log = math.log
     for ray, lo, hi in cut:
         order = RAYS.index(ray)
-        ms = [min(lo + i * step, hi) for i in range(int((hi - lo) / step) + 1)]
-        ms.append(hi)
-        keys.update((order, math.log(m)) if m else _ORIGIN_KEY for m in ms)
-    for key in keys.difference(points):
-        points[key] = ZERO if key == _ORIGIN_KEY else SElem(RAYS[key[0]], key[1])
+        first = 0
+        if lo == 0.0:
+            points.setdefault(_ORIGIN_KEY, ZERO)
+            first = 1
+        ms = [min(lo + i * step, hi) for i in range(first, int((hi - lo) / step) + 1)]
+        if hi:
+            ms.append(hi)
+        for m in ms:
+            key = (order, log(m))
+            if key not in points:
+                points[key] = _trusted_selem(ray, key[1])
     return [points[key] for key in sorted(points)]
 
 

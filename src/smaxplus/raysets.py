@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Tuple
 
-from .algebra import RAYS, SElem, Sign, ZERO, _Record
+from .algebra import RAYS, SElem, Sign, ZERO, _check_keys, _Record
 
 Interval = Tuple[float, float]
 
@@ -115,7 +115,9 @@ class RaySet(_Record):
                 (lo, math.inf if hi == "inf" else float(hi)) for lo, hi in ivs
             )
 
-        return cls(dec(data.get("plus", ())), dec(data.get("minus", ())), dec(data.get("balanced", ())))
+        C = cls(dec(data.get("plus", ())), dec(data.get("minus", ())), dec(data.get("balanced", ())))
+        _check_keys(data, ("plus", "minus", "balanced"))
+        return C
 
 
 def point_on_ray(ray: Sign, m: float) -> SElem:
@@ -269,7 +271,9 @@ class BoxSet(_Record):
 
     @classmethod
     def from_json(cls, data: dict) -> "BoxSet":
-        return cls(tuple(RaySet.from_json(f) for f in data["factors"]))
+        A = cls(tuple(RaySet.from_json(f) for f in data["factors"]))
+        _check_keys(data, ("factors",))
+        return A
 
 
 def is_box_semimodule_convex(A: BoxSet) -> bool:

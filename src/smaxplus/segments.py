@@ -27,7 +27,16 @@ import warnings
 from typing import List, Optional, Sequence, Tuple
 
 from .algebra import EPS, RAYS, SElem, Sign, ZERO, _Record, s_oplus, scalar_mul
-from .metrics import _MAX_EXP_ARG, D1, MagnitudeRangeWarning, MetricId, SVector, magnitude, rho
+from .metrics import (
+    _MAX_EXP_ARG,
+    _SQRT_FLOAT_MIN,
+    D1,
+    MagnitudeRangeWarning,
+    MetricId,
+    SVector,
+    magnitude,
+    rho,
+)
 
 PsiChart = Tuple[Tuple[Sign, Sign], ...]
 
@@ -161,12 +170,15 @@ def _euclid(p: Sequence[float], q: Sequence[float]) -> float:
         d = math.sqrt(sum((a - b) ** 2 for a, b in zip(p, q)))
     except OverflowError:  # float ** raises where * would give inf
         d = math.inf
-    if d == math.inf:
-        # the squares overflow: rescale by the largest difference, halving
-        # first because a difference itself can exceed the float maximum
-        diffs = [abs(0.5 * a - 0.5 * b) for a, b in zip(p, q)]
+    if d == math.inf or (d < _SQRT_FLOAT_MIN and p != q):
+        # the squares overflow, or fall below the normal float range (where
+        # they round to 0.0 or lose digits, as in metrics.cross_distance):
+        # rescale by the largest difference, halving first on overflow
+        # because a difference itself can exceed the float maximum
+        h = 0.5 if d == math.inf else 1.0
+        diffs = [abs(h * a - h * b) for a, b in zip(p, q)]
         big = max(diffs)
-        d = 2.0 * big * math.sqrt(sum((x / big) ** 2 for x in diffs))
+        d = big / h * math.sqrt(sum((x / big) ** 2 for x in diffs))
     return d
 
 
@@ -183,14 +195,21 @@ def _saturated(length: float) -> float:
     return length
 
 
+# the open interval (0, 1) of crossing parameters, as floats
+_T_MIN, _T_MAX = math.ulp(0.0), math.nextafter(1.0, 0.0)
+
+
 def geometric_segment(a: SVector, b: SVector) -> BrokenLine:
     """Shortest inner-metric path between two vectors.
 
     Only coordinates whose chart values have strictly opposite signs generate
     interior breakpoints (a coordinate that is zero at an endpoint crosses
     nowhere in the open chord); equal crossing parameters collapse to one
-    vertex, in which each crossing coordinate is exactly 0.0.  The length
-    equals the inner product distance of the endpoints.
+    vertex, in which each crossing coordinate is exactly 0.0.  A parameter
+    that rounds to 0.0 or 1.0 (one chart value beyond the float range of the
+    other, as at a saturated magnitude) is kept inside the open interval at
+    the nearest float.  The length equals the inner product distance of the
+    endpoints.
     """
     chart = chart_for(a, b)
     alpha = psi(chart, a)
@@ -201,6 +220,9 @@ def geometric_segment(a: SVector, b: SVector) -> BrokenLine:
         if (alpha[j] > 0.0 > beta[j]) or (alpha[j] < 0.0 < beta[j])
     }
     ts = sorted(set(crossing.values()))
+    if ts and not 0.0 < ts[0] <= ts[-1] < 1.0:
+        crossing = {j: min(max(t, _T_MIN), _T_MAX) for j, t in crossing.items()}
+        ts = sorted(set(crossing.values()))
     vertices = [alpha]
     for t in ts:
         vertices.append(

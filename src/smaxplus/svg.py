@@ -9,6 +9,7 @@ output is byte-for-byte reproducible for identical inputs.
 from __future__ import annotations
 
 import math
+import sys
 from typing import List, Optional, Sequence, Tuple
 
 from .algebra import RAYS, Sign
@@ -22,6 +23,12 @@ _STYLE_RAY = 'stroke="#bbbbbb" stroke-width="0.02"'
 _STYLE_SET = 'stroke="#1f77b4" stroke-width="0.06" stroke-linecap="round"'
 _STYLE_SEGMENT = 'stroke="#d62728" stroke-width="0.035" fill="none"'
 _STYLE_ARROW = 'stroke="#2ca02c" stroke-width="0.025" fill="none"'
+
+
+# Drawn radii are capped here, so that the panel spacing and the view box,
+# each a few times the largest radius, stay finite when a magnitude
+# saturates at the float maximum; such a scene is unreadable anyway.
+_MAX_RADIUS = sys.float_info.max / 8.0
 
 
 def _fmt(v: float) -> str:
@@ -40,6 +47,9 @@ class _Panel:
     def _pt(self, z: complex) -> Tuple[float, float]:
         # flip the imaginary axis so the plus ray points up-left on screen
         x, y = z.real, -z.imag
+        if abs(x) > _MAX_RADIUS or abs(y) > _MAX_RADIUS:
+            x = min(max(x, -_MAX_RADIUS), _MAX_RADIUS)
+            y = min(max(y, -_MAX_RADIUS), _MAX_RADIUS)
         self.min_x = min(self.min_x, x)
         self.max_x = max(self.max_x, x)
         self.min_y = min(self.min_y, y)
@@ -74,6 +84,8 @@ class Scene:
         self.panels = [_Panel() for _ in range(n)]
 
     def _ray_point(self, ray: Sign, m: float) -> complex:
+        # capped before scaling, since inf * sin(0) would be nan
+        m = min(m, _MAX_RADIUS)
         ang = _RAY_ANGLE[ray]
         return complex(m * math.cos(ang), m * math.sin(ang))
 
@@ -124,7 +136,7 @@ class Scene:
             self.add_point(y, "#2ca02c", 0.04)
 
     def render(self) -> str:
-        extent = self.ray_extent * 1.05
+        extent = min(self.ray_extent, _MAX_RADIUS) * 1.05
         for panel in self.panels:
             for ray in RAYS:
                 panel.line(complex(0, 0), self._ray_point(ray, extent), _STYLE_RAY)

@@ -152,3 +152,34 @@ def test_max_magnitude_truncates_the_factors():
     assert r.points == (SVector((point_on_ray(Sign.PLUS, 3.0),)),)
     with pytest.raises(ValueError, match="magnitude"):
         project_box_max(x, BoxSet((C,)), max_magnitude=1.0)
+
+
+def test_the_cloud_skips_the_validating_constructors(monkeypatch):
+    """Every argmin is a value the kernels computed (a sample at a positive
+    finite radius, or a tuple of such elements), so the result is built
+    without running ``SElem.__init__`` or ``SVector.__init__`` once."""
+    x = SVector((SElem.pos(0.2), SElem.neg(-0.5)))
+    A = BoxSet((
+        RaySet(plus=((0.5, 2.0),), balanced=((0.0, 1.0),)),
+        RaySet(minus=((1.5, 3.0),), plus=((0.2, 0.8),)),
+    ))
+    calls = []
+    for cls in (SElem, SVector):
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__):
+            calls.append(_name)
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counted)
+    r = project_box_max(x, A, 2, RESOLUTION)
+    assert len(r.points) > 100
+    assert calls == []
+    # the same values through the validating constructors
+    rebuilt = tuple(SVector(tuple(SElem(c.sign, c.exp) for c in p)) for p in r.points)
+    assert rebuilt == r.points and len(calls) == 3 * len(r.points)
+
+
+def test_an_infinite_resolution_is_refused():
+    # its first sample would be lo + 0 * inf = nan
+    x = SVector((SElem.pos(0.0), SElem.pos(0.0)))
+    A = BoxSet((RaySet(plus=((5.0, 5.0),)), RaySet(plus=((0.5, 2.0),))))
+    with pytest.raises(ValueError, match="resolution must be finite"):
+        project_box_max(x, A, 2, math.inf)

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -124,6 +125,38 @@ class TestSegment:
         else:
             assert BrokenLine.from_json(json.loads(text)).length == sys.float_info.max
 
+    def test_saturated_breakpoints_stay_inside_the_open_interval(self, capsys, files):
+        a = files["write"]("huge_a.json", {"coords": [{"sign": "+", "exp": 800}, {"sign": "-", "exp": 1}]})
+        b = files["write"]("huge_b.json", {"coords": [{"sign": "-", "exp": 2}, {"sign": "o", "exp": 805}]})
+        with pytest.warns(MagnitudeRangeWarning):
+            code, text, _ = run(capsys, "segment", "--kind", "geometric", a, b)
+        assert code == 0
+        line = json.loads(text)
+        assert len(line["t"]) == 2 and 0.0 < line["t"][0] < line["t"][1] < 1.0
+        assert line["vertices"][1][1] == 0.0 and line["vertices"][2][0] == 0.0
+        assert line["length"] == sys.float_info.max
+
+    def test_saturated_svg_is_finite(self, capsys, files):
+        # the scene's extent once overflowed to inf, and the view box to nan
+        a = files["write"]("huge_a.json", {"coords": [{"sign": "+", "exp": 800}, {"sign": "-", "exp": 1}]})
+        b = files["write"]("huge_b.json", {"coords": [{"sign": "-", "exp": 2}, {"sign": "o", "exp": 805}]})
+        with pytest.warns(MagnitudeRangeWarning):
+            code, text, err = run(capsys, "segment", "--kind", "geometric", a, b, "--out", "svg")
+        assert (code, err) == (0, "")
+        root = ET.fromstring(text.encode("utf-8"))
+        view_box = [float(v) for v in root.get("viewBox").split()]
+        assert len(view_box) == 4 and all(map(math.isfinite, view_box))
+        numbers = []
+        for node in root.iter():
+            for name, value in node.attrib.items():
+                if name in ("x1", "y1", "x2", "y2", "cx", "cy", "r"):
+                    numbers.append(float(value))
+                elif name == "points":
+                    numbers.extend(float(v) for pair in value.split() for v in pair.split(","))
+                elif name == "transform":
+                    numbers.extend(float(v) for v in value[len("translate("):-1].split())
+        assert len(numbers) > 100 and all(map(math.isfinite, numbers))
+
     def test_dimension_mismatch_is_domain_error(self, capsys, files):
         code, _, err = run(capsys, "segment", files["a"], files["p1"])
         assert code == 1
@@ -231,6 +264,27 @@ def test_deeply_nested_json_is_a_domain_error(capsys, files, command):
     assert code == 1 and out == ""
     assert "Traceback" not in err
     assert "nested too deeply" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize(
+    "command, payloads",
+    [
+        ("check", {"set": {"plus": [[1, 2]], "minsu": [[3, 4]]}}),
+        ("project", {"set": {"factors": [{"plus": [[1, 2]]}], "factor": []}}),
+        ("project", {"set": {"factors": [{"plus": [[1, 2]], "balance": [[0, 1]]}]}}),
+        ("project", {"query": {"coords": [{"sign": "+", "exp": 1}], "cords": []}}),
+        ("project", {"query": {"coords": [{"sign": "+", "exp": 1, "exq": 2}]}}),
+    ],
+    ids=["check-ray-set", "project-box", "project-box-factor", "project-vector", "project-element"],
+)
+def test_unknown_json_keys_are_a_domain_error(capsys, files, command, payloads):
+    # a misspelt key was silently dropped: the first set passed as connected
+    query = files["write"]("q.json", payloads.get("query", {"coords": [{"sign": "+", "exp": 0}]}))
+    target = files["write"]("s.json", payloads.get("set", {"factors": [{"plus": [[1, 2]]}]}))
+    argv = [target] if command == "check" else [query, target]
+    code, out, err = run(capsys, command, *argv)
+    assert code == 1 and out == ""
+    assert "unknown keys" in json.loads(err)["error"]
 
 
 def test_malformed_set_is_a_domain_error(capsys, files):

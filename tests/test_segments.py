@@ -152,6 +152,29 @@ class TestGeometricSegment:
         with pytest.warns(MagnitudeRangeWarning, match="geometric length overflows"):
             assert arc.chord_length() == top
 
+    def test_squares_below_the_float_range_rescale(self):
+        # (e**-400 - e**-401)**2 is about 1e-348 and rounds to 0.0
+        length = geometric_segment(V(SElem.pos(-400)), V(SElem.pos(-401))).length
+        assert length == pytest.approx(math.exp(-400) - math.exp(-401), rel=1e-12, abs=0.0)
+        m = math.exp(-400)
+        arc = ArcPiece(((Sign.PLUS, Sign.MINUS),) * 2, (m, m), (-m, m), True, True)
+        assert arc.chord_length() == 2 * m
+        assert geometric_segment(V(SElem.pos(-400)), V(SElem.pos(-400))).length == 0.0
+
+    def test_saturated_crossings_stay_inside_the_open_interval(self):
+        # e**2 / (max + e**2) rounds to 1.0 and would put a breakpoint on b
+        a, b = V(SElem.pos(800), SElem.neg(1)), V(SElem.neg(2), SElem.bal(805))
+        with pytest.warns(MagnitudeRangeWarning) as record:
+            line = geometric_segment(a, b)
+            ends = psi(line.chart, a), psi(line.chart, b)
+        assert "geometric length overflows the float range; saturating" in {str(w.message) for w in record}
+        ts = line.breakpoint_params
+        assert len(ts) == 2 and 0.0 < ts[0] < ts[1] < 1.0
+        # each crossing coordinate is exactly 0.0 at its vertex
+        assert line.vertices[1][1] == 0.0 and line.vertices[2][0] == 0.0
+        assert (line.vertices[0], line.vertices[-1]) == ends
+        assert line.length == sys.float_info.max
+
     def test_breakpoints_sit_at_the_origin_exactly(self):
         # interpolating (p:-0.8) to (m:0.6) at the crossing gives -5.6e-17,
         # which pulls back to m:-37.4 instead of eps

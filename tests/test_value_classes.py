@@ -4,6 +4,7 @@ reprs, and pickle/copy round trips."""
 
 import ast
 import copy
+import math
 import pickle
 from pathlib import Path
 
@@ -23,7 +24,10 @@ from smaxplus import (
     SegmentSet,
     Sign,
     SVector,
+    point_on_ray,
 )
+from smaxplus.algebra import _trusted_selem
+from smaxplus.metrics import _trusted_svector
 
 PM = ((Sign.PLUS, Sign.MINUS),)
 
@@ -168,3 +172,30 @@ def test_no_module_imports_dataclasses():
             else:
                 continue
             assert not any(n.split(".")[0] == "dataclasses" for n in names), path.name
+
+
+def test_public_constructors_still_check():
+    # the trusted constructors are private; every public way in validates
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            point_on_ray(Sign.PLUS, bad)
+    with pytest.raises(ValueError):
+        SElem(Sign.PLUS, math.inf)
+    with pytest.raises(ValueError):
+        SVector(())
+    with pytest.raises(TypeError):
+        SVector((1.0,))
+
+
+def test_trusted_values_match_their_validated_twins():
+    elems = [(_trusted_selem(s, t), SElem(s, t))
+             for s, t in ((Sign.PLUS, 0.5), (Sign.MINUS, -700.25), (Sign.BALANCED, math.log(3.0)))]
+    coords = tuple(e for e, _ in elems)
+    pairs = elems + [(_trusted_svector(coords), SVector(coords))]
+    for value, twin in pairs:
+        assert type(value) is type(twin)
+        assert value == twin and hash(value) == hash(twin) and repr(value) == repr(twin)
+        assert value.to_json() == twin.to_json()
+        for again in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert type(again) is type(twin)
+            assert again == twin and hash(again) == hash(twin)
