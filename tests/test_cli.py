@@ -313,6 +313,187 @@ class TestCheck:
         assert json.loads(out) == {"semimodule_convex": True}
 
 
+CHECK_INPUTS = {
+    "triple": {"plus": [[1, 1]], "minus": [[1, 1]], "balanced": [[1, 1]]},
+    "star": {"plus": [[0, 1]], "minus": [[0, 3]]},
+    "origin": {"balanced": [[0, 0]]},
+    "gapped": {"plus": [[1, 2], [3, 4]]},
+    "single": {"minus": [[1, "inf"]]},
+    "empty": {},
+    "box_disconnected": {"factors": [{"plus": [[1, 2]]}, {"plus": [[1, 2], [3, 4]]}]},
+    "box_connected": {"factors": [{"plus": [[0, 1]], "minus": [[0, 2]]}, {"balanced": [[1, 2]]}]},
+    "box_one_convex": {"factors": [{"plus": [[1, 2]]}]},
+    "box_empty_factor": {"factors": [{"plus": [[1, 2]]}, {}]},
+}
+CHECK_FLAGS = [
+    "",
+    "--chebyshev",
+    "--connected",
+    "--convex traditional",
+    "--convex geometric",
+    "--convex semimodule",
+    "--convex box",
+    "--chebyshev --connected",
+    "--chebyshev --convex semimodule",
+    "--connected --convex geometric",
+    "--connected --convex box",
+    "--chebyshev --convex box",
+]
+# the report of each input under each flag set, in CHECK_FLAGS order, or the
+# error it exits 1 with; captured from the CLI before the set decisions were
+# rewritten as one predicate table
+CHECK_EXPECTED = {
+    "triple": [
+        {"chebyshev": False, "connected": False, "geometrically_convex": False,
+         "semimodule_convex": True, "traditionally_convex": False},
+        {"chebyshev": False, "connected": False},
+        {"connected": False},
+        {"traditionally_convex": False},
+        {"geometrically_convex": False},
+        {"semimodule_convex": True},
+        {"chebyshev": False, "connected": False, "geometrically_convex": False,
+         "semimodule_convex": True, "traditionally_convex": False},
+        {"chebyshev": False, "connected": False},
+        {"chebyshev": False, "connected": False, "semimodule_convex": True},
+        {"connected": False, "geometrically_convex": False},
+        {"connected": False},
+        {"chebyshev": False, "connected": False},
+    ],
+    "star": [
+        {"chebyshev": True, "connected": True, "geometrically_convex": True,
+         "semimodule_convex": False, "traditionally_convex": False},
+        {"chebyshev": True, "connected": True},
+        {"connected": True},
+        {"traditionally_convex": False},
+        {"geometrically_convex": True},
+        {"semimodule_convex": False},
+        {"chebyshev": True, "connected": True, "geometrically_convex": True,
+         "semimodule_convex": False, "traditionally_convex": False},
+        {"chebyshev": True, "connected": True},
+        {"chebyshev": True, "connected": True, "semimodule_convex": False},
+        {"connected": True, "geometrically_convex": True},
+        {"connected": True},
+        {"chebyshev": True, "connected": True},
+    ],
+    "origin": [
+        {"chebyshev": True, "connected": True, "geometrically_convex": True,
+         "semimodule_convex": True, "traditionally_convex": True},
+        {"chebyshev": True, "connected": True},
+        {"connected": True},
+        {"traditionally_convex": True},
+        {"geometrically_convex": True},
+        {"semimodule_convex": True},
+        {"chebyshev": True, "connected": True, "geometrically_convex": True,
+         "semimodule_convex": True, "traditionally_convex": True},
+        {"chebyshev": True, "connected": True},
+        {"chebyshev": True, "connected": True, "semimodule_convex": True},
+        {"connected": True, "geometrically_convex": True},
+        {"connected": True},
+        {"chebyshev": True, "connected": True},
+    ],
+    "gapped": [
+        {"chebyshev": False, "connected": False, "geometrically_convex": False,
+         "semimodule_convex": False, "traditionally_convex": False},
+        {"chebyshev": False, "connected": False},
+        {"connected": False},
+        {"traditionally_convex": False},
+        {"geometrically_convex": False},
+        {"semimodule_convex": False},
+        {"chebyshev": False, "connected": False, "geometrically_convex": False,
+         "semimodule_convex": False, "traditionally_convex": False},
+        {"chebyshev": False, "connected": False},
+        {"chebyshev": False, "connected": False, "semimodule_convex": False},
+        {"connected": False, "geometrically_convex": False},
+        {"connected": False},
+        {"chebyshev": False, "connected": False},
+    ],
+    "single": [
+        {"chebyshev": True, "connected": True, "geometrically_convex": True,
+         "semimodule_convex": True, "traditionally_convex": True},
+        {"chebyshev": True, "connected": True},
+        {"connected": True},
+        {"traditionally_convex": True},
+        {"geometrically_convex": True},
+        {"semimodule_convex": True},
+        {"chebyshev": True, "connected": True, "geometrically_convex": True,
+         "semimodule_convex": True, "traditionally_convex": True},
+        {"chebyshev": True, "connected": True},
+        {"chebyshev": True, "connected": True, "semimodule_convex": True},
+        {"connected": True, "geometrically_convex": True},
+        {"connected": True},
+        {"chebyshev": True, "connected": True},
+    ],
+    "empty": ["empty set"] * 12,
+    "box_disconnected": [
+        {"box_semimodule_convex": False, "chebyshev": False, "connected": False},
+        {"chebyshev": False, "connected": False},
+        {"connected": False},
+        "box sets support --convex box only",
+        "box sets support --convex box only",
+        "box sets support --convex box only",
+        {"box_semimodule_convex": False},
+        {"chebyshev": False, "connected": False},
+        "box sets support --convex box only",
+        "box sets support --convex box only",
+        {"box_semimodule_convex": False, "connected": False},
+        {"box_semimodule_convex": False, "chebyshev": False, "connected": False},
+    ],
+    "box_connected": [
+        {"box_semimodule_convex": False, "chebyshev": True, "connected": True},
+        {"chebyshev": True, "connected": True},
+        {"connected": True},
+        "box sets support --convex box only",
+        "box sets support --convex box only",
+        "box sets support --convex box only",
+        {"box_semimodule_convex": False},
+        {"chebyshev": True, "connected": True},
+        "box sets support --convex box only",
+        "box sets support --convex box only",
+        {"box_semimodule_convex": False, "connected": True},
+        {"box_semimodule_convex": False, "chebyshev": True, "connected": True},
+    ],
+    "box_one_convex": [
+        {"box_semimodule_convex": True, "chebyshev": True, "connected": True},
+        {"chebyshev": True, "connected": True},
+        {"connected": True},
+        "box sets support --convex box only",
+        "box sets support --convex box only",
+        "box sets support --convex box only",
+        {"box_semimodule_convex": True},
+        {"chebyshev": True, "connected": True},
+        "box sets support --convex box only",
+        "box sets support --convex box only",
+        {"box_semimodule_convex": True, "connected": True},
+        {"box_semimodule_convex": True, "chebyshev": True, "connected": True},
+    ],
+    "box_empty_factor": [
+        "empty set",
+        "empty set",
+        "empty set",
+        "box sets support --convex box only",
+        "box sets support --convex box only",
+        "box sets support --convex box only",
+        "empty set",
+        "empty set",
+        "box sets support --convex box only",
+        "box sets support --convex box only",
+        "empty set",
+        "empty set",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", list(CHECK_INPUTS))
+def test_check_matrix(capsys, files, name):
+    path = files["write"](f"{name}.json", CHECK_INPUTS[name])
+    for flags, expected in zip(CHECK_FLAGS, CHECK_EXPECTED[name], strict=True):
+        code, out, err = run(capsys, "check", *flags.split(), path, "--out", "json")
+        if isinstance(expected, dict):
+            assert (code, out, err) == (0, json.dumps(expected, sort_keys=True) + "\n", ""), flags
+        else:
+            assert (code, out, err) == (1, "", json.dumps({"error": expected}) + "\n"), flags
+
+
 class TestSvg:
     def test_deterministic_bytes(self, capsys, files):
         outputs = []
