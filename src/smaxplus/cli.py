@@ -193,51 +193,35 @@ def _cmd_project(args) -> str:
     return _emit(args, result.to_json(), svg=svg if len(x) <= 2 else None)
 
 
+# the report key each --convex choice selects
+_CONVEX_KEYS = {"traditional": "traditionally_convex", "geometric": "geometrically_convex",
+                "semimodule": "semimodule_convex", "box": "box_semimodule_convex"}
+
+
 def _cmd_check(args) -> str:
-    from .projection import is_chebyshev
-    from .raysets import (
-        BoxSet,
-        is_box_semimodule_convex,
-        is_connected,
-        is_geometrically_convex,
-        is_semimodule_convex,
-        is_traditionally_convex,
-    )
+    from . import raysets as rs
 
     target = _load_set(args.set)
-    out = {}
-    if isinstance(target, BoxSet):
-        asked = args.chebyshev or args.connected or args.convex is not None
-        if args.convex is not None and args.convex != "box":
+    if isinstance(target, rs.BoxSet):
+        if args.convex not in (None, "box"):
             raise ValueError("box sets support --convex box only")
-        if args.convex == "box" or not asked:
-            out["box_semimodule_convex"] = is_box_semimodule_convex(target)
-        if args.chebyshev or args.connected or not asked:
-            connected = all(is_connected(f) for f in target.factors)
-            out["connected"] = connected
-            if args.chebyshev or not asked:
-                out["chebyshev"] = connected
-        return _emit(args, out)
-    if args.chebyshev:
-        out["chebyshev"] = is_chebyshev(target)
-        out["connected"] = is_connected(target)
-    elif args.connected:
-        out["connected"] = is_connected(target)
-    if args.convex == "traditional":
-        out["traditionally_convex"] = is_traditionally_convex(target)
-    elif args.convex == "geometric":
-        out["geometrically_convex"] = is_geometrically_convex(target)
-    elif args.convex == "semimodule":
-        out["semimodule_convex"] = is_semimodule_convex(target)
-    if not out:
-        out = {
-            "connected": is_connected(target),
-            "chebyshev": is_chebyshev(target),
-            "traditionally_convex": is_traditionally_convex(target),
-            "geometrically_convex": is_geometrically_convex(target),
-            "semimodule_convex": is_semimodule_convex(target),
-        }
-    return _emit(args, out)
+
+        def connected(A):
+            return all(rs.is_connected(f) for f in A.factors)
+
+        # a box is Chebyshev under the sum and Euclidean combines iff every factor is
+        table = {"box_semimodule_convex": rs.is_box_semimodule_convex,
+                 "connected": connected, "chebyshev": connected}
+    else:
+        table = {"connected": rs.is_connected, "chebyshev": rs.is_chebyshev,
+                 "traditionally_convex": rs.is_traditionally_convex,
+                 "geometrically_convex": rs.is_geometrically_convex,
+                 "semimodule_convex": rs.is_semimodule_convex}
+    # a selected key the set kind lacks is dropped; selecting none prints all
+    asked = {"chebyshev": args.chebyshev, "connected": args.chebyshev or args.connected,
+             _CONVEX_KEYS.get(args.convex): True}
+    keys = [key for key in table if asked.get(key)] or list(table)
+    return _emit(args, {key: table[key](target) for key in keys})
 
 
 _DISPATCH = {

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from .algebra import RAYS, ZERO, SElem, _Record, _trusted_selem
 from .metrics import MetricId, SVector, _trusted_svector, cross_distance, magnitude
-from .raysets import BoxSet, RaySet, is_connected, point_on_ray
+from .raysets import BoxSet, RaySet, is_chebyshev, point_on_ray
 
 if TYPE_CHECKING:
     from .segments import ArcPiece, SegmentSet
@@ -135,12 +135,6 @@ def distance_to_set(x: SElem, C: RaySet, base: int = 2) -> float:
     infimum is a minimum; unbounded tails never win because the cross and
     radial forms are monotone beyond the clamp)."""
     return project_ray(x, C, base).distance
-
-
-def is_chebyshev(C: RaySet) -> bool:
-    """Whether every query has a unique nearest point; on the tripod this is
-    exactly connectedness (for either base metric)."""
-    return is_connected(C)
 
 
 def project_union(x: SElem, A1: RaySet, A2: RaySet, base: int = 2) -> SElem:

@@ -40,6 +40,9 @@ def _canonical_intervals(intervals) -> Tuple[Interval, ...]:
     return tuple((lo, hi) for lo, hi in merged)
 
 
+_ORIGIN_ONLY = ((0.0, 0.0),)
+
+
 class RaySet(_Record):
     """A closed subset of the tripod, as per-ray interval unions."""
 
@@ -49,23 +52,16 @@ class RaySet(_Record):
     balanced: Tuple[Interval, ...]
 
     def __init__(self, plus=(), minus=(), balanced=()):
-        plus = _canonical_intervals(plus)
-        minus = _canonical_intervals(minus)
-        balanced = _canonical_intervals(balanced)
-        # a degenerate [0,0] interval is just the origin; if the origin is
-        # already present through a fatter interval, drop the duplicates,
-        # otherwise keep a single copy on the balanced ray by convention
-        lists = {"plus": list(plus), "minus": list(minus), "balanced": list(balanced)}
-        zero_only = [name for name, ivs in lists.items() if ivs and ivs[0] == (0.0, 0.0)]
-        fat_origin = any(ivs and ivs[0][0] == 0.0 and ivs[0][1] > 0.0 for ivs in lists.values())
-        if zero_only:
-            for name in zero_only:
-                lists[name].pop(0)
-            if not fat_origin:
-                lists["balanced"].insert(0, (0.0, 0.0))
-        object.__setattr__(self, "plus", tuple(lists["plus"]))
-        object.__setattr__(self, "minus", tuple(lists["minus"]))
-        object.__setattr__(self, "balanced", tuple(lists["balanced"]))
+        rays = [_canonical_intervals(ivs) for ivs in (plus, minus, balanced)]
+        # a degenerate [0, 0] interval is just the origin: drop those, and
+        # keep one on the balanced ray only when no fatter interval has it
+        if any(ivs[:1] == _ORIGIN_ONLY for ivs in rays):
+            rays = [ivs[1:] if ivs[:1] == _ORIGIN_ONLY else ivs for ivs in rays]
+            if not any(ivs and ivs[0][0] == 0.0 for ivs in rays):
+                rays[2] = _ORIGIN_ONLY + rays[2]
+        object.__setattr__(self, "plus", rays[0])
+        object.__setattr__(self, "minus", rays[1])
+        object.__setattr__(self, "balanced", rays[2])
 
     def intervals(self, ray: Sign) -> Tuple[Interval, ...]:
         if ray is Sign.PLUS:
@@ -157,13 +153,10 @@ def is_connected(C: RaySet) -> bool:
     nonempty ray a single interval anchored at the origin."""
     if C.is_empty:
         raise ValueError("empty set")
-    per_ray = [C.intervals(r) for r in RAYS]
-    nonempty = [ivs for ivs in per_ray if ivs]
+    nonempty = [ivs for ivs in (C.plus, C.minus, C.balanced) if ivs]
     if any(len(ivs) > 1 for ivs in nonempty):
         return False
-    if len(nonempty) == 1:
-        return True
-    return all(ivs[0][0] == 0.0 for ivs in nonempty)
+    return len(nonempty) == 1 or all(ivs[0][0] == 0.0 for ivs in nonempty)
 
 
 def is_traditionally_convex(C: RaySet) -> bool:
@@ -175,6 +168,12 @@ def is_traditionally_convex(C: RaySet) -> bool:
     return len(nonempty) == 1 and len(nonempty[0]) == 1
 
 
+def is_chebyshev(C: RaySet) -> bool:
+    """Whether every query has a unique nearest point; on the tripod this is
+    exactly connectedness (for either base metric)."""
+    return is_connected(C)
+
+
 def is_geometrically_convex(C: RaySet) -> bool:
     """Containing every geodesic between its points is the same as being
     connected, on the tripod."""
@@ -183,12 +182,7 @@ def is_geometrically_convex(C: RaySet) -> bool:
 
 def _positive_part(ivs: Tuple[Interval, ...]) -> Optional[Interval]:
     # single-interval ray parts only; the caller has already bailed otherwise
-    if not ivs:
-        return None
-    lo, hi = ivs[0]
-    if hi == 0.0:
-        return None
-    return (lo, hi)
+    return ivs[0] if ivs and ivs[0][1] > 0.0 else None
 
 
 def _covers(iv: Optional[Interval], u: float, v: float) -> bool:
@@ -213,29 +207,21 @@ def is_semimodule_convex(C: RaySet) -> bool:
     """
     if C.is_empty:
         raise ValueError("empty set")
-    for ray in RAYS:
-        if len(C.intervals(ray)) > 1:
-            return False
-    if C.has_origin:
-        for ray in RAYS:
-            for lo, _ in C.intervals(ray):
-                if lo > 0.0:
-                    return False
+    rays = (C.plus, C.minus, C.balanced)
+    if any(len(ivs) > 1 for ivs in rays):
+        return False
+    if C.has_origin and any(ivs and ivs[0][0] > 0.0 for ivs in rays):
+        return False
     p = _positive_part(C.plus)
     m = _positive_part(C.minus)
     b = _positive_part(C.balanced)
 
     if p and m:
-        p0, p1 = p
-        m0, m1 = m
-        if m0 <= p1 and not _covers(b, m0, min(m1, p1)):
-            return False
-        if p0 <= m1 and not _covers(b, p0, min(p1, m1)):
-            return False
-        if m0 < p1 and not p0 <= m0:
-            return False
-        if p0 < m1 and not m0 <= p0:
-            return False
+        for (s0, s1), (t0, t1) in ((p, m), (m, p)):
+            if t0 <= s1 and not _covers(b, t0, min(t1, s1)):
+                return False
+            if t0 < s1 and not s0 <= t0:
+                return False
     for signed in (p, m):
         if signed and b:
             s0, s1 = signed

@@ -613,6 +613,11 @@ def test_import_loads_neither_numpy_nor_scipy(files):
                            files["a"], files["b"])
     assert "smaxplus.segments" in loaded and not loaded & heavy
     assert not loaded & {"smaxplus.exprs", "smaxplus.projection"}
+    loaded = _newly_loaded("from smaxplus.cli import main\nmain(['check', sys.argv[1]])",
+                           files["triple"])
+    assert {m for m in loaded if m.startswith("smaxplus")} == {
+        "smaxplus", "smaxplus.cli", "smaxplus.algebra", "smaxplus.raysets"}
+    assert not loaded & heavy
 
     # the lazy package: the old names, each the object of its home module,
     # and its submodules as attributes
