@@ -29,7 +29,7 @@ import itertools
 import math
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from .algebra import RAYS, ZERO, SElem, _Record, _trusted_selem
+from .algebra import RAYS, ZERO, SElem, _check_keys, _Record, _trusted_selem
 from .metrics import MetricId, SVector, _trusted_svector, cross_distance, magnitude
 from .raysets import BoxSet, RaySet, is_chebyshev, point_on_ray
 
@@ -64,7 +64,9 @@ class ProjectionResult(_Record):
         pts = []
         for p in data["points"]:
             pts.append(SVector.from_json(p) if "coords" in p else SElem.from_json(p))
-        return cls(tuple(pts), data["distance"], data["singleton"])
+        result = cls(tuple(pts), data["distance"], data["singleton"])
+        _check_keys(data, ("points", "distance", "singleton"))
+        return result
 
 
 _set_points = ProjectionResult.points.__set__

@@ -204,6 +204,9 @@ def is_semimodule_convex(C: RaySet) -> bool:
       forces the balanced point at the common magnitude;
     * a signed ray against the balanced ray: magnitudes x > y force the
       signed stretch (y, x]; x < y force the balanced stretch [x, y].
+
+    The signed stretch of an opposite pair needs no rule of its own: it is
+    the stretch that the balanced point at y, once present, forces with x.
     """
     if C.is_empty:
         raise ValueError("empty set")
@@ -217,10 +220,8 @@ def is_semimodule_convex(C: RaySet) -> bool:
     b = _positive_part(C.balanced)
 
     if p and m:
-        for (s0, s1), (t0, t1) in ((p, m), (m, p)):
+        for (_, s1), (t0, t1) in ((p, m), (m, p)):
             if t0 <= s1 and not _covers(b, t0, min(t1, s1)):
-                return False
-            if t0 < s1 and not s0 <= t0:
                 return False
     for signed in (p, m):
         if signed and b:

@@ -26,7 +26,7 @@ import sys
 import warnings
 from typing import List, Optional, Sequence, Tuple
 
-from .algebra import EPS, RAYS, SElem, Sign, ZERO, _Record, s_oplus, scalar_mul
+from .algebra import EPS, RAYS, SElem, Sign, ZERO, _check_keys, _Record, s_oplus, scalar_mul
 from .metrics import (
     _MAX_EXP_ARG,
     _SQRT_FLOAT_MIN,
@@ -156,12 +156,14 @@ class BrokenLine(_Record):
 
     @classmethod
     def from_json(cls, data: dict) -> "BrokenLine":
-        return cls(
+        line = cls(
             _chart_from_json(data["chart"]),
             tuple(tuple(v) for v in data["vertices"]),
             tuple(data["t"]),
             data["length"],
         )
+        _check_keys(data, ("chart", "t", "vertices", "length"))
+        return line
 
 
 def _euclid(p: Sequence[float], q: Sequence[float]) -> float:
@@ -236,10 +238,14 @@ def geometric_segment(a: SVector, b: SVector) -> BrokenLine:
     return BrokenLine(chart, tuple(vertices), tuple(ts), length)
 
 
-def d_segment_contains(x: SVector, y: SVector, z: SVector, mid: MetricId, tol: float = 1e-9) -> bool:
+# the absolute slack of d_segment_contains's triangle equality
+_BETWEEN_TOL = 1e-9
+
+
+def d_segment_contains(x: SVector, y: SVector, z: SVector, mid: MetricId) -> bool:
     """Whether ``z`` lies metrically between ``x`` and ``y``: the triangle
-    inequality holds with equality within ``tol``."""
-    return abs(rho(mid, x, z) + rho(mid, z, y) - rho(mid, x, y)) <= tol
+    inequality holds with equality within the absolute ``_BETWEEN_TOL``."""
+    return abs(rho(mid, x, z) + rho(mid, z, y) - rho(mid, x, y)) <= _BETWEEN_TOL
 
 
 class PointPiece(_Record):
@@ -335,16 +341,19 @@ class ArcPiece(_Record):
 
 def _piece_from_json(data: dict):
     if data["kind"] == "point":
-        return PointPiece(SVector.from_json(data["point"]))
-    if data["kind"] == "arc":
-        return ArcPiece(
-            _chart_from_json(data["chart"]),
-            tuple(data["start"]),
-            tuple(data["end"]),
-            data["closed_lo"],
-            data["closed_hi"],
-        )
-    raise ValueError(f"unknown piece kind {data['kind']!r}")
+        piece = PointPiece(SVector.from_json(data["point"]))
+    elif data["kind"] == "arc":
+        start, end = tuple(data["start"]), tuple(data["end"])
+        # library-built ends are finite: radii saturate at the float maximum
+        if not all(map(math.isfinite, start + end)):
+            raise ValueError(f"arc ends must be finite, got {list(start)} and {list(end)}")
+        chart = _chart_from_json(data["chart"])
+        piece = ArcPiece(chart, start, end, data["closed_lo"], data["closed_hi"])
+    else:
+        raise ValueError(f"unknown piece kind {data['kind']!r}")
+    # a piece's JSON keys are its kind and its fields
+    _check_keys(data, ("kind", *type(piece).__slots__))
+    return piece
 
 
 class SegmentSet(_Record):
@@ -384,7 +393,9 @@ class SegmentSet(_Record):
 
     @classmethod
     def from_json(cls, data: dict) -> "SegmentSet":
-        return cls(tuple(_piece_from_json(p) for p in data["pieces"]))
+        S = cls(tuple(_piece_from_json(p) for p in data["pieces"]))
+        _check_keys(data, ("pieces",))
+        return S
 
 
 def _phi_close(x: SVector, y: SVector, tol: float) -> bool:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .algebra import RAYS, Sign
 from .metrics import SVector, phi
@@ -29,6 +29,9 @@ _STYLE_ARROW = 'stroke="#2ca02c" stroke-width="0.025" fill="none"'
 # each a few times the largest radius, stay finite when a magnitude
 # saturates at the float maximum; such a scene is unreadable anyway.
 _MAX_RADIUS = sys.float_info.max / 8.0
+
+# an arc is drawn as a polyline through this many chord steps
+_ARC_SAMPLES = 64
 
 
 def _fmt(v: float) -> str:
@@ -76,11 +79,11 @@ class _Panel:
 class Scene:
     """A row of per-coordinate panels over embedded tripods."""
 
-    def __init__(self, n: int, ray_extent: float = 1.0):
+    def __init__(self, n: int):
         if n > 2:
             raise ValueError("SVG rendering supports one or two coordinates only")
         self.n = n
-        self.ray_extent = ray_extent
+        self.ray_extent = 1.0
         self.panels = [_Panel() for _ in range(n)]
 
     def _ray_point(self, ray: Sign, m: float) -> complex:
@@ -109,12 +112,12 @@ class Scene:
             self.panels[i].dot(phi(c), radius, fill)
             self.ray_extent = max(self.ray_extent, abs(phi(c)))
 
-    def add_segment_set(self, seg: SegmentSet, samples: int = 64):
+    def add_segment_set(self, seg: SegmentSet):
         for piece in seg.pieces:
             if isinstance(piece, PointPiece):
                 self.add_point(piece.point, "#d62728", 0.045)
                 continue
-            path = [piece.point_at(t / samples) for t in range(samples + 1)]
+            path = [piece.point_at(t / _ARC_SAMPLES) for t in range(_ARC_SAMPLES + 1)]
             for i in range(self.n):
                 zs = [phi(v[i]) for v in path]
                 self.panels[i].polyline(zs, _STYLE_SEGMENT)
@@ -176,11 +179,8 @@ def render_segment_svg(obj) -> str:
     return scene.render()
 
 
-def render_projection_svg(
-    x: SVector, points: Sequence[SVector], box: Optional[BoxSet] = None
-) -> str:
+def render_projection_svg(x: SVector, points: Sequence[SVector], box: BoxSet) -> str:
     scene = Scene(len(x))
-    if box is not None:
-        scene.add_box_set(box)
+    scene.add_box_set(box)
     scene.add_projection(x, points)
     return scene.render()

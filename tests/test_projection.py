@@ -14,10 +14,12 @@ from smaxplus import (
     SVector,
     Sign,
     ZERO,
+    as_segment_set,
     d1,
     d2,
     distance_to_set,
     find_multipoint_witness,
+    geometric_segment,
     is_chebyshev,
     is_connected,
     is_geometrically_convex,
@@ -424,6 +426,42 @@ class TestSegmentSetProjection:
         with pytest.raises(ValueError, match="not attained"):
             project_segment_set(ZERO, open_arc, 2)
 
+    @pytest.mark.parametrize("base", [1, 2])
+    def test_across_the_origin(self, base):
+        # a geodesic from p:1 to m:1 crosses the origin; queries on the minus
+        # ray and on the balanced ray take the chart's second ray or its origin
+        seg = as_segment_set(geometric_segment(SVector((SElem.pos(1),)), SVector((SElem.neg(1),))))
+        cases = [
+            (SElem.neg(0.5), SElem.neg(0.5), 0.0),
+            (SElem.neg(2), SElem.neg(1), math.e**2 - math.e),
+            (SElem.bal(0.3), ZERO, math.e**0.3),
+            (ZERO, ZERO, 0.0),
+        ]
+        for x, nearest, distance in cases:
+            r = project_segment_set(x, seg, base)
+            assert r.is_singleton and r.points[0].sign is nearest.sign, x
+            assert r.points[0].exp == pytest.approx(nearest.exp, abs=1e-12), x
+            assert r.distance == pytest.approx(distance, abs=1e-12), x
+
+    @pytest.mark.parametrize("base", [1, 2])
+    def test_arc_from_the_second_chart_ray(self, base):
+        from smaxplus.segments import ArcPiece, SegmentSet
+
+        # plus radius 2 (closed) through the origin to minus radius 3 (open)
+        arc = SegmentSet((ArcPiece(((Sign.PLUS, Sign.MINUS),), (2.0,), (-3.0,), True, False),))
+        cases = [
+            (SElem.bal(0), ZERO, 1.0),
+            (SElem.pos(math.log(5)), SElem.pos(math.log(2)), 3.0),
+            (SElem.neg(math.log(2.5)), SElem.neg(math.log(2.5)), 0.0),
+        ]
+        for x, nearest, distance in cases:
+            r = project_segment_set(x, arc, base)
+            assert r.is_singleton and r.points[0].sign is nearest.sign, x
+            assert r.points[0].exp == pytest.approx(nearest.exp, abs=1e-12), x
+            assert r.distance == pytest.approx(distance, abs=1e-12), x
+        with pytest.raises(ValueError, match="not attained"):
+            project_segment_set(SElem.neg(math.log(4)), arc, base)
+
 
 class TestOracleAgreement:
     def test_project_ray_matches_grid(self):
@@ -447,3 +485,9 @@ def test_projection_result_json_round_trip():
     assert again.points == r.points
     assert again.distance == r.distance
     assert again.is_singleton == r.is_singleton
+
+
+def test_projection_result_json_rejects_unknown_keys():
+    data = {**project_ray(ZERO, TRIPLE, 2).to_json(), "singular": True}
+    with pytest.raises(ValueError, match=r"unknown keys \['singular'\]"):
+        ProjectionResult.from_json(data)

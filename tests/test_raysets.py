@@ -12,6 +12,7 @@ from smaxplus import (
     SVector,
     Sign,
     ZERO,
+    distance_to_set,
     is_box_semimodule_convex,
     is_connected,
     is_geometrically_convex,
@@ -205,6 +206,47 @@ class TestSemimoduleConvexity:
     def test_balanced_stretch_shape(self):
         assert is_semimodule_convex(RaySet(minus=((1, 1),), balanced=((1, 4),)))
         assert not is_semimodule_convex(RaySet(minus=((1, 1),), balanced=((2, 4),)))
+
+    def test_origin_alone(self):
+        # the degenerate balanced interval is the origin, not a balanced arm
+        assert is_semimodule_convex(RaySet(balanced=((0, 0),)))
+
+    @pytest.mark.parametrize(
+        "C, x, y",
+        [
+            (RaySet(plus=((1, 2), (4, 5))), SElem.pos(math.log(2)), SElem.pos(math.log(4))),
+            # an origin member with a ray not anchored at 0
+            (RaySet(plus=((0, 1),), minus=((2, 3),)), ZERO, SElem.neg(math.log(2))),
+            (RaySet(minus=((2, 3),), balanced=((0, 0),)), ZERO, SElem.neg(math.log(2))),
+            (RaySet(plus=((1, 2),), minus=((3, 4),)), SElem.pos(0), SElem.neg(math.log(3))),
+            (
+                RaySet(plus=((2, 3),), minus=((1, 4),), balanced=((1, 3),)),
+                SElem.pos(math.log(2)),
+                SElem.neg(0),
+            ),
+            (
+                RaySet(plus=((1, 4),), minus=((2, 3),), balanced=((1, 3),)),
+                SElem.pos(0),
+                SElem.neg(math.log(2)),
+            ),
+            (RaySet(plus=((2, 3),), balanced=((1, 4),)), SElem.pos(math.log(2)), SElem.bal(0)),
+        ],
+        ids=[
+            "two-intervals",
+            "origin-unanchored",
+            "origin-alone-unanchored",
+            "plus-minus-gap",
+            "minus-wider",
+            "plus-wider",
+            "balanced-wider",
+        ],
+    )
+    def test_rejected_with_a_witness_pair(self, C, x, y):
+        # the segment between the two members leaves the set by about 1
+        assert not is_semimodule_convex(C)
+        assert C.contains(x) and C.contains(y)
+        seg = semimodule_segment(SVector((x,)), SVector((y,)))
+        assert max(distance_to_set(z[0], C) for z in seg.sample(0.05)) >= 0.975
 
     def test_generator_produces_convex_sets(self):
         rng = random.Random(35)
