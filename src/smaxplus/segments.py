@@ -394,7 +394,8 @@ class SegmentSet(_Record):
     @classmethod
     def from_json(cls, data: dict) -> "SegmentSet":
         S = cls(tuple(_piece_from_json(p) for p in data["pieces"]))
-        _check_keys(data, ("pieces",))
+        # `smaxplus segment --kind traditional` adds the flag to a segment set
+        _check_keys(data, ("pieces", "representable"))
         return S
 
 

@@ -110,6 +110,12 @@ class TestSegment:
         assert code == 0
         assert json.loads(out) == {"representable": False}
 
+    def test_traditional_round_trip(self, capsys, files):
+        code, out, _ = run(capsys, "segment", "--kind", "traditional", files["p1"], files["p1"])
+        assert code == 0
+        seg = SegmentSet.from_json(json.loads(out))
+        assert len(seg.pieces) == 1
+
     @pytest.mark.parametrize("out", ["json", "svg", "text"])
     def test_geometric_length_beyond_the_float_range(self, capsys, files, out):
         # the squared chart differences overflow float **; the length

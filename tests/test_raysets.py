@@ -194,6 +194,8 @@ class TestSemimoduleConvexity:
         assert is_semimodule_convex(TRIPLE)
         assert not is_semimodule_convex(RaySet(plus=((1, 1),), minus=((1, 1),)))
         assert is_semimodule_convex(RaySet(plus=((1, 2),)))
+        # the degenerate balanced interval is the origin, not a balanced arm
+        assert is_semimodule_convex(RaySet(balanced=((0, 0),)))
         with pytest.raises(ValueError):
             is_semimodule_convex(RaySet())
 
@@ -206,10 +208,6 @@ class TestSemimoduleConvexity:
     def test_balanced_stretch_shape(self):
         assert is_semimodule_convex(RaySet(minus=((1, 1),), balanced=((1, 4),)))
         assert not is_semimodule_convex(RaySet(minus=((1, 1),), balanced=((2, 4),)))
-
-    def test_origin_alone(self):
-        # the degenerate balanced interval is the origin, not a balanced arm
-        assert is_semimodule_convex(RaySet(balanced=((0, 0),)))
 
     @pytest.mark.parametrize(
         "C, x, y",
