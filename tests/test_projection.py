@@ -437,11 +437,7 @@ class TestSegmentSetProjection:
             (SElem.bal(0.3), ZERO, math.e**0.3),
             (ZERO, ZERO, 0.0),
         ]
-        for x, nearest, distance in cases:
-            r = project_segment_set(x, seg, base)
-            assert r.is_singleton and r.points[0].sign is nearest.sign, x
-            assert r.points[0].exp == pytest.approx(nearest.exp, abs=1e-12), x
-            assert r.distance == pytest.approx(distance, abs=1e-12), x
+        _assert_unique_projections(seg, cases, base)
 
     @pytest.mark.parametrize("base", [1, 2])
     def test_arc_from_the_second_chart_ray(self, base):
@@ -454,13 +450,17 @@ class TestSegmentSetProjection:
             (SElem.pos(math.log(5)), SElem.pos(math.log(2)), 3.0),
             (SElem.neg(math.log(2.5)), SElem.neg(math.log(2.5)), 0.0),
         ]
-        for x, nearest, distance in cases:
-            r = project_segment_set(x, arc, base)
-            assert r.is_singleton and r.points[0].sign is nearest.sign, x
-            assert r.points[0].exp == pytest.approx(nearest.exp, abs=1e-12), x
-            assert r.distance == pytest.approx(distance, abs=1e-12), x
+        _assert_unique_projections(arc, cases, base)
         with pytest.raises(ValueError, match="not attained"):
             project_segment_set(SElem.neg(math.log(4)), arc, base)
+
+
+def _assert_unique_projections(S, cases, base):
+    for x, nearest, distance in cases:
+        r = project_segment_set(x, S, base)
+        assert r.is_singleton and r.points[0].sign is nearest.sign, x
+        assert r.points[0].exp == pytest.approx(nearest.exp, abs=1e-12), x
+        assert r.distance == pytest.approx(distance, abs=1e-12), x
 
 
 class TestOracleAgreement:

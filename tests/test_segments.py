@@ -470,12 +470,13 @@ class TestJson:
         again = SegmentSet.from_json(seg.to_json())
         assert again == seg
 
+    ARC = {"kind": "arc", "chart": [["+", "-"]], "start": [1.0], "end": [2.0],
+           "closed_lo": True, "closed_hi": True}
+
     @pytest.mark.parametrize("end", [math.nan, math.inf, -math.inf])
     def test_arc_ends_must_be_finite(self, end):
         # a NaN start used to load and project p:0 onto itself at distance 0
-        arc = {"kind": "arc", "chart": [["+", "-"]], "start": [end], "end": [1.0],
-               "closed_lo": True, "closed_hi": True}
-        for data in (arc, {**arc, "start": [1.0], "end": [end]}):
+        for data in ({**self.ARC, "start": [end]}, {**self.ARC, "end": [end]}):
             with pytest.raises(ValueError, match="arc ends must be finite"):
                 SegmentSet.from_json({"pieces": [data]})
 
@@ -484,9 +485,7 @@ class TestJson:
         [
             (SegmentSet.from_json, {"pieces": [], "bogus": 1}),
             (SegmentSet.from_json, {"pieces": [{"kind": "point", "point": V(ZERO).to_json(), "x": 0}]}),
-            (SegmentSet.from_json, {"pieces": [{"kind": "arc", "chart": [["+", "-"]], "start": [1.0],
-                                                "end": [2.0], "closed_lo": True, "closed_hi": True,
-                                                "closed": True}]}),
+            (SegmentSet.from_json, {"pieces": [{**ARC, "closed": True}]}),
             (BrokenLine.from_json, {"chart": [], "t": [], "vertices": [], "length": 0.0, "len": 0}),
         ],
         ids=["segment-set", "point-piece", "arc-piece", "broken-line"],
