@@ -228,11 +228,16 @@ class SElem(_Record):
     exp: ExtReal
 
     def __init__(self, sign: Sign, exp: ExtReal):
-        if not isinstance(sign, Sign):
-            raise TypeError("sign must be a Sign")
-        exp = as_ext(exp)
-        if exp is EPS:
-            sign = Sign.BALANCED
+        # an exact int or a finite exact float is already a valid nonzero
+        # exponent; every other value (bool, nan, +-inf, subclasses, EPS)
+        # is checked and normalized by as_ext
+        kind = exp.__class__
+        if sign.__class__ is not Sign or not (kind is int or kind is float and math.isfinite(exp)):
+            if not isinstance(sign, Sign):
+                raise TypeError("sign must be a Sign")
+            exp = as_ext(exp)
+            if exp is EPS:
+                sign = Sign.BALANCED
         _set_sign(self, sign)
         _set_exp(self, exp)
 

@@ -14,12 +14,20 @@ than ``+``.  A bare number denotes the plus-signed element (the embedding of
 the plain max-plus semiring), ``p:``/``m:``/``b:`` force a sign tag and
 ``eps`` is the zero element.  In ``mpa`` mode only bare numbers and ``eps``
 are admitted.
+
+The source is read in one ``findall`` scan: each match is the whitespace
+before a token, then the token, a stray character or the end of the source.
+A token's position is the running sum of the lengths of those groups, and a
+stray character is reported at its position before any parsing.  The parser
+is a recursive descent, one function per grammar rule, that pops the tokens
+off a list ending in an END sentinel at ``len(source)``; nesting deeper than
+the recursion limit is reported as a parse error.
 """
 
 from __future__ import annotations
 
 import re
-from typing import List, NamedTuple
+from typing import List, Tuple
 
 from .algebra import SElem, Sign, ZERO, s_oplus, s_otimes, s_power
 
@@ -32,38 +40,31 @@ class ExprError(ValueError):
         self.pos = pos
 
 
-class _Token(NamedTuple):
-    kind: str  # NUM, SIGNED, EPS, OP, LPAREN, RPAREN
-    text: str
-    pos: int
-
-
 _NUM = r"-?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
-_TOKEN_RE = re.compile(
-    rf"""
-    (?P<WS>\s+)
-  | (?P<SIGNED>[pmb]:{_NUM})
-  | (?P<EPS>eps\b)
-  | (?P<NUM>{_NUM})
-  | (?P<OP>[+*^])
-  | (?P<LPAREN>\()
-  | (?P<RPAREN>\))
-    """,
-    re.VERBOSE,
-)
+# one match per token: the whitespace before it, then the token, a stray
+# character or the end of the source; the token kinds differ in their first
+# character, so their order only matters for speed (operators are the most
+# common)
+_SCAN = re.compile(rf"(\s*)(?:([+*^()]|[pmb]:{_NUM}|eps\b|{_NUM})|(.)|\Z)")
+_SIGNS = {"p": Sign.PLUS, "m": Sign.MINUS, "b": Sign.BALANCED}
+_NOT_NUM = "+*^()epmb"  # first characters of the tokens that are not numbers
 
 
-def _tokenize(source: str) -> List[_Token]:
-    tokens: List[_Token] = []
+def _tokenize(source: str) -> List[Tuple[str, int]]:
+    """The (text, position) tokens of ``source`` in reverse order, so that
+    the parser pops them, over the END sentinel ``("", len(source))``.
+    Positions are the running sum of the whitespace and token lengths."""
+    tokens = []
     pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise ExprError(f"unexpected character {source[pos]!r}", pos)
-        kind = m.lastgroup
-        if kind != "WS":
-            tokens.append(_Token(kind, m.group(), pos))
-        pos = m.end()
+    for space, text, stray in _SCAN.findall(source):
+        pos += len(space)
+        if stray:
+            raise ExprError(f"unexpected character {stray!r}", pos)
+        tokens.append((text, pos))
+        if not text:
+            break
+        pos += len(text)
+    tokens.reverse()
     return tokens
 
 
@@ -77,81 +78,62 @@ def _parse_number(text: str, pos: int):
         raise ExprError(f"integer literal too long ({len(text.lstrip('-'))} digits)", pos) from None
 
 
-class _Parser:
-    def __init__(self, tokens: List[_Token], mode: str, source_len: int):
-        self.tokens = tokens
-        self.mode = mode
-        self.i = 0
-        self.source_len = source_len
+def _expr(tokens: list, mode: str) -> SElem:
+    value = _term(tokens, mode)
+    while tokens[-1][0] == "+":
+        tokens.pop()
+        value = s_oplus(value, _term(tokens, mode))
+    return value
 
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
 
-    def next(self):
-        tok = self.peek()
-        if tok is not None:
-            self.i += 1
-        return tok
+def _term(tokens: list, mode: str) -> SElem:
+    value = _power(tokens, mode)
+    while tokens[-1][0] == "*":
+        tokens.pop()
+        value = s_otimes(value, _power(tokens, mode))
+    return value
 
-    def expect_end(self):
-        tok = self.peek()
-        if tok is not None:
-            raise ExprError(f"unexpected token {tok.text!r}", tok.pos)
 
-    def expr(self) -> SElem:
-        value = self.term()
-        while (tok := self.peek()) is not None and tok.kind == "OP" and tok.text == "+":
-            self.next()
-            value = s_oplus(value, self.term())
+def _power(tokens: list, mode: str) -> SElem:
+    value = _atom(tokens, mode)
+    while tokens[-1][0] == "^":
+        tokens.pop()
+        text, pos = tokens.pop()
+        if not text:
+            raise ExprError("missing exponent", pos)
+        if text[0] in _NOT_NUM:
+            raise ExprError("exponent must be an integer literal", pos)
+        k = _parse_number(text, pos)
+        if not isinstance(k, int):
+            raise ExprError("exponent must be an integer literal", pos)
+        try:
+            value = s_power(value, k)
+        except (ValueError, OverflowError) as exc:
+            # OverflowError: a huge integer k times a float exponent
+            raise ExprError(str(exc), pos) from None
+    return value
+
+
+def _atom(tokens: list, mode: str) -> SElem:
+    text, pos = tokens.pop()
+    if text == "(":
+        value = _expr(tokens, mode)
+        closing, pos = tokens.pop()
+        if closing != ")":
+            raise ExprError("missing ')'", pos)
         return value
-
-    def term(self) -> SElem:
-        value = self.power()
-        while (tok := self.peek()) is not None and tok.kind == "OP" and tok.text == "*":
-            self.next()
-            value = s_otimes(value, self.power())
-        return value
-
-    def power(self) -> SElem:
-        value = self.atom()
-        while (tok := self.peek()) is not None and tok.kind == "OP" and tok.text == "^":
-            self.next()
-            etok = self.next()
-            if etok is None:
-                raise ExprError("missing exponent", self.source_len)
-            if etok.kind != "NUM":
-                raise ExprError("exponent must be an integer literal", etok.pos)
-            k = _parse_number(etok.text, etok.pos)
-            if not isinstance(k, int):
-                raise ExprError("exponent must be an integer literal", etok.pos)
-            try:
-                value = s_power(value, k)
-            except (ValueError, OverflowError) as exc:
-                # OverflowError: a huge integer k times a float exponent
-                raise ExprError(str(exc), etok.pos) from None
-        return value
-
-    def atom(self) -> SElem:
-        tok = self.next()
-        if tok is None:
-            raise ExprError("unexpected end of input", self.source_len)
-        if tok.kind == "LPAREN":
-            value = self.expr()
-            closing = self.next()
-            if closing is None or closing.kind != "RPAREN":
-                pos = closing.pos if closing is not None else self.source_len
-                raise ExprError("missing ')'", pos)
-            return value
-        if tok.kind == "EPS":
-            return ZERO
-        if tok.kind == "NUM":
-            return SElem(Sign.PLUS, _parse_number(tok.text, tok.pos))
-        if tok.kind == "SIGNED":
-            if self.mode == "mpa":
-                raise ExprError("signed literal in mpa mode", tok.pos)
-            sign = {"p": Sign.PLUS, "m": Sign.MINUS, "b": Sign.BALANCED}[tok.text[0]]
-            return SElem(sign, _parse_number(tok.text[2:], tok.pos))
-        raise ExprError(f"unexpected token {tok.text!r}", tok.pos)
+    if text == "eps":
+        return ZERO
+    if not text:
+        raise ExprError("unexpected end of input", pos)
+    head = text[0]
+    if head in _SIGNS:
+        if mode == "mpa":
+            raise ExprError("signed literal in mpa mode", pos)
+        return SElem(_SIGNS[head], _parse_number(text[2:], pos))
+    if head in _NOT_NUM:
+        raise ExprError(f"unexpected token {text!r}", pos)
+    return SElem(Sign.PLUS, _parse_number(text, pos))
 
 
 def eval_expr(source: str, mode: str = "smpa") -> SElem:
@@ -163,11 +145,13 @@ def eval_expr(source: str, mode: str = "smpa") -> SElem:
     """
     if mode not in ("mpa", "smpa"):
         raise ValueError(f"unknown mode {mode!r}")
-    parser = _Parser(_tokenize(source), mode, len(source))
+    tokens = _tokenize(source)
     try:
-        value = parser.expr()
+        value = _expr(tokens, mode)
     except RecursionError:
-        tok = parser.peek()
-        raise ExprError("expression nested too deeply", tok.pos if tok else len(source)) from None
-    parser.expect_end()
+        pos = tokens[-1][1] if tokens else len(source)
+        raise ExprError("expression nested too deeply", pos) from None
+    text, pos = tokens[-1]
+    if text:
+        raise ExprError(f"unexpected token {text!r}", pos)
     return value

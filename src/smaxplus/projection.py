@@ -12,6 +12,10 @@ floats, keeps the attained ones within the absolute TIE_TOL of the best,
 and builds elements only for those.  Boxes call the kernel per factor: the
 sum and Euclidean combines take the product of the factor argmins, and the
 max combine cuts each factor by the ball of the largest factor distance.
+The kernel returns the nearest points and their distance, not a
+``ProjectionResult``, so boxes and the witness search, which call it once
+per factor or candidate, build one result per public call (the witness
+search none).
 
 Results are built without the public constructors' checks, through
 ``_trusted_selem`` and ``_trusted_svector``, and only from values the
@@ -80,18 +84,18 @@ def _tied(d: float, ref: float) -> bool:
     return d <= ref + TIE_TOL
 
 
-def _nearest(x: SElem, intervals: List[tuple], base: int) -> ProjectionResult:
-    """All nearest points of ``x`` among radial intervals, given as
-    (ray, lo, hi, closed_lo, closed_hi, point) with ``point`` the element to
-    report for a one-point interval that came as one (a segment's point
-    piece), else None.
+def _nearest(x: SElem, intervals: List[tuple], base: int) -> Tuple[Tuple[SElem, ...], float]:
+    """The nearest points of ``x`` among radial intervals, in sort order,
+    and their distance.  Intervals are given as (ray, lo, hi, closed_lo,
+    closed_hi, point) with ``point`` the element to report for a one-point
+    interval that came as one (a segment's point piece), else None.
 
     Each interval offers one candidate, scored in floats: the clamp of the
     query's radial coordinate on its own ray (every ray for a zero query),
     the low end on the other rays.  The origin lies on every ray, so a low
     end at 0 is at radial distance.  A candidate at an excluded end lowers
     the infimum but is not attained.  Elements are built only for the
-    argmins.
+    argmins, and deduplicated and sorted only when more than one ties.
     """
     mx = magnitude(x)
     own = None if x.is_zero else x.sign
@@ -99,37 +103,51 @@ def _nearest(x: SElem, intervals: List[tuple], base: int) -> ProjectionResult:
     attained = []
     for ray, lo, hi, closed_lo, closed_hi, point in intervals:
         if own is None or ray is own:
-            m = min(max(mx, lo), hi)
+            m = lo if mx < lo else hi if mx > hi else mx
             d = abs(mx - m)
         elif lo == 0.0:
             m, d = lo, mx
         else:
             m, d = lo, cross_distance(mx, lo, base)
-        infimum = min(infimum, d)
+        if d < infimum:
+            infimum = d
         if (m != lo or closed_lo) and (m != hi or closed_hi):
-            best = min(best, d)
+            if d < best:
+                best = d
             attained.append((d, ray, m, point))
     if not attained or not _tied(best, infimum):
         raise ValueError("nearest-point infimum is not attained in the segment set")
-    points = {}  # sort key -> the first argmin with it; equal keys are equal elements
-    for d, ray, m, point in attained:
-        if _tied(d, best):
-            if point is None:
-                point = _trusted_selem(ray, math.log(m)) if 0.0 < m < math.inf else point_on_ray(ray, m)
-            points.setdefault(point.sort_key(), point)
-    return ProjectionResult(tuple([points[key] for key in sorted(points)]), best, len(points) == 1)
+    points = [
+        point if point is not None
+        else _trusted_selem(ray, math.log(m)) if 0.0 < m < math.inf
+        else point_on_ray(ray, m)
+        for d, ray, m, point in attained
+        if _tied(d, best)
+    ]
+    if len(points) == 1:
+        return (points[0],), best
+    by_key = {}  # sort key -> the first argmin with it; equal keys are equal elements
+    for point in points:
+        by_key.setdefault(point.sort_key(), point)
+    return tuple([by_key[key] for key in sorted(by_key)]), best
 
 
-def project_ray(x: SElem, C: RaySet, base: int = 2) -> ProjectionResult:
-    """All nearest points of ``x`` in a closed ray set under the chosen base
-    metric (1 = chord, 2 = path)."""
+def _ray_intervals(C: RaySet, base: int) -> List[tuple]:
+    """The kernel's intervals for a ray set, all closed, after the checks
+    every projection onto a ray set makes."""
     if C.is_empty:
         raise ValueError("empty set")
     if base not in (1, 2):
         raise ValueError("base metric must be 1 or 2")
     rays = zip(RAYS, (C.plus, C.minus, C.balanced))
-    intervals = [(ray, lo, hi, True, True, None) for ray, ivs in rays for lo, hi in ivs]
-    return _nearest(x, intervals, base)
+    return [(ray, lo, hi, True, True, None) for ray, ivs in rays for lo, hi in ivs]
+
+
+def project_ray(x: SElem, C: RaySet, base: int = 2) -> ProjectionResult:
+    """All nearest points of ``x`` in a closed ray set under the chosen base
+    metric (1 = chord, 2 = path)."""
+    points, distance = _nearest(x, _ray_intervals(C, base), base)
+    return ProjectionResult(points, distance, len(points) == 1)
 
 
 def distance_to_set(x: SElem, C: RaySet, base: int = 2) -> float:
@@ -166,13 +184,14 @@ def project_box(x: SVector, A: BoxSet, mid: MetricId) -> ProjectionResult:
             "max-combine projection does not factorize over coordinates; "
             "use project_box_max instead"
         )
-    per = [project_ray(xi, Ci, mid.base) for xi, Ci in zip(x, A.factors)]
-    dists = [r.distance for r in per]
+    base = mid.base
+    per = [_nearest(xi, _ray_intervals(Ci, base), base) for xi, Ci in zip(x, A.factors)]
+    dists = [d for _, d in per]
     if mid.combine == "sum":
         distance = float(sum(dists))
     else:
         distance = math.sqrt(sum(d * d for d in dists))
-    points = tuple(map(_trusted_svector, itertools.product(*[r.points for r in per])))
+    points = tuple(map(_trusted_svector, itertools.product(*[p for p, _ in per])))
     return ProjectionResult(points, distance, len(points) == 1)
 
 
@@ -209,18 +228,18 @@ def project_box_max(
         factors = tuple(_truncate(C, max_magnitude) for C in factors)
         if any(C.is_empty for C in factors):
             raise ValueError(f"the box has no point of magnitude at most {max_magnitude}")
-    per = [project_ray(xi, Ci, base) for xi, Ci in zip(x, factors)]
-    D = max(r.distance for r in per)
+    per = [_nearest(xi, _ray_intervals(Ci, base), base) for xi, Ci in zip(x, factors)]
+    D = max(d for _, d in per)
     cuts = [
-        () if r.distance == D else _ball_cut(xi, Ci, D, base)
-        for xi, Ci, r in zip(x, factors, per)
+        () if d == D else _ball_cut(xi, Ci, D, base)
+        for xi, Ci, (_, d) in zip(x, factors, per)
     ]
     total = 1.0
-    for r, cut in zip(per, cuts):
-        total *= len(r.points) + sum((hi - lo) / resolution + 2.0 for _, lo, hi in cut)
+    for (exact, _), cut in zip(per, cuts):
+        total *= len(exact) + sum((hi - lo) / resolution + 2.0 for _, lo, hi in cut)
     if total > 5_000_000:
         raise ValueError(f"argmin cloud too large ({total:.0f} points); raise the resolution")
-    clouds = [_sample(r.points, cut, resolution) for r, cut in zip(per, cuts)]
+    clouds = [_sample(exact, cut, resolution) for (exact, _), cut in zip(per, cuts)]
     points = tuple(map(_trusted_svector, itertools.product(*clouds)))
     return ProjectionResult(points, D, all(len(c) == 1 for c in clouds))
 
@@ -311,7 +330,8 @@ def project_segment_set(x: SElem, S: SegmentSet, base: int = 2) -> ProjectionRes
             intervals.append((e.sign, m, m, True, True, e))
         else:
             intervals.append(_arc_interval(x, piece))
-    return _nearest(x, intervals, base)
+    points, distance = _nearest(x, intervals, base)
+    return ProjectionResult(points, distance, len(points) == 1)
 
 
 def _arc_interval(x: SElem, arc: ArcPiece) -> tuple:
@@ -347,6 +367,7 @@ def find_multipoint_witness(C: RaySet, base: int = 2) -> Optional[SElem]:
     """
     if C.is_empty:
         raise ValueError("empty set")
+    has_origin = C.has_origin
     candidates: List[SElem] = []
     for ray in RAYS:
         ivs = C.intervals(ray)
@@ -354,9 +375,9 @@ def find_multipoint_witness(C: RaySet, base: int = 2) -> Optional[SElem]:
             candidates.append(point_on_ray(ray, (hi1 + lo2) / 2.0))
         # the origin lies on every ray, so a set containing it has a radial
         # gap up to the ray's first non-anchored interval
-        if C.has_origin and ivs and ivs[0][0] > 0.0:
+        if has_origin and ivs and ivs[0][0] > 0.0:
             candidates.append(point_on_ray(ray, ivs[0][0] / 2.0))
-    if not C.has_origin:
+    if not has_origin:
         firsts = [
             (C.intervals(ray)[0][0], ray) for ray in RAYS if C.intervals(ray)
         ]
@@ -368,7 +389,9 @@ def find_multipoint_witness(C: RaySet, base: int = 2) -> Optional[SElem]:
             else:
                 m = (beta * beta - alpha * alpha) / (2.0 * beta + alpha)
             candidates.append(point_on_ray(ray_b, m))
-    for x in candidates:
-        if len(project_ray(x, C, base).points) >= 2:
-            return x
+    if candidates:
+        intervals = _ray_intervals(C, base)
+        for x in candidates:
+            if len(_nearest(x, intervals, base)[0]) >= 2:
+                return x
     return None

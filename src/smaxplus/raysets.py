@@ -106,12 +106,22 @@ class RaySet(_Record):
 
     @classmethod
     def from_json(cls, data: dict) -> "RaySet":
-        def dec(ivs):
-            return tuple(
-                (lo, math.inf if hi == "inf" else float(hi)) for lo, hi in ivs
-            )
+        if not isinstance(data, dict):
+            raise ValueError(f"a ray set must be an object, got {type(data).__name__}")
 
-        C = cls(dec(data.get("plus", ())), dec(data.get("minus", ())), dec(data.get("balanced", ())))
+        def dec(name):
+            ivs = data.get(name, ())
+            if not isinstance(ivs, (list, tuple)):
+                raise ValueError(f"{name} must be a list of [lo, hi] pairs, got {ivs!r}")
+            out = []
+            for iv in ivs:
+                if not isinstance(iv, (list, tuple)) or len(iv) != 2:
+                    raise ValueError(f"{name} interval must be a [lo, hi] pair, got {iv!r}")
+                lo, hi = iv
+                out.append((lo, math.inf if hi == "inf" else float(hi)))
+            return tuple(out)
+
+        C = cls(dec("plus"), dec("minus"), dec("balanced"))
         _check_keys(data, ("plus", "minus", "balanced"))
         return C
 
@@ -258,7 +268,10 @@ class BoxSet(_Record):
 
     @classmethod
     def from_json(cls, data: dict) -> "BoxSet":
-        A = cls(tuple(RaySet.from_json(f) for f in data["factors"]))
+        factors = data["factors"]
+        if not isinstance(factors, (list, tuple)):
+            raise ValueError(f"factors must be a list of ray sets, got {factors!r}")
+        A = cls(tuple(RaySet.from_json(f) for f in factors))
         _check_keys(data, ("factors",))
         return A
 

@@ -348,6 +348,10 @@ def _piece_from_json(data: dict):
         if not all(map(math.isfinite, start + end)):
             raise ValueError(f"arc ends must be finite, got {list(start)} and {list(end)}")
         chart = _chart_from_json(data["chart"])
+        # point_at and param_of zip the three, which would drop coordinates
+        if not len(chart) == len(start) == len(end):
+            lengths = f"{len(chart)}, {len(start)} and {len(end)}"
+            raise ValueError(f"arc chart, start and end must have one length, got {lengths}")
         piece = ArcPiece(chart, start, end, data["closed_lo"], data["closed_hi"])
     else:
         raise ValueError(f"unknown piece kind {data['kind']!r}")
@@ -394,6 +398,9 @@ class SegmentSet(_Record):
     @classmethod
     def from_json(cls, data: dict) -> "SegmentSet":
         S = cls(tuple(_piece_from_json(p) for p in data["pieces"]))
+        dims = sorted({len(p.point) if isinstance(p, PointPiece) else len(p.chart) for p in S.pieces})
+        if len(dims) > 1:
+            raise ValueError(f"segment set pieces must share one dimension, got dimensions {dims}")
         # `smaxplus segment --kind traditional` adds the flag to a segment set
         _check_keys(data, ("pieces", "representable"))
         return S

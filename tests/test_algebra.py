@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import math
 import pickle
 
 import pytest
@@ -311,6 +312,64 @@ class TestNormalization:
         for a in GRID_ELEMS:
             assert SElem.from_json(a.to_json()) == a
         assert ZERO.to_json() == {"sign": "o", "exp": "-inf"}
+
+
+class TestConstructorRoutes:
+    """``SElem`` takes an exact int or a finite exact float as it is; every
+    other value goes through ``as_ext``.  These pin the values that route
+    covers."""
+
+    @pytest.mark.parametrize("sign", [True, "+", 1, None])
+    def test_sign_must_be_a_sign(self, sign):
+        with pytest.raises(TypeError, match="sign must be a Sign"):
+            SElem(sign, 1)
+        with pytest.raises(TypeError, match="sign must be a Sign"):
+            SElem(sign, 1.5)
+
+    @pytest.mark.parametrize("exp", [True, False, "1", None, 1j])
+    def test_non_real_exponents_are_type_errors(self, exp):
+        with pytest.raises(TypeError):
+            SElem(Sign.PLUS, exp)
+
+    @pytest.mark.parametrize("exp", [math.nan, math.inf])
+    def test_nan_and_inf_are_value_errors(self, exp):
+        with pytest.raises(ValueError, match="not a valid magnitude exponent"):
+            SElem(Sign.MINUS, exp)
+
+    @pytest.mark.parametrize("sign", list(Sign))
+    def test_minus_inf_and_eps_give_the_balanced_zero(self, sign):
+        for exp in (-math.inf, EPS):
+            e = SElem(sign, exp)
+            assert e == ZERO and e.exp is EPS and e.sign is Sign.BALANCED
+        assert SElem(Sign.PLUS, -math.inf).sign is Sign.BALANCED
+
+    def test_subclasses_keep_their_type(self):
+        class Int(int):
+            pass
+
+        class Float(float):
+            pass
+
+        for exp in (Int(3), Float(2.5)):
+            e = SElem(Sign.PLUS, exp)
+            assert type(e.exp) is type(exp) and e == SElem.pos(exp + 0)
+        with pytest.raises(ValueError):
+            SElem(Sign.PLUS, Float("nan"))
+        assert SElem(Sign.PLUS, Float("-inf")) == ZERO
+
+    def test_numpy_scalars(self):
+        np = pytest.importorskip("numpy")
+        e = SElem(Sign.MINUS, np.float64(1.5))
+        assert type(e.exp) is np.float64 and e == SElem.neg(1.5)
+        assert SElem(Sign.PLUS, np.float64("-inf")) == ZERO
+        with pytest.raises(ValueError):
+            SElem(Sign.PLUS, np.float64("nan"))
+        with pytest.raises(TypeError):
+            SElem(Sign.PLUS, np.int64(1))
+
+    def test_huge_int_is_kept_exactly(self):
+        e = SElem(Sign.BALANCED, 10**400)
+        assert type(e.exp) is int and e.exp == 10**400 and e.sign is Sign.BALANCED
 
 
 class TestValueContract:

@@ -333,3 +333,28 @@ def test_box_json_round_trip():
     rng = random.Random(38)
     box = BoxSet(tuple(random_ray_set(rng) for _ in range(3)))
     assert BoxSet.from_json(box.to_json()) == box
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"plus": [[1, 2, 3]]}, "plus interval must be a [lo, hi] pair, got [1, 2, 3]"),
+        ({"minus": [[1]]}, "minus interval must be a [lo, hi] pair, got [1]"),
+        ({"balanced": [5]}, "balanced interval must be a [lo, hi] pair, got 5"),
+        ({"plus": 5}, "plus must be a list of [lo, hi] pairs, got 5"),
+        ([[1, 2]], "a ray set must be an object, got list"),
+    ],
+    ids=["three-ends", "one-end", "bare-number", "ray-not-a-list", "set-not-an-object"],
+)
+def test_ray_set_json_shape_errors_are_named(data, message):
+    with pytest.raises(ValueError) as err:
+        RaySet.from_json(data)
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        BoxSet.from_json({"factors": [{"plus": [[0, 1]]}, data]})
+    assert str(err.value) == message
+
+
+def test_box_json_factors_must_be_a_list():
+    with pytest.raises(ValueError, match=r"^factors must be a list of ray sets, got 5$"):
+        BoxSet.from_json({"factors": 5})

@@ -481,6 +481,22 @@ class TestJson:
                 SegmentSet.from_json({"pieces": [data]})
 
     @pytest.mark.parametrize(
+        "start, end",
+        [([1.0, 2.0], [3.0]), ([1.0], [2.0, 3.0]), ([1.0, 2.0], [3.0, 4.0])],
+        ids=["long-start", "long-end", "short-chart"],
+    )
+    def test_arc_lengths_must_agree(self, start, end):
+        # point_at and param_of zip the three and would drop coordinates
+        with pytest.raises(ValueError, match="arc chart, start and end must have one length"):
+            SegmentSet.from_json({"pieces": [{**self.ARC, "start": start, "end": end}]})
+
+    def test_pieces_must_share_one_dimension(self):
+        point = {"kind": "point", "point": V(ZERO, ZERO).to_json()}
+        with pytest.raises(ValueError, match=r"pieces must share one dimension, got dimensions \[1, 2\]"):
+            SegmentSet.from_json({"pieces": [self.ARC, point]})
+        assert len(SegmentSet.from_json({"pieces": [self.ARC, {**point, "point": V(ZERO).to_json()}]}).pieces) == 2
+
+    @pytest.mark.parametrize(
         "load, data",
         [
             (SegmentSet.from_json, {"pieces": [], "bogus": 1}),
