@@ -13,9 +13,9 @@ and builds elements only for those.  Boxes call the kernel per factor: the
 sum and Euclidean combines take the product of the factor argmins, and the
 max combine cuts each factor by the ball of the largest factor distance.
 The kernel returns the nearest points and their distance, not a
-``ProjectionResult``, so boxes and the witness search, which call it once
-per factor or candidate, build one result per public call (the witness
-search none).
+``ProjectionResult``, so boxes, which call it once per factor, build one
+result per public call.  The multipoint witness is built in a gap, not
+scored.
 
 Results are built without the public constructors' checks, through
 ``_trusted_selem`` and ``_trusted_svector``, and only from values the
@@ -358,40 +358,42 @@ def _arc_interval(x: SElem, arc: ArcPiece) -> tuple:
 
 
 def find_multipoint_witness(C: RaySet, base: int = 2) -> Optional[SElem]:
-    """A query with at least two nearest points, when the set is
-    disconnected; None for connected sets.
+    """A query with at least two nearest points, built in the set's first gap;
+    None when there is none, that is for a single interval or a star.
 
-    Candidates: midpoints of same-ray gaps between consecutive intervals,
-    and, for components on two different rays reachable through the origin
-    gap, the point on the farther ray equidistant to both component tips.
+    Gaps are tried per ray in ``RAYS`` order (between its first two
+    intervals, then between the origin and its first interval), then, with no
+    origin, across it between the two smallest first low ends alpha <= beta
+    (equal ends ordered by ray).  The query is at the half-gap g from both gap
+    ends and nothing is nearer: the rest of its ray lies beyond them, and
+    another ray is at least the query's radius m >= g away (m = hi1 + g in a
+    same-ray gap, g in the origin gap; across, the query on beta's ray has
+    beta - m = cross(m, alpha) = g, and a third ray's first low end
+    gamma >= beta is at cross(m, gamma) >= gamma >= g).  The chord metric's
+    cross point (beta^2 - alpha^2) / (2 beta + alpha) is evaluated on alpha
+    and beta scaled by a power of two, and midpoints as halves summed, so
+    nothing overflows or underflows: the witness is exact up to the rounding
+    of m and of its exponent ``log m``, and nothing is scored.
     """
     if C.is_empty:
         raise ValueError("empty set")
+    if base not in (1, 2):
+        raise ValueError("base metric must be 1 or 2")
+    rays = (C.plus, C.minus, C.balanced)
     has_origin = C.has_origin
-    candidates: List[SElem] = []
-    for ray in RAYS:
-        ivs = C.intervals(ray)
-        for (lo1, hi1), (lo2, hi2) in zip(ivs, ivs[1:]):
-            candidates.append(point_on_ray(ray, (hi1 + lo2) / 2.0))
-        # the origin lies on every ray, so a set containing it has a radial
-        # gap up to the ray's first non-anchored interval
+    for ray, ivs in zip(RAYS, rays):
+        if len(ivs) > 1:
+            return point_on_ray(ray, 0.5 * ivs[0][1] + 0.5 * ivs[1][0])
         if has_origin and ivs and ivs[0][0] > 0.0:
-            candidates.append(point_on_ray(ray, ivs[0][0] / 2.0))
-    if not has_origin:
-        firsts = [
-            (C.intervals(ray)[0][0], ray) for ray in RAYS if C.intervals(ray)
-        ]
-        if len(firsts) >= 2:
-            firsts.sort()
-            (alpha, _), (beta, ray_b) = firsts[0], firsts[1]
-            if base == 2:
-                m = (beta - alpha) / 2.0
-            else:
-                m = (beta * beta - alpha * alpha) / (2.0 * beta + alpha)
-            candidates.append(point_on_ray(ray_b, m))
-    if candidates:
-        intervals = _ray_intervals(C, base)
-        for x in candidates:
-            if len(_nearest(x, intervals, base)[0]) >= 2:
-                return x
-    return None
+            return point_on_ray(ray, 0.5 * ivs[0][0])
+    firsts = sorted((ivs[0][0], i) for i, ivs in enumerate(rays) if ivs)
+    if has_origin or len(firsts) < 2:
+        return None
+    (alpha, _), (beta, i) = firsts[:2]
+    if base == 2:
+        m = (beta - alpha) / 2.0
+    else:
+        b, e = math.frexp(beta)  # beta = b * 2**e exactly, with 0.5 <= b < 1
+        a = math.ldexp(alpha, -e)
+        m = math.ldexp((b * b - a * a) / (2.0 * b + a), e)
+    return point_on_ray(RAYS[i], m)

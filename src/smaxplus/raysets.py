@@ -117,8 +117,10 @@ class RaySet(_Record):
             for iv in ivs:
                 if not isinstance(iv, (list, tuple)) or len(iv) != 2:
                     raise ValueError(f"{name} interval must be a [lo, hi] pair, got {iv!r}")
-                lo, hi = iv
-                out.append((lo, math.inf if hi == "inf" else float(hi)))
+                ends = (iv[0], math.inf if iv[1] == "inf" else iv[1])
+                if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in ends):
+                    raise ValueError(f'{name} interval ends must be numbers or "inf" as hi, got {iv!r}')
+                out.append(ends)
             return tuple(out)
 
         C = cls(dec("plus"), dec("minus"), dec("balanced"))

@@ -217,14 +217,11 @@ def geometric_segment(a: SVector, b: SVector) -> BrokenLine:
     alpha = psi(chart, a)
     beta = psi(chart, b)
     crossing = {
-        j: alpha[j] / (alpha[j] - beta[j])
+        j: min(max(alpha[j] / (alpha[j] - beta[j]), _T_MIN), _T_MAX)
         for j in range(len(alpha))
         if (alpha[j] > 0.0 > beta[j]) or (alpha[j] < 0.0 < beta[j])
     }
     ts = sorted(set(crossing.values()))
-    if ts and not 0.0 < ts[0] <= ts[-1] < 1.0:
-        crossing = {j: min(max(t, _T_MIN), _T_MAX) for j, t in crossing.items()}
-        ts = sorted(set(crossing.values()))
     vertices = [alpha]
     for t in ts:
         vertices.append(
@@ -608,13 +605,12 @@ def semimodule_segment(a: SVector, b: SVector) -> SegmentSet:
     pieces: List[object] = []
     for j, (chart, lo_vec, hi_vec, start, end) in enumerate(arcs):
         closed_lo, closed_hi = (j, _LO) in closed, (j, _HI) in closed
-        if lo_vec == hi_vec:
-            # exponents near 1e16 absorb the step between two events, so
-            # both ends round to the same floats: the arc is one point
-            if (closed_lo or closed_hi) and _point_piece(lo_vec) not in pieces:
-                pieces.append(_point_piece(lo_vec))
-            continue
-        pieces.append(ArcPiece(chart, start, end, closed_lo, closed_hi))
+        if lo_vec != hi_vec:
+            pieces.append(ArcPiece(chart, start, end, closed_lo, closed_hi))
+        elif closed_lo or closed_hi:
+            # at exponents near 1e16 both ends round alike: the arc is one point, in
+            # no piece yet, as a point joins `seen` before it closes at most one end
+            pieces.append(_point_piece(lo_vec))
     pieces.extend(_point_piece(x) for x in isolated)
     return SegmentSet(tuple(pieces))
 

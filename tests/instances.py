@@ -46,6 +46,11 @@ def hausdorff_phi(xs: Sequence[SVector], ys: Sequence[SVector]) -> float:
 _EXP_RANGE = (-3.0, 3.0)  # radial coordinates in [e**-3, e**3] subset of [0, e**3]
 _MIN_GAP = 0.05  # keeps gaps resolvable by the default grid
 
+# The ray-set generators take an optional exponent band ``band`` (default
+# _EXP_RANGE); a wider one such as (-690.0, 690.0) spans most of the float
+# range.  The minimum gap scales with the band's smallest radius, so it is
+# _MIN_GAP exactly on the default band and the default draws are unchanged.
+
 
 def random_selem(rng: random.Random, zero_prob: float = 0.05) -> SElem:
     if rng.random() < zero_prob:
@@ -58,23 +63,24 @@ def random_svector(rng: random.Random, n: int, zero_prob: float = 0.05) -> SVect
     return SVector(tuple(random_selem(rng, zero_prob) for _ in range(n)))
 
 
-def _random_intervals(rng: random.Random, count: int) -> List[Tuple[float, float]]:
-    values = sorted(math.exp(rng.uniform(*_EXP_RANGE)) for _ in range(2 * count))
+def _random_intervals(rng: random.Random, count: int, band=_EXP_RANGE) -> List[Tuple[float, float]]:
+    values = sorted(math.exp(rng.uniform(*band)) for _ in range(2 * count))
+    min_gap = _MIN_GAP * math.exp(band[0] - _EXP_RANGE[0])
     intervals = []
     cursor = 0.0
     for i in range(count):
         lo, hi = values[2 * i], values[2 * i + 1]
-        lo = max(lo, cursor + _MIN_GAP)
+        lo = max(lo, cursor + min_gap)
         hi = max(hi, lo)
         intervals.append((lo, hi))
         cursor = hi
     return intervals
 
 
-def random_ray_set(rng: random.Random) -> RaySet:
-    """Magnitudes log-uniform within [0, e**3], one to four intervals per ray,
-    the origin attached with probability one half."""
-    per_ray = {ray: _random_intervals(rng, rng.randint(1, 4)) for ray in RAYS}
+def random_ray_set(rng: random.Random, band=_EXP_RANGE) -> RaySet:
+    """Magnitudes log-uniform within the band (by default [e**-3, e**3]), one
+    to four intervals per ray, the origin attached with probability one half."""
+    per_ray = {ray: _random_intervals(rng, rng.randint(1, 4), band) for ray in RAYS}
     if rng.random() < 0.5:
         ray = rng.choice(RAYS)
         lo, hi = per_ray[ray][0]
@@ -82,12 +88,12 @@ def random_ray_set(rng: random.Random) -> RaySet:
     return RaySet(tuple(per_ray[Sign.PLUS]), tuple(per_ray[Sign.MINUS]), tuple(per_ray[Sign.BALANCED]))
 
 
-def random_connected_ray_set(rng: random.Random) -> RaySet:
+def random_connected_ray_set(rng: random.Random, band=_EXP_RANGE) -> RaySet:
     """A single interval on one ray, or a star anchored at the origin."""
     if rng.random() < 0.5:
         ray = rng.choice(RAYS)
-        a = math.exp(rng.uniform(*_EXP_RANGE))
-        b = math.exp(rng.uniform(*_EXP_RANGE))
+        a = math.exp(rng.uniform(*band))
+        b = math.exp(rng.uniform(*band))
         lo, hi = min(a, b), max(a, b)
         if rng.random() < 0.25:
             lo = 0.0
@@ -98,13 +104,13 @@ def random_connected_ray_set(rng: random.Random) -> RaySet:
         arms = rng.randint(1, 3)
         rays = rng.sample(RAYS, arms)
         for r in rays:
-            ivs[r] = ((0.0, math.exp(rng.uniform(*_EXP_RANGE))),)
+            ivs[r] = ((0.0, math.exp(rng.uniform(*band))),)
     return RaySet(ivs[Sign.PLUS], ivs[Sign.MINUS], ivs[Sign.BALANCED])
 
 
-def random_disconnected_ray_set(rng: random.Random) -> RaySet:
+def random_disconnected_ray_set(rng: random.Random, band=_EXP_RANGE) -> RaySet:
     for _ in range(100):
-        C = random_ray_set(rng)
+        C = random_ray_set(rng, band)
         if not is_connected(C):
             return C
     raise AssertionError("failed to draw a disconnected set")

@@ -311,6 +311,16 @@ def test_set_shape_errors_are_named(capsys, files, command, payload, message):
     assert json.loads(err) == {"error": f"{target}: not a ray set or box (ValueError: {message})"}
 
 
+@pytest.mark.parametrize("command", ["check", "project"])
+def test_non_numeric_interval_ends_are_a_domain_error(capsys, files, command):
+    target = files["write"]("s.json", {"plus": [[True, 2]]})
+    argv = [target] if command == "check" else [files["p1"], target]
+    code, out, err = run(capsys, command, *argv)
+    assert (code, out) == (1, "")
+    message = 'plus interval ends must be numbers or "inf" as hi, got [True, 2]'
+    assert json.loads(err) == {"error": f"{target}: not a ray set or box (ValueError: {message})"}
+
+
 def test_malformed_segment_set_is_a_domain_error(capsys, files):
     # no subcommand reads segment sets yet; an arc whose chart, start and
     # end lengths differ is refused by SegmentSet.from_json, and the CLI's

@@ -172,6 +172,80 @@ class TestChebyshev:
             assert is_geometrically_convex(C) == is_chebyshev(C)
 
 
+def _assert_witness(C, w, base):
+    """``w`` lies outside ``C`` and its two nearest interval ends, measured
+    with ``d1``/``d2``, are equally near within a relative 1e-12.  Outside
+    the set, the nearest point of each interval is one of its ends."""
+    assert w is not None and not C.contains(w)
+    dist = base_metric(base)
+    ends = {
+        point_on_ray(ray, m)
+        for ray in (Sign.PLUS, Sign.MINUS, Sign.BALANCED)
+        for interval in C.intervals(ray)
+        for m in interval
+        if m < math.inf
+    }
+    near, second = sorted(dist(w, p) for p in ends)[:2]
+    assert second - near <= 1e-12 * second, (w, near, second)
+
+
+WIDE_WITNESS_SETS = [
+    # equal first low ends on two or three rays: the witness is the origin
+    RaySet(plus=((1, 2),), minus=((1, 4),)),
+    RaySet(plus=((1, 2),), minus=((1, 4),), balanced=((1, 3),)),
+    # the chord metric's cross point, whose squares overflow and underflow
+    RaySet(plus=((1e200, 2e200),), minus=((3e200, 4e200),)),
+    RaySet(plus=((1e-200, 2e-200),), minus=((3e-200, 4e-200),)),
+    # a same-ray gap whose ends sum beyond the float range
+    RaySet(plus=((1e307, 1e308), (1.5e308, 1.7e308))),
+    RaySet(plus=((1e6, 2e6), (3e6, 4e6))),
+    RaySet(plus=((1e9, 2e9), (3e9, 4e9))),
+    RaySet(minus=((1e6, 2e6), (3e6, 4e6))),
+    RaySet(balanced=((1e9, 2e9), (3e9, 4e9))),
+]
+
+WITNESS_BANDS = [(-3.0, 3.0), (-690.0, 690.0)]
+
+
+class TestWitnessConstruction:
+    @pytest.mark.parametrize("base", [1, 2])
+    @pytest.mark.parametrize("C", WIDE_WITNESS_SETS)
+    def test_witness_at_any_magnitude(self, C, base):
+        _assert_witness(C, find_multipoint_witness(C, base), base)
+
+    @pytest.mark.parametrize("base", [0, 3, 5, "2", None])
+    def test_bad_base_raises_on_every_set(self, base):
+        for C in (RaySet(plus=((1, 2),)), RaySet(plus=((1, 2), (3, 4))), TRIPLE):
+            with pytest.raises(ValueError, match="base metric"):
+                find_multipoint_witness(C, base)
+
+    def test_no_candidate_is_scored(self, monkeypatch):
+        import smaxplus.projection as projection
+
+        calls = []
+        monkeypatch.setattr(projection, "_nearest", lambda *a: calls.append(a))
+        monkeypatch.setattr(projection, "_ray_intervals", lambda *a: calls.append(a))
+        rng = random.Random(46)
+        for _ in range(50):
+            C = random_disconnected_ray_set(rng)
+            for base in (1, 2):
+                assert find_multipoint_witness(C, base) is not None
+        assert calls == []
+
+    @pytest.mark.parametrize("band", WITNESS_BANDS)
+    def test_witness_exactly_when_disconnected(self, band):
+        rng = random.Random(47)
+        generators = (random_ray_set, random_disconnected_ray_set, random_connected_ray_set)
+        for i in range(600):
+            C = generators[i % 3](rng, band)
+            for base in (1, 2):
+                w = find_multipoint_witness(C, base)
+                if is_connected(C):
+                    assert w is None
+                else:
+                    _assert_witness(C, w, base)
+
+
 class TestSemimoduleConvexBounds:
     def test_at_most_three_points_on_the_line(self):
         rng = random.Random(46)

@@ -355,6 +355,27 @@ def test_ray_set_json_shape_errors_are_named(data, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "interval",
+    [[True, 2], [1, True], [1, "7"], [None, 2], ["inf", 2], [1, "-inf"], [1, [2]]],
+    ids=["bool-lo", "bool-hi", "string-hi", "null-lo", "inf-lo", "minus-inf-hi", "list-hi"],
+)
+def test_ray_set_json_interval_ends_must_be_numbers(interval):
+    message = f'minus interval ends must be numbers or "inf" as hi, got {interval!r}'
+    with pytest.raises(ValueError) as err:
+        RaySet.from_json({"plus": [[0, 1]], "minus": [interval]})
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        BoxSet.from_json({"factors": [{"minus": [interval]}]})
+    assert str(err.value) == message
+
+
+def test_ray_set_json_takes_ints_floats_and_an_inf_high_end():
+    C = RaySet.from_json({"plus": [[1, "inf"]], "minus": [[0, 2.5]], "balanced": [[0.5, 3]]})
+    assert C == RaySet(plus=((1.0, math.inf),), minus=((0.0, 2.5),), balanced=((0.5, 3.0),))
+    assert RaySet.from_json(C.to_json()) == C
+
+
 def test_box_json_factors_must_be_a_list():
     with pytest.raises(ValueError, match=r"^factors must be a list of ray sets, got 5$"):
         BoxSet.from_json({"factors": 5})
