@@ -23,6 +23,7 @@ from smaxplus import (
 )
 from smaxplus.algebra import RAYS
 from smaxplus.metrics import cross_distance
+from smaxplus.projection import _sample, _truncate
 
 from grid_oracle import GridSpec, grid_project
 from instances import random_ray_set, random_svector
@@ -183,3 +184,121 @@ def test_an_infinite_resolution_is_refused():
     A = BoxSet((RaySet(plus=((5.0, 5.0),)), RaySet(plus=((0.5, 2.0),))))
     with pytest.raises(ValueError, match="resolution must be finite"):
         project_box_max(x, A, 2, math.inf)
+
+
+def _reference_sample(exact, cut, step):
+    """The argmin sampler as first written: every sample keyed by its sort
+    key in one dict (the first element per key kept), then sorted."""
+    points = {e.sort_key(): e for e in exact}
+    for ray, lo, hi in cut:
+        order = RAYS.index(ray)
+        first = 0
+        if lo == 0.0:
+            points.setdefault(ZERO.sort_key(), ZERO)
+            first = 1
+        ms = [min(lo + i * step, hi) for i in range(first, int((hi - lo) / step) + 1)]
+        if hi:
+            ms.append(hi)
+        for m in ms:
+            key = (order, math.log(m))
+            if key not in points:
+                points[key] = SElem(ray, key[1])
+    return [points[key] for key in sorted(points)]
+
+
+def _random_cut(rng, step):
+    """Ball-cut intervals (ray, lo, hi) as ``_ball_cut`` lists them: in
+    ``RAYS`` order, ascending and disjoint on each ray.  Some start at the
+    origin, some sit near 1e15 (ulp 0.125, so samples stall), and some end
+    an ulp below a sample, where ``lo + k * step`` rounds above the end."""
+    cut = []
+    for ray in RAYS:
+        if rng.random() < 0.35:
+            continue
+        cursor = 1e15 - 8.0 if rng.random() < 0.1 else 0.0
+        for k in range(rng.choice((1, 1, 2, 3))):
+            lo = cursor
+            if k or cursor or rng.random() < 0.7:
+                lo += rng.choice((step, 1.0)) * rng.uniform(0.01, 3.0)
+            hi = lo + step * rng.choice((0.0, rng.uniform(0.0, 20.0), rng.uniform(0.0, 120.0)))
+            if rng.random() < 0.3:
+                hi = max(lo, math.nextafter(lo + math.ceil((hi - lo) / step) * step, 0.0))
+            cut.append((ray, lo, hi))
+            cursor = hi
+    return cut
+
+
+def _random_exact(rng, cut, step):
+    """A factor's exact points as ``_nearest`` returns them: deduplicated and
+    sorted.  Off the sample grid, on it, at an interval end, or outside the
+    cut altogether."""
+    pts = set()
+    for _ in range(rng.choice((0, 1, 1, 2, 3))):
+        kind = rng.randrange(5)
+        if kind == 0:
+            pts.add(ZERO)
+        elif kind == 4 or not cut:
+            pts.add(SElem(rng.choice(RAYS), rng.uniform(-3.0, 2.0)))
+        else:
+            ray, lo, hi = rng.choice(cut)
+            m = (rng.uniform(lo, hi), lo + rng.randint(0, int((hi - lo) / step)) * step, hi)[kind - 1]
+            if 0.0 < m <= hi:
+                pts.add(SElem(ray, math.log(m)))
+    return tuple(sorted(pts, key=SElem.sort_key))
+
+
+def test_sampler_matches_the_dict_and_sort_reference():
+    """Seeded cuts (about 5000 intervals) against ``_reference_sample``: the
+    same elements in the same order, with the same exponents bit for bit.
+    The counts show that every float corner of the sampler was reached."""
+    rng = random.Random(15)
+    seen = dict.fromkeys(
+        ("off grid", "two on one ray", "origin beside balanced", "near 1e15", "stalled", "equal exps", "clamp"), 0
+    )
+    intervals = 0
+    for _ in range(1600):
+        step = rng.choice((0.37, 0.05, 0.01, 1e-3))
+        cut = _random_cut(rng, step)
+        exact = _random_exact(rng, cut, step)
+        got = list(_sample(exact, cut, step))
+        want = _reference_sample(exact, cut, step)
+        assert [(e.sign, repr(e.exp)) for e in got] == [(e.sign, repr(e.exp)) for e in want], (exact, cut, step)
+        intervals += len(cut)
+        rays = [ray for ray, _, _ in cut]
+        seen["two on one ray"] += any(rays.count(ray) > 1 for ray in RAYS)
+        seen["origin beside balanced"] += any(r is not Sign.BALANCED and lo == 0.0 for r, lo, _ in cut) and any(
+            r is Sign.BALANCED and hi > 0.0 for r, _, hi in cut
+        )
+        grid = set()
+        for ray, lo, hi in cut:
+            ms = [lo + i * step for i in range(int((hi - lo) / step) + 1)]
+            seen["near 1e15"] += hi > 1e14
+            seen["clamp"] += any(m > hi for m in ms)
+            seen["stalled"] += len(set(ms)) < len(ms)
+            kept = [min(m, hi) for m in ms if m > 0.0] + [hi]
+            seen["equal exps"] += len({math.log(m) for m in kept if m}) < len(set(kept) - {0.0})
+            grid.update((ray, math.log(m)) for m in kept if m)
+        seen["off grid"] += any(not e.is_zero and (e.sign, e.exp) not in grid for e in exact)
+    assert intervals >= 5000 and min(seen.values()) >= 40, (intervals, seen)
+
+
+def test_truncate_matches_the_rebuilding_reference():
+    """``_truncate`` against rebuilding every ray set, with bounds below,
+    at and above interval ends: equal sets, the same intervals."""
+    rng = random.Random(16)
+    cuts = keeps = 0
+    for _ in range(2000):
+        C = random_ray_set(rng)
+        ends = [v for ray in RAYS for iv in C.intervals(ray) for v in iv if v < math.inf]
+        top = max(ends + [0.0])
+        bound = rng.choice((rng.choice(ends + [0.0]), top, top)) * rng.choice((1.0, 0.5, 2.0, math.nextafter(1.0, 2.0)))
+        want = RaySet(*(
+            tuple((lo, min(hi, bound)) for lo, hi in C.intervals(ray) if lo <= bound) for ray in RAYS
+        ))
+        got = _truncate(C, bound)
+        assert got == want and got.to_json() == want.to_json(), (C, bound)
+        if any(hi > bound for ray in RAYS for _, hi in C.intervals(ray)):
+            cuts += 1
+        else:
+            keeps += 1
+    assert cuts >= 500 and keeps >= 500
