@@ -19,8 +19,10 @@ and every operation is a pure function.
 from __future__ import annotations
 
 import math
+from collections import deque
 from enum import Enum
-from typing import NamedTuple, Tuple, Union
+from itertools import repeat
+from typing import List, NamedTuple, Sized, Tuple, Union
 
 
 class _Eps:
@@ -280,6 +282,8 @@ class SElem(_Record):
 
     @classmethod
     def from_json(cls, data: dict) -> "SElem":
+        if not isinstance(data, dict):
+            raise ValueError(f"an element must be an object, got {type(data).__name__}")
         exp = data["exp"]
         if exp == "-inf":
             exp = EPS
@@ -304,6 +308,18 @@ def _trusted_selem(sign: Sign, exp: float) -> SElem:
     return e
 
 
+def _trusted_selems(sign: Sign, exps: Sized) -> List[SElem]:
+    """The batch form of ``_trusted_selem``, under its precondition for
+    every exponent: one element of ``sign`` per exponent of the sized
+    iterable ``exps``, in order.  Three C-level passes (allocate, set the
+    signs, set the exponents) replace a Python call per element; the slot
+    setters return None, so an empty deque drains their maps."""
+    elems = list(map(object.__new__, repeat(SElem, len(exps))))
+    deque(map(_set_sign, elems, repeat(sign)), 0)
+    deque(map(_set_exp, elems, exps), 0)
+    return elems
+
+
 def _check_keys(data: dict, known: Tuple[str, ...]) -> None:
     """Reject the keys of a JSON object that ``known`` does not name, which
     a ``from_json`` would otherwise silently ignore.  Callers run it after
@@ -312,6 +328,12 @@ def _check_keys(data: dict, known: Tuple[str, ...]) -> None:
     unknown = [key for key in data if key not in known]
     if unknown:
         raise ValueError(f"unknown keys {unknown}; expected only {list(known)}")
+
+
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
 
 ZERO = SElem(Sign.BALANCED, EPS)
 UNIT = SElem(Sign.PLUS, 0)

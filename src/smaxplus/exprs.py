@@ -20,14 +20,21 @@ before a token, then the token, a stray character or the end of the source.
 A token's position is the running sum of the lengths of those groups, and a
 stray character is reported at its position before any parsing.  The parser
 is a recursive descent, one function per grammar rule, that pops the tokens
-off a list ending in an END sentinel at ``len(source)``; nesting deeper than
-the recursion limit is reported as a parse error.
+off a list ending in an END sentinel at ``len(source)``.
+
+Parentheses nest at most ``MAX_DEPTH`` deep.  A source with more than that
+many ``(`` is scanned for the first one nested deeper, and the token list
+is cut there by an END sentinel at its position: an error the parser meets
+before it is reported as it is, and reaching it is "expression nested too
+deeply" at that position, whatever the caller's stack depth.  Other sources
+pay one ``count``.  A ``RecursionError`` (a caller already deep in the
+stack) is still reported as nesting too deep, at the token reached.
 """
 
 from __future__ import annotations
 
 import re
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from .algebra import SElem, Sign, ZERO, s_oplus, s_otimes, s_power
 
@@ -47,6 +54,10 @@ _NUM = r"-?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 # common)
 _SCAN = re.compile(rf"(\s*)(?:([+*^()]|[pmb]:{_NUM}|eps\b|{_NUM})|(.)|\Z)")
 _SIGNS = {"p": Sign.PLUS, "m": Sign.MINUS, "b": Sign.BALANCED}
+# the parser recurses four frames per parenthesis level (_atom, _expr,
+# _term, _power), so 200 levels take about 800 of the default recursion
+# limit of 1000
+MAX_DEPTH = 200
 _NOT_NUM = "+*^()epmb"  # first characters of the tokens that are not numbers
 
 
@@ -66,6 +77,27 @@ def _tokenize(source: str) -> List[Tuple[str, int]]:
         pos += len(text)
     tokens.reverse()
     return tokens
+
+
+def _cut_too_deep(tokens: List[Tuple[str, int]]) -> Optional[int]:
+    """Cut the reversed token list at its first ``(`` nested deeper than
+    MAX_DEPTH, which becomes an END sentinel at the same position, and
+    return that position; None (and no cut) when there is none.  The depth
+    is the running count of ``(`` minus ``)``: until the parser meets an
+    error it equals the number of parentheses the parser has open, so the
+    parser reaches the cut inside open parentheses and fails there."""
+    depth = 0
+    for k in range(len(tokens) - 1, -1, -1):
+        text = tokens[k][0]
+        if text == "(":
+            depth += 1
+            if depth > MAX_DEPTH:
+                pos = tokens[k][1]
+                tokens[: k + 1] = [("", pos)]
+                return pos
+        elif text == ")":
+            depth -= 1
+    return None
 
 
 def _parse_number(text: str, pos: int):
@@ -146,11 +178,16 @@ def eval_expr(source: str, mode: str = "smpa") -> SElem:
     if mode not in ("mpa", "smpa"):
         raise ValueError(f"unknown mode {mode!r}")
     tokens = _tokenize(source)
+    cut = _cut_too_deep(tokens) if source.count("(") > MAX_DEPTH else None
     try:
         value = _expr(tokens, mode)
     except RecursionError:
         pos = tokens[-1][1] if tokens else len(source)
         raise ExprError("expression nested too deeply", pos) from None
+    except ExprError as exc:
+        if exc.pos == cut:  # only the sentinel sits at the cut's position
+            raise ExprError("expression nested too deeply", cut) from None
+        raise
     text, pos = tokens[-1]
     if text:
         raise ExprError(f"unexpected token {text!r}", pos)

@@ -16,7 +16,9 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from typing import Iterator, Tuple
+from collections import deque
+from itertools import product, repeat
+from typing import Iterator, Sequence, Tuple
 
 from .algebra import EPS, SElem, Sign, _check_keys, _Record
 
@@ -149,7 +151,12 @@ class SVector(_Record):
 
     @classmethod
     def from_json(cls, data: dict) -> "SVector":
-        v = cls(tuple(SElem.from_json(c) for c in data["coords"]))
+        if not isinstance(data, dict):
+            raise ValueError(f"a vector must be an object, got {type(data).__name__}")
+        coords = data["coords"]
+        if not isinstance(coords, (list, tuple)):
+            raise ValueError(f"coords must be a list of elements, got {coords!r}")
+        v = cls(tuple(SElem.from_json(c) for c in coords))
         _check_keys(data, ("coords",))
         return v
 
@@ -164,6 +171,17 @@ def _trusted_svector(coords: Tuple[SElem, ...]) -> SVector:
     v = object.__new__(SVector)
     _set_coords(v, coords)
     return v
+
+
+def _trusted_product(clouds: Sequence[Sequence[SElem]]) -> Tuple[SVector, ...]:
+    """The vectors of ``itertools.product(*clouds)``, in its order, each
+    built as ``_trusted_svector`` builds one and under its precondition: the
+    clouds are nonempty sequences of SElem values the library returned.  Two
+    C-level passes (allocate, set the coordinates) replace a Python call per
+    vector."""
+    vectors = tuple(map(object.__new__, repeat(SVector, math.prod(map(len, clouds)))))
+    deque(map(_set_coords, vectors, product(*clouds)), 0)
+    return vectors
 
 
 def phi_n(x: SVector) -> Tuple[complex, ...]:

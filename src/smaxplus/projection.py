@@ -11,14 +11,16 @@ query's side of the origin), and one kernel scores every candidate in
 floats, keeps the attained ones within the absolute TIE_TOL of the best,
 and builds elements only for those.  Boxes call the kernel per factor: the
 sum and Euclidean combines take the product of the factor argmins, and the
-max combine cuts each factor by the ball of the largest factor distance.
-The kernel returns the nearest points and their distance, not a
-``ProjectionResult``, so boxes, which call it once per factor, build one
-result per public call.  The multipoint witness is built in a gap, not
-scored.
+max combine cuts each factor by the ball of the largest factor distance and
+samples the cut (``_sample``) per ray and in order, in C-level passes with
+no per-sample key, dict probe or global sort.  The kernel returns the
+nearest points and their distance, not a ``ProjectionResult``, so boxes,
+which call it once per factor, build one result per public call.  The
+multipoint witness is built in a gap, not scored.
 
 Results are built without the public constructors' checks, through
-``_trusted_selem`` and ``_trusted_svector``, and only from values the
+``_trusted_selem`` and ``_trusted_svector`` or their batch forms
+``_trusted_selems`` and ``_trusted_product``, and only from values the
 kernels have just computed: an argmin or sample at a positive finite
 radius ``m`` has exponent ``math.log(m)``, which is finite, and a product
 vector is a tuple of such elements.  The checks took most of the time of a
@@ -31,10 +33,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from itertools import repeat
+from operator import add, mul
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from .algebra import RAYS, ZERO, SElem, _check_keys, _Record, _trusted_selem
-from .metrics import MetricId, SVector, _trusted_svector, cross_distance, magnitude
+from .algebra import RAYS, ZERO, SElem, Sign, _check_keys, _is_number, _Record, _trusted_selem, _trusted_selems
+from .metrics import MetricId, SVector, _trusted_product, _trusted_svector, cross_distance, magnitude
 from .raysets import BoxSet, RaySet, is_chebyshev, point_on_ray
 
 if TYPE_CHECKING:
@@ -65,10 +69,21 @@ class ProjectionResult(_Record):
 
     @classmethod
     def from_json(cls, data: dict) -> "ProjectionResult":
+        if not isinstance(data, dict):
+            raise ValueError(f"a projection result must be an object, got {type(data).__name__}")
+        points, distance, singleton = data["points"], data["distance"], data["singleton"]
+        if not isinstance(points, (list, tuple)):
+            raise ValueError(f"points must be a list of elements or vectors, got {points!r}")
+        if not _is_number(distance):
+            raise ValueError(f"distance must be a number, got {distance!r}")
+        if not isinstance(singleton, bool):
+            raise ValueError(f"singleton must be true or false, got {singleton!r}")
         pts = []
-        for p in data["points"]:
+        for p in points:
+            if not isinstance(p, dict):
+                raise ValueError(f"a point must be an element or vector object, got {p!r}")
             pts.append(SVector.from_json(p) if "coords" in p else SElem.from_json(p))
-        result = cls(tuple(pts), data["distance"], data["singleton"])
+        result = cls(tuple(pts), distance, singleton)
         _check_keys(data, ("points", "distance", "singleton"))
         return result
 
@@ -240,12 +255,16 @@ def project_box_max(
     if total > 5_000_000:
         raise ValueError(f"argmin cloud too large ({total:.0f} points); raise the resolution")
     clouds = [_sample(exact, cut, resolution) for (exact, _), cut in zip(per, cuts)]
-    points = tuple(map(_trusted_svector, itertools.product(*clouds)))
-    return ProjectionResult(points, D, all(len(c) == 1 for c in clouds))
+    return ProjectionResult(_trusted_product(clouds), D, all(len(c) == 1 for c in clouds))
 
 
 def _truncate(C: RaySet, bound: float) -> RaySet:
-    """The part of a ray set of magnitude at most ``bound``."""
+    """The part of a ray set of magnitude at most ``bound``: ``C`` itself
+    when no interval end exceeds it (rebuilding would give an equal set, as
+    the canonical form is idempotent), else the set rebuilt from the
+    intervals clipped at ``bound``."""
+    if all(not ivs or ivs[-1][1] <= bound for ivs in (C.plus, C.minus, C.balanced)):
+        return C
     return RaySet(*(
         tuple((lo, min(hi, bound)) for lo, hi in C.intervals(ray) if lo <= bound)
         for ray in RAYS
@@ -278,33 +297,61 @@ def _ball_cut(x: SElem, C: RaySet, D: float, base: int) -> List[tuple]:
     return cut
 
 
-_ORIGIN_KEY = ZERO.sort_key()
-
-
 def _sample(exact: Tuple[SElem, ...], cut: List[tuple], step: float) -> List[SElem]:
-    """One factor's argmin cloud: the exact points, then each interval from
-    its low end ``step`` apart with its high end, deduplicated (the origin
-    lies on every ray) and sorted.  Samples are keyed by their sort keys
-    (ray order, exponent) in one dict, and an element is built only for a
-    new key.  Every interval is finite (``project_box_max`` refuses
-    unbounded clouds) and ``step`` is finite, so a sample other than the
-    origin, which is the low end 0 only, has a positive finite radius."""
-    points = {e.sort_key(): e for e in exact}
-    log = math.log
+    """One factor's argmin cloud in ``SElem.sort_key`` order: each cut
+    interval from its low end ``step`` apart with its high end, merged with
+    the factor's exact points and deduplicated (the origin lies on every
+    ray).  With no cut (the factor binds) the exact points are the cloud.
+
+    The build is per ray and in order, with no per-sample key, dict probe
+    or global sort; it relies on three orders.  ``_ball_cut`` lists the cut
+    in ``RAYS`` order with each ray's intervals ascending and disjoint, so
+    the radii ``lo + i * step`` of a ray rise with the interval and with
+    ``i`` (float sums are monotone in ``i``); only a tail of an interval can
+    pass ``hi``, and it is dropped, since the clamped value ``hi`` is
+    sampled anyway.  ``math.log`` is monotone, so a ray's exponents arrive
+    ascending and ``dict.fromkeys`` drops equal ones (equal radii, or radii
+    near 1e15 whose logarithms round together) in order.  The origin's key
+    ``(2, -inf)`` puts it first on the balanced ray.  An exact point equal
+    to a sample adds nothing; one between samples (an off-grid clamp) is
+    inserted, and only then is that ray sorted.  ``exact`` comes from
+    ``_nearest``, deduplicated and sorted.
+
+    Every interval is finite (``project_box_max`` refuses unbounded clouds)
+    and ``step`` is finite, so every radius but the origin, which is the low
+    end 0 only, is positive and finite: its exponent ``math.log(m)`` meets
+    ``_trusted_selems``' precondition."""
+    if not cut:
+        return exact
+    radii = {ray: [] for ray in RAYS}
+    origin = False
     for ray, lo, hi in cut:
-        order = RAYS.index(ray)
         first = 0
         if lo == 0.0:
-            points.setdefault(_ORIGIN_KEY, ZERO)
-            first = 1
-        ms = [min(lo + i * step, hi) for i in range(first, int((hi - lo) / step) + 1)]
+            origin, first = True, 1
+        ms = radii[ray]
+        # the ray's earlier radii are at most the previous high end, below lo
+        ms += map(add, repeat(lo), map(mul, range(first, int((hi - lo) / step) + 1), repeat(step)))
+        while ms and ms[-1] > hi:
+            ms.pop()
         if hi:
             ms.append(hi)
-        for m in ms:
-            key = (order, log(m))
-            if key not in points:
-                points[key] = _trusted_selem(ray, key[1])
-    return [points[key] for key in sorted(points)]
+    exps = {ray: dict.fromkeys(map(math.log, ms)) for ray, ms in radii.items()}
+    unsorted = set()
+    for e in exact:
+        if e.is_zero:
+            origin = True
+        elif e.exp not in exps[e.sign]:
+            exps[e.sign][e.exp] = None
+            unsorted.add(e.sign)
+    cloud = []
+    for ray in RAYS:
+        if origin and ray is Sign.BALANCED:
+            cloud.append(ZERO)
+        ray_exps = exps[ray]
+        if ray_exps:
+            cloud += _trusted_selems(ray, sorted(ray_exps) if ray in unsorted else ray_exps)
+    return cloud
 
 
 def project_segment_set(x: SElem, S: SegmentSet, base: int = 2) -> ProjectionResult:
@@ -361,19 +408,27 @@ def find_multipoint_witness(C: RaySet, base: int = 2) -> Optional[SElem]:
     """A query with at least two nearest points, built in the set's first gap;
     None when there is none, that is for a single interval or a star.
 
-    Gaps are tried per ray in ``RAYS`` order (between its first two
-    intervals, then between the origin and its first interval), then, with no
-    origin, across it between the two smallest first low ends alpha <= beta
-    (equal ends ordered by ray).  The query is at the half-gap g from both gap
-    ends and nothing is nearer: the rest of its ray lies beyond them, and
-    another ray is at least the query's radius m >= g away (m = hi1 + g in a
-    same-ray gap, g in the origin gap; across, the query on beta's ray has
-    beta - m = cross(m, alpha) = g, and a third ray's first low end
-    gamma >= beta is at cross(m, gamma) >= gamma >= g).  The chord metric's
-    cross point (beta^2 - alpha^2) / (2 beta + alpha) is evaluated on alpha
-    and beta scaled by a power of two, and midpoints as halves summed, so
-    nothing overflows or underflows: the witness is exact up to the rounding
-    of m and of its exponent ``log m``, and nothing is scored.
+    Gaps are tried per ray in ``RAYS`` order (between its consecutive
+    intervals, then between the origin and its first interval), then, with
+    no origin, across it between the two smallest first low ends alpha <=
+    beta (equal ends ordered by ray).  The query is at the half-gap g from
+    both gap ends and nothing is nearer: the rest of its ray lies beyond
+    them, and another ray is at least the query's radius m >= g away (m =
+    hi1 + g in a same-ray gap, g in the origin gap; across, the query on
+    beta's ray has beta - m = cross(m, alpha) = g, and a third ray's first
+    low end gamma >= beta is at cross(m, gamma) >= gamma >= g).  The chord
+    metric's cross point (beta^2 - alpha^2) / (2 beta + alpha) is evaluated
+    on alpha and beta scaled by a power of two, and midpoints as halves
+    summed, so nothing overflows or underflows: the witness is exact up to
+    the rounding of m and of its exponent ``log m``, and nothing is scored.
+
+    A query is an exponent, and a gap narrower than the float spacing (ends
+    an ulp apart, or radii near 1e15 whose logarithms round together) can
+    put the midpoint's exponent on an end's, which is a member.  The query
+    is then built from the midpoint of the end exponents, strictly between
+    them and so outside the set, with both ends within ``TIE_TOL`` of it.
+    A gap with no exponent strictly inside holds no element at all and is
+    skipped, so on such sets None does not imply ``is_connected``.
     """
     if C.is_empty:
         raise ValueError("empty set")
@@ -382,10 +437,13 @@ def find_multipoint_witness(C: RaySet, base: int = 2) -> Optional[SElem]:
     rays = (C.plus, C.minus, C.balanced)
     has_origin = C.has_origin
     for ray, ivs in zip(RAYS, rays):
-        if len(ivs) > 1:
-            return point_on_ray(ray, 0.5 * ivs[0][1] + 0.5 * ivs[1][0])
+        gaps = [(ivs[k][1], ivs[k + 1][0]) for k in range(len(ivs) - 1)]
         if has_origin and ivs and ivs[0][0] > 0.0:
-            return point_on_ray(ray, 0.5 * ivs[0][0])
+            gaps.append((0.0, ivs[0][0]))
+        for hi1, lo2 in gaps:
+            witness = _gap_witness(ray, hi1, lo2)
+            if witness is not None:
+                return witness
     firsts = sorted((ivs[0][0], i) for i, ivs in enumerate(rays) if ivs)
     if has_origin or len(firsts) < 2:
         return None
@@ -397,3 +455,23 @@ def find_multipoint_witness(C: RaySet, base: int = 2) -> Optional[SElem]:
         a = math.ldexp(alpha, -e)
         m = math.ldexp((b * b - a * a) / (2.0 * b + a), e)
     return point_on_ray(RAYS[i], m)
+
+
+def _gap_witness(ray: Sign, hi1: float, lo2: float) -> Optional[SElem]:
+    """The query in the gap (hi1, lo2) of a ray (hi1 = 0 for the origin):
+    the element at the midpoint radius when its exponent lies strictly
+    between the ends' exponents, else the element at the midpoint of those
+    exponents (log lo2 - log 2 from the origin), or None when no exponent
+    lies strictly between them."""
+    m = 0.5 * hi1 + 0.5 * lo2
+    t1 = math.log(hi1) if hi1 > 0.0 else -math.inf
+    t2 = math.log(lo2)
+    t = math.log(m) if m > 0.0 else -math.inf
+    if not t1 < t < t2:
+        t = 0.5 * t1 + 0.5 * t2 if hi1 > 0.0 else t2 - _LOG2
+        if not t1 < t < t2:
+            return None
+    return _trusted_selem(ray, t)
+
+
+_LOG2 = math.log(2.0)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Tuple
 
-from .algebra import RAYS, SElem, Sign, ZERO, _check_keys, _Record
+from .algebra import RAYS, SElem, Sign, ZERO, _check_keys, _is_number, _Record
 
 Interval = Tuple[float, float]
 
@@ -118,7 +118,7 @@ class RaySet(_Record):
                 if not isinstance(iv, (list, tuple)) or len(iv) != 2:
                     raise ValueError(f"{name} interval must be a [lo, hi] pair, got {iv!r}")
                 ends = (iv[0], math.inf if iv[1] == "inf" else iv[1])
-                if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in ends):
+                if not all(map(_is_number, ends)):
                     raise ValueError(f'{name} interval ends must be numbers or "inf" as hi, got {iv!r}')
                 out.append(ends)
             return tuple(out)

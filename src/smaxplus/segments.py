@@ -26,7 +26,7 @@ import sys
 import warnings
 from typing import List, Optional, Sequence, Tuple
 
-from .algebra import EPS, RAYS, SElem, Sign, ZERO, _check_keys, _Record, s_oplus, scalar_mul
+from .algebra import EPS, RAYS, SElem, Sign, ZERO, _check_keys, _is_number, _Record, s_oplus, scalar_mul
 from .metrics import (
     _MAX_EXP_ARG,
     _SQRT_FLOAT_MIN,
@@ -123,7 +123,19 @@ def _chart_json(chart: PsiChart) -> list:
 
 
 def _chart_from_json(data) -> PsiChart:
+    if not isinstance(data, (list, tuple)):
+        raise ValueError(f"chart must be a list of [u, v] sign pairs, got {data!r}")
+    for pair in data:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise ValueError(f"chart entry must be a [u, v] sign pair, got {pair!r}")
     return tuple((Sign(u), Sign(v)) for u, v in data)
+
+
+def _numbers_from_json(name: str, data) -> Tuple[float, ...]:
+    """A JSON list of numbers as a tuple, or a ValueError naming ``name``."""
+    if not isinstance(data, (list, tuple)) or not all(map(_is_number, data)):
+        raise ValueError(f"{name} must be a list of numbers, got {data!r}")
+    return tuple(data)
 
 
 class BrokenLine(_Record):
@@ -156,11 +168,18 @@ class BrokenLine(_Record):
 
     @classmethod
     def from_json(cls, data: dict) -> "BrokenLine":
+        if not isinstance(data, dict):
+            raise ValueError(f"a broken line must be an object, got {type(data).__name__}")
+        vertices, length = data["vertices"], data["length"]
+        if not isinstance(vertices, (list, tuple)):
+            raise ValueError(f"vertices must be a list of vertices, got {vertices!r}")
+        if not _is_number(length):
+            raise ValueError(f"length must be a number, got {length!r}")
         line = cls(
             _chart_from_json(data["chart"]),
-            tuple(tuple(v) for v in data["vertices"]),
-            tuple(data["t"]),
-            data["length"],
+            tuple(_numbers_from_json("vertex", v) for v in vertices),
+            _numbers_from_json("t", data["t"]),
+            length,
         )
         _check_keys(data, ("chart", "t", "vertices", "length"))
         return line

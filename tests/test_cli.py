@@ -311,6 +311,35 @@ def test_set_shape_errors_are_named(capsys, files, command, payload, message):
     assert json.loads(err) == {"error": f"{target}: not a ray set or box (ValueError: {message})"}
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"coords": 5}, "coords must be a list of elements, got 5"),
+        ([1, 2], "an element must be an object, got list"),
+        ({"coords": [5]}, "an element must be an object, got int"),
+        ({"coords": [[{"sign": "+", "exp": 0}]]}, "an element must be an object, got list"),
+    ],
+    ids=["coords", "list", "coordinate", "nested"],
+)
+def test_vector_shape_errors_are_named(capsys, files, payload, message):
+    query = files["write"]("q.json", payload)
+    code, out, err = run(capsys, "project", query, files["triple"])
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": f"{query}: not an element or vector (ValueError: {message})"}
+
+
+def test_vector_shape_error_has_no_traceback(files):
+    query = files["write"]("q.json", {"coords": 5})
+    env = dict(os.environ, PYTHONPATH=str(Path(smaxplus.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "smaxplus.cli", "project", query, files["triple"]],
+        capture_output=True, text=True, env=env,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert "Traceback" not in proc.stderr
+    assert "coords must be a list of elements, got 5" in json.loads(proc.stderr)["error"]
+
+
 @pytest.mark.parametrize("command", ["check", "project"])
 def test_non_numeric_interval_ends_are_a_domain_error(capsys, files, command):
     target = files["write"]("s.json", {"plus": [[True, 2]]})

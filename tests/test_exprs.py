@@ -3,7 +3,7 @@
 import pytest
 
 from smaxplus import SElem, ZERO, eval_expr
-from smaxplus.exprs import ExprError
+from smaxplus.exprs import MAX_DEPTH, ExprError
 
 
 def test_worked_example():
@@ -70,6 +70,47 @@ def test_deep_nesting_is_a_parse_error(depth):
     assert eval_expr("(" * 100 + "1" + ")" * 100) == SElem.pos(1)
     with pytest.raises(ExprError, match="nested too deeply"):
         eval_expr("(" * depth + "1" + ")" * depth)
+
+
+def _eval_deeper(frames: int, source: str):
+    """``eval_expr`` called ``frames`` stack frames deeper; the error or the
+    value."""
+    if frames:
+        return _eval_deeper(frames - 1, source)
+    try:
+        return eval_expr(source)
+    except ExprError as exc:
+        return str(exc), exc.pos
+
+
+def test_nesting_depth_error_is_a_function_of_the_input():
+    # the first "(" nested deeper than MAX_DEPTH, at any caller depth
+    deep = "(" * 1000 + "1" + ")" * 1000
+    for frames in (0, 1, 2, 3, 50, 100):
+        assert _eval_deeper(frames, deep) == (f"expression nested too deeply (at position {MAX_DEPTH})", MAX_DEPTH)
+    inner = "p:1 + " + "(" * (MAX_DEPTH + 1) + "1" + ")" * (MAX_DEPTH + 1)
+    # the outer "(" is level 1, so the inner ones start at level 2
+    assert _eval_deeper(0, "(" + inner + ")")[1] == len("(p:1 + ") + MAX_DEPTH - 1
+    # MAX_DEPTH levels parse, also from a caller 100 frames down
+    at_bound = "(" * MAX_DEPTH + "2" + ")" * MAX_DEPTH
+    assert _eval_deeper(0, at_bound) == _eval_deeper(100, at_bound) == SElem.pos(2)
+    # many parentheses that do not nest deeply are not cut
+    assert eval_expr(" + ".join(["((1))"] * (MAX_DEPTH + 1))) == SElem.pos(1)
+
+
+@pytest.mark.parametrize(
+    "source, message, pos",
+    [
+        # an error before the deep parenthesis is reported as it is
+        ("1 2" + "(" * 300, "unexpected token '2'", 2),
+        ("(" * 100 + "1 2" + "(" * 300, "missing ')'", 102),
+        (")" + "(" * 300, "unexpected token ')'", 0),
+        ("(" * 5 + "m:1" + "(" * 300, "missing ')'", 8),
+        ("(" * 50 + "eps * $" + "(" * 300, "unexpected character '$'", 56),
+    ],
+)
+def test_errors_before_the_depth_cut_keep_their_position(source, message, pos):
+    assert _eval_deeper(0, source) == (f"{message} (at position {pos})", pos)
 
 
 def test_huge_power_is_a_parse_error():

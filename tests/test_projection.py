@@ -232,6 +232,36 @@ class TestWitnessConstruction:
                 assert find_multipoint_witness(C, base) is not None
         assert calls == []
 
+    @pytest.mark.parametrize("base", [1, 2])
+    @pytest.mark.parametrize(
+        "C, ends",
+        [
+            # no float radius strictly inside the gap: the midpoint radius
+            # rounds onto an end, which is a member
+            (RaySet(plus=((1, 1), (math.nextafter(1, 2), 3))), ((Sign.PLUS, 1.0), (Sign.PLUS, math.nextafter(1, 2)))),
+            # the origin gap below the smallest float: half of it is 0
+            (RaySet(plus=((0, 1),), minus=((5e-324, 1),)), ((Sign.MINUS, 5e-324), (Sign.PLUS, 0.0))),
+            (RaySet(balanced=((0, 0), (5e-324, 1))), ((Sign.BALANCED, 0.0), (Sign.BALANCED, 5e-324))),
+        ],
+    )
+    def test_witness_in_a_gap_narrower_than_a_float(self, C, ends, base):
+        w = find_multipoint_witness(C, base)
+        assert w is not None and not C.contains(w)
+        expected = sorted({point_on_ray(ray, m) for ray, m in ends}, key=SElem.sort_key)
+        assert project_ray(w, C, base).points == tuple(expected)
+
+    @pytest.mark.parametrize("base", [1, 2])
+    def test_a_gap_with_no_exponent_inside_has_no_witness(self, base):
+        # near 1e15 the radii 8 apart have exponents at most an ulp apart:
+        # no element lies in the gap, so the gap is skipped
+        C = RaySet(plus=((1e15, 1e15), (1e15 + 8.0, 1e15 + 9.0)))
+        assert not is_connected(C)
+        assert find_multipoint_witness(C, base) is None
+        # a later gap on the same ray is still found (checked with relative
+        # distances: project_ray's absolute TIE_TOL misjudges ties at 1e15)
+        C = RaySet(plus=((1e15, 1e15), (1e15 + 8.0, 1e15 + 9.0), (2e15, 3e15)))
+        _assert_witness(C, find_multipoint_witness(C, base), base)
+
     @pytest.mark.parametrize("band", WITNESS_BANDS)
     def test_witness_exactly_when_disconnected(self, band):
         rng = random.Random(47)
@@ -565,3 +595,23 @@ def test_projection_result_json_rejects_unknown_keys():
     data = {**project_ray(ZERO, TRIPLE, 2).to_json(), "singular": True}
     with pytest.raises(ValueError, match=r"unknown keys \['singular'\]"):
         ProjectionResult.from_json(data)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"points": 5}, "points must be a list of elements or vectors, got 5"),
+        ({"points": [5]}, "a point must be an element or vector object, got 5"),
+        ({"points": [{"coords": 5}]}, "coords must be a list of elements, got 5"),
+        ({"distance": "1.0"}, "distance must be a number, got '1.0'"),
+        ({"distance": True}, "distance must be a number, got True"),
+        ({"singleton": 1}, "singleton must be true or false, got 1"),
+    ],
+)
+def test_projection_result_json_shape_errors_are_named(change, message):
+    data = {**project_ray(ZERO, TRIPLE, 2).to_json(), **change}
+    with pytest.raises(ValueError) as err:
+        ProjectionResult.from_json(data)
+    assert str(err.value) == message
+    with pytest.raises(ValueError, match="a projection result must be an object, got list"):
+        ProjectionResult.from_json([data])

@@ -510,6 +510,30 @@ class TestJson:
         with pytest.raises(ValueError, match=r"unknown keys \['(bogus|x|closed|len)'\]"):
             load(data)
 
+    LINE_JSON = {"chart": [["+", "-"]], "t": [], "vertices": [[1.0], [2.0]], "length": 1.0}
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"chart": 5}, "chart must be a list of [u, v] sign pairs, got 5"),
+            ({"chart": [["+"]]}, "chart entry must be a [u, v] sign pair, got ['+']"),
+            ({"vertices": 5}, "vertices must be a list of vertices, got 5"),
+            ({"vertices": [[1.0], 2.0]}, "vertex must be a list of numbers, got 2.0"),
+            ({"vertices": [[1.0], [True]]}, "vertex must be a list of numbers, got [True]"),
+            ({"t": [0.5, "x"]}, "t must be a list of numbers, got [0.5, 'x']"),
+            ({"length": "1"}, "length must be a number, got '1'"),
+        ],
+    )
+    def test_broken_line_shape_errors_are_named(self, change, message):
+        assert BrokenLine.from_json(self.LINE_JSON).length == 1.0
+        with pytest.raises(ValueError) as err:
+            BrokenLine.from_json({**self.LINE_JSON, **change})
+        assert str(err.value) == message
+
+    def test_broken_line_must_be_an_object(self):
+        with pytest.raises(ValueError, match="a broken line must be an object, got list"):
+            BrokenLine.from_json([1, 2])
+
 
 
 LINE = ((Sign.PLUS, Sign.MINUS),)
