@@ -37,7 +37,9 @@ from itertools import repeat
 from operator import add, mul
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from .algebra import RAYS, ZERO, SElem, Sign, _check_keys, _is_number, _Record, _trusted_selem, _trusted_selems
+from .algebra import (
+    RAYS, ZERO, SElem, Sign, _check_keys, _is_number, _Record, _trusted_selem, _trusted_selems,
+)
 from .metrics import MetricId, SVector, _trusted_product, _trusted_svector, cross_distance, magnitude
 from .raysets import BoxSet, RaySet, is_chebyshev, point_on_ray
 
@@ -426,9 +428,10 @@ def find_multipoint_witness(C: RaySet, base: int = 2) -> Optional[SElem]:
     an ulp apart, or radii near 1e15 whose logarithms round together) can
     put the midpoint's exponent on an end's, which is a member.  The query
     is then built from the midpoint of the end exponents, strictly between
-    them and so outside the set, with both ends within ``TIE_TOL`` of it.
-    A gap with no exponent strictly inside holds no element at all and is
-    skipped, so on such sets None does not imply ``is_connected``.
+    them and so outside the set: its radius is the ends' geometric mean,
+    which in a gap this narrow is their midpoint up to rounding.  A gap with
+    no exponent strictly inside holds no element at all and is skipped, so
+    on such sets None does not imply ``is_connected``.
     """
     if C.is_empty:
         raise ValueError("empty set")
@@ -437,11 +440,12 @@ def find_multipoint_witness(C: RaySet, base: int = 2) -> Optional[SElem]:
     rays = (C.plus, C.minus, C.balanced)
     has_origin = C.has_origin
     for ray, ivs in zip(RAYS, rays):
-        gaps = [(ivs[k][1], ivs[k + 1][0]) for k in range(len(ivs) - 1)]
+        for k in range(1, len(ivs)) if len(ivs) > 1 else ():
+            witness = _gap_witness(ray, ivs[k - 1][1], ivs[k][0])
+            if witness is not None:
+                return witness
         if has_origin and ivs and ivs[0][0] > 0.0:
-            gaps.append((0.0, ivs[0][0]))
-        for hi1, lo2 in gaps:
-            witness = _gap_witness(ray, hi1, lo2)
+            witness = _gap_witness(ray, 0.0, ivs[0][0])
             if witness is not None:
                 return witness
     firsts = sorted((ivs[0][0], i) for i, ivs in enumerate(rays) if ivs)
