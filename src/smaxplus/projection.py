@@ -440,10 +440,11 @@ def find_multipoint_witness(C: RaySet, base: int = 2) -> Optional[SElem]:
     rays = (C.plus, C.minus, C.balanced)
     has_origin = C.has_origin
     for ray, ivs in zip(RAYS, rays):
-        for k in range(1, len(ivs)) if len(ivs) > 1 else ():
-            witness = _gap_witness(ray, ivs[k - 1][1], ivs[k][0])
-            if witness is not None:
-                return witness
+        if len(ivs) > 1:
+            for k in range(1, len(ivs)):
+                witness = _gap_witness(ray, ivs[k - 1][1], ivs[k][0])
+                if witness is not None:
+                    return witness
         if has_origin and ivs and ivs[0][0] > 0.0:
             witness = _gap_witness(ray, 0.0, ivs[0][0])
             if witness is not None:
