@@ -14,9 +14,11 @@ Two groups of cases:
   error like an edge case.
 * ``edge``: malformed input and inputs at the parser's limits, each with
   its exception class, message and ``pos``.  For nesting too deep to
-  parse, ``pos`` depends on the stack depth of the caller (the parser
-  reports where it was when the recursion limit hit), so it is stored as
-  null and only the class and message prefix are pinned.
+  parse, ``pos`` is stored as null and only the class and message prefix
+  are pinned: when the corpus was captured the parser reported where it
+  was when the recursion limit hit, which depended on the caller's stack
+  depth.  It is now the first parenthesis beyond ``exprs.MAX_DEPTH``,
+  which ``tests/test_exprs.py`` pins.
 
 The stored results were captured from the per-token ``re.match`` tokenizer
 and the ``_Parser`` class that the one-scan parser replaced; regenerate only

@@ -21,8 +21,9 @@ def _matches(entry) -> bool:
         if expected is None or type(exc).__name__ != expected["class"]:
             return False
         if expected["pos"] is None and pos is not None:
-            # nesting too deep: the position depends on the caller's stack
-            # depth, so pin the message and that it points into the source
+            # nesting too deep: captured when the position depended on the
+            # caller's stack depth, so pin the message and that it points
+            # into the source (test_exprs.py pins the position itself)
             return str(exc) == f"{expected['message']} (at position {pos})" and 0 <= pos < len(entry["source"])
         got = {"error": {"class": type(exc).__name__, "message": str(exc), "pos": pos}}
     expected = {key: entry[key] for key in ("result", "error") if key in entry}
