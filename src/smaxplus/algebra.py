@@ -180,12 +180,24 @@ class _Record:
     equal field tuples, and the hash is that of the field tuple; the repr is
     ``Name(field=value, ...)``; pickling and copying call the constructor on
     the field tuple, so the constructor takes the fields in slot order.
+
+    The fields are the names in ``_fields``, which defaults to
+    ``__slots__``.  A subclass that caches something derived from its fields
+    keeps the cache in a slot that ``_fields`` leaves out: the cache takes no
+    part in equality, hash, repr or pickling, and a copy, built from the
+    fields, starts without it.
     """
 
     __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "_fields" not in vars(cls):
+            cls._fields = cls.__slots__
 
     def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -205,7 +217,7 @@ class _Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
 
 

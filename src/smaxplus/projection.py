@@ -9,14 +9,19 @@ other rays.  Ray sets and one-coordinate segment sets both reduce to radial
 intervals with open/closed ends (an arc to the part of its chord on the
 query's side of the origin), and one kernel scores every candidate in
 floats, keeps the attained ones within the absolute TIE_TOL of the best,
-and builds elements only for those.  Boxes call the kernel per factor: the
-sum and Euclidean combines take the product of the factor argmins, and the
-max combine cuts each factor by the ball of the largest factor distance and
-samples the cut (``_sample``) per ray and in order, in C-level passes with
-no per-sample key, dict probe or global sort.  The kernel returns the
-nearest points and their distance, not a ``ProjectionResult``, so boxes,
-which call it once per factor, build one result per public call.  The
-multipoint witness is built in a gap, not scored.
+and builds elements only for those.  A ray set's intervals are prepared
+once per set: the kernel reads them from the set's cached index, which
+carries each end's exponent ``math.log``, so an argmin at an interval end
+is built from the cached exponent; a segment set's intervals depend on the
+query and are built per call, with no exponents.  Boxes call the kernel
+per factor: the sum and Euclidean combines take the product of the factor
+argmins, and the max combine cuts each factor by the ball of the largest
+factor distance and samples the cut (``_sample``) per ray and in order, in
+C-level passes with no per-sample key, dict probe or global sort.  The
+kernel returns the nearest points and their distance, not a
+``ProjectionResult``, so boxes, which call it once per factor, build one
+result per public call.  The multipoint witness is built in a gap, not
+scored.
 
 Results are built without the public constructors' checks, through
 ``_trusted_selem`` and ``_trusted_svector`` or their batch forms
@@ -41,12 +46,16 @@ from .algebra import (
     RAYS, ZERO, SElem, Sign, _check_keys, _is_number, _Record, _trusted_selem, _trusted_selems,
 )
 from .metrics import MetricId, SVector, _trusted_product, _trusted_svector, cross_distance, magnitude
-from .raysets import BoxSet, RaySet, is_chebyshev, point_on_ray
+from .raysets import _KERNEL, BoxSet, RaySet, is_chebyshev, point_on_ray
 
 if TYPE_CHECKING:
     from .segments import ArcPiece, SegmentSet
 
 TIE_TOL = 1e-9
+
+# the exponent of an interval end that has none known: every comparison
+# with it fails
+_NO_EXP = math.nan
 
 
 class ProjectionResult(_Record):
@@ -101,44 +110,55 @@ def _tied(d: float, ref: float) -> bool:
     return d <= ref + TIE_TOL
 
 
-def _nearest(x: SElem, intervals: List[tuple], base: int) -> Tuple[Tuple[SElem, ...], float]:
+def _nearest(x: SElem, intervals, base: int) -> Tuple[Tuple[SElem, ...], float]:
     """The nearest points of ``x`` among radial intervals, in sort order,
     and their distance.  Intervals are given as (ray, lo, hi, closed_lo,
-    closed_hi, point) with ``point`` the element to report for a one-point
-    interval that came as one (a segment's point piece), else None.
+    closed_hi, point, t_lo, t_hi): ``point`` is the element to report for a
+    one-point interval that came as one (a segment's point piece), else
+    None, and ``t_lo``, ``t_hi`` are the ends' exponents when known (a ray
+    set's index), else nan.
 
     Each interval offers one candidate, scored in floats: the clamp of the
     query's radial coordinate on its own ray (every ray for a zero query),
     the low end on the other rays.  The origin lies on every ray, so a low
     end at 0 is at radial distance.  A candidate at an excluded end lowers
     the infimum but is not attained.  Elements are built only for the
-    argmins, and deduplicated and sorted only when more than one ties.
+    argmins, and deduplicated and sorted only when more than one ties.  An
+    argmin at an end with a known finite exponent is built from it, which
+    is the ``math.log`` of the end; any other from ``math.log`` of its
+    radius.
     """
     mx = magnitude(x)
     own = None if x.is_zero else x.sign
     infimum = best = math.inf
     attained = []
-    for ray, lo, hi, closed_lo, closed_hi, point in intervals:
+    for ray, lo, hi, closed_lo, closed_hi, point, t_lo, t_hi in intervals:
         if own is None or ray is own:
-            m = lo if mx < lo else hi if mx > hi else mx
+            if mx < lo:
+                m, t = lo, t_lo
+            elif mx > hi:
+                m, t = hi, t_hi
+            else:
+                m, t = mx, _NO_EXP
             d = abs(mx - m)
         elif lo == 0.0:
-            m, d = lo, mx
+            m, t, d = lo, t_lo, mx
         else:
-            m, d = lo, cross_distance(mx, lo, base)
+            m, t, d = lo, t_lo, cross_distance(mx, lo, base)
         if d < infimum:
             infimum = d
         if (m != lo or closed_lo) and (m != hi or closed_hi):
             if d < best:
                 best = d
-            attained.append((d, ray, m, point))
+            attained.append((d, ray, m, point, t))
     if not attained or not _tied(best, infimum):
         raise ValueError("nearest-point infimum is not attained in the segment set")
     points = [
         point if point is not None
+        else _trusted_selem(ray, t) if -math.inf < t < math.inf
         else _trusted_selem(ray, math.log(m)) if 0.0 < m < math.inf
         else point_on_ray(ray, m)
-        for d, ray, m, point in attained
+        for d, ray, m, point, t in attained
         if _tied(d, best)
     ]
     if len(points) == 1:
@@ -149,15 +169,15 @@ def _nearest(x: SElem, intervals: List[tuple], base: int) -> Tuple[Tuple[SElem, 
     return tuple([by_key[key] for key in sorted(by_key)]), best
 
 
-def _ray_intervals(C: RaySet, base: int) -> List[tuple]:
-    """The kernel's intervals for a ray set, all closed, after the checks
-    every projection onto a ray set makes."""
-    if C.is_empty:
+def _ray_intervals(C: RaySet, base: int) -> Tuple[tuple, ...]:
+    """The kernel's intervals for a ray set, read from its index, after the
+    checks every projection onto a ray set makes."""
+    intervals = (C._index or C._prepare())[_KERNEL]
+    if not intervals:
         raise ValueError("empty set")
     if base not in (1, 2):
         raise ValueError("base metric must be 1 or 2")
-    rays = zip(RAYS, (C.plus, C.minus, C.balanced))
-    return [(ray, lo, hi, True, True, None) for ray, ivs in rays for lo, hi in ivs]
+    return intervals
 
 
 def project_ray(x: SElem, C: RaySet, base: int = 2) -> ProjectionResult:
@@ -376,7 +396,7 @@ def project_segment_set(x: SElem, S: SegmentSet, base: int = 2) -> ProjectionRes
                 raise ValueError("segment projection is defined on the line only")
             e = piece.point[0]
             m = magnitude(e)
-            intervals.append((e.sign, m, m, True, True, e))
+            intervals.append((e.sign, m, m, True, True, e, _NO_EXP, _NO_EXP))
         else:
             intervals.append(_arc_interval(x, piece))
     points, distance = _nearest(x, intervals, base)
@@ -403,7 +423,7 @@ def _arc_interval(x: SElem, arc: ArcPiece) -> tuple:
         ray, lo, hi, closed_lo, closed_hi = v, -hi, -lo, closed_hi, closed_lo
     if lo < 0.0:
         lo, closed_lo = 0.0, True
-    return (ray, lo, hi, closed_lo, closed_hi, None)
+    return (ray, lo, hi, closed_lo, closed_hi, None, _NO_EXP, _NO_EXP)
 
 
 def find_multipoint_witness(C: RaySet, base: int = 2) -> Optional[SElem]:

@@ -13,9 +13,10 @@ Cantor-like sets); that restriction is deliberate.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import List, Optional, Tuple
 
-from .algebra import RAYS, SElem, Sign, ZERO, _check_keys, _is_number, _Record
+from .algebra import RAYS, SElem, Sign, ZERO, _SIGN_ORDER, _check_keys, _is_number, _Record
 
 Interval = Tuple[float, float]
 
@@ -25,43 +26,91 @@ def _canonical_intervals(intervals) -> Tuple[Interval, ...]:
     for lo, hi in intervals:
         lo = float(lo)
         hi = float(hi)
-        if math.isnan(lo) or math.isnan(hi) or math.isinf(lo):
-            raise ValueError(f"bad interval [{lo}, {hi}]")
-        if lo < 0 or hi < lo:
+        # false for a nan end, a negative lo, hi < lo and lo = inf
+        if not 0.0 <= lo <= hi or lo == math.inf:
             raise ValueError(f"bad interval [{lo}, {hi}]")
         cleaned.append((lo, hi))
+    if len(cleaned) < 2:
+        return tuple(cleaned)
     cleaned.sort()
-    merged: List[List[float]] = []
-    for lo, hi in cleaned:
-        if merged and lo <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
+    merged = cleaned[:1]
+    for lo, hi in cleaned[1:]:
+        last_lo, last_hi = merged[-1]
+        if lo <= last_hi:
+            merged[-1] = (last_lo, max(last_hi, hi))
         else:
-            merged.append([lo, hi])
-    return tuple((lo, hi) for lo, hi in merged)
+            merged.append((lo, hi))
+    return tuple(merged)
 
 
 _ORIGIN_ONLY = ((0.0, 0.0),)
+_NEG_INF = -math.inf
+_log = math.log
+# the index's slot of the kernel intervals; a ray's ends sit at the ray's
+# position in RAYS
+_KERNEL = 3
+
+
+def _build_index(C: "RaySet") -> tuple:
+    """What the projection kernel and ``contains`` read of a ray set: the
+    tuple (plus ends, minus ends, balanced ends, kernel intervals).
+
+    The kernel intervals are its tuples (ray, lo, hi, closed_lo, closed_hi,
+    point, t_lo, t_hi), all closed and with no point, in ``RAYS`` order,
+    where ``t_lo`` and ``t_hi`` are the ends' exponents ``math.log``: -inf
+    for an end at the origin, and inf for an unbounded one.  A ray's ends
+    are the same exponents in ascending order, (t_lo, t_hi, t_lo, ...)."""
+    index = []
+    intervals = []
+    for ray, ivs in zip(RAYS, (C.plus, C.minus, C.balanced)):
+        if not ivs:
+            index.append(())
+            continue
+        ends = []
+        for lo, hi in ivs:
+            t_lo = _log(lo) if lo > 0.0 else _NEG_INF
+            t_hi = _log(hi) if hi > 0.0 else _NEG_INF
+            intervals.append((ray, lo, hi, True, True, None, t_lo, t_hi))
+            ends += (t_lo, t_hi)
+        index.append(tuple(ends))
+    index.append(tuple(intervals))
+    return tuple(index)
 
 
 class RaySet(_Record):
-    """A closed subset of the tripod, as per-ray interval unions."""
+    """A closed subset of the tripod, as per-ray interval unions.
 
-    __slots__ = ("plus", "minus", "balanced")
+    The fields are the three interval tuples.  The slot ``_index`` caches
+    what ``_build_index`` derives from them, built on the first projection
+    or membership test (``_prepare``); it is not a field."""
+
+    __slots__ = ("plus", "minus", "balanced", "_index")
+    _fields = ("plus", "minus", "balanced")
     plus: Tuple[Interval, ...]
     minus: Tuple[Interval, ...]
     balanced: Tuple[Interval, ...]
+    _index: Optional[tuple]
 
     def __init__(self, plus=(), minus=(), balanced=()):
-        rays = [_canonical_intervals(ivs) for ivs in (plus, minus, balanced)]
+        rays = [ivs if ivs == () else _canonical_intervals(ivs) for ivs in (plus, minus, balanced)]
         # a degenerate [0, 0] interval is just the origin: drop those, and
         # keep one on the balanced ray only when no fatter interval has it
-        if any(ivs[:1] == _ORIGIN_ONLY for ivs in rays):
+        if _ORIGIN_ONLY[0] in rays[0][:1] + rays[1][:1] + rays[2][:1]:
             rays = [ivs[1:] if ivs[:1] == _ORIGIN_ONLY else ivs for ivs in rays]
             if not any(ivs and ivs[0][0] == 0.0 for ivs in rays):
                 rays[2] = _ORIGIN_ONLY + rays[2]
-        object.__setattr__(self, "plus", rays[0])
-        object.__setattr__(self, "minus", rays[1])
-        object.__setattr__(self, "balanced", rays[2])
+        _set_plus(self, rays[0])
+        _set_minus(self, rays[1])
+        _set_balanced(self, rays[2])
+        _set_index(self, None)
+
+    def _prepare(self) -> tuple:
+        """The cached index, built on first use."""
+        index = self._index
+        if index is None:
+            index = _build_index(self)
+            _set_index(self, index)
+        return index
 
     def intervals(self, ray: Sign) -> Tuple[Interval, ...]:
         if ray is Sign.PLUS:
@@ -82,14 +131,17 @@ class RaySet(_Record):
         """Membership, decided on exponents: ``point_on_ray`` stores the
         radius ``m`` as ``log m``, and ``exp(log m)`` can round below an
         interval's low end, while ``log`` is monotone, so every point built
-        from a radius in an interval is a member."""
+        from a radius in an interval is a member.  ``a`` is in an interval
+        iff its exponent is at least the interval's ``t_lo`` and at most
+        its ``t_hi``: bisecting the ray's exponent ends, an odd count of
+        ends at most ``t`` puts it inside an interval, an even one only on
+        a high end."""
         if a.is_zero:
             return self.has_origin
+        ends = (self._index or self._prepare())[_SIGN_ORDER[a.sign]]
         t = a.exp
-        return any(
-            hi > 0.0 and (lo == 0.0 or math.log(lo) <= t) and t <= math.log(hi)
-            for lo, hi in self.intervals(a.sign)
-        )
+        k = bisect_right(ends, t)
+        return k % 2 == 1 or (k > 0 and ends[k - 1] == t)
 
     def union(self, other: "RaySet") -> "RaySet":
         return RaySet(
@@ -126,6 +178,12 @@ class RaySet(_Record):
         C = cls(dec("plus"), dec("minus"), dec("balanced"))
         _check_keys(data, ("plus", "minus", "balanced"))
         return C
+
+
+_set_plus = RaySet.plus.__set__
+_set_minus = RaySet.minus.__set__
+_set_balanced = RaySet.balanced.__set__
+_set_index = RaySet._index.__set__
 
 
 def point_on_ray(ray: Sign, m: float) -> SElem:

@@ -372,7 +372,7 @@ def _piece_from_json(data: dict):
     else:
         raise ValueError(f"unknown piece kind {data['kind']!r}")
     # a piece's JSON keys are its kind and its fields
-    _check_keys(data, ("kind", *type(piece).__slots__))
+    _check_keys(data, ("kind", *type(piece)._fields))
     return piece
 
 

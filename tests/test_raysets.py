@@ -135,6 +135,77 @@ class TestMembership:
             outside += [(x, C, p) for p in project_ray(x, C, 2).points if not C.contains(p)]
         assert outside == []
 
+    def test_agrees_with_the_per_interval_rule(self):
+        # the rule contains applied before it bisected the cached ends: two
+        # math.log per interval per call
+        def per_interval(C, a):
+            if a.is_zero:
+                return C.has_origin
+            t = a.exp
+            return any(
+                hi > 0.0 and (lo == 0.0 or math.log(lo) <= t) and t <= math.log(hi)
+                for lo, hi in C.intervals(a.sign)
+            )
+
+        rng = random.Random(35)
+        checked = 0
+        for i in range(400):
+            C = random_ray_set(rng, ((-3.0, 3.0), (30.0, 40.0), (-690.0, 690.0))[i % 3])
+            if i % 4 == 0:
+                C = C.union(RaySet(**{rng.choice(("plus", "minus", "balanced")): ((rng.random(), math.inf),)}))
+            if i % 5 == 0:
+                C = C.union(RaySet(balanced=((0, 0),)))
+            queries = [ZERO, *(random_selem(rng) for _ in range(5))]
+            for ray in (Sign.PLUS, Sign.MINUS, Sign.BALANCED):
+                for lo, hi in C.intervals(ray):
+                    for m in (lo, hi):
+                        if 0.0 < m < math.inf:
+                            t = math.log(m)
+                            queries += [SElem(ray, t), SElem(ray, math.nextafter(t, math.inf)),
+                                        SElem(ray, math.nextafter(t, -math.inf))]
+                    queries.append(SElem(rng.choice((Sign.PLUS, Sign.MINUS, Sign.BALANCED)), -700.0))
+            for a in queries:
+                assert C.contains(a) == per_interval(C, a), (C, a)
+                checked += 1
+        assert checked > 10_000
+
+
+class TestPreparedIndex:
+    """A ray set caches what its projections and membership tests read, in
+    a slot that is not a field."""
+
+    def test_value_contract_ignores_the_index(self):
+        import copy
+        import pickle
+
+        for C in (TRIPLE, RaySet(plus=((0, 1), (2, math.inf)), balanced=((0, 0),)),
+                  random_ray_set(random.Random(36))):
+            before = (C, hash(C), repr(C), C.to_json(), pickle.dumps(C))
+            cold = copy.copy(C)
+            project_ray(SElem.pos(0.5), C, 2)
+            assert C._index is not None
+            after = (C, hash(C), repr(C), C.to_json(), pickle.dumps(C))
+            assert before == after and cold == C and hash(cold) == hash(C)
+            for twin in (pickle.loads(pickle.dumps(C)), copy.copy(C), copy.deepcopy(C)):
+                assert twin == C and repr(twin) == repr(C) and twin._index is None
+
+    def test_built_once_per_set(self, monkeypatch):
+        import smaxplus.raysets as raysets
+
+        builds = []
+        build = raysets._build_index
+        monkeypatch.setattr(raysets, "_build_index", lambda C: builds.append(C) or build(C))
+        C = RaySet(plus=((1, 2), (3, 4)), minus=((0, 5),))
+        assert builds == []
+        for base in (1, 2, 1):
+            project_ray(SElem.pos(0.9), C, base)
+        assert C.contains(SElem.neg(1.0)) and not C.contains(SElem.pos(1.0))
+        distance_to_set(ZERO, C)
+        assert builds == [C]
+        # a set built afresh has its own index
+        project_ray(SElem.pos(0.9), RaySet(plus=((1, 2), (3, 4)), minus=((0, 5),)), 2)
+        assert len(builds) == 2
+
 
 class TestTraditionalConvexity:
     def test_examples(self):
