@@ -127,13 +127,23 @@ def _nearest(x: SElem, intervals, base: int) -> Tuple[Tuple[SElem, ...], float]:
     argmin at an end with a known finite exponent is built from it, which
     is the ``math.log`` of the end; any other from ``math.log`` of its
     radius.
+
+    A query whose exponent lies in an interval of its own ray by the known
+    exponents (``t_lo <= x.exp <= t_hi``, the rule of ``RaySet.contains``)
+    is a member, and its own nearest point: every other point is at a
+    positive distance.  It is returned at once, itself at distance 0, and
+    not rebuilt from its radius, which the ``exp``/``log`` round trip can
+    move by an ulp.
     """
     mx = magnitude(x)
     own = None if x.is_zero else x.sign
+    tx = _NO_EXP if own is None else x.exp
     infimum = best = math.inf
     attained = []
     for ray, lo, hi, closed_lo, closed_hi, point, t_lo, t_hi in intervals:
         if own is None or ray is own:
+            if t_lo <= tx <= t_hi:
+                return (x,), 0.0
             if mx < lo:
                 m, t = lo, t_lo
             elif mx > hi:

@@ -16,7 +16,13 @@ The stored results were captured from the per-input candidate scoring that
 the radial kernel replaced; regenerate only when a change of output is
 intended, and say why.
 
-    PYTHONPATH=src python tests/data/make_projection_golden.py
+    PYTHONPATH=src python tests/data/make_projection_golden.py [--refresh]
+
+With ``--refresh`` it keeps the stored cases and recomputes only their
+outcomes, so that a diff of the file shows just the outcomes that changed.
+A full rebuild no longer draws the stored segment cases: the query draws
+depend on the pieces of each segment set, and the segment constructions
+have changed since the cases were drawn.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from pathlib import Path
 
 from smaxplus.algebra import RAYS, ZERO, SElem
@@ -180,8 +187,19 @@ def build():
     return entries
 
 
+def refresh(entries):
+    """The stored cases with their outcomes recomputed."""
+    for entry in entries:
+        load = RaySet.from_json if entry["group"] == "ray" else SegmentSet.from_json
+        project = project_ray if entry["group"] == "ray" else project_segment_set
+        entry.pop("result", None)
+        entry.pop("error", None)
+        entry.update(_outcome(project, SElem.from_json(entry["x"]), load(entry["set"]), entry["base"]))
+    return entries
+
+
 if __name__ == "__main__":
-    entries = build()
+    entries = refresh(json.loads(OUT.read_text())) if "--refresh" in sys.argv[1:] else build()
     OUT.write_text(json.dumps(entries, sort_keys=True) + "\n")
     errors = sum("error" in e for e in entries)
     print(f"wrote {len(entries)} cases ({errors} not attained) to {OUT}")

@@ -108,6 +108,53 @@ class TestProjectRay:
             project_ray(ZERO, TRIPLE, 3)
 
 
+MEMBER_BANDS = [(-3.0, 3.0), (30.0, 40.0), (-690.0, 690.0)]
+
+
+def _random_member(rng, C: RaySet, band) -> SElem:
+    """A nonzero member: an interval end's exponent, or an exponent drawn
+    between the ends' (past the band for an end at 0 or at inf)."""
+    ray, lo, hi = rng.choice([(ray, lo, hi) for ray in (Sign.PLUS, Sign.MINUS, Sign.BALANCED)
+                              for lo, hi in C.intervals(ray) if hi > 0.0])
+    t_lo = math.log(lo) if lo > 0.0 else band[0] - 5.0
+    t_hi = math.log(hi) if hi < math.inf else band[1] + 5.0
+    t = rng.choice((t_lo, t_hi)) if rng.random() < 0.2 else rng.uniform(t_lo, t_hi)
+    x = SElem(ray, t)
+    assert C.contains(x)
+    return x
+
+
+class TestMembersProjectToThemselves:
+    """A member is its own unique nearest point, at distance 0: reported as
+    the query itself, not rebuilt from its radius through ``exp``/``log``."""
+
+    @pytest.mark.parametrize("band", MEMBER_BANDS)
+    def test_project_ray(self, band):
+        rng = random.Random(48)
+        for _ in range(300):
+            C = random_ray_set(rng, band)
+            x = _random_member(rng, C, band)
+            for base in (1, 2):
+                assert project_ray(x, C, base) == ProjectionResult((x,), 0.0, True)
+
+    @pytest.mark.parametrize("band", MEMBER_BANDS)
+    def test_project_box(self, band):
+        rng = random.Random(49)
+        for k in range(120):
+            A = BoxSet(tuple(random_ray_set(rng, band) for _ in range(1 + k % 3)))
+            x = SVector(tuple(_random_member(rng, C, band) for C in A.factors))
+            for code in ("rho11", "rho12", "rho21", "rho22"):
+                assert project_box(x, A, parse_metric_id(code)) == ProjectionResult((x,), 0.0, True)
+            assert project_box_max(x, A, 1 + k % 2) == ProjectionResult((x,), 0.0, True)
+
+    def test_a_member_whose_radius_rounds_away(self):
+        # exp/log moves this member's radius by an ulp: the kernel used to
+        # report p:-0.44743874464378225
+        x = SElem.pos(-0.4474387446437822)
+        assert math.log(math.exp(x.exp)) != x.exp
+        assert project_ray(x, RaySet(plus=((0.01, 100),)), 2).points == (x,)
+
+
 class TestDistance:
     def test_examples(self):
         C = RaySet(balanced=((2, 3),))
