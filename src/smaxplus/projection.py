@@ -455,13 +455,13 @@ def find_multipoint_witness(C: RaySet, base: int = 2) -> Optional[SElem]:
     the rounding of m and of its exponent ``log m``, and nothing is scored.
 
     A query is an exponent, and a gap narrower than the float spacing (ends
-    an ulp apart, or radii near 1e15 whose logarithms round together) can
-    put the midpoint's exponent on an end's, which is a member.  The query
+    an ulp apart, or radii near 1e15 whose logarithms are a few ulps apart)
+    can put the midpoint's exponent on an end's, which is a member.  The query
     is then built from the midpoint of the end exponents, strictly between
     them and so outside the set: its radius is the ends' geometric mean,
-    which in a gap this narrow is their midpoint up to rounding.  A gap with
-    no exponent strictly inside holds no element at all and is skipped, so
-    on such sets None does not imply ``is_connected``.
+    which in a gap this narrow is their midpoint up to rounding.  The
+    canonical form merges a gap with no exponent strictly inside, so every
+    gap has one, and None means exactly that the set is connected.
     """
     if C.is_empty:
         raise ValueError("empty set")
@@ -471,14 +471,9 @@ def find_multipoint_witness(C: RaySet, base: int = 2) -> Optional[SElem]:
     has_origin = C.has_origin
     for ray, ivs in zip(RAYS, rays):
         if len(ivs) > 1:
-            for k in range(1, len(ivs)):
-                witness = _gap_witness(ray, ivs[k - 1][1], ivs[k][0])
-                if witness is not None:
-                    return witness
+            return _gap_witness(ray, ivs[0][1], ivs[1][0])
         if has_origin and ivs and ivs[0][0] > 0.0:
-            witness = _gap_witness(ray, 0.0, ivs[0][0])
-            if witness is not None:
-                return witness
+            return _gap_witness(ray, 0.0, ivs[0][0])
     firsts = sorted((ivs[0][0], i) for i, ivs in enumerate(rays) if ivs)
     if has_origin or len(firsts) < 2:
         return None
@@ -492,20 +487,19 @@ def find_multipoint_witness(C: RaySet, base: int = 2) -> Optional[SElem]:
     return point_on_ray(RAYS[i], m)
 
 
-def _gap_witness(ray: Sign, hi1: float, lo2: float) -> Optional[SElem]:
+def _gap_witness(ray: Sign, hi1: float, lo2: float) -> SElem:
     """The query in the gap (hi1, lo2) of a ray (hi1 = 0 for the origin):
     the element at the midpoint radius when its exponent lies strictly
     between the ends' exponents, else the element at the midpoint of those
-    exponents (log lo2 - log 2 from the origin), or None when no exponent
-    lies strictly between them."""
+    exponents (log lo2 - log 2 from the origin).  Some float lies strictly
+    between the ends' exponents (the canonical form merges the gaps where
+    none does), and then so does their rounded midpoint."""
     m = 0.5 * hi1 + 0.5 * lo2
     t1 = math.log(hi1) if hi1 > 0.0 else -math.inf
     t2 = math.log(lo2)
     t = math.log(m) if m > 0.0 else -math.inf
     if not t1 < t < t2:
         t = 0.5 * t1 + 0.5 * t2 if hi1 > 0.0 else t2 - _LOG2
-        if not t1 < t < t2:
-            return None
     return _trusted_selem(ray, t)
 
 

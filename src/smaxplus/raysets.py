@@ -8,6 +8,17 @@ representation is canonical -- touching intervals merge, and redundant
 degenerate origin intervals collapse -- so structural equality is set
 equality.  Finite interval unions cannot encode every closed set (no
 Cantor-like sets); that restriction is deliberate.
+
+Elements store the exponent t = log m, not the radius, so two intervals of
+a ray whose gap holds no element -- no float lies strictly between
+``log hi1`` and ``log lo2``, as for radii near 1e15 a few units apart --
+also merge.  The set predicates, which compare radii, then agree with
+membership, which compares exponents, and every gap holds an element.
+
+Each set caches what its projections and membership tests read, built on
+first use (``_build_index``): the projection kernel's interval tuples with
+the ends' exponents, and per ray the ascending exponent ends, which
+``contains`` bisects.  The cache is not a field of the value.
 """
 
 from __future__ import annotations
@@ -36,11 +47,19 @@ def _canonical_intervals(intervals) -> Tuple[Interval, ...]:
     merged = cleaned[:1]
     for lo, hi in cleaned[1:]:
         last_lo, last_hi = merged[-1]
-        if lo <= last_hi:
+        if lo <= last_hi or _no_exponent_between(last_hi, lo):
             merged[-1] = (last_lo, max(last_hi, hi))
         else:
             merged.append((lo, hi))
     return tuple(merged)
+
+
+def _no_exponent_between(hi1: float, lo2: float) -> bool:
+    """Whether no float lies strictly between ``log hi1`` and ``log lo2``,
+    for radii 0 <= hi1 < lo2: then no element lies in the gap, and the two
+    intervals hold the same elements as their union.  A gap from the origin
+    always holds some."""
+    return hi1 > 0.0 and _log(lo2) <= math.nextafter(_log(hi1), math.inf)
 
 
 _ORIGIN_ONLY = ((0.0, 0.0),)

@@ -254,6 +254,17 @@ WIDE_WITNESS_SETS = [
 WITNESS_BANDS = [(-3.0, 3.0), (-690.0, 690.0)]
 
 
+def _radius_with_log(t: float):
+    """The least radius whose ``math.log`` is exactly ``t``, or None when
+    the logarithm skips ``t``."""
+    m = math.exp(t)
+    while math.log(m) < t:
+        m = math.nextafter(m, math.inf)
+    while math.log(math.nextafter(m, 0.0)) >= t:
+        m = math.nextafter(m, 0.0)
+    return m if math.log(m) == t else None
+
+
 class TestWitnessConstruction:
     @pytest.mark.parametrize("base", [1, 2])
     @pytest.mark.parametrize("C", WIDE_WITNESS_SETS)
@@ -300,14 +311,41 @@ class TestWitnessConstruction:
     @pytest.mark.parametrize("base", [1, 2])
     def test_a_gap_with_no_exponent_inside_has_no_witness(self, base):
         # near 1e15 the radii 8 apart have exponents at most an ulp apart:
-        # no element lies in the gap, so the gap is skipped
+        # no element lies in the gap, so the canonical form merges it away
         C = RaySet(plus=((1e15, 1e15), (1e15 + 8.0, 1e15 + 9.0)))
-        assert not is_connected(C)
+        assert C == RaySet(plus=((1e15, 1e15 + 9.0),))
+        assert is_connected(C)
         assert find_multipoint_witness(C, base) is None
         # a later gap on the same ray is still found (checked with relative
         # distances: project_ray's absolute TIE_TOL misjudges ties at 1e15)
         C = RaySet(plus=((1e15, 1e15), (1e15 + 8.0, 1e15 + 9.0), (2e15, 3e15)))
         _assert_witness(C, find_multipoint_witness(C, base), base)
+
+    def test_witness_exactly_when_disconnected_at_exponent_ulp_gaps(self):
+        # gaps whose ends' exponents are one ulp apart (merged: no element
+        # lies in them) or two (kept: the exponent between is an element)
+        rng = random.Random(52)
+        kept = 0
+        for _ in range(300):
+            ray = rng.choice((Sign.PLUS, Sign.MINUS, Sign.BALANCED))
+            hi1 = math.exp(rng.uniform(math.log(1e6), math.log(1e300)))
+            ulps = rng.choice((1, 2))
+            t2 = math.log(hi1)
+            for _ in range(ulps):
+                t2 = math.nextafter(t2, math.inf)
+            lo2 = _radius_with_log(t2)
+            if lo2 is None:
+                continue
+            ivs = ((0.5 * hi1, hi1), (lo2, 2.0 * lo2))
+            C = RaySet(**{ray.name.lower(): ivs})
+            assert len(C.intervals(ray)) == (1 if ulps == 1 else 2)
+            kept += ulps == 2
+            for base in (1, 2):
+                w = find_multipoint_witness(C, base)
+                assert is_connected(C) == (w is None)
+                if w is not None:
+                    assert not C.contains(w) and math.log(hi1) < w.exp < t2
+        assert 100 < kept < 200
 
     @pytest.mark.parametrize("band", WITNESS_BANDS)
     def test_witness_exactly_when_disconnected(self, band):

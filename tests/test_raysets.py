@@ -47,6 +47,16 @@ class TestRepresentation:
         C = RaySet(plus=((2, 3), (1, 2), (5, 6)))
         assert C.plus == ((1.0, 3.0), (5.0, 6.0))
 
+    def test_gaps_without_an_element_merge(self):
+        # the ends' exponents are at most an ulp apart: no element between
+        C = RaySet(plus=((1e15, 1e15), (1e15 + 8.0, 1e15 + 9.0)))
+        assert C == RaySet(plus=((1e15, 1e15 + 9.0),))
+        assert is_connected(C) and C.contains(point_on_ray(Sign.PLUS, 1e15 + 4.0))
+        # a radius ulp at 1 is many exponent ulps (0 to 2.2e-16), and a gap
+        # from the origin always holds elements
+        assert len(RaySet(plus=((1, 1), (math.nextafter(1, 2), 3))).plus) == 2
+        assert len(RaySet(balanced=((0, 0), (5e-324, 1))).balanced) == 2
+
     def test_origin_dedupe(self):
         # pure origin markers collapse onto the fatter interval
         C = RaySet(plus=((0, 2),), minus=((0, 0),), balanced=((0, 0),))
