@@ -25,7 +25,7 @@ _EXPORTS = {
         ("metrics", """D1 D2 MagnitudeRangeWarning MetricId SVector THETA d1 d2 magnitude
             parse_metric_id phi phi_n rho"""),
         ("projection", """ProjectionResult distance_to_set find_multipoint_witness project_box
-            project_box_max project_ray project_segment_set project_union"""),
+            project_box_max project_ray project_segment_set"""),
         ("raysets", """BoxSet RaySet is_box_semimodule_convex is_chebyshev is_connected
             is_geometrically_convex is_semimodule_convex is_traditionally_convex point_on_ray
             ray_components"""),

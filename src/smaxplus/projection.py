@@ -46,7 +46,7 @@ from .algebra import (
     RAYS, ZERO, SElem, Sign, _check_keys, _is_number, _Record, _trusted_selem, _trusted_selems,
 )
 from .metrics import MetricId, SVector, _trusted_product, _trusted_svector, cross_distance, magnitude
-from .raysets import _KERNEL, BoxSet, RaySet, is_chebyshev, point_on_ray
+from .raysets import _KERNEL, BoxSet, RaySet, point_on_ray
 
 if TYPE_CHECKING:
     from .segments import ArcPiece, SegmentSet
@@ -202,21 +202,6 @@ def distance_to_set(x: SElem, C: RaySet, base: int = 2) -> float:
     infimum is a minimum; unbounded tails never win because the cross and
     radial forms are monotone beyond the clamp)."""
     return project_ray(x, C, base).distance
-
-
-def project_union(x: SElem, A1: RaySet, A2: RaySet, base: int = 2) -> SElem:
-    """Nearest point in a union of two sets, selected by comparing the two
-    individual projections; requires both parts and the union to have unique
-    nearest points everywhere."""
-    union = A1.union(A2)
-    for name, S in (("first set", A1), ("second set", A2), ("union", union)):
-        if S.is_empty:
-            raise ValueError(f"{name} is empty")
-        if not is_chebyshev(S):
-            raise ValueError(f"{name} is not Chebyshev")
-    r1 = project_ray(x, A1, base)
-    r2 = project_ray(x, A2, base)
-    return r1.points[0] if r1.distance <= r2.distance else r2.points[0]
 
 
 def project_box(x: SVector, A: BoxSet, mid: MetricId) -> ProjectionResult:

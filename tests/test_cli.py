@@ -638,10 +638,11 @@ OLD_EXPORTS = {
     "exprs": "ExprError eval_expr",
     "metrics": """D1 D2 MagnitudeRangeWarning MetricId SVector THETA d1 d2 magnitude
         parse_metric_id phi phi_n rho""",
-    "projection": """ProjectionResult distance_to_set find_multipoint_witness is_chebyshev
-        project_box project_box_max project_ray project_segment_set project_union""",
-    "raysets": """BoxSet RaySet is_box_semimodule_convex is_connected is_geometrically_convex
-        is_semimodule_convex is_traditionally_convex point_on_ray ray_components""",
+    "projection": """ProjectionResult distance_to_set find_multipoint_witness project_box
+        project_box_max project_ray project_segment_set""",
+    "raysets": """BoxSet RaySet is_box_semimodule_convex is_chebyshev is_connected
+        is_geometrically_convex is_semimodule_convex is_traditionally_convex point_on_ray
+        ray_components""",
     "segments": """ArcPiece BrokenLine ChartError PointPiece SegmentSet as_segment_set chart_for
         component_count components d_segment_contains geometric_segment isolated_points psi
         psi_inverse semimodule_segment traditional_segment vec_oplus vec_scale""",

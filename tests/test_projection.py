@@ -30,7 +30,6 @@ from smaxplus import (
     project_box_max,
     project_ray,
     project_segment_set,
-    project_union,
     semimodule_segment,
 )
 
@@ -499,27 +498,23 @@ def _small_ray_set(rng) -> RaySet:
 
 class TestUnions:
     def test_union_projection_selects_the_closer_part(self):
+        # onto a Chebyshev union of two Chebyshev parts, the projection is
+        # the nearer of the parts' projections
         A1 = RaySet(plus=((0, 1),))
         A2 = RaySet(plus=((1, 2),))
         x = SElem.pos(math.log(3))
-        p = project_union(x, A1, A2, 2)
-        assert p == SElem.pos(math.log(2))
-        assert p == project_ray(x, A1.union(A2), 2).points[0]
+        r = project_ray(x, A1.union(A2), 2)
+        assert r.points == (SElem.pos(math.log(2)),) and r.is_singleton
+        r1, r2 = project_ray(x, A1, 2), project_ray(x, A2, 2)
+        assert r.points == (r1 if r1.distance <= r2.distance else r2).points
+        assert r.distance == min(r1.distance, r2.distance)
 
     def test_member_projects_to_itself(self):
         A1 = RaySet(plus=((0, 2),))
         A2 = RaySet(plus=((1, 3),))
         x = SElem.pos(math.log(1.5))
-        assert project_union(x, A1, A2, 2) == x
-        assert project_union(x, A1, A1, 2) == project_ray(x, A1, 2).points[0]
-
-    def test_precondition_enforced(self):
-        disconnected = RaySet(plus=((1, 2), (4, 5)))
-        with pytest.raises(ValueError, match="Chebyshev"):
-            project_union(ZERO, disconnected, disconnected, 2)
-        # two Chebyshev parts whose union is disconnected
-        with pytest.raises(ValueError, match="Chebyshev"):
-            project_union(ZERO, RaySet(plus=((1, 2),)), RaySet(plus=((4, 5),)), 2)
+        assert project_ray(x, A1.union(A2), 2).points == (x,)
+        assert project_ray(x, A1, 2).points == (x,)
 
     def test_union_projection_agrees_on_each_part(self):
         # when the union projection lands inside a part, it is that part's
