@@ -12,15 +12,16 @@ floats, keeps the attained ones within the absolute TIE_TOL of the best,
 and builds elements only for those.  A ray set's intervals are prepared
 once per set: the kernel reads them from the set's cached index, which
 carries each end's exponent ``math.log``, so an argmin at an interval end
-is built from the cached exponent; a segment set's intervals depend on the
-query and are built per call, with no exponents.  Boxes call the kernel
-per factor: the sum and Euclidean combines take the product of the factor
-argmins, and the max combine cuts each factor by the ball of the largest
-factor distance and samples the cut (``_sample``) per ray and in order, in
-C-level passes with no per-sample key, dict probe or global sort.  The
-kernel returns the nearest points and their distance, not a
-``ProjectionResult``, so boxes, which call it once per factor, build one
-result per public call.  The multipoint witness is built in a gap, not
+is built from the cached exponent, and a query that is a member by those
+exponents is returned as itself at distance 0; a segment set's intervals
+depend on the query and are built per call, with no exponents.  Boxes
+call the kernel per factor: the sum and Euclidean combines take the
+product of the factor argmins, and the max combine cuts each factor by the
+ball of the largest factor distance and samples the cut (``_sample``) per
+ray and in order, in C-level passes with no per-sample key, dict probe or
+global sort.  The kernel returns the nearest points and their distance,
+not a ``ProjectionResult``, so boxes, which call it once per factor, build
+one result per public call.  The multipoint witness is built in a gap, not
 scored.
 
 Results are built without the public constructors' checks, through

@@ -59,12 +59,11 @@ def _no_exponent_between(hi1: float, lo2: float) -> bool:
     for radii 0 <= hi1 < lo2: then no element lies in the gap, and the two
     intervals hold the same elements as their union.  A gap from the origin
     always holds some."""
-    return hi1 > 0.0 and _log(lo2) <= math.nextafter(_log(hi1), math.inf)
+    return hi1 > 0.0 and math.log(lo2) <= math.nextafter(math.log(hi1), math.inf)
 
 
 _ORIGIN_ONLY = ((0.0, 0.0),)
 _NEG_INF = -math.inf
-_log = math.log
 # the index's slot of the kernel intervals; a ray's ends sit at the ray's
 # position in RAYS
 _KERNEL = 3
@@ -82,13 +81,10 @@ def _build_index(C: "RaySet") -> tuple:
     index = []
     intervals = []
     for ray, ivs in zip(RAYS, (C.plus, C.minus, C.balanced)):
-        if not ivs:
-            index.append(())
-            continue
         ends = []
         for lo, hi in ivs:
-            t_lo = _log(lo) if lo > 0.0 else _NEG_INF
-            t_hi = _log(hi) if hi > 0.0 else _NEG_INF
+            t_lo = math.log(lo) if lo > 0.0 else _NEG_INF
+            t_hi = math.log(hi) if hi > 0.0 else _NEG_INF
             intervals.append((ray, lo, hi, True, True, None, t_lo, t_hi))
             ends += (t_lo, t_hi)
         index.append(tuple(ends))
