@@ -24,6 +24,8 @@ from __future__ import annotations
 import math
 import sys
 import warnings
+from itertools import repeat
+from operator import add, itemgetter, mul, sub
 from typing import List, Optional, Sequence, Tuple
 
 from .algebra import EPS, RAYS, SElem, Sign, ZERO, _check_keys, _is_number, _Record, s_oplus, scalar_mul
@@ -188,7 +190,9 @@ class BrokenLine(_Record):
 def _euclid(p: Sequence[float], q: Sequence[float]) -> float:
     """Chart distance; inf where it exceeds the float range."""
     try:
-        d = math.sqrt(sum((a - b) ** 2 for a, b in zip(p, q)))
+        # ** 2, not x * x, which differs from it in the last bit for about
+        # one float in a thousand
+        d = math.sqrt(sum(map(pow, map(sub, p, q), repeat(2))))
     except OverflowError:  # float ** raises where * would give inf
         d = math.inf
     if d == math.inf or (d < _SQRT_FLOAT_MIN and p != q):
@@ -235,22 +239,20 @@ def geometric_segment(a: SVector, b: SVector) -> BrokenLine:
     chart = chart_for(a, b)
     alpha = psi(chart, a)
     beta = psi(chart, b)
-    crossing = {
-        j: min(max(alpha[j] / (alpha[j] - beta[j]), _T_MIN), _T_MAX)
-        for j in range(len(alpha))
-        if (alpha[j] > 0.0 > beta[j]) or (alpha[j] < 0.0 < beta[j])
-    }
-    ts = sorted(set(crossing.values()))
+    crossing = {}  # crossing parameter -> the coordinates that cross there
+    for j, (x, y) in enumerate(zip(alpha, beta)):
+        if x > 0.0 > y or x < 0.0 < y:
+            crossing.setdefault(min(max(x / (x - y), _T_MIN), _T_MAX), []).append(j)
+    ts = sorted(crossing)
     vertices = [alpha]
     for t in ts:
-        vertices.append(
-            tuple(
-                0.0 if crossing.get(j) == t else (1.0 - t) * alpha[j] + t * beta[j]
-                for j in range(len(alpha))
-            )
-        )
+        # (1 - t) alpha + t beta, in C-level passes
+        vertex = list(map(add, map(mul, repeat(1.0 - t), alpha), map(mul, repeat(t), beta)))
+        for j in crossing[t]:
+            vertex[j] = 0.0
+        vertices.append(tuple(vertex))
     vertices.append(beta)
-    length = _saturated(sum(_euclid(vertices[i], vertices[i + 1]) for i in range(len(vertices) - 1)))
+    length = _saturated(sum(map(_euclid, vertices, vertices[1:])))
     return BrokenLine(chart, tuple(vertices), tuple(ts), length)
 
 
@@ -645,6 +647,13 @@ def semimodule_segment(a: SVector, b: SVector) -> SegmentSet:
 # origin) and the radial magnitude, read off the chart value or the point's
 # magnitude with no log/exp round trip.  A dict from keys to pieces joins the
 # pieces that share an endpoint, unless every one of them leaves it open.
+# An arc with no negative chart value, as every arc of the sweep (whose
+# charts map each coordinate to its own ray), is keyed in C-level passes:
+# the signs are the chart's first rays, None where a value is 0, and the
+# radii are the values as they are; its interior lies on the first rays
+# wherever either end's value is positive.  Only an arc with a negative
+# value, such as a geodesic leg on the second chart ray, builds its keys per
+# coordinate.
 # An endpoint can also lie inside another arc; the interior of an arc keeps
 # one ray per coordinate, so arcs are indexed by that sign signature and the
 # general membership test runs only on the arcs whose signature is the
@@ -660,6 +669,12 @@ def _point_key(x: SVector) -> tuple:
 def _chart_key(chart: PsiChart, p: Sequence[float]) -> tuple:
     signs = tuple([u if s > 0.0 else v if s < 0.0 else None for (u, v), s in zip(chart, p)])
     return signs, tuple(map(abs, p))
+
+
+_first = itemgetter(0)
+# the sign of a nonnegative chart value 0 (or -0.0), which lies at the
+# origin; dict.get gives the first chart ray for every other value
+_ORIGIN_SIGN = {0.0: None}
 
 
 def _interior_signature(arc: ArcPiece) -> tuple:
@@ -704,10 +719,24 @@ def components(seg: SegmentSet) -> List[List[int]]:
             at_key.setdefault(keys[i][0], []).append((i, True))
             by_signature.setdefault(keys[i][0][0], []).append(i)
             continue
-        keys.append((_chart_key(piece.chart, piece.start), _chart_key(piece.chart, piece.end)))
+        start, end = tuple(piece.start), tuple(piece.end)
+        low, high = min(start, default=-1.0), min(end, default=-1.0)
+        if low >= 0.0 and high >= 0.0:
+            # no chart value is negative, as on every arc of the sweep
+            firsts = tuple(map(_first, piece.chart))
+            keys.append((
+                (firsts if low else tuple(map(_ORIGIN_SIGN.get, start, firsts)), start),
+                (firsts if high else tuple(map(_ORIGIN_SIGN.get, end, firsts)), end),
+            ))
+            signature = (
+                firsts if low or high else tuple(map(_ORIGIN_SIGN.get, map(max, start, end), firsts))
+            )
+        else:
+            keys.append((_chart_key(piece.chart, start), _chart_key(piece.chart, end)))
+            signature = _interior_signature(piece)
         at_key.setdefault(keys[i][0], []).append((i, piece.closed_lo))
         at_key.setdefault(keys[i][1], []).append((i, piece.closed_hi))
-        by_signature.setdefault(_interior_signature(piece), []).append(i)
+        by_signature.setdefault(signature, []).append(i)
 
     # pieces sharing an endpoint touch unless every one of them leaves it open
     for sharing in at_key.values():

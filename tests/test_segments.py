@@ -34,6 +34,7 @@ from smaxplus import (
     semimodule_segment,
     traditional_segment,
 )
+import smaxplus.segments as segments_module
 from smaxplus.segments import vec_oplus, vec_scale
 from smaxplus.svg import Scene
 
@@ -604,3 +605,27 @@ class TestComponents:
         points = sum(isinstance(piece, PointPiece) for piece in seg.pieces)
         assert points > 0
         assert len(built) == points
+
+    def test_sweep_arcs_are_keyed_without_the_comprehension(self, monkeypatch):
+        # a sweep arc's chart values are radii, never negative, so
+        # components keys its ends and its interior from the chart's first
+        # rays; the per-coordinate comprehension serves only arcs with a
+        # negative chart value, as on a geodesic that crosses the origin
+        calls = []
+        for name in ("_chart_key", "_interior_signature"):
+            helper = getattr(segments_module, name)
+            monkeypatch.setattr(
+                segments_module, name, lambda *args, helper=helper: calls.append(1) or helper(*args)
+            )
+        rng = random.Random(128)
+        a, b = random_svector(rng, 128), random_svector(rng, 128)
+        seg = semimodule_segment(a, b)
+        arcs = [piece for piece in seg.pieces if isinstance(piece, ArcPiece)]
+        # some ends sit at the origin in a coordinate (b is zero there)
+        assert any(0.0 in arc.start for arc in arcs)
+        components(seg)
+        assert calls == []
+        line = geometric_segment(a, b)
+        assert line.breakpoint_params
+        assert components(as_segment_set(line)) == [list(range(len(line.vertices) - 1))]
+        assert calls
