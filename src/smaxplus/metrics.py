@@ -87,6 +87,19 @@ def cross_distance(m: float, mp: float, base: int) -> float:
     return d
 
 
+def _euclid_norm(ds: Sequence[float]) -> float:
+    """The Euclidean combine sqrt(sum(d * d)) of nonempty distances.  Where
+    the squares overflow, or fall below the normal float range (as in
+    ``cross_distance``), it is taken as big * sqrt(sum((d / big)**2)) with
+    big the largest distance; an infinite distance gives inf."""
+    d = math.sqrt(sum([x * x for x in ds]))
+    if d == math.inf or (d < _SQRT_FLOAT_MIN and any(ds)):
+        big = max(ds)
+        if big < math.inf:
+            d = big * math.sqrt(sum([(x / big) ** 2 for x in ds]))
+    return d
+
+
 def d1(a: SElem, b: SElem) -> float:
     """Chord distance between the embedded points; same-ray pairs reduce to
     |m - m'| on the common ray."""
@@ -244,4 +257,4 @@ def rho(mid: MetricId, x: SVector, y: SVector) -> float:
         return max(ds)
     if mid.combine == "sum":
         return float(sum(ds))
-    return math.sqrt(sum(d * d for d in ds))
+    return _euclid_norm(ds)

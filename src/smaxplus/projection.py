@@ -46,7 +46,9 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 from .algebra import (
     RAYS, ZERO, SElem, Sign, _check_keys, _is_number, _Record, _trusted_selem, _trusted_selems,
 )
-from .metrics import MetricId, SVector, _trusted_product, _trusted_svector, cross_distance, magnitude
+from .metrics import (
+    MetricId, SVector, _euclid_norm, _trusted_product, _trusted_svector, cross_distance, magnitude,
+)
 from .raysets import _KERNEL, BoxSet, RaySet, point_on_ray
 
 if TYPE_CHECKING:
@@ -220,10 +222,7 @@ def project_box(x: SVector, A: BoxSet, mid: MetricId) -> ProjectionResult:
     base = mid.base
     per = [_nearest(xi, _ray_intervals(Ci, base), base) for xi, Ci in zip(x, A.factors)]
     dists = [d for _, d in per]
-    if mid.combine == "sum":
-        distance = float(sum(dists))
-    else:
-        distance = math.sqrt(sum(d * d for d in dists))
+    distance = float(sum(dists)) if mid.combine == "sum" else _euclid_norm(dists)
     points = tuple(map(_trusted_svector, itertools.product(*[p for p, _ in per])))
     return ProjectionResult(points, distance, len(points) == 1)
 

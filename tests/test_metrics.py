@@ -220,6 +220,28 @@ class TestProductMetrics:
         with pytest.raises(ValueError):
             rho(D2, x, SVector((ZERO,)))
 
+    def test_euclid_combine_beyond_the_square_range(self):
+        # d * d overflows past about 1.3e154 although the distance fits
+        x = SVector((SElem.pos(500), SElem.pos(0)))
+        y = SVector((SElem.neg(500), SElem.pos(0)))
+        d = rho(parse_metric_id("rho21"), x, y)
+        assert d == pytest.approx(math.exp(500) * math.sqrt(3), rel=1e-15)
+        assert rho(parse_metric_id("rho11"), x, y) == pytest.approx(d, rel=1e-15)
+        # results in range keep the direct form's floats
+        u = SVector((SElem.pos(1), SElem.neg(2), SElem.bal(0)))
+        v = SVector((SElem.neg(0), SElem.neg(1), ZERO))
+        ds = [d1(a, b) for a, b in zip(u, v)]
+        assert rho(D1, u, v) == math.sqrt(sum(d * d for d in ds))
+
+    def test_euclid_combine_below_the_square_range(self):
+        # d * d underflows to 0.0 below about 1.5e-154 for distinct points
+        x, y = SVector((SElem.pos(-400),)), SVector((SElem.pos(-401),))
+        d = rho(parse_metric_id("rho01"), x, y)
+        assert d == pytest.approx(math.exp(-400) - math.exp(-401), rel=1e-15)
+        assert rho(parse_metric_id("rho11"), x, y) == d
+        assert rho(parse_metric_id("rho12"), x, y) == d
+        assert rho(D1, x, x) == 0.0
+
     def test_axioms_random(self):
         rng = random.Random(16)
         mids = [parse_metric_id(f"rho{k}{j}") for k in "012" for j in "12"]

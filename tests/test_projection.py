@@ -416,6 +416,21 @@ class TestProjectBox:
         )
 
 
+    def test_euclid_combine_below_the_square_range(self):
+        # the distance e**-399 - e**-400 squares to 0.0
+        box = BoxSet((RaySet(plus=((math.exp(-399), math.exp(-398)),)),))
+        x = SVector((SElem.pos(-400),))
+        r = project_box(x, box, parse_metric_id("rho12"))
+        assert r.distance == pytest.approx(math.exp(-399) - math.exp(-400), rel=1e-12)
+        assert r.distance == project_box(x, box, parse_metric_id("rho22")).distance
+
+    def test_euclid_combine_beyond_the_square_range(self):
+        box = BoxSet((RaySet(plus=((1, 2),)), RaySet(minus=((1, 2),))))
+        x = SVector((SElem.pos(500), SElem.pos(500)))
+        r = project_box(x, box, parse_metric_id("rho11"))
+        assert r.distance == pytest.approx(math.exp(500) * math.sqrt(2), rel=1e-12)
+
+
 class TestProjectBoxMax:
     def test_interval_times_point_cloud(self):
         # a product of two path-metric balls of radius 1, queried from a
