@@ -1,5 +1,6 @@
 """Interval-union set representation and the convexity predicates."""
 
+import json
 import math
 import random
 
@@ -56,6 +57,15 @@ class TestRepresentation:
         # from the origin always holds elements
         assert len(RaySet(plus=((1, 1), (math.nextafter(1, 2), 3))).plus) == 2
         assert len(RaySet(balanced=((0, 0), (5e-324, 1))).balanced) == 2
+
+    def test_zero_ends_print_as_zero(self):
+        # -0.0 == 0.0, so the two sets are equal; they print and serialize alike
+        C, D = RaySet(plus=((-0.0, 1),)), RaySet(plus=((0.0, 1),))
+        assert C == D and hash(C) == hash(D)
+        assert repr(C) == repr(D) == "RaySet(plus=((0.0, 1.0),), minus=(), balanced=())"
+        assert json.dumps(C.to_json()) == json.dumps(D.to_json())
+        assert C.to_json()["plus"] == [[0.0, 1.0]]
+        assert repr(RaySet(minus=((-0.0, -0.0),))) == repr(RaySet(minus=((0, 0),)))
 
     def test_origin_dedupe(self):
         # pure origin markers collapse onto the fatter interval
