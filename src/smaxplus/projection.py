@@ -44,10 +44,11 @@ from operator import add, mul
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from .algebra import (
-    RAYS, ZERO, SElem, Sign, _check_keys, _is_number, _Record, _trusted_selem, _trusted_selems,
+    EPS, RAYS, ZERO, SElem, Sign, _check_keys, _is_number, _Record, _trusted_selem, _trusted_selems,
 )
 from .metrics import (
-    MetricId, SVector, _euclid_norm, _trusted_product, _trusted_svector, cross_distance, magnitude,
+    _MAX_EXP_ARG, MetricId, SVector, _euclid_norm, _trusted_product, _trusted_svector,
+    cross_distance, magnitude,
 )
 from .raysets import _KERNEL, BoxSet, RaySet, point_on_ray
 
@@ -59,6 +60,8 @@ TIE_TOL = 1e-9
 # the exponent of an interval end that has none known: every comparison
 # with it fails
 _NO_EXP = math.nan
+# exponents t whose e**t lies in the float range, with room below
+_MIN_EXP_ARG = -_MAX_EXP_ARG
 
 
 class ProjectionResult(_Record):
@@ -136,11 +139,24 @@ def _nearest(x: SElem, intervals, base: int) -> Tuple[Tuple[SElem, ...], float]:
     is a member, and its own nearest point: every other point is at a
     positive distance.  It is returned at once, itself at distance 0, and
     not rebuilt from its radius, which the ``exp``/``log`` round trip can
-    move by an ulp.
+    move by an ulp.  When ``|x.exp|`` exceeds log(float max), the members
+    are looked for before the radius is taken, so that an exact answer
+    raises no ``MagnitudeRangeWarning``.
     """
-    mx = magnitude(x)
-    own = None if x.is_zero else x.sign
-    tx = _NO_EXP if own is None else x.exp
+    tx = x.exp
+    if _MIN_EXP_ARG <= tx <= _MAX_EXP_ARG:
+        # magnitude(x), which cannot leave the float range here
+        own, mx = x.sign, math.exp(tx)
+    elif tx is EPS:
+        own, tx, mx = None, _NO_EXP, 0.0
+    else:
+        # e**tx may leave the float range, where magnitude warns: a member
+        # is answered from the exponents before the radius is taken
+        own = x.sign
+        for ray, _, _, _, _, _, t_lo, t_hi in intervals:
+            if ray is own and t_lo <= tx <= t_hi:
+                return (x,), 0.0
+        mx = magnitude(x)
     infimum = best = math.inf
     attained = []
     for ray, lo, hi, closed_lo, closed_hi, point, t_lo, t_hi in intervals:

@@ -2,11 +2,13 @@
 
 import math
 import random
+import warnings
 
 import pytest
 
 from smaxplus import (
     BoxSet,
+    MagnitudeRangeWarning,
     MetricId,
     ProjectionResult,
     RaySet,
@@ -145,6 +147,19 @@ class TestMembersProjectToThemselves:
             for code in ("rho11", "rho12", "rho21", "rho22"):
                 assert project_box(x, A, parse_metric_id(code)) == ProjectionResult((x,), 0.0, True)
             assert project_box_max(x, A, 1 + k % 2) == ProjectionResult((x,), 0.0, True)
+
+    def test_members_outside_the_float_range_do_not_warn(self):
+        # the answer is exact, so the radius, which saturates or underflows
+        # with a warning, is never taken
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = SElem.pos(800)
+            assert project_ray(x, RaySet(plus=((1, math.inf),))) == ProjectionResult((x,), 0.0, True)
+            y = SElem.pos(-800)
+            assert project_ray(y, RaySet(plus=((0, 1),)), 1) == ProjectionResult((y,), 0.0, True)
+        # a query there that is not a member still warns
+        with pytest.warns(MagnitudeRangeWarning, match="overflows"):
+            project_ray(SElem.neg(800), RaySet(plus=((1, math.inf),)))
 
     def test_a_member_whose_radius_rounds_away(self):
         # exp/log moves this member's radius by an ulp: the kernel used to
