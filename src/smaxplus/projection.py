@@ -60,7 +60,8 @@ TIE_TOL = 1e-9
 # the exponent of an interval end that has none known: every comparison
 # with it fails
 _NO_EXP = math.nan
-# exponents t whose e**t lies in the float range, with room below
+# e**t is a positive float, which magnitude returns with no warning, for
+# every t in [_MIN_EXP_ARG, _MAX_EXP_ARG]
 _MIN_EXP_ARG = -_MAX_EXP_ARG
 
 
