@@ -32,7 +32,6 @@ from .algebra import EPS, RAYS, SElem, Sign, ZERO, _check_keys, _is_number, _Rec
 from .metrics import (
     _MAX_EXP_ARG,
     _SQRT_FLOAT_MIN,
-    D1,
     MagnitudeRangeWarning,
     MetricId,
     SVector,
@@ -256,14 +255,21 @@ def geometric_segment(a: SVector, b: SVector) -> BrokenLine:
     return BrokenLine(chart, tuple(vertices), tuple(ts), length)
 
 
-# the absolute slack of d_segment_contains's triangle equality
-_BETWEEN_TOL = 1e-9
+# The one membership tolerance, relative to a value's scale max(1, |v|).  A
+# chart value is a radius e**t of an exponent t, which rounding moves by
+# about |t| ulps relative to itself (at most about 8e-14 inside the float
+# range, where |t| < 710), and a chord value or a distance adds a few ulps
+# more; 1e-9 clears that by four orders of magnitude and still tells apart
+# points that differ in the ninth digit.  The floor 1 makes it absolute
+# below radius 1, near the origin, where the zero element sits at 0.0.
+_REL = 1e-9
 
 
 def d_segment_contains(x: SVector, y: SVector, z: SVector, mid: MetricId) -> bool:
     """Whether ``z`` lies metrically between ``x`` and ``y``: the triangle
-    inequality holds with equality within the absolute ``_BETWEEN_TOL``."""
-    return abs(rho(mid, x, z) + rho(mid, z, y) - rho(mid, x, y)) <= _BETWEEN_TOL
+    inequality holds with equality within ``_REL * max(1, rho(x, y))``."""
+    d = rho(mid, x, y)
+    return abs(rho(mid, x, z) + rho(mid, z, y) - d) <= _REL * max(1.0, d)
 
 
 class PointPiece(_Record):
@@ -308,40 +314,39 @@ class ArcPiece(_Record):
     def chord_length(self) -> float:
         return _saturated(_euclid(self.start, self.end))
 
-    def param_of(self, x: SVector, tol: float = 1e-9) -> Optional[float]:
+    def param_of(self, x: SVector) -> Optional[float]:
         """Chord parameter of ``x`` on this arc, or None when off the arc
-        (off-chart, inconsistent, outside range, or at an excluded end)."""
+        (off-chart, off the chord, or at an excluded end).
+
+        The coordinate whose span is largest against its scale max(1,
+        |start|, |end|) fixes ``t``: it pins ``t`` the tightest.  An arc
+        whose span there is at most ``_REL`` times the scale is one point up
+        to the tolerance, and ``t`` is an end it includes.  Otherwise ``x``
+        is at an excluded end when ``t`` is within ``_REL`` of it, a test in
+        parameter space, so that it leaves in the interior of a short arc
+        with two open ends.  Clamped to [0, 1], ``t`` must then give every
+        coordinate within ``_REL`` times its scale."""
         try:
             px = psi(self.chart, x)
         except (ChartError, ValueError):
             return None
-        t = None
-        for s, e, v in zip(self.start, self.end, px):
-            span = e - s
-            if abs(span) <= tol:
-                if abs(v - s) > tol * max(1.0, abs(s)):
-                    return None
-            else:
-                ti = (v - s) / span
-                if t is None:
-                    t = ti
-                elif abs(ti - t) > 1e-6:
-                    return None
-        if t is None:
-            # every span is within tol, so the arc is one point up to tol
-            # and the parameter is undetermined: take an end the arc includes
+        start, end = self.start, self.end
+        scales = [max(1.0, abs(s), abs(e)) for s, e in zip(start, end)]
+        j = max(range(len(px)), key=lambda i: abs(end[i] - start[i]) / scales[i])
+        span = end[j] - start[j]
+        if abs(span) <= _REL * scales[j] and (self.closed_lo or self.closed_hi):
+            # shorter than the tolerance, the arc is one point up to it
             t = 0.0 if self.closed_lo else 1.0
-        if t < -tol or t > 1.0 + tol:
-            return None
-        if abs(t) <= tol and not self.closed_lo:
-            return None
-        if abs(t - 1.0) <= tol and not self.closed_hi:
-            return None
-        # verify the remaining coordinates agree
-        q = self.point_at(min(max(t, 0.0), 1.0))
-        if rho(D1, q, x) > 1e-8 * max(1.0, *(abs(c) for c in px)):
-            return None
-        return min(max(t, 0.0), 1.0)
+        else:
+            # a span of 0 here is a point with both ends open, which is empty
+            t = (px[j] - start[j]) / span if span else 0.0
+            if (t <= _REL and not self.closed_lo) or (t >= 1.0 - _REL and not self.closed_hi):
+                return None
+            t = min(max(t, 0.0), 1.0)
+        for s, e, v, scale in zip(start, end, px, scales):
+            if abs(v - ((1.0 - t) * s + t * e)) > _REL * scale:
+                return None
+        return t
 
     def contains(self, x: SVector) -> bool:
         return self.param_of(x) is not None
@@ -422,10 +427,6 @@ class SegmentSet(_Record):
         # `smaxplus segment --kind traditional` adds the flag to a segment set
         _check_keys(data, ("pieces", "representable"))
         return S
-
-
-def _phi_close(x: SVector, y: SVector, tol: float) -> bool:
-    return len(x) == len(y) and rho(D1, x, y) <= tol
 
 
 def as_segment_set(line: BrokenLine) -> SegmentSet:
@@ -684,7 +685,12 @@ def _interior_signature(arc: ArcPiece) -> tuple:
 
 def _piece_member(piece, x: SVector) -> bool:
     if isinstance(piece, PointPiece):
-        return piece.point == x or _phi_close(piece.point, x, 1e-9)
+        if piece.point == x:
+            return True
+        # decided as the one-point arc of the point's own chart
+        chart = chart_for(piece.point, piece.point)
+        end = psi(chart, piece.point)
+        piece = ArcPiece(chart, end, end, True, True)
     return piece.contains(x)
 
 

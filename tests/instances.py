@@ -46,21 +46,22 @@ def hausdorff_phi(xs: Sequence[SVector], ys: Sequence[SVector]) -> float:
 _EXP_RANGE = (-3.0, 3.0)  # radial coordinates in [e**-3, e**3] subset of [0, e**3]
 _MIN_GAP = 0.05  # keeps gaps resolvable by the default grid
 
-# The ray-set generators take an optional exponent band ``band`` (default
-# _EXP_RANGE); a wider one such as (-690.0, 690.0) spans most of the float
-# range.  The minimum gap scales with the band's smallest radius, so it is
-# _MIN_GAP exactly on the default band and the default draws are unchanged.
+# The vector and ray-set generators take an optional exponent band ``band``
+# (default _EXP_RANGE); a wider one such as (-690.0, 690.0) spans most of
+# the float range.  The minimum gap scales with the band's smallest radius,
+# so it is _MIN_GAP exactly on the default band and the default draws are
+# unchanged.
 
 
-def random_selem(rng: random.Random, zero_prob: float = 0.05) -> SElem:
+def random_selem(rng: random.Random, zero_prob: float = 0.05, band=_EXP_RANGE) -> SElem:
     if rng.random() < zero_prob:
         return ZERO
     sign = rng.choice(RAYS)
-    return SElem(sign, rng.uniform(*_EXP_RANGE))
+    return SElem(sign, rng.uniform(*band))
 
 
-def random_svector(rng: random.Random, n: int, zero_prob: float = 0.05) -> SVector:
-    return SVector(tuple(random_selem(rng, zero_prob) for _ in range(n)))
+def random_svector(rng: random.Random, n: int, zero_prob: float = 0.05, band=_EXP_RANGE) -> SVector:
+    return SVector(tuple(random_selem(rng, zero_prob, band) for _ in range(n)))
 
 
 def _random_intervals(rng: random.Random, count: int, band=_EXP_RANGE) -> List[Tuple[float, float]]:

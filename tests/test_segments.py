@@ -28,6 +28,7 @@ from smaxplus import (
     d_segment_contains,
     geometric_segment,
     isolated_points,
+    parse_metric_id,
     psi,
     psi_inverse,
     rho,
@@ -460,6 +461,57 @@ class TestWideMagnitudes:
         assert seg.pieces[1] == PointPiece(b)
 
 
+MEMBERSHIP_BANDS = (3.0, 10.0, 20.0, 30.0, 100.0)
+BETWEENNESS_METRICS = [parse_metric_id(code) for code in ("rho02", "rho12", "rho22")]
+
+
+def _pairs(band, count=400):
+    """Seeded endpoint pairs at n = 1, 2, 3 with exponents in +-band."""
+    rng = random.Random(int(band))
+    for k in range(count):
+        n = 1 + k % 3
+        yield random_svector(rng, n, band=(-band, band)), random_svector(rng, n, band=(-band, band))
+
+
+class TestMembershipAtAnyMagnitude:
+    """A segment's own points are its members at any magnitude: membership
+    is decided per chart coordinate, relative to the coordinate's scale."""
+
+    @pytest.mark.parametrize("band", MEMBERSHIP_BANDS)
+    def test_geodesic_points_are_members_and_between(self, band):
+        missed = []
+        for a, b in _pairs(band):
+            line = geometric_segment(a, b)
+            seg = as_segment_set(line)
+            vertices = [psi_inverse(line.chart, v) for v in line.vertices]
+            samples = [arc.point_at(t) for arc in seg.pieces if isinstance(arc, ArcPiece)
+                       for t in (0.13, 0.5, 0.77)]
+            missed += [("contains", z) for z in vertices + samples if not seg.contains(z)]
+            missed += [(mid, z) for z in vertices for mid in BETWEENNESS_METRICS
+                       if not d_segment_contains(a, b, z, mid)]
+        assert not missed, f"{len(missed)} misses, the first {missed[:3]}"
+
+    @pytest.mark.parametrize("band", MEMBERSHIP_BANDS)
+    def test_semimodule_points_are_members(self, band):
+        # point pieces, interior samples and closed ends, also of arcs
+        # shorter than the tolerance (some chart span is nonzero, but every
+        # span is at most 1e-9 times max(1, |start|, |end|))
+        missed, short = [], 0
+        for a, b in _pairs(band):
+            seg = semimodule_segment(a, b)
+            for piece in seg.pieces:
+                if isinstance(piece, PointPiece):
+                    points = [piece.point]
+                else:
+                    spans = [abs(e - s) / max(1.0, abs(s), abs(e)) for s, e in zip(piece.start, piece.end)]
+                    short += 0.0 < max(spans) <= 1e-9
+                    ts = [0.0] * piece.closed_lo + [0.13, 0.5, 0.77] + [1.0] * piece.closed_hi
+                    points = [piece.point_at(t) for t in ts]
+                missed += [z for z in points if not seg.contains(z)]
+        assert not missed, f"{len(missed)} misses, the first {missed[:3]}"
+        assert short > 0 or band < 20
+
+
 class TestJson:
     def test_broken_line_round_trip(self):
         line = geometric_segment(A3, B3)
@@ -582,7 +634,7 @@ class TestComponents:
         calls = []
         param_of = ArcPiece.param_of
         monkeypatch.setattr(
-            ArcPiece, "param_of", lambda self, x, tol=1e-9: calls.append(1) or param_of(self, x, tol)
+            ArcPiece, "param_of", lambda self, x: calls.append(1) or param_of(self, x)
         )
         rng = random.Random(128)
         a, b = random_svector(rng, 128), random_svector(rng, 128)
