@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add, itemgetter, mul, sub
 from typing import List, Optional, Sequence, Tuple
 
@@ -656,9 +656,12 @@ def semimodule_segment(a: SVector, b: SVector) -> SegmentSet:
 # value, such as a geodesic leg on the second chart ray, builds its keys per
 # coordinate.
 # An endpoint can also lie inside another arc; the interior of an arc keeps
-# one ray per coordinate, so arcs are indexed by that sign signature and the
-# general membership test runs only on the arcs whose signature is the
-# endpoint's.  Pieces built by the sweep meet only at shared endpoints, so
+# one ray per coordinate unless a coordinate crosses the origin, so arcs are
+# indexed by that sign signature and the general membership test runs only
+# on the arcs whose signature is the endpoint's, and on every arc that
+# crosses.  Sweep, geodesic and traditional arcs never cross (a geodesic
+# leg ends where its coordinate reaches 0), so only a hand-built or JSON arc
+# adds tests.  Pieces built by the sweep meet only at shared endpoints, so
 # for them that test almost never runs, and the whole pass is O(P n).
 
 
@@ -678,7 +681,11 @@ _first = itemgetter(0)
 _ORIGIN_SIGN = {0.0: None}
 
 
-def _interior_signature(arc: ArcPiece) -> tuple:
+def _interior_signature(arc: ArcPiece) -> Optional[tuple]:
+    # None when a coordinate crosses the origin, where the interior takes
+    # both chart rays
+    if any(s < 0.0 < e or e < 0.0 < s for s, e in zip(arc.start, arc.end)):
+        return None
     return tuple([u if s > 0.0 or e > 0.0 else v if s < 0.0 or e < 0.0 else None
                   for (u, v), s, e in zip(arc.chart, arc.start, arc.end)])
 
@@ -752,11 +759,13 @@ def components(seg: SegmentSet) -> List[List[int]]:
                 union(holder, i)
 
     # an endpoint inside another arc, or next to a point within the
-    # membership tolerance: test only the pieces with the endpoint's signs
+    # membership tolerance: test only the pieces with the endpoint's signs,
+    # and the arcs that cross the origin (signature None)
+    crossing = by_signature.get(None, ())
     for i, piece in enumerate(pieces):
         for end, key in enumerate(keys[i]):
             x = None
-            for j in by_signature.get(key[0], ()):
+            for j in chain(by_signature.get(key[0], ()), crossing):
                 if j == i or key in keys[j] or find(i) == find(j):
                     continue
                 if x is None:
