@@ -140,16 +140,18 @@ def _nearest(x: SElem, intervals, base: int) -> Tuple[Tuple[SElem, ...], float]:
     is a member, and its own nearest point: every other point is at a
     positive distance.  It is returned at once, itself at distance 0, and
     not rebuilt from its radius, which the ``exp``/``log`` round trip can
-    move by an ulp.  When ``|x.exp|`` exceeds log(float max), the members
-    are looked for before the radius is taken, so that an exact answer
-    raises no ``MagnitudeRangeWarning``.
+    move by an ulp.  The zero query takes the origin's exponent ``-inf``,
+    so an interval of any ray that starts at the origin answers it.  When
+    ``|x.exp|`` exceeds log(float max), the members are looked for before
+    the radius is taken, so that an exact answer raises no
+    ``MagnitudeRangeWarning``.
     """
     tx = x.exp
     if _MIN_EXP_ARG <= tx <= _MAX_EXP_ARG:
         # magnitude(x), which cannot leave the float range here
         own, mx = x.sign, math.exp(tx)
     elif tx is EPS:
-        own, tx, mx = None, _NO_EXP, 0.0
+        own, tx, mx = None, -math.inf, 0.0
     else:
         # e**tx may leave the float range, where magnitude warns: a member
         # is answered from the exponents before the radius is taken

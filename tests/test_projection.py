@@ -161,6 +161,14 @@ class TestMembersProjectToThemselves:
         with pytest.warns(MagnitudeRangeWarning, match="overflows"):
             project_ray(SElem.neg(800), RaySet(plus=((1, math.inf),)))
 
+    def test_a_zero_query_in_a_set_that_holds_the_origin(self):
+        # the zero query used to take a nan exponent, so the member test
+        # never fired, and m:-23.03 (1e-10) tied with it within TIE_TOL
+        C = RaySet(plus=((0, 1),), minus=((1e-10, 1),))
+        assert C.contains(ZERO)
+        for base in (1, 2):
+            assert project_ray(ZERO, C, base) == ProjectionResult((ZERO,), 0.0, True)
+
     def test_a_member_whose_radius_rounds_away(self):
         # exp/log moves this member's radius by an ulp: the kernel used to
         # report p:-0.44743874464378225
