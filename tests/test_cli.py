@@ -201,6 +201,13 @@ class TestProject:
         assert "empty" in json.loads(err)["error"]
 
 
+def test_a_vector_query_on_a_ray_set_is_a_domain_error(capsys, files):
+    query = files["write"]("q2.json", {"coords": [{"sign": "+", "exp": 0}, {"sign": "-", "exp": 1}]})
+    code, out, err = run(capsys, "project", query, files["triple"])
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "a ray set expects a one-coordinate query"}
+
+
 def test_metric_with_a_ray_set_is_a_domain_error(capsys, files):
     # a ray set is projected under --base; a --metric it would ignore is refused
     code, out, err = run(capsys, "project", files["x"], files["triple"], "--metric", "rho12")

@@ -293,6 +293,10 @@ class TestWitnessConstruction:
     def test_witness_at_any_magnitude(self, C, base):
         _assert_witness(C, find_multipoint_witness(C, base), base)
 
+    def test_empty_set_raises(self):
+        with pytest.raises(ValueError, match="^empty set$"):
+            find_multipoint_witness(RaySet())
+
     @pytest.mark.parametrize("base", [0, 3, 5, "2", None])
     def test_bad_base_raises_on_every_set(self, base):
         for C in (RaySet(plus=((1, 2),)), RaySet(plus=((1, 2), (3, 4))), TRIPLE):
@@ -491,6 +495,18 @@ class TestProjectBoxMax:
             project_box_max(SVector((ZERO,)), BoxSet((TRIPLE,)), resolution=0.0)
 
 
+@pytest.mark.parametrize(
+    "project",
+    [lambda x, A: project_box(x, A, parse_metric_id("rho12")), project_box_max],
+    ids=["box", "box-max"],
+)
+def test_box_projection_errors(project):
+    with pytest.raises(ValueError, match="^empty set$"):
+        project(SVector((ZERO, ZERO)), BoxSet((TRIPLE, RaySet())))
+    with pytest.raises(ValueError, match="^dimension mismatch: 1 vs 2$"):
+        project(SVector((ZERO,)), BoxSet((TRIPLE, TRIPLE)))
+
+
 class TestFactorization:
     def test_joint_grid_matches_product(self):
         rng = random.Random(49)
@@ -675,6 +691,17 @@ class TestSegmentSetProjection:
         _assert_unique_projections(arc, cases, base)
         with pytest.raises(ValueError, match="not attained"):
             project_segment_set(SElem.neg(math.log(4)), arc, base)
+
+
+    def test_documented_errors(self):
+        from smaxplus.segments import ArcPiece, PointPiece, SegmentSet
+
+        with pytest.raises(ValueError, match="^empty segment set$"):
+            project_segment_set(ZERO, SegmentSet(()))
+        plane = ((Sign.PLUS, Sign.MINUS),) * 2
+        for piece in (PointPiece(SVector((ZERO, ZERO))), ArcPiece(plane, (1.0, 1.0), (2.0, 2.0), True, True)):
+            with pytest.raises(ValueError, match="defined on the line only"):
+                project_segment_set(ZERO, SegmentSet((piece,)))
 
 
 def _assert_unique_projections(S, cases, base):
