@@ -30,9 +30,11 @@ Results are built without the public constructors' checks, through
 kernels have just computed: an argmin or sample at a positive finite
 radius ``m`` has exponent ``math.log(m)``, which is finite, and a product
 vector is a tuple of such elements.  The checks took most of the time of a
-large max-combine cloud.  A radius that is not positive and finite (a
-segment set read from JSON can carry one) still goes through
-``point_on_ray``, which raises.
+large max-combine cloud.  The one other radius an argmin can have is 0,
+an interval's low end at the origin: an arc's ends, also from JSON, are
+checked finite, and a ray set's only infinite end is a high end, which no
+clamp reaches.  That argmin goes through ``point_on_ray``, which returns
+the zero element.
 """
 
 from __future__ import annotations
