@@ -162,8 +162,8 @@ class TestMembersProjectToThemselves:
             project_ray(SElem.neg(800), RaySet(plus=((1, math.inf),)))
 
     def test_a_zero_query_in_a_set_that_holds_the_origin(self):
-        # the zero query used to take a nan exponent, so the member test
-        # never fired, and m:-23.03 (1e-10) tied with it within TIE_TOL
+        # the origin is a member, so it alone is nearest, though m:-23.03
+        # (radius 1e-10) is within TIE_TOL of it
         C = RaySet(plus=((0, 1),), minus=((1e-10, 1),))
         assert C.contains(ZERO)
         for base in (1, 2):

@@ -611,8 +611,7 @@ HAND_BUILT = {
     "open-meets-open": ((_arc((1.0,), (2.0,), True, False), _arc((2.0,), (3.0,), False)), [[0], [1]]),
     "closed-meets-open": ((_arc((1.0,), (2.0,)), _arc((2.0,), (3.0,), False)), [[0, 1]]),
     "through-origin": ((_arc((-1.0,), (0.0,), True, False), _arc((0.0,), (2.0,))), [[0, 1]]),
-    # the arc's interior takes both rays, so its one sign signature missed
-    # the point on the minus ray
+    # the arc's interior lies on both rays of its chart
     "point-on-crossing-arc": ((_arc((1.0,), (-1.0,)), _point(-0.5)), [[0, 1]]),
     "t-junction": (
         (_arc((1.0, 1.0), (3.0, 1.0), False, False), _arc((2.0, 1.0), (2.0, 3.0), False)),
