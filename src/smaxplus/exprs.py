@@ -121,8 +121,13 @@ def _expr(tokens: list, mode: str) -> SElem:
 def _term(tokens: list, mode: str) -> SElem:
     value = _power(tokens, mode)
     while tokens[-1][0] == "*":
-        tokens.pop()
-        value = s_otimes(value, _power(tokens, mode))
+        pos = tokens.pop()[1]
+        factor = _power(tokens, mode)
+        try:
+            value = s_otimes(value, factor)
+        except OverflowError as exc:
+            # a huge integer exponent plus a float one
+            raise ExprError(str(exc), pos) from None
     return value
 
 

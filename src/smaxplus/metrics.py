@@ -29,6 +29,9 @@ class MagnitudeRangeWarning(RuntimeWarning):
 
 
 _MAX_EXP_ARG = math.log(sys.float_info.max)
+# e**t is a positive float, which magnitude returns with no warning, for
+# every t in [_MIN_EXP_ARG, _MAX_EXP_ARG]
+_MIN_EXP_ARG = -_MAX_EXP_ARG
 _SQRT_FLOAT_MIN = math.sqrt(sys.float_info.min)
 
 THETA = complex(-0.5, math.sqrt(3.0) / 2.0)
@@ -54,7 +57,10 @@ def magnitude(a: SElem) -> float:
             stacklevel=2,
         )
         return sys.float_info.max
-    m = math.exp(t)
+    try:
+        m = math.exp(t)
+    except OverflowError:  # an int exponent below the float range
+        m = 0.0
     if m == 0.0:
         warnings.warn(
             f"magnitude exponent {t} underflows the float range; embedding at the origin",

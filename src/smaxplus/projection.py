@@ -49,7 +49,7 @@ from .algebra import (
     EPS, RAYS, ZERO, SElem, Sign, _check_keys, _is_number, _Record, _trusted_selem, _trusted_selems,
 )
 from .metrics import (
-    _MAX_EXP_ARG, MetricId, SVector, _euclid_norm, _trusted_product, _trusted_svector,
+    _MAX_EXP_ARG, _MIN_EXP_ARG, MetricId, SVector, _euclid_norm, _trusted_product, _trusted_svector,
     cross_distance, magnitude,
 )
 from .raysets import _KERNEL, BoxSet, RaySet, point_on_ray
@@ -62,9 +62,6 @@ TIE_TOL = 1e-9
 # the exponent of an interval end that has none known: every comparison
 # with it fails
 _NO_EXP = math.nan
-# e**t is a positive float, which magnitude returns with no warning, for
-# every t in [_MIN_EXP_ARG, _MAX_EXP_ARG]
-_MIN_EXP_ARG = -_MAX_EXP_ARG
 
 
 class ProjectionResult(_Record):

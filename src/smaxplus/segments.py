@@ -24,17 +24,21 @@ from __future__ import annotations
 import math
 import sys
 import warnings
+from collections import deque
 from itertools import chain, repeat
 from operator import add, itemgetter, mul, sub
 from typing import List, Optional, Sequence, Tuple
 
-from .algebra import EPS, RAYS, SElem, Sign, ZERO, _check_keys, _is_number, _Record, s_oplus, scalar_mul
+from .algebra import (EPS, SElem, Sign, ZERO, _check_keys, _is_number, _Record, _set_exp, _set_sign,
+                      _trusted_selem, s_oplus, scalar_mul)
 from .metrics import (
     _MAX_EXP_ARG,
+    _MIN_EXP_ARG,
     _SQRT_FLOAT_MIN,
     MagnitudeRangeWarning,
     MetricId,
     SVector,
+    _trusted_svector,
     magnitude,
     rho,
 )
@@ -56,11 +60,44 @@ def vec_scale(lam, x: SVector) -> SVector:
     return SVector(tuple(scalar_mul(lam, c) for c in x))
 
 
-def _complement(tag: Sign) -> Sign:
-    for t in RAYS:
-        if t is not tag:
-            return t
-    raise AssertionError
+# the first ray, in the order plus, minus, balanced, that is not the key
+_COMPLEMENT = {Sign.PLUS: Sign.MINUS, Sign.MINUS: Sign.PLUS, Sign.BALANCED: Sign.PLUS}
+
+
+def _radius(t) -> float:
+    """``magnitude``'s value for the exponent ``t``: 0.0 for ``EPS``,
+    ``math.exp`` where it cannot leave the float range, and ``magnitude``,
+    which saturates or underflows with a warning, elsewhere."""
+    if t is EPS:
+        return 0.0
+    if _MIN_EXP_ARG <= t <= _MAX_EXP_ARG:
+        return math.exp(t)
+    return magnitude(SElem(Sign.PLUS, t))
+
+
+def _chart_values(a: SVector, b: SVector) -> tuple:
+    """``(chart, psi(chart, a), psi(chart, b))`` for ``chart = chart_for(a,
+    b)``, in one pass over the coordinate pairs, with radii by ``_radius``.
+
+    A nonzero coordinate keeps its own ray.  A zero one adopts the
+    complement of its partner's ray (plus, then minus, then balanced; plus
+    and minus when both are zero), so that the chart is reproducible, and
+    maps to 0.0.
+    """
+    if len(a) != len(b):
+        raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
+    chart, alpha, beta = [], [], []
+    for x, y in zip(a, b):
+        u, s, v, t = x.sign, x.exp, y.sign, y.exp
+        if s is EPS:
+            u = _COMPLEMENT[v]
+        if t is EPS:
+            v = _COMPLEMENT[u]
+        chart.append((u, v))
+        alpha.append(math.exp(s) if _MIN_EXP_ARG <= s <= _MAX_EXP_ARG else _radius(s))
+        r = math.exp(t) if _MIN_EXP_ARG <= t <= _MAX_EXP_ARG else _radius(t)
+        beta.append(r if u is v or t is EPS else -r)
+    return tuple(chart), tuple(alpha), tuple(beta)
 
 
 def chart_for(a: SVector, b: SVector) -> PsiChart:
@@ -68,21 +105,11 @@ def chart_for(a: SVector, b: SVector) -> PsiChart:
 
     Zero coordinates can sit on any ray; they adopt the partner's ray and a
     deterministic complementary tag (preferring plus, then minus, then
-    balanced) so that the chart is reproducible.
+    balanced) so that the chart is reproducible.  The chart comes from the
+    pass that also takes the chart values, so an exponent outside the float
+    range warns as ``psi`` does.
     """
-    if len(a) != len(b):
-        raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    pairs = []
-    for x, y in zip(a, b):
-        if x.is_zero and y.is_zero:
-            pairs.append((Sign.PLUS, Sign.MINUS))
-        elif x.is_zero:
-            pairs.append((_complement(y.sign), y.sign))
-        elif y.is_zero:
-            pairs.append((x.sign, _complement(x.sign)))
-        else:
-            pairs.append((x.sign, y.sign))
-    return tuple(pairs)
+    return _chart_values(a, b)[0]
 
 
 def psi(chart: PsiChart, x: SVector) -> Tuple[float, ...]:
@@ -105,15 +132,18 @@ def psi(chart: PsiChart, x: SVector) -> Tuple[float, ...]:
 
 def psi_inverse(chart: PsiChart, p: Sequence[float]) -> SVector:
     """Pull chart coordinates back: positive values to the first ray,
-    negative to the second, zero to the zero element."""
+    negative to the second, zero to the zero element.  The chart's rays are
+    Signs, as in every chart the library builds or reads."""
     if len(chart) != len(p):
         raise ValueError(f"dimension mismatch: {len(chart)} vs {len(p)}")
     coords = []
+    # the log of a finite nonzero value is a finite float, which needs no
+    # check; SElem refuses the log of an infinite one
     for (u, v), s in zip(chart, p):
         if s > 0:
-            coords.append(SElem(u, math.log(s)))
+            coords.append(_trusted_selem(u, math.log(s)) if s < math.inf else SElem(u, math.inf))
         elif s < 0:
-            coords.append(SElem(v, math.log(-s)))
+            coords.append(_trusted_selem(v, math.log(-s)) if s > -math.inf else SElem(v, math.inf))
         else:
             coords.append(ZERO)
     return SVector(tuple(coords))
@@ -235,9 +265,7 @@ def geometric_segment(a: SVector, b: SVector) -> BrokenLine:
     the nearest float.  The length equals the inner product distance of the
     endpoints.
     """
-    chart = chart_for(a, b)
-    alpha = psi(chart, a)
-    beta = psi(chart, b)
+    chart, alpha, beta = _chart_values(a, b)
     crossing = {}  # crossing parameter -> the coordinates that cross there
     for j, (x, y) in enumerate(zip(alpha, beta)):
         if x > 0.0 > y or x < 0.0 < y:
@@ -279,7 +307,7 @@ class PointPiece(_Record):
     point: SVector
 
     def __init__(self, point: SVector):
-        object.__setattr__(self, "point", point)
+        _set_point(self, point)
 
     def to_json(self) -> dict:
         return {"kind": "point", "point": self.point.to_json()}
@@ -301,11 +329,11 @@ class ArcPiece(_Record):
     closed_hi: bool
 
     def __init__(self, chart: PsiChart, start, end, closed_lo: bool, closed_hi: bool):
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
-        object.__setattr__(self, "closed_lo", closed_lo)
-        object.__setattr__(self, "closed_hi", closed_hi)
+        _set_chart(self, chart)
+        _set_start(self, start)
+        _set_end(self, end)
+        _set_closed_lo(self, closed_lo)
+        _set_closed_hi(self, closed_hi)
 
     def point_at(self, t: float) -> SVector:
         p = tuple((1.0 - t) * s + t * e for s, e in zip(self.start, self.end))
@@ -360,6 +388,12 @@ class ArcPiece(_Record):
             "closed_lo": self.closed_lo,
             "closed_hi": self.closed_hi,
         }
+
+
+_set_point = PointPiece.point.__set__
+_set_chart, _set_start, _set_end, _set_closed_lo, _set_closed_hi = (
+    getattr(ArcPiece, name).__set__ for name in ArcPiece.__slots__
+)
 
 
 def _piece_from_json(data: dict):
@@ -455,8 +489,7 @@ def traditional_segment(a: SVector, b: SVector) -> Optional[SegmentSet]:
             return None
     if a == b:
         return SegmentSet((PointPiece(a),))
-    chart = chart_for(a, b)
-    return SegmentSet((ArcPiece(chart, psi(chart, a), psi(chart, b), True, True),))
+    return SegmentSet((ArcPiece(*_chart_values(a, b), True, True),))
 
 
 # ---------------------------------------------------------------------------
@@ -493,21 +526,22 @@ def traditional_segment(a: SVector, b: SVector) -> Optional[SegmentSet]:
 #
 # Values.  The sweep runs on (sign, exp) pairs, the fields of an SElem, so
 # its equality tests and its set of met points compare and hash tuples in C;
-# SElem and SVector values are built only for the point pieces it returns.
-# Radii are magnitude()'s: math.exp in the float range, magnitude outside.
+# SElem and SVector values are built only for the point pieces it returns,
+# without the constructors' checks: every pair was read from SElem fields,
+# or made from such pairs by _scaled_coord or _oplus, and is therefore
+# normalized ((BALANCED, EPS) for zero, an int or finite float exponent
+# otherwise).  Radii follow the one rule of _radius: math.exp inside
+# [_MIN_EXP_ARG, _MAX_EXP_ARG], magnitude outside.  An event point starts
+# from a copy of q and is rebuilt only at the moving coordinates and the
+# idle ones, where p is nonzero and the scaled copy no longer moves (its
+# event is >= 0, or it left at a tie): there the float test of the signed
+# max decides, as at every other lam.  Where p is zero the point is q.
 #
 # Cost.  Sorting the events is O(n log n); each event builds one event point
 # and one arc in O(n).  A segment with P pieces costs O(P n), the size of its
 # output.
 
 _LO, _HI = 1, 2  # positions of the end vectors in an arc record
-
-
-def _radius(c: tuple) -> float:
-    if c[1] is EPS:
-        return 0.0
-    m = math.exp(c[1]) if c[1] <= _MAX_EXP_ARG else 0.0
-    return m or magnitude(SElem(*c))
 
 
 def _oplus(x: tuple, y: tuple) -> tuple:
@@ -529,16 +563,17 @@ def _scaled_coord(pi: tuple, qi: tuple, lam) -> tuple:
     return (pi[0], t) if t != -math.inf else (Sign.BALANCED, EPS)
 
 
-def _family_value(p: tuple, q: tuple, ends: list, moving: set, lam) -> tuple:
+def _family_value(p: tuple, q: tuple, ends: list, moving: set, idle: list, lam) -> tuple:
     # (lam (*) p) (+) q.  The moving coordinates' scaled values are in ends;
-    # elsewhere q wins the signed max unless the float sum lam + |p(i)|
+    # at an idle one q wins the signed max unless the float sum lam + |p(i)|
     # reaches |q(i)|, so a scaled copy is built only then
-    return tuple([
-        _oplus(ends[i], qi) if i in moving
-        else qi if pi[1] is EPS or lam + pi[1] < qi[1]
-        else _oplus(_scaled_coord(pi, qi, lam), qi)
-        for i, (pi, qi) in enumerate(zip(p, q))
-    ])
+    value = list(q)
+    for i in moving:
+        value[i] = _oplus(ends[i], q[i])
+    for i in idle:
+        if not lam + p[i][1] < q[i][1]:
+            value[i] = _oplus(_scaled_coord(p[i], q[i], lam), q[i])
+    return tuple(value)
 
 
 def _family_sweep(p: tuple, q: tuple, offset: int):
@@ -555,36 +590,40 @@ def _family_sweep(p: tuple, q: tuple, offset: int):
     chart = list(fixed)
     ties = {}
     moving = set()
+    idle = []
     for i, ((ps, pe), (_, qe)) in enumerate(zip(p, q)):
         if pe is EPS:
             continue
         if qe is not EPS:
             event = qe - pe
             if not event < 0:
+                idle.append(i)
                 continue
             ties.setdefault(event, []).append(i)
         moving.add(i)
         chart[i] = (ps, ps)
     ends = list(q)
-    radii = tuple(map(_radius, q))
+    radii = tuple([_radius(e) for _, e in q])
     mags = list(radii)
 
     def scale_moving(lam):
         for i in moving:
             ends[i] = c = _scaled_coord(p[i], q[i], lam)
-            mags[i] = _radius(c)
+            t = c[1]
+            mags[i] = math.exp(t) if _MIN_EXP_ARG <= t <= _MAX_EXP_ARG else _radius(t)
 
     scale_moving(0)  # an int, so integer exponents stay ints in a (+) b
     hi_vec, hi = tuple(ends), tuple(mags)
     arcs = []
-    claims = [(_family_value(p, q, ends, moving, 0), [(offset, _HI)] if moving else [])]
+    claims = [(_family_value(p, q, ends, moving, idle, 0), [(offset, _HI)] if moving else [])]
     for event in sorted(ties, reverse=True):
         scale_moving(event)
         arcs.append((tuple(chart), tuple(ends), hi_vec, tuple(mags), hi))
-        point = _family_value(p, q, ends, moving, event)
+        point = _family_value(p, q, ends, moving, idle, event)
         for i in ties[event]:
             ends[i], mags[i], chart[i] = q[i], radii[i], fixed[i]
             moving.discard(i)
+        idle += ties[event]
         hi_vec, hi = tuple(ends), tuple(mags)
         below = [(offset + len(arcs), _HI)] if moving else []
         claims.append((point, [(offset + len(arcs) - 1, _LO)] + below))
@@ -596,7 +635,17 @@ def _family_sweep(p: tuple, q: tuple, offset: int):
 
 
 def _point_piece(x: tuple) -> PointPiece:
-    return PointPiece(SVector(tuple([SElem(s, e) for s, e in x])))
+    # normalized pairs (see Values above): the elements are built as
+    # _trusted_selems builds them, in C-level passes
+    elems = list(map(object.__new__, repeat(SElem, len(x))))
+    deque(map(_set_sign, elems, map(_first, x)), 0)
+    deque(map(_set_exp, elems, map(_second, x)), 0)
+    return PointPiece(_trusted_svector(tuple(elems)))
+
+
+def _huge(e) -> bool:
+    # an int exponent that float() refuses
+    return e.__class__ is int and abs(e) > sys.float_info.max
 
 
 def semimodule_segment(a: SVector, b: SVector) -> SegmentSet:
@@ -606,8 +655,16 @@ def semimodule_segment(a: SVector, b: SVector) -> SegmentSet:
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
     pa = tuple([(c.sign, c.exp) for c in a])
     pb = tuple([(c.sign, c.exp) for c in b])
-    arcs_a, claims_a = _family_sweep(pa, pb, 0)
-    arcs_b, claims_b = _family_sweep(pb, pa, len(arcs_a))
+    try:
+        arcs_a, claims_a = _family_sweep(pa, pb, 0)
+        arcs_b, claims_b = _family_sweep(pb, pa, len(arcs_a))
+    except OverflowError:
+        # float(int) in a sum or difference of exponents: an int exponent,
+        # or the difference of two, lies beyond the float range
+        i = next(i for i, ((_, s), (_, t)) in enumerate(zip(pa, pb))
+                 if _huge(s) or _huge(t) or s.__class__ is t.__class__ is int and _huge(t - s))
+        raise ValueError(f"coordinate {i}: an integer exponent or exponent difference beyond the"
+                         " float range cannot be combined with float exponents") from None
     arcs = arcs_a + arcs_b
     # both sweeps start at a (+) b, which may close either family's top arc
     (top, top_a), (_, top_b) = claims_a.pop(0), claims_b.pop(0)
@@ -666,7 +723,7 @@ def semimodule_segment(a: SVector, b: SVector) -> SegmentSet:
 
 
 def _point_key(x: SVector) -> tuple:
-    radii = tuple([magnitude(c) for c in x])
+    radii = tuple([math.exp(t) if _MIN_EXP_ARG <= (t := c.exp) <= _MAX_EXP_ARG else _radius(t) for c in x])
     return tuple([c.sign if m > 0.0 else None for c, m in zip(x, radii)]), radii
 
 
@@ -675,7 +732,7 @@ def _chart_key(chart: PsiChart, p: Sequence[float]) -> tuple:
     return signs, tuple(map(abs, p))
 
 
-_first = itemgetter(0)
+_first, _second = itemgetter(0), itemgetter(1)
 # the sign of a nonnegative chart value 0 (or -0.0), which lies at the
 # origin; dict.get gives the first chart ray for every other value
 _ORIGIN_SIGN = {0.0: None}
@@ -695,8 +752,7 @@ def _piece_member(piece, x: SVector) -> bool:
         if piece.point == x:
             return True
         # decided as the one-point arc of the point's own chart
-        chart = chart_for(piece.point, piece.point)
-        end = psi(chart, piece.point)
+        chart, end, _ = _chart_values(piece.point, piece.point)
         piece = ArcPiece(chart, end, end, True, True)
     return piece.contains(x)
 

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -83,6 +84,13 @@ class TestEval:
         code, out, err = run(capsys, "eval", "2.5 ^ 1" + "0" * 400)
         assert code == 1 and out == ""
         assert "error" in json.loads(err)
+
+    def test_huge_product_exit_code(self, capsys):
+        # the huge int exponent of the power cannot be added to a float one
+        source = "2 ^ 1" + "0" * 400 + " * 1.5"
+        code, out, err = run(capsys, "eval", source)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"].endswith(f"(at position {source.index('*')})")
 
     def test_integer_literal_too_long_exit_code(self, capsys):
         code, out, err = run(capsys, "eval", "2 ^ 1" + "0" * 4400)
@@ -168,6 +176,23 @@ class TestSegment:
         assert code == 1
         assert "mismatch" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("huge", [10**400, -10**400], ids=["above", "below"])
+    @pytest.mark.parametrize("kind", ["semimodule", "geometric", "traditional"])
+    def test_int_exponent_beyond_the_float_range(self, capsys, files, kind, huge):
+        # next to a float exponent the semimodule sweep cannot add or subtract
+        # it, and says which coordinate; the other kinds take its radius
+        a = files["write"]("huge_int.json", {"coords": [{"sign": "+", "exp": huge}, {"sign": "-", "exp": 1.5}]})
+        b = files["write"]("units.json", {"coords": [{"sign": "+", "exp": 0}, {"sign": "-", "exp": 0}]})
+        with warnings.catch_warnings(record=True):
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "segment", "--kind", kind, a, b)
+        if kind == "semimodule":
+            assert code == 1 and out == ""
+            assert json.loads(err)["error"].startswith("coordinate 0: ")
+        else:
+            assert (code, err) == (0, "")
+            json.loads(out)
+
 
 class TestProject:
     def test_ray_set_projection(self, capsys, files):
@@ -193,6 +218,14 @@ class TestProject:
         code, out, _ = run(capsys, "project", xx, box, "--metric", "rho12")
         assert code == 0
         assert len(json.loads(out)["points"]) == 9
+
+    def test_int_query_exponent_below_the_float_range(self, capsys, files):
+        # the query's radius underflows to the origin with a warning
+        x = files["write"]("tiny.json", {"sign": "+", "exp": -10**400})
+        with pytest.warns(MagnitudeRangeWarning, match="underflow"):
+            code, out, err = run(capsys, "project", x, files["triple"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["distance"] == 1.0
 
     def test_empty_set_domain_error(self, capsys, files):
         empty = files["write"]("empty.json", {"plus": [], "minus": [], "balanced": []})

@@ -88,6 +88,12 @@ class TestEmbedding:
             m = magnitude(SElem.pos(-800))
         assert m == 0.0
 
+    def test_magnitude_of_an_int_below_the_float_range(self):
+        # math.exp cannot take the int; the radius underflows as above
+        with pytest.warns(MagnitudeRangeWarning, match="underflow"):
+            m = magnitude(SElem.pos(-10**400))
+        assert m == 0.0
+
 
 class TestBaseMetrics:
     def test_d1_examples(self):

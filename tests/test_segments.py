@@ -35,6 +35,7 @@ from smaxplus import (
     semimodule_segment,
     traditional_segment,
 )
+import smaxplus.metrics as metrics_module
 import smaxplus.segments as segments_module
 from smaxplus.segments import vec_oplus, vec_scale
 from smaxplus.svg import Scene
@@ -460,6 +461,25 @@ class TestWideMagnitudes:
         assert [type(piece) for piece in seg.pieces] == [ArcPiece, PointPiece]
         assert seg.pieces[1] == PointPiece(b)
 
+    @pytest.mark.parametrize(
+        "a_exp, b_exp", [(10**400, 0), (-10**400, 0), (10**308, -10**308)], ids=["above", "below", "event"]
+    )
+    def test_int_exponents_beyond_the_float_range_next_to_floats(self, a_exp, b_exp):
+        # float() refuses the int exponent, or the int event b_exp - a_exp,
+        # that the sweep would add to a float; the error names the coordinate
+        a, b = V(SElem.pos(1.5), SElem.pos(a_exp)), V(SElem.neg(0), SElem.pos(b_exp))
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="^coordinate 1: "), warnings.catch_warnings(record=True):
+                semimodule_segment(x, y)
+
+    def test_int_exponents_beyond_the_float_range_alone(self):
+        # int exponents add exactly, and only the radii leave the float range
+        a, b = V(SElem.pos(10**400), SElem.neg(3)), V(SElem.neg(-2 * 10**400), SElem.pos(0))
+        with pytest.warns(MagnitudeRangeWarning):
+            seg = semimodule_segment(a, b)
+            groups = components(seg)
+        assert len(seg.pieces) == 5 and groups == [[0], [1, 3, 4], [2]]
+
 
 MEMBERSHIP_BANDS = (3.0, 10.0, 20.0, 30.0, 100.0)
 BETWEENNESS_METRICS = [parse_metric_id(code) for code in ("rho02", "rho12", "rho22")]
@@ -510,6 +530,77 @@ class TestMembershipAtAnyMagnitude:
                 missed += [z for z in points if not seg.contains(z)]
         assert not missed, f"{len(missed)} misses, the first {missed[:3]}"
         assert short > 0 or band < 20
+
+
+# exponent intervals per band; the edge band straddles e**+-709.78, past
+# which radii saturate, and reaches e**-745, below which they underflow
+CHART_BANDS = {
+    "3": ((-3.0, 3.0),),
+    "300": ((-300.0, 300.0),),
+    "edge": ((-746.0, -708.0), (708.0, 746.0)),
+    "800": ((-800.0, 800.0),),
+}
+
+
+def _chart_pairs(band):
+    """Seeded pairs at n = 1..33, three per n, with a zero coordinate in a,
+    one in b and one in both where n allows; in the third pair b's nonzero
+    coordinates lie on a's rays, so that the chord is representable."""
+    rng = random.Random(sum(map(ord, band)))
+
+    def coord(sign=None):
+        if rng.random() < 0.1:
+            return ZERO
+        return SElem(sign or rng.choice((Sign.PLUS, Sign.MINUS, Sign.BALANCED)),
+                     rng.uniform(*rng.choice(CHART_BANDS[band])))
+
+    for n in range(1, 34):
+        for k in range(3):
+            a = [coord() for _ in range(n)]
+            b = [coord(x.sign if k == 2 and not x.is_zero else None) for x in a]
+            a[0] = ZERO
+            b[n // 2] = ZERO
+            if n > 2:
+                a[-1] = b[-1] = ZERO
+            yield V(*a), V(*b)
+
+
+def _messages(record) -> set:
+    return {str(w.message) for w in record if issubclass(w.category, MagnitudeRangeWarning)}
+
+
+class TestOnePassChart:
+    """The geodesic's and the chord's chart values, taken in one pass, are
+    psi's on chart_for's chart, to the sign of a zero, with the same range
+    warnings."""
+
+    @pytest.mark.parametrize("band", sorted(CHART_BANDS))
+    def test_chart_values_are_psi(self, band):
+        length_message = "geometric length overflows the float range; saturating"
+        chords = warned = 0
+        for a, b in _chart_pairs(band):
+            with warnings.catch_warnings(record=True) as record:
+                warnings.simplefilter("always")
+                line = geometric_segment(a, b)
+            got = _messages(record) - {length_message}
+            with warnings.catch_warnings(record=True) as record:
+                warnings.simplefilter("always")
+                alpha, beta = psi(line.chart, a), psi(line.chart, b)
+            want = _messages(record)
+            # repr tells -0.0 (an underflow on the second ray) from 0.0
+            assert repr((alpha, beta)) == repr((line.vertices[0], line.vertices[-1]))
+            assert got == want
+            warned += bool(want)
+            with warnings.catch_warnings(record=True) as record:
+                warnings.simplefilter("always")
+                seg = traditional_segment(a, b)
+            if seg is not None and a != b:
+                expected = SegmentSet((ArcPiece(line.chart, alpha, beta, True, True),))
+                assert repr(seg) == repr(expected)
+                assert _messages(record) == want
+                chords += 1
+        assert chords > 20
+        assert warned > 20 or band in ("3", "300")
 
 
 class TestJson:
@@ -649,16 +740,38 @@ class TestComponents:
 
     def test_sweep_builds_vectors_only_for_point_pieces(self, monkeypatch):
         # the sweep runs on (sign, exp) pairs; the only SVectors it builds
-        # are the points of the point pieces it returns
+        # are the points of the point pieces it returns, one trusted vector
+        # each, and none through the checked constructor
         rng = random.Random(128)
         a, b = random_svector(rng, 128), random_svector(rng, 128)
-        built = []
+        built, trusted = [], []
         init = SVector.__init__
         monkeypatch.setattr(SVector, "__init__", lambda self, coords: built.append(1) or init(self, coords))
+        make = segments_module._trusted_svector
+        monkeypatch.setattr(segments_module, "_trusted_svector", lambda coords: trusted.append(1) or make(coords))
         seg = semimodule_segment(a, b)
         points = sum(isinstance(piece, PointPiece) for piece in seg.pieces)
         assert points > 0
-        assert len(built) == points
+        assert len(built) == 0
+        assert len(trusted) == points
+
+    def test_segments_call_neither_magnitude_nor_psi(self, monkeypatch):
+        # inside the float range a radius is math.exp's: the sweep and the
+        # geodesic's one-pass chart values take it without magnitude, and
+        # neither calls the per-coordinate psi
+        calls = []
+        for module, name in ((metrics_module, "magnitude"), (segments_module, "magnitude"),
+                             (segments_module, "psi")):
+            helper = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda *args, name=name, helper=helper: calls.append(name) or helper(*args)
+            )
+        rng = random.Random(128)
+        a, b = random_svector(rng, 128, band=(-3.0, 3.0)), random_svector(rng, 128, band=(-3.0, 3.0))
+        seg = semimodule_segment(a, b)
+        line = geometric_segment(a, b)
+        assert len(seg.pieces) > 100 and line.breakpoint_params
+        assert calls == []
 
     def test_sweep_arcs_are_keyed_without_the_comprehension(self, monkeypatch):
         # a sweep arc's chart values are radii, never negative, so
