@@ -77,7 +77,7 @@ def _radius(t) -> float:
 
 def _chart_values(a: SVector, b: SVector) -> tuple:
     """``(chart, psi(chart, a), psi(chart, b))`` for ``chart = chart_for(a,
-    b)``, in one pass over the coordinate pairs, with radii by ``_radius``.
+    b)``, in one pass over the coordinate pairs, with ``_radius``'s radii.
 
     A nonzero coordinate keeps its own ray.  A zero one adopts the
     complement of its partner's ray (plus, then minus, then balanced; plus
@@ -105,9 +105,9 @@ def chart_for(a: SVector, b: SVector) -> PsiChart:
 
     Zero coordinates can sit on any ray; they adopt the partner's ray and a
     deterministic complementary tag (preferring plus, then minus, then
-    balanced) so that the chart is reproducible.  The chart comes from the
-    pass that also takes the chart values, so an exponent outside the float
-    range warns as ``psi`` does.
+    balanced) so that the chart is reproducible.  It is taken in one pass
+    with the chart values, so an exponent outside the float range warns as
+    ``psi`` does.
     """
     return _chart_values(a, b)[0]
 
@@ -723,7 +723,8 @@ def semimodule_segment(a: SVector, b: SVector) -> SegmentSet:
 
 
 def _point_key(x: SVector) -> tuple:
-    radii = tuple([math.exp(t) if _MIN_EXP_ARG <= (t := c.exp) <= _MAX_EXP_ARG else _radius(t) for c in x])
+    radii = tuple([math.exp(t) if _MIN_EXP_ARG <= (t := c.exp) <= _MAX_EXP_ARG else _radius(t)
+                   for c in x])
     return tuple([c.sign if m > 0.0 else None for c, m in zip(x, radii)]), radii
 
 
