@@ -35,9 +35,13 @@ Interval = Tuple[float, float]
 def _canonical_intervals(intervals) -> Tuple[Interval, ...]:
     cleaned = []
     for lo, hi in intervals:
-        # + 0.0 turns an end -0.0 into 0.0 and leaves every other float as it is
-        lo = float(lo) + 0.0
-        hi = float(hi) + 0.0
+        try:
+            # + 0.0 turns an end -0.0 into 0.0 and leaves every other float as it is
+            lo = float(lo) + 0.0
+            hi = float(hi) + 0.0
+        except OverflowError:  # an int end beyond the float range; lo is a float once converted
+            end = "high" if isinstance(lo, float) else "low"
+            raise ValueError(f"bad interval: its {end} end lies beyond the float range") from None
         # false for a nan end, a negative lo, hi < lo and lo = inf
         if not 0.0 <= lo <= hi or lo == math.inf:
             raise ValueError(f"bad interval [{lo}, {hi}]")

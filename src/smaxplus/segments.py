@@ -184,10 +184,10 @@ class BrokenLine(_Record):
     length: float
 
     def __init__(self, chart: PsiChart, vertices, breakpoint_params, length: float):
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "breakpoint_params", breakpoint_params)
-        object.__setattr__(self, "length", length)
+        _set_line_chart(self, chart)
+        _set_vertices(self, vertices)
+        _set_breakpoint_params(self, breakpoint_params)
+        _set_length(self, length)
 
     def to_json(self) -> dict:
         return {
@@ -214,6 +214,11 @@ class BrokenLine(_Record):
         )
         _check_keys(data, ("chart", "t", "vertices", "length"))
         return line
+
+
+_set_line_chart, _set_vertices, _set_breakpoint_params, _set_length = (
+    getattr(BrokenLine, name).__set__ for name in BrokenLine.__slots__
+)
 
 
 def _euclid(p: Sequence[float], q: Sequence[float]) -> float:
@@ -401,9 +406,10 @@ def _piece_from_json(data: dict):
         piece = PointPiece(SVector.from_json(data["point"]))
     elif data["kind"] == "arc":
         start, end = tuple(data["start"]), tuple(data["end"])
-        # library-built ends are finite: radii saturate at the float maximum
-        if not all(map(math.isfinite, start + end)):
-            raise ValueError(f"arc ends must be finite, got {list(start)} and {list(end)}")
+        # library-built ends are finite floats: radii saturate at the float maximum
+        for name, values in (("start", start), ("end", end)):
+            if any(_huge(x) or not math.isfinite(x) for x in values):
+                raise ValueError(f"arc ends must be finite, got {name} {list(values)}")
         chart = _chart_from_json(data["chart"])
         # point_at and param_of zip the three, which would drop coordinates
         if not len(chart) == len(start) == len(end):
@@ -528,20 +534,31 @@ def traditional_segment(a: SVector, b: SVector) -> Optional[SegmentSet]:
 # its equality tests and its set of met points compare and hash tuples in C;
 # SElem and SVector values are built only for the point pieces it returns,
 # without the constructors' checks: every pair was read from SElem fields,
-# or made from such pairs by _scaled_coord or _oplus, and is therefore
-# normalized ((BALANCED, EPS) for zero, an int or finite float exponent
-# otherwise).  Radii follow the one rule of _radius: math.exp inside
-# [_MIN_EXP_ARG, _MAX_EXP_ARG], magnitude outside.  An event point starts
-# from a copy of q and is rebuilt only at the moving coordinates and the
-# idle ones, where p is nonzero and the scaled copy no longer moves (its
+# or made from such pairs as _scaled_coord and _oplus make them, and is
+# therefore normalized ((BALANCED, EPS) for zero, an int or finite float
+# exponent otherwise).  Radii follow the one rule of _radius: math.exp
+# inside [_MIN_EXP_ARG, _MAX_EXP_ARG], magnitude outside.  An event point
+# starts from a copy of q and is rebuilt only at the moving coordinates and
+# the idle ones, where p is nonzero and the scaled copy no longer moves (its
 # event is >= 0, or it left at a tie): there the float test of the signed
 # max decides, as at every other lam.  Where p is zero the point is q.
+#
+# Order.  The coordinates where p is nonzero sit in one list, the idle ones
+# first and then the moving ones in the order they leave, so that at each
+# event the moving ones are the list's tail, headed by those that tie
+# there.  A moving coordinate's scaled copy is (sign p(i), lam + |p(i)|),
+# written inline; only a tied one, and a sum that overflows to -inf, go
+# through _scaled_coord, the one statement of the tie rule, and the radius
+# is taken from its result.  Past its event a moving copy's exponent
+# exceeds q's, and it wins the signed max; where rounding or a tie says
+# otherwise, _oplus decides.
 #
 # Cost.  Sorting the events is O(n log n); each event builds one event point
 # and one arc in O(n).  A segment with P pieces costs O(P n), the size of its
 # output.
 
 _LO, _HI = 1, 2  # positions of the end vectors in an arc record
+_NEG_INF = -math.inf
 
 
 def _oplus(x: tuple, y: tuple) -> tuple:
@@ -563,19 +580,6 @@ def _scaled_coord(pi: tuple, qi: tuple, lam) -> tuple:
     return (pi[0], t) if t != -math.inf else (Sign.BALANCED, EPS)
 
 
-def _family_value(p: tuple, q: tuple, ends: list, moving: set, idle: list, lam) -> tuple:
-    # (lam (*) p) (+) q.  The moving coordinates' scaled values are in ends;
-    # at an idle one q wins the signed max unless the float sum lam + |p(i)|
-    # reaches |q(i)|, so a scaled copy is built only then
-    value = list(q)
-    for i in moving:
-        value[i] = _oplus(ends[i], q[i])
-    for i in idle:
-        if not lam + p[i][1] < q[i][1]:
-            value[i] = _oplus(_scaled_coord(p[i], q[i], lam), q[i])
-    return tuple(value)
-
-
 def _family_sweep(p: tuple, q: tuple, offset: int):
     """Sweep {(lam (*) p) (+) q : lam <= 0} from lam = 0 down, on
     (sign, exp) pairs.
@@ -588,46 +592,66 @@ def _family_sweep(p: tuple, q: tuple, offset: int):
     # chart images are the coordinates' magnitudes
     fixed = [(Sign.PLUS, Sign.PLUS) if e is EPS else (s, s) for s, e in q]
     chart = list(fixed)
-    ties = {}
-    moving = set()
-    idle = []
+    # the coordinates where p is nonzero as (i, sign, |p(i)|, |q(i)|)
+    # records, with -inf for eps (below every sum, as eps is)
+    idle, ties, free = [], {}, []
     for i, ((ps, pe), (_, qe)) in enumerate(zip(p, q)):
         if pe is EPS:
             continue
-        if qe is not EPS:
+        if qe is EPS:
+            free.append((i, ps, pe, _NEG_INF))
+        else:
             event = qe - pe
             if not event < 0:
-                idle.append(i)
+                idle.append((i, ps, pe, qe))
                 continue
-            ties.setdefault(event, []).append(i)
-        moving.add(i)
+            ties.setdefault(event, []).append((i, ps, pe, qe))
         chart[i] = (ps, ps)
+    events = sorted(ties, reverse=True)
+    # the idle ones, then the moving ones in the order they leave, those
+    # where q is zero last: at each lam the idle ones are a prefix and the
+    # moving ones the rest, headed by those that tie at lam
+    order = idle + [record for event in events for record in ties[event]] + free
     ends = list(q)
     radii = tuple([_radius(e) for _, e in q])
     mags = list(radii)
 
-    def scale_moving(lam):
-        for i in moving:
-            ends[i] = c = _scaled_coord(p[i], q[i], lam)
-            t = c[1]
+    def step(lam, start: int, tied: int) -> tuple:
+        # scale the moving coordinates order[start:], of which the first
+        # `tied` tie at lam, into ends and mags; return (lam (*) p) (+) q
+        value = list(q)
+        for k, (i, sign, pe, qe) in enumerate(order[start:]):
+            t = lam + pe
+            if k < tied or t == _NEG_INF:
+                c = _scaled_coord(p[i], q[i], lam)
+                t = c[1]
+            else:
+                c = (sign, t)
+            ends[i] = c
             mags[i] = math.exp(t) if _MIN_EXP_ARG <= t <= _MAX_EXP_ARG else _radius(t)
+            # the scaled copy wins where its exponent exceeds q's
+            value[i] = c if t > qe else _oplus(c, q[i])
+        for i, _, pe, qe in order[:start]:
+            if not lam + pe < qe:
+                value[i] = _oplus(_scaled_coord(p[i], q[i], lam), q[i])
+        return tuple(value)
 
-    scale_moving(0)  # an int, so integer exponents stay ints in a (+) b
+    start = len(idle)
+    # an int lam, so integer exponents stay ints in a (+) b
+    claims = [(step(0, start, 0), [(offset, _HI)] if start < len(order) else [])]
     hi_vec, hi = tuple(ends), tuple(mags)
     arcs = []
-    claims = [(_family_value(p, q, ends, moving, idle, 0), [(offset, _HI)] if moving else [])]
-    for event in sorted(ties, reverse=True):
-        scale_moving(event)
+    for event in events:
+        tied = ties[event]
+        point = step(event, start, len(tied))
         arcs.append((tuple(chart), tuple(ends), hi_vec, tuple(mags), hi))
-        point = _family_value(p, q, ends, moving, idle, event)
-        for i in ties[event]:
+        for i, _, _, _ in tied:
             ends[i], mags[i], chart[i] = q[i], radii[i], fixed[i]
-            moving.discard(i)
-        idle += ties[event]
+        start += len(tied)
         hi_vec, hi = tuple(ends), tuple(mags)
-        below = [(offset + len(arcs), _HI)] if moving else []
+        below = [(offset + len(arcs), _HI)] if start < len(order) else []
         claims.append((point, [(offset + len(arcs) - 1, _LO)] + below))
-    if moving:
+    if start < len(order):
         # only coordinates where q is zero still move; they reach it at eps
         arcs.append((tuple(chart), q, hi_vec, radii, hi))
     claims.append((q, [(offset + len(arcs) - 1, _LO)] if arcs else []))
@@ -668,22 +692,22 @@ def semimodule_segment(a: SVector, b: SVector) -> SegmentSet:
     arcs = arcs_a + arcs_b
     # both sweeps start at a (+) b, which may close either family's top arc
     (top, top_a), (_, top_b) = claims_a.pop(0), claims_b.pop(0)
-    closed = set()
+    closed = {_LO: [False] * len(arcs), _HI: [False] * len(arcs)}  # per end, the flags per arc
     seen = set()
     isolated = []
     for x, offered in [(top, top_a + top_b)] + claims_a + claims_b:
-        if x in seen:
-            continue
+        met = len(seen)
         seen.add(x)
-        for end in offered:
-            if arcs[end[0]][end[1]] == x:
-                closed.add(end)
+        if len(seen) == met:
+            continue
+        for j, end in offered:
+            if arcs[j][end] == x:
+                closed[end][j] = True
                 break
         else:
             isolated.append(x)
     pieces: List[object] = []
-    for j, (chart, lo_vec, hi_vec, start, end) in enumerate(arcs):
-        closed_lo, closed_hi = (j, _LO) in closed, (j, _HI) in closed
+    for (chart, lo_vec, hi_vec, start, end), closed_lo, closed_hi in zip(arcs, closed[_LO], closed[_HI]):
         if lo_vec != hi_vec:
             pieces.append(ArcPiece(chart, start, end, closed_lo, closed_hi))
         elif closed_lo or closed_hi:
@@ -718,8 +742,19 @@ def semimodule_segment(a: SVector, b: SVector) -> SegmentSet:
 # on the arcs whose signature is the endpoint's, and on every arc that
 # crosses.  Sweep, geodesic and traditional arcs never cross (a geodesic
 # leg ends where its coordinate reaches 0), so only a hand-built or JSON arc
-# adds tests.  Pieces built by the sweep meet only at shared endpoints, so
-# for them that test almost never runs, and the whole pass is O(P n).
+# adds tests.
+# Two skips keep both passes to the work that can join something.  The
+# union step runs only on keys that two or more pieces share.  Before the
+# endpoint pass every piece's root is taken, and taken again after each
+# union the pass makes; a signature group whose pieces all share one root
+# is noted.  With no arc crossing the origin, an endpoint whose group is
+# noted and shares its own piece's root is skipped: every candidate in the
+# group would be skipped as joined already.  Both rest on one invariant:
+# unions only merge, so pieces that share a root keep sharing one, and the
+# root of any piece of a noted group stays the root of all of them.  Pieces
+# built by the sweep meet only at shared endpoints: on the 67 seeded pairs
+# of the segment-sweep benchmark the endpoint pass visits no candidate, and
+# the whole pass is O(P n).
 
 
 def _point_key(x: SVector) -> tuple:
@@ -808,31 +843,46 @@ def components(seg: SegmentSet) -> List[List[int]]:
         at_key.setdefault(keys[i][1], []).append((i, piece.closed_hi))
         by_signature.setdefault(signature, []).append(i)
 
-    # pieces sharing an endpoint touch unless every one of them leaves it open
+    # pieces sharing an endpoint touch unless every one of them leaves it
+    # open; a key of one piece joins nothing
     for sharing in at_key.values():
-        holder = next((i for i, contains in sharing if contains), None)
-        if holder is not None:
-            for i, _ in sharing:
-                union(holder, i)
+        if len(sharing) > 1:
+            holder = next((i for i, contains in sharing if contains), None)
+            if holder is not None:
+                for i, _ in sharing:
+                    union(holder, i)
 
     # an endpoint inside another arc, or next to a point within the
     # membership tolerance: test only the pieces with the endpoint's signs,
-    # and the arcs that cross the origin (signature None)
+    # and the arcs that cross the origin (signature None).  With no such
+    # arc, an endpoint whose signature group already shares its own root
+    # has nothing left to join
     crossing = by_signature.get(None, ())
+    # the root of every piece, kept current through the unions below
+    roots = list(map(find, range(len(pieces))))
+    # signature -> a piece of its group, where the whole group shares one root
+    joined = {} if crossing else {
+        signature: group[0] for signature, group in by_signature.items()
+        if len(group) == 1 or len(set(map(roots.__getitem__, group))) == 1
+    }
     for i, piece in enumerate(pieces):
         for end, key in enumerate(keys[i]):
+            shared = joined.get(key[0])
+            if shared is not None and roots[shared] == roots[i]:
+                continue
             x = None
             for j in chain(by_signature.get(key[0], ()), crossing):
-                if j == i or key in keys[j] or find(i) == find(j):
+                if j == i or key in keys[j] or roots[i] == roots[j]:
                     continue
                 if x is None:
                     x = _closure_point(piece, end)
                 if _piece_member(pieces[j], x):
                     union(i, j)
+                    roots = list(map(find, range(len(pieces))))
 
     groups: dict = {}
-    for i in range(len(pieces)):
-        groups.setdefault(find(i), []).append(i)
+    for i, root in enumerate(roots):
+        groups.setdefault(root, []).append(i)
     return sorted(groups.values())
 
 

@@ -1,0 +1,145 @@
+"""Compare the segment outputs of this checkout with those of another
+revision, on seeded endpoint pairs.
+
+Per pair it compares the ``to_json`` of ``semimodule_segment`` and of
+``geometric_segment``, ``components`` of the semimodule segment, of its
+JSON round trip and of ``as_segment_set`` of the geodesic, a ``ValueError``
+message where one is raised, and per stage the sorted distinct warning
+messages.  Pairs have 1 to 33 coordinates, about one in ten of them zero,
+with exponents uniform in +-1, +-3, +-30, +-300 or +-750 (past the overflow
+threshold log(float max) = 709.78 and the underflow threshold near -745),
+or small ints, or half-integers, whose equal differences make several
+coordinates tie at one event; in one pair in five ``b`` keeps ``a``'s rays.
+
+    python tests/data/segment_differential.py --base HEAD~1 [--pairs 20000] [--seed 1]
+
+It exports ``src`` of the base revision with ``git archive`` into a
+temporary directory, runs the pairs through both trees in two child
+processes and compares their records line by line.  It prints the number
+of pairs that differ, with the first few, and exits 1 when any differ.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import random
+import subprocess
+import sys
+import tarfile
+import tempfile
+import warnings
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+BANDS = (1.0, 3.0, 30.0, 300.0, 750.0, "int", "half")
+SIGNS = ("+", "-", "o")
+SHOWN = 3  # differing pairs printed in full
+
+
+def _exp(rng, band):
+    if band == "int":
+        return rng.randint(-3, 3)
+    if band == "half":
+        k = rng.randint(-6, 6)
+        return k // 2 if k % 2 == 0 else k / 2
+    return rng.uniform(-band, band)
+
+
+def pairs(count: int, seed: int):
+    """Seeded pairs as JSON vectors, so that both trees read the same input."""
+    rng = random.Random(seed)
+    for k in range(count):
+        band = BANDS[k % len(BANDS)]
+        n = rng.randint(1, 33)
+        same_ray = rng.random() < 0.2
+        a = [rng.choice(SIGNS) for _ in range(n)]
+        b = a if same_ray else [rng.choice(SIGNS) for _ in range(n)]
+        yield tuple(
+            {"coords": [{"sign": s, "exp": "-inf" if rng.random() < 0.1 else _exp(rng, band)}
+                        for s in signs]}
+            for signs in (a, b)
+        )
+
+
+def _warned(fn, *args):
+    """fn(*args) and the sorted distinct warning messages it emitted."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, sorted({str(w.message) for w in caught})
+
+
+def record(a_json: dict, b_json: dict) -> dict:
+    """What one tree makes of one pair."""
+    from smaxplus import (SVector, SegmentSet, as_segment_set, components, geometric_segment,
+                          semimodule_segment)
+
+    a, b = SVector.from_json(a_json), SVector.from_json(b_json)
+    out = {"a": a_json, "b": b_json}
+    warned = out["warnings"] = {}
+    try:
+        seg, warned["segment"] = _warned(semimodule_segment, a, b)
+        out["segment"] = seg.to_json()
+        out["components"], warned["components"] = _warned(components, seg)
+        loaded = SegmentSet.from_json(out["segment"])
+        out["components_from_json"], warned["components_from_json"] = _warned(components, loaded)
+        line, warned["line"] = _warned(geometric_segment, a, b)
+        out["line"] = line.to_json()
+        out["components_of_line"], warned["components_of_line"] = _warned(components, as_segment_set(line))
+    except ValueError as exc:
+        out["error"] = str(exc)
+    return out
+
+
+def emit(count: int, seed: int) -> None:
+    for a, b in pairs(count, seed):
+        sys.stdout.write(json.dumps(record(a, b), sort_keys=True) + "\n")
+
+
+def _child(src: Path, count: int, seed: int) -> subprocess.Popen:
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    args = [sys.executable, __file__, "--emit", "--pairs", str(count), "--seed", str(seed)]
+    return subprocess.Popen(args, env=env, stdout=subprocess.PIPE, text=True)
+
+
+def compare(base: str, count: int, seed: int) -> int:
+    archive = subprocess.run(["git", "archive", "--format=tar", base, "src"], cwd=ROOT,
+                             capture_output=True, check=True).stdout
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+        children = [_child(Path(tmp) / "src", count, seed), _child(ROOT / "src", count, seed)]
+        differ = 0
+        for k, (old, new) in enumerate(zip(*(child.stdout for child in children))):
+            if old == new:
+                continue
+            differ += 1
+            if differ <= SHOWN:
+                old, new = json.loads(old), json.loads(new)
+                fields = sorted(name for name in old.keys() | new.keys() if old.get(name) != new.get(name))
+                print(f"pair {k} differs in {fields}: a = {json.dumps(old['a'])}, b = {json.dumps(old['b'])}")
+        # a child that stopped early ends the loop; closing the pipes ends the other
+        for child in children:
+            child.stdout.close()
+        codes = [child.wait() for child in children]
+    if codes != [0, 0]:
+        print(f"a child process failed: exit codes {codes} (base, this checkout)")
+        return 1
+    print(f"{differ} of {count} pairs differ between {base} and this checkout (seed {seed})")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", default="HEAD", help="the revision to compare against")
+    parser.add_argument("--pairs", type=int, default=20000)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--emit", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.emit:
+        emit(args.pairs, args.seed)
+    else:
+        sys.exit(compare(args.base, args.pairs, args.seed))

@@ -234,6 +234,16 @@ class TestProject:
         assert "empty" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("command", ["check", "project"])
+def test_an_int_interval_end_beyond_the_float_range_is_named(capsys, files, command):
+    # the end used to escape as an OverflowError traceback
+    huge = files["write"]("huge_set.json", {"plus": [[1, 10**400]]})
+    argv = ["check", huge] if command == "check" else ["project", files["p1"], huge]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"].endswith("(ValueError: bad interval: its high end lies beyond the float range)")
+
+
 def test_a_vector_query_on_a_ray_set_is_a_domain_error(capsys, files):
     query = files["write"]("q2.json", {"coords": [{"sign": "+", "exp": 0}, {"sign": "-", "exp": 1}]})
     code, out, err = run(capsys, "project", query, files["triple"])

@@ -461,6 +461,22 @@ def test_ray_set_json_interval_ends_must_be_numbers(interval):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "interval, end", [((1, 10**400), "high"), ((10**400, 10**401), "low")], ids=["high", "low"]
+)
+def test_int_interval_ends_beyond_the_float_range_are_named(interval, end):
+    # float() refuses such an int; it used to escape as an OverflowError
+    message = f"bad interval: its {end} end lies beyond the float range"
+    for make in (
+        lambda: RaySet(plus=(interval,)),
+        lambda: RaySet.from_json({"minus": [list(interval)]}),
+        lambda: BoxSet.from_json({"factors": [{"plus": [[0, 1]]}, {"balanced": [list(interval)]}]}),
+    ):
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == message
+
+
 def test_ray_set_json_takes_ints_floats_and_an_inf_high_end():
     C = RaySet.from_json({"plus": [[1, "inf"]], "minus": [[0, 2.5]], "balanced": [[0.5, 3]]})
     assert C == RaySet(plus=((1.0, math.inf),), minus=((0.0, 2.5),), balanced=((0.5, 3.0),))

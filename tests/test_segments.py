@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import warnings
+from itertools import chain
 
 import pytest
 
@@ -617,12 +618,15 @@ class TestJson:
     ARC = {"kind": "arc", "chart": [["+", "-"]], "start": [1.0], "end": [2.0],
            "closed_lo": True, "closed_hi": True}
 
-    @pytest.mark.parametrize("end", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "end", [math.nan, math.inf, -math.inf, pytest.param(10**400, id="int-beyond-the-float-range")]
+    )
     def test_arc_ends_must_be_finite(self, end):
-        # a NaN start used to load and project p:0 onto itself at distance 0
-        for data in ({**self.ARC, "start": [end]}, {**self.ARC, "end": [end]}):
-            with pytest.raises(ValueError, match="arc ends must be finite"):
-                SegmentSet.from_json({"pieces": [data]})
+        # a NaN start used to load and project p:0 onto itself at distance 0,
+        # and an int beyond the float range raised OverflowError
+        for name in ("start", "end"):
+            with pytest.raises(ValueError, match=f"^arc ends must be finite, got {name} "):
+                SegmentSet.from_json({"pieces": [{**self.ARC, name: [end]}]})
 
     @pytest.mark.parametrize(
         "start, end",
@@ -709,6 +713,26 @@ HAND_BUILT = {
         [[0, 1]],
     ),
     "apart": ((_arc((1.0,), (3.0,)), _point(4.0), _point(-2.0)), [[0], [1], [2]]),
+    # the group of signature (+, +) has two roots, so the end (3, 1) of the
+    # second arc is still tested, and lies inside the third arc
+    "end-inside-another-component": (
+        (_arc((1.0, 1.0), (2.0, 1.0)), _arc((2.0, 1.0), (3.0, 1.0)), _arc((3.0, 0.0), (3.0, 2.0))),
+        [[0, 1, 2]],
+    ),
+    # only the middle piece holds the key (2, 2) the three share
+    "three-share-a-key": (
+        (_arc((1.0, 1.0), (2.0, 2.0), True, False), _arc((2.0, 2.0), (3.0, 2.0)),
+         _arc((2.0, 2.0), (2.0, 3.0), False)),
+        [[0, 1, 2]],
+    ),
+    # the groups (+, None) = {0, 1, 4} and (+, +) = {2, 3} each share one
+    # root; the open end (2.5, 0) of arc 2 lies inside arc 1, which merges
+    # them, and arc 4's ends are then skipped under the merged root
+    "union-merges-joined-groups": (
+        (_arc((1.0, 0.0), (2.0, 0.0)), _arc((2.0, 0.0), (3.0, 0.0)),
+         _arc((2.5, 0.0), (2.5, 1.0), False), _arc((2.5, 1.0), (3.5, 1.0)), _arc((3.0, 0.0), (4.0, 0.0))),
+        [[0, 1, 2, 3, 4]],
+    ),
 }
 
 
@@ -772,6 +796,30 @@ class TestComponents:
         line = geometric_segment(a, b)
         assert len(seg.pieces) > 100 and line.breakpoint_params
         assert calls == []
+
+    def test_sweep_skips_the_passes_that_cannot_join_anything(self, monkeypatch):
+        # on this sweep every endpoint's signature group already shares the
+        # endpoint's root before the endpoint pass, so the pass visits no
+        # candidate piece; and the tie rule runs only where a coordinate ties
+        # at an event, not per moving coordinate and event (the float test
+        # rules out every idle coordinate here)
+        rule, visits = [], []
+        scaled = segments_module._scaled_coord
+        monkeypatch.setattr(
+            segments_module, "_scaled_coord", lambda pi, qi, lam: rule.append(lam) or scaled(pi, qi, lam)
+        )
+        rng = random.Random(128)
+        a, b = random_svector(rng, 128), random_svector(rng, 128)
+        seg = semimodule_segment(a, b)
+        events = [y.exp - x.exp for p, q in ((a, b), (b, a)) for x, y in zip(p, q)
+                  if not x.is_zero and not y.is_zero and y.exp - x.exp < 0]
+        assert sorted(rule) == sorted(events) and len(events) > 100
+        # the pass chains each endpoint's signature group with the arcs
+        # that cross the origin
+        monkeypatch.setattr(
+            segments_module, "chain", lambda *groups: (visits.append(j) or j for j in chain(*groups))
+        )
+        assert len(components(seg)) > 1 and visits == []
 
     def test_sweep_arcs_are_keyed_without_the_comprehension(self, monkeypatch):
         # a sweep arc's chart values are radii, never negative, so
