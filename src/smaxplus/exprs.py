@@ -15,28 +15,34 @@ the plain max-plus semiring), ``p:``/``m:``/``b:`` force a sign tag and
 ``eps`` is the zero element.  In ``mpa`` mode only bare numbers and ``eps``
 are admitted.
 
-The source is read in one ``findall`` scan: each match is the whitespace
-before a token, then the token, a stray character or the end of the source.
-A token's position is the running sum of the lengths of those groups, and a
-stray character is reported at its position before any parsing.  The parser
-is a recursive descent, one function per grammar rule, that pops the tokens
-off a list ending in an END sentinel at ``len(source)``.
+The source is read in one ``findall`` scan that yields the token texts
+only; a stray character matches as an empty text, so one ``"" in texts``
+finds it, and it is reported before anything else.  One loop then
+evaluates as it reads.  It keeps the running sum, the running product and
+the index of the pending ``*`` of the innermost open parenthesis, and a
+stack of those of the enclosing ones.  It applies each power at the
+exponent's token, each product when the factor's powers end and each sum
+when the term ends, the tokens where a recursive descent over the grammar
+applies them, so an evaluation error comes before any later syntax error.
+Errors are located by token index; a position is taken only for the error
+raised, by a ``finditer`` over the same pattern.
 
-Parentheses nest at most ``MAX_DEPTH`` deep.  A source with more than that
-many ``(`` is scanned for the first one nested deeper, and the token list
-is cut there by an END sentinel at its position: an error the parser meets
-before it is reported as it is, and reaching it is "expression nested too
-deeply" at that position, whatever the caller's stack depth.  Other sources
-pay one ``count``.  A ``RecursionError`` (a caller already deep in the
-stack) is still reported as nesting too deep, at the token reached.
+Parentheses nest at most ``MAX_DEPTH`` deep.  The loop does not recurse, so
+this is a limit on the input, not a stack budget.  It stays so that the
+accepted language and its errors do not depend on how the evaluator is
+written (a recursive one needs the bound), and it bounds the stack of open
+parentheses.  A source with more than that many ``(`` is scanned for the
+first one nested deeper, and the token list is cut there: an error the
+loop meets before it is reported as it is, and reaching it is "expression
+nested too deeply" at that position.  Other sources pay one ``count``.
 """
 
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from .algebra import SElem, Sign, ZERO, s_oplus, s_otimes, s_power
+from .algebra import BALANCED, MINUS, PLUS, ZERO, SElem, s_oplus, s_otimes, s_power
 
 
 class ExprError(ValueError):
@@ -47,130 +53,126 @@ class ExprError(ValueError):
         self.pos = pos
 
 
+class _Fail(Exception):
+    """A failure at a token index, which eval_expr turns into an ExprError
+    at that token's position."""
+
+
 _NUM = r"-?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
-# one match per token: the whitespace before it, then the token, a stray
-# character or the end of the source; the token kinds differ in their first
-# character, so their order only matters for speed (operators are the most
-# common)
-_SCAN = re.compile(rf"(\s*)(?:([+*^()]|[pmb]:{_NUM}|eps\b|{_NUM})|(.)|\Z)")
-_SIGNS = {"p": Sign.PLUS, "m": Sign.MINUS, "b": Sign.BALANCED}
-# the parser recurses four frames per parenthesis level (_atom, _expr,
-# _term, _power), so 200 levels take about 800 of the default recursion
-# limit of 1000
+# one match per token or stray character, after its whitespace; only a token
+# fills the group, so a stray character yields an empty text.  The token
+# kinds differ in their first character, so their order only matters for
+# speed (operators are the most common).
+_SCAN = re.compile(rf"\s*(?:([+*^()]|[pmb]:{_NUM}|eps\b|{_NUM})|\S)")
+_SIGNS = {"p": PLUS, "m": MINUS, "b": BALANCED}
 MAX_DEPTH = 200
 _NOT_NUM = "+*^()epmb"  # first characters of the tokens that are not numbers
 
 
-def _tokenize(source: str) -> List[Tuple[str, int]]:
-    """The (text, position) tokens of ``source`` in reverse order, so that
-    the parser pops them, over the END sentinel ``("", len(source))``.
-    Positions are the running sum of the whitespace and token lengths."""
-    tokens = []
-    pos = 0
-    for space, text, stray in _SCAN.findall(source):
-        pos += len(space)
-        if stray:
-            raise ExprError(f"unexpected character {stray!r}", pos)
-        tokens.append((text, pos))
-        if not text:
-            break
-        pos += len(text)
-    tokens.reverse()
-    return tokens
+def _position(source: str, k: int) -> int:
+    """The position of token ``k`` (a stray character counts as one), or
+    ``len(source)`` for the end of input past the last."""
+    for j, match in enumerate(_SCAN.finditer(source)):
+        if j == k:
+            return match.end() - len(match[1] or " ")
+    return len(source)
 
 
-def _cut_too_deep(tokens: List[Tuple[str, int]]) -> Optional[int]:
-    """Cut the reversed token list at its first ``(`` nested deeper than
-    MAX_DEPTH, which becomes an END sentinel at the same position, and
-    return that position; None (and no cut) when there is none.  The depth
-    is the running count of ``(`` minus ``)``: until the parser meets an
-    error it equals the number of parentheses the parser has open, so the
-    parser reaches the cut inside open parentheses and fails there."""
+def _cut_too_deep(texts: List[str]) -> Optional[int]:
+    """Cut the token texts before their first ``(`` nested deeper than
+    MAX_DEPTH and return its index; None (and no cut) when there is none.
+    The depth is the running count of ``(`` minus ``)``: until the loop
+    meets an error it equals the number of parentheses the loop has open, so
+    the loop reaches the cut inside open parentheses and fails there."""
     depth = 0
-    for k in range(len(tokens) - 1, -1, -1):
-        text = tokens[k][0]
+    for k, text in enumerate(texts):
         if text == "(":
             depth += 1
             if depth > MAX_DEPTH:
-                pos = tokens[k][1]
-                tokens[: k + 1] = [("", pos)]
-                return pos
+                del texts[k:]
+                return k
         elif text == ")":
             depth -= 1
     return None
 
 
-def _parse_number(text: str, pos: int):
+def _number(text: str, k: int):
     if "." in text or "e" in text or "E" in text:
         return float(text)
     try:
         return int(text)
     except ValueError:
         # int() refuses more digits than sys.get_int_max_str_digits()
-        raise ExprError(f"integer literal too long ({len(text.lstrip('-'))} digits)", pos) from None
+        raise _Fail(f"integer literal too long ({len(text.lstrip('-'))} digits)", k) from None
 
 
-def _expr(tokens: list, mode: str) -> SElem:
-    value = _term(tokens, mode)
-    while tokens[-1][0] == "+":
-        tokens.pop()
-        value = s_oplus(value, _term(tokens, mode))
-    return value
-
-
-def _term(tokens: list, mode: str) -> SElem:
-    value = _power(tokens, mode)
-    while tokens[-1][0] == "*":
-        pos = tokens.pop()[1]
-        factor = _power(tokens, mode)
-        try:
-            value = s_otimes(value, factor)
-        except OverflowError as exc:
-            # a huge integer exponent plus a float one
-            raise ExprError(str(exc), pos) from None
-    return value
-
-
-def _power(tokens: list, mode: str) -> SElem:
-    value = _atom(tokens, mode)
-    while tokens[-1][0] == "^":
-        tokens.pop()
-        text, pos = tokens.pop()
-        if not text:
-            raise ExprError("missing exponent", pos)
-        if text[0] in _NOT_NUM:
-            raise ExprError("exponent must be an integer literal", pos)
-        k = _parse_number(text, pos)
-        if not isinstance(k, int):
-            raise ExprError("exponent must be an integer literal", pos)
-        try:
-            value = s_power(value, k)
-        except (ValueError, OverflowError) as exc:
-            # OverflowError: a huge integer k times a float exponent
-            raise ExprError(str(exc), pos) from None
-    return value
-
-
-def _atom(tokens: list, mode: str) -> SElem:
-    text, pos = tokens.pop()
-    if text == "(":
-        value = _expr(tokens, mode)
-        closing, pos = tokens.pop()
-        if closing != ")":
-            raise ExprError("missing ')'", pos)
-        return value
-    if text == "eps":
-        return ZERO
-    if not text:
-        raise ExprError("unexpected end of input", pos)
-    head = text[0]
-    if head in _SIGNS:
-        if mode == "mpa":
-            raise ExprError("signed literal in mpa mode", pos)
-        return SElem(_SIGNS[head], _parse_number(text[2:], pos))
-    if head in _NOT_NUM:
-        raise ExprError(f"unexpected token {text!r}", pos)
-    return SElem(Sign.PLUS, _parse_number(text, pos))
+def _evaluate(texts: List[str], mode: str) -> SElem:
+    """The value of the token texts, which end in the END text ``""``."""
+    stack = []  # (total, product, star) of each enclosing parenthesis
+    total = product = None  # the running sum and product; None before any
+    star = i = 0  # the index of the pending '*', and of the token read
+    while True:
+        text = texts[i]
+        while text == "(":
+            stack.append((total, product, star))
+            total = product = None
+            i += 1
+            text = texts[i]
+        if text == "eps":
+            value = ZERO
+        elif not text:
+            raise _Fail("unexpected end of input", i)
+        elif text[0] in _SIGNS:
+            if mode == "mpa":
+                raise _Fail("signed literal in mpa mode", i)
+            value = SElem(_SIGNS[text[0]], _number(text[2:], i))
+        elif text[0] in _NOT_NUM:
+            raise _Fail(f"unexpected token {text!r}", i)
+        else:
+            value = SElem(PLUS, _number(text, i))
+        i += 1
+        text = texts[i]
+        while True:  # after an operand: its powers, then what ends it
+            while text == "^":
+                i += 1
+                text = texts[i]
+                if not text:
+                    raise _Fail("missing exponent", i)
+                k = None if text[0] in _NOT_NUM else _number(text, i)
+                if not isinstance(k, int):
+                    raise _Fail("exponent must be an integer literal", i)
+                try:
+                    value = s_power(value, k)
+                except (ValueError, OverflowError) as exc:
+                    # OverflowError: a huge integer k times a float exponent
+                    raise _Fail(str(exc), i) from None
+                i += 1
+                text = texts[i]
+            if product is not None:
+                try:
+                    value = s_otimes(product, value)
+                except OverflowError as exc:
+                    # a huge integer exponent plus a float one
+                    raise _Fail(str(exc), star) from None
+            if text == "*":
+                product, star = value, i
+                break
+            product = None
+            total = value if total is None else s_oplus(total, value)
+            if text == "+":
+                break
+            if text == ")" and stack:
+                value = total
+                total, product, star = stack.pop()
+                i += 1
+                text = texts[i]
+            elif stack:
+                raise _Fail("missing ')'", i)
+            elif text:
+                raise _Fail(f"unexpected token {text!r}", i)
+            else:
+                return total
+        i += 1
 
 
 def eval_expr(source: str, mode: str = "smpa") -> SElem:
@@ -182,18 +184,16 @@ def eval_expr(source: str, mode: str = "smpa") -> SElem:
     """
     if mode not in ("mpa", "smpa"):
         raise ValueError(f"unknown mode {mode!r}")
-    tokens = _tokenize(source)
-    cut = _cut_too_deep(tokens) if source.count("(") > MAX_DEPTH else None
+    texts = _SCAN.findall(source)
+    if "" in texts:
+        pos = _position(source, texts.index(""))
+        raise ExprError(f"unexpected character {source[pos]!r}", pos)
+    cut = _cut_too_deep(texts) if source.count("(") > MAX_DEPTH else None
+    texts.append("")
     try:
-        value = _expr(tokens, mode)
-    except RecursionError:
-        pos = tokens[-1][1] if tokens else len(source)
-        raise ExprError("expression nested too deeply", pos) from None
-    except ExprError as exc:
-        if exc.pos == cut:  # only the sentinel sits at the cut's position
-            raise ExprError("expression nested too deeply", cut) from None
-        raise
-    text, pos = tokens[-1]
-    if text:
-        raise ExprError(f"unexpected token {text!r}", pos)
-    return value
+        return _evaluate(texts, mode)
+    except _Fail as exc:
+        message, k = exc.args
+        if k == cut:  # only the END text sits at the cut's index
+            message = "expression nested too deeply"
+        raise ExprError(message, _position(source, k)) from None

@@ -46,7 +46,7 @@ from operator import add, mul
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from .algebra import (
-    EPS, RAYS, ZERO, SElem, Sign, _check_keys, _is_number, _Record, _trusted_selem, _trusted_selems,
+    BALANCED, EPS, RAYS, ZERO, SElem, Sign, _check_keys, _is_number, _Record, _trusted_selem, _trusted_selems,
 )
 from .metrics import (
     _MAX_EXP_ARG, _MIN_EXP_ARG, MetricId, SVector, _euclid_norm, _trusted_product, _trusted_svector,
@@ -112,7 +112,8 @@ _set_is_singleton = ProjectionResult.is_singleton.__set__
 
 def _tied(d: float, ref: float) -> bool:
     """The one tie test: ``d`` is as near as ``ref`` up to the absolute
-    TIE_TOL."""
+    TIE_TOL.  It is reflexive, as any tie rule is, so ``_nearest`` skips
+    it where ``d == ref``."""
     return d <= ref + TIE_TOL
 
 
@@ -182,7 +183,7 @@ def _nearest(x: SElem, intervals, base: int) -> Tuple[Tuple[SElem, ...], float]:
             if d < best:
                 best = d
             attained.append((d, ray, m, point, t))
-    if not attained or not _tied(best, infimum):
+    if not attained or best != infimum and not _tied(best, infimum):
         raise ValueError("nearest-point infimum is not attained in the segment set")
     points = [
         point if point is not None
@@ -190,7 +191,7 @@ def _nearest(x: SElem, intervals, base: int) -> Tuple[Tuple[SElem, ...], float]:
         else _trusted_selem(ray, math.log(m)) if 0.0 < m < math.inf
         else point_on_ray(ray, m)
         for d, ray, m, point, t in attained
-        if _tied(d, best)
+        if d == best or _tied(d, best)
     ]
     if len(points) == 1:
         return (points[0],), best
@@ -381,7 +382,7 @@ def _sample(exact: Tuple[SElem, ...], cut: List[tuple], step: float) -> List[SEl
             unsorted.add(e.sign)
     cloud = []
     for ray in RAYS:
-        if origin and ray is Sign.BALANCED:
+        if origin and ray is BALANCED:
             cloud.append(ZERO)
         ray_exps = exps[ray]
         if ray_exps:

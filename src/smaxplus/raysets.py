@@ -27,7 +27,7 @@ import math
 from bisect import bisect_right
 from typing import List, Optional, Tuple
 
-from .algebra import RAYS, SElem, Sign, ZERO, _SIGN_ORDER, _check_keys, _is_number, _Record
+from .algebra import MINUS, PLUS, RAYS, SElem, Sign, ZERO, _SIGN_ORDER, _check_keys, _is_number, _Record
 
 Interval = Tuple[float, float]
 
@@ -133,9 +133,9 @@ class RaySet(_Record):
         return index
 
     def intervals(self, ray: Sign) -> Tuple[Interval, ...]:
-        if ray is Sign.PLUS:
+        if ray is PLUS:
             return self.plus
-        if ray is Sign.MINUS:
+        if ray is MINUS:
             return self.minus
         return self.balanced
 

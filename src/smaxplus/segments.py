@@ -29,8 +29,8 @@ from itertools import chain, repeat
 from operator import add, itemgetter, mul, sub
 from typing import List, Optional, Sequence, Tuple
 
-from .algebra import (EPS, SElem, Sign, ZERO, _check_keys, _is_number, _Record, _set_exp, _set_sign,
-                      _trusted_selem, s_oplus, scalar_mul)
+from .algebra import (BALANCED, EPS, PLUS, SElem, Sign, ZERO, _check_keys, _is_number, _Record, _set_exp,
+                      _set_sign, _trusted_selem, s_oplus, scalar_mul)
 from .metrics import (
     _MAX_EXP_ARG,
     _MIN_EXP_ARG,
@@ -72,7 +72,7 @@ def _radius(t) -> float:
         return 0.0
     if _MIN_EXP_ARG <= t <= _MAX_EXP_ARG:
         return math.exp(t)
-    return magnitude(SElem(Sign.PLUS, t))
+    return magnitude(SElem(PLUS, t))
 
 
 def _chart_values(a: SVector, b: SVector) -> tuple:
@@ -567,7 +567,7 @@ def _oplus(x: tuple, y: tuple) -> tuple:
         return y if x[1] is EPS else x
     if x[1] != y[1]:
         return x if x[1] > y[1] else y
-    return x if x[0] is y[0] else (Sign.BALANCED, x[1])
+    return x if x[0] is y[0] else (BALANCED, x[1])
 
 
 def _scaled_coord(pi: tuple, qi: tuple, lam) -> tuple:
@@ -577,7 +577,7 @@ def _scaled_coord(pi: tuple, qi: tuple, lam) -> tuple:
     if qi[1] is not EPS and qi[1] - pi[1] == lam:
         return (pi[0], qi[1])
     t = lam + pi[1]
-    return (pi[0], t) if t != -math.inf else (Sign.BALANCED, EPS)
+    return (pi[0], t) if t != -math.inf else (BALANCED, EPS)
 
 
 def _family_sweep(p: tuple, q: tuple, offset: int):
@@ -590,7 +590,7 @@ def _family_sweep(p: tuple, q: tuple, offset: int):
     """
     # every arc chart maps a coordinate's own ray to +magnitude, so the
     # chart images are the coordinates' magnitudes
-    fixed = [(Sign.PLUS, Sign.PLUS) if e is EPS else (s, s) for s, e in q]
+    fixed = [(PLUS, PLUS) if e is EPS else (s, s) for s, e in q]
     chart = list(fixed)
     # the coordinates where p is nonzero as (i, sign, |p(i)|, |q(i)|)
     # records, with -inf for eps (below every sum, as eps is)
