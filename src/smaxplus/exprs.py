@@ -40,6 +40,7 @@ nested too deeply" at that position.  Other sources pay one ``count``.
 from __future__ import annotations
 
 import re
+from itertools import accumulate
 from typing import List, Optional
 
 from .algebra import BALANCED, MINUS, PLUS, ZERO, SElem, s_oplus, s_otimes, s_power
@@ -84,15 +85,10 @@ def _cut_too_deep(texts: List[str]) -> Optional[int]:
     The depth is the running count of ``(`` minus ``)``: until the loop
     meets an error it equals the number of parentheses the loop has open, so
     the loop reaches the cut inside open parentheses and fails there."""
-    depth = 0
-    for k, text in enumerate(texts):
-        if text == "(":
-            depth += 1
-            if depth > MAX_DEPTH:
-                del texts[k:]
-                return k
-        elif text == ")":
-            depth -= 1
+    for k, depth in enumerate(accumulate([(text == "(") - (text == ")") for text in texts])):
+        if depth > MAX_DEPTH:  # first reached at a "(", the only step up
+            del texts[k:]
+            return k
     return None
 
 
@@ -118,18 +114,21 @@ def _evaluate(texts: List[str], mode: str) -> SElem:
             total = product = None
             i += 1
             text = texts[i]
-        if text == "eps":
-            value = ZERO
-        elif not text:
-            raise _Fail("unexpected end of input", i)
-        elif text[0] in _SIGNS:
-            if mode == "mpa":
-                raise _Fail("signed literal in mpa mode", i)
-            value = SElem(_SIGNS[text[0]], _number(text[2:], i))
-        elif text[0] in _NOT_NUM:
-            raise _Fail(f"unexpected token {text!r}", i)
-        else:
-            value = SElem(PLUS, _number(text, i))
+        try:
+            if text == "eps":
+                value = ZERO
+            elif not text:
+                raise _Fail("unexpected end of input", i)
+            elif text[0] in _SIGNS:
+                if mode == "mpa":
+                    raise _Fail("signed literal in mpa mode", i)
+                value = SElem(_SIGNS[text[0]], _number(text[2:], i))
+            elif text[0] in _NOT_NUM:
+                raise _Fail(f"unexpected token {text!r}", i)
+            else:
+                value = SElem(PLUS, _number(text, i))
+        except ValueError as exc:  # a float literal beyond the float range
+            raise _Fail(str(exc), i) from None
         i += 1
         text = texts[i]
         while True:  # after an operand: its powers, then what ends it
@@ -151,7 +150,8 @@ def _evaluate(texts: List[str], mode: str) -> SElem:
             if product is not None:
                 try:
                     value = s_otimes(product, value)
-                except OverflowError as exc:
+                except (ValueError, OverflowError) as exc:
+                    # ValueError: a sum beyond the float range; OverflowError:
                     # a huge integer exponent plus a float one
                     raise _Fail(str(exc), star) from None
             if text == "*":

@@ -21,8 +21,12 @@ Two groups of cases:
   which ``tests/test_exprs.py`` pins.
 
 The stored results were captured from the per-token ``re.match`` tokenizer
-and the ``_Parser`` class that the one-scan parser replaced; regenerate only
-when a change of output is intended, and say why.
+and the ``_Parser`` class, and the recursive descent and then the one-loop
+evaluator that replaced them reproduced every entry.  One entry has been
+regenerated since, on purpose: ``1e308 * 1e308`` raised a bare
+``ValueError`` with no position, and now raises ``ExprError`` at the
+``*`` (position 6), as an overflowing power already did at its exponent.
+Regenerate only when a change of output is intended, and say why.
 
     PYTHONPATH=src python tests/data/make_eval_golden.py
 """

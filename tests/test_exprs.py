@@ -132,3 +132,16 @@ def test_integer_literal_beyond_the_int_digit_limit(source, pos):
         eval_expr(source)
     assert err.value.pos == pos
     assert eval_expr("2 ^ 1" + "0" * 4000) == SElem.pos(2 * 10**4000)
+
+
+@pytest.mark.parametrize(
+    "source, pos",
+    [("1e400", 0), ("p:1e400", 0), ("2 + m:1e400 * 1", 4), ("1e308 * 1e308", 6), ("(1e308)^2", 8)],
+)
+def test_float_overflow_is_a_parse_error(source, pos):
+    # a literal beyond the float range fails at the literal, a product at
+    # its '*', a power at its exponent
+    with pytest.raises(ExprError, match="not a valid magnitude exponent: inf") as err:
+        eval_expr(source)
+    assert err.value.pos == pos
+
