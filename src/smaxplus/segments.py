@@ -405,7 +405,7 @@ def _piece_from_json(data: dict):
     if data["kind"] == "point":
         piece = PointPiece(SVector.from_json(data["point"]))
     elif data["kind"] == "arc":
-        start, end = tuple(data["start"]), tuple(data["end"])
+        start, end = _numbers_from_json("start", data["start"]), _numbers_from_json("end", data["end"])
         # library-built ends are finite floats: radii saturate at the float maximum
         for name, values in (("start", start), ("end", end)):
             if any(_huge(x) or not math.isfinite(x) for x in values):
@@ -415,7 +415,11 @@ def _piece_from_json(data: dict):
         if not len(chart) == len(start) == len(end):
             lengths = f"{len(chart)}, {len(start)} and {len(end)}"
             raise ValueError(f"arc chart, start and end must have one length, got {lengths}")
-        piece = ArcPiece(chart, start, end, data["closed_lo"], data["closed_hi"])
+        flags = data["closed_lo"], data["closed_hi"]
+        for name, flag in zip(("closed_lo", "closed_hi"), flags):
+            if not isinstance(flag, bool):
+                raise ValueError(f"{name} must be true or false, got {flag!r}")
+        piece = ArcPiece(chart, start, end, *flags)
     else:
         raise ValueError(f"unknown piece kind {data['kind']!r}")
     # a piece's JSON keys are its kind and its fields

@@ -629,6 +629,25 @@ class TestJson:
                 SegmentSet.from_json({"pieces": [{**self.ARC, name: [end]}]})
 
     @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"start": ["1"]}, "start must be a list of numbers, got ['1']"),
+            ({"start": 5}, "start must be a list of numbers, got 5"),
+            ({"start": [True]}, "start must be a list of numbers, got [True]"),
+            ({"end": None}, "end must be a list of numbers, got None"),
+            ({"closed_lo": "yes"}, "closed_lo must be true or false, got 'yes'"),
+            ({"closed_hi": 1}, "closed_hi must be true or false, got 1"),
+        ],
+    )
+    def test_arc_shape_errors_are_named(self, change, message):
+        # a string or bare number as an end raised TypeError, and a string
+        # flag or a bool end loaded as given
+        assert SegmentSet.from_json({"pieces": [self.ARC]}).pieces[0].closed_lo is True
+        with pytest.raises(ValueError) as err:
+            SegmentSet.from_json({"pieces": [{**self.ARC, **change}]})
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
         "start, end",
         [([1.0, 2.0], [3.0]), ([1.0], [2.0, 3.0]), ([1.0, 2.0], [3.0, 4.0])],
         ids=["long-start", "long-end", "short-chart"],
