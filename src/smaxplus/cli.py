@@ -2,7 +2,10 @@
 
 Exit codes: 0 on success, 2 on usage errors (argparse), 1 on domain errors
 (empty sets, dimension mismatches, parse failures), with a machine-readable
-``{"error": ...}`` object on stderr for the latter.
+``{"error": ...}`` object on stderr for the latter.  When the reader closes
+stdout before the output is written (``smaxplus ... | head -c 10``), the
+process exits 1 quietly, as CPython does on a broken pipe: no traceback and
+no error object, since the reader asked for no more.
 
 Each subcommand imports the package modules it runs when it runs, so a
 process loads only those: ``eval`` loads ``algebra`` and ``exprs``, and the
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Callable, Optional
 
@@ -241,9 +245,14 @@ def main(argv=None) -> int:
         json.dump({"error": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 1
-    sys.stdout.write(output)
-    if not output.endswith("\n"):
-        sys.stdout.write("\n")
+    try:
+        sys.stdout.write(output if output.endswith("\n") else output + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`): exit quietly, as CPython
+        # does on EPIPE, with stdout on devnull so the flush at exit is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 
