@@ -1,6 +1,8 @@
 """Expression grammar and evaluation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smaxplus import SElem, ZERO, eval_expr
 from smaxplus.exprs import MAX_DEPTH, ExprError
@@ -135,6 +137,23 @@ def test_integer_literal_beyond_the_int_digit_limit(source, pos):
 
 
 @pytest.mark.parametrize(
+    "source, message, pos",
+    [
+        # a stray character is reported before any evaluation error
+        ("eps^-1 $", "unexpected character '$'", 7),
+        # an evaluation error is reported before a later syntax error
+        ("eps^-1 2", "the zero element has no multiplicative inverse", 4),
+        ("b:1 * 1e308 ^ 2 )", "not a valid magnitude exponent: inf", 14),
+        # the depth cut met in operator position, inside open parentheses
+        ("(" * MAX_DEPTH + "1 (", "expression nested too deeply", MAX_DEPTH + 2),
+        ("(" * MAX_DEPTH + "1 ^ (", "expression nested too deeply", MAX_DEPTH + 4),
+    ],
+)
+def test_error_precedence(source, message, pos):
+    assert _eval_deeper(0, source) == (f"{message} (at position {pos})", pos)
+
+
+@pytest.mark.parametrize(
     "source, pos",
     [("1e400", 0), ("p:1e400", 0), ("2 + m:1e400 * 1", 4), ("1e308 * 1e308", 6), ("(1e308)^2", 8)],
 )
@@ -145,3 +164,25 @@ def test_float_overflow_is_a_parse_error(source, pos):
         eval_expr(source)
     assert err.value.pos == pos
 
+
+_TOKENS = ["+", "*", "^", "(", ")", "eps", "p:1", "m:2.5", "b:-3", "1", "-2", "0.5", "1e308", "1e400",
+           "1" + "0" * 30, "p:", "e", "$", "\t", "\n", "-1", "0", "3"]
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    parts=st.lists(
+        st.one_of(st.sampled_from(_TOKENS), st.integers(MAX_DEPTH - 2, MAX_DEPTH + 2).map(lambda n: "(" * n)),
+        max_size=25,
+    ),
+    spaces=st.lists(st.sampled_from(["", " "]), min_size=25, max_size=25),
+    mode=st.sampled_from(["mpa", "smpa"]),
+)
+def test_any_token_string_gives_a_value_or_a_value_error(parts, spaces, mode):
+    source = "".join(part + space for part, space in zip(parts, spaces))
+    try:
+        assert isinstance(eval_expr(source, mode), SElem)
+    except ExprError as exc:
+        assert 0 <= exc.pos <= len(source)
+    except ValueError:
+        pass
