@@ -172,7 +172,11 @@ _TOKENS = ["+", "*", "^", "(", ")", "eps", "p:1", "m:2.5", "b:-3", "1", "-2", "0
 @settings(deadline=None, max_examples=300)
 @given(
     parts=st.lists(
-        st.one_of(st.sampled_from(_TOKENS), st.integers(MAX_DEPTH - 2, MAX_DEPTH + 2).map(lambda n: "(" * n)),
+        st.one_of(
+            st.sampled_from(_TOKENS),
+            # runs of "(" around the depth limit
+            st.integers(MAX_DEPTH - 2, MAX_DEPTH + 2).map(lambda n: "(" * n),
+        ),
         max_size=25,
     ),
     spaces=st.lists(st.sampled_from(["", " "]), min_size=25, max_size=25),
