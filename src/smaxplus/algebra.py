@@ -19,10 +19,8 @@ and every operation is a pure function.
 from __future__ import annotations
 
 import math
-from collections import deque
 from enum import Enum
-from itertools import repeat
-from typing import List, NamedTuple, Sized, Tuple, Union
+from typing import Tuple, Union
 
 
 class _Eps:
@@ -108,56 +106,6 @@ def ext_power(a: ExtReal, k: int) -> ExtReal:
             raise ValueError("eps has no multiplicative inverse")
         return EPS
     return k * a
-
-
-class Pair(NamedTuple):
-    """Element of the pair algebra over the extended scalars."""
-
-    first: ExtReal
-    second: ExtReal
-
-
-def pair_oplus(u: Pair, v: Pair) -> Pair:
-    return Pair(ext_oplus(u.first, v.first), ext_oplus(u.second, v.second))
-
-
-def pair_otimes(u: Pair, v: Pair) -> Pair:
-    a, b = u
-    c, d = v
-    return Pair(
-        ext_oplus(ext_otimes(a, c), ext_otimes(b, d)),
-        ext_oplus(ext_otimes(a, d), ext_otimes(b, c)),
-    )
-
-
-def pair_minus(u: Pair) -> Pair:
-    """Formal minus: swap the components (an involution)."""
-    return Pair(u.second, u.first)
-
-
-def pair_norm(u: Pair) -> ExtReal:
-    """Max of the two components."""
-    return ext_oplus(u.first, u.second)
-
-
-def pair_balance(u: Pair) -> Pair:
-    """Balance operator: both components become the pair norm."""
-    n = pair_norm(u)
-    return Pair(n, n)
-
-
-def balance_rel(u: Pair, v: Pair) -> bool:
-    """Cross-sum relation ``a + d_max = b + c_max``; reflexive and symmetric
-    but not transitive."""
-    return ext_oplus(u.first, v.second) == ext_oplus(u.second, v.first)
-
-
-def equiv_rel(u: Pair, v: Pair) -> bool:
-    """The quotient relation: the cross-sum relation restricted to pairs with
-    distinct components, identity elsewhere."""
-    if u.first != u.second and v.first != v.second:
-        return balance_rel(u, v)
-    return u == v
 
 
 class Sign(Enum):
@@ -325,18 +273,6 @@ def _trusted_selem(sign: Sign, exp: float) -> SElem:
     return e
 
 
-def _trusted_selems(sign: Sign, exps: Sized) -> List[SElem]:
-    """The batch form of ``_trusted_selem``, under its precondition for
-    every exponent: one element of ``sign`` per exponent of the sized
-    iterable ``exps``, in order.  Three C-level passes (allocate, set the
-    signs, set the exponents) replace a Python call per element; the slot
-    setters return None, so an empty deque drains their maps."""
-    elems = list(map(object.__new__, repeat(SElem, len(exps))))
-    deque(map(_set_sign, elems, repeat(sign)), 0)
-    deque(map(_set_exp, elems, exps), 0)
-    return elems
-
-
 def _check_keys(data: dict, known: Tuple[str, ...]) -> None:
     """Reject the keys of a JSON object that ``known`` does not name, which
     a ``from_json`` would otherwise silently ignore.  Callers run it after
@@ -354,28 +290,6 @@ def _is_number(value) -> bool:
 
 ZERO = SElem(BALANCED, EPS)
 UNIT = SElem(PLUS, 0)
-
-
-def classify(u: Pair) -> SElem:
-    """The signed element represented by a pair: the dominant component wins
-    the sign, ties are balanced."""
-    a, b = u
-    if a is EPS and b is EPS:
-        return ZERO
-    if b is EPS or (a is not EPS and a > b):
-        return SElem(PLUS, a)
-    if a is EPS or a < b:
-        return SElem(MINUS, b)
-    return SElem(BALANCED, a)
-
-
-def lift(a: SElem) -> Pair:
-    """A canonical pair representative of a signed element."""
-    if a.sign is PLUS:
-        return Pair(a.exp, EPS)
-    if a.sign is MINUS:
-        return Pair(EPS, a.exp)
-    return Pair(a.exp, a.exp)
 
 
 def s_oplus(a: SElem, b: SElem) -> SElem:

@@ -160,7 +160,7 @@ def _cmd_segment(args) -> str:
 
 def _cmd_project(args) -> str:
     from .metrics import MetricId, SVector, parse_metric_id
-    from .projection import project_box, project_box_max, project_ray
+    from .projection import project_box, project_ray
     from .raysets import BoxSet, RaySet
 
     x = _load_vector(args.x)
@@ -179,6 +179,8 @@ def _cmd_project(args) -> str:
     else:
         mid = parse_metric_id(args.metric) if args.metric else MetricId("euclid", base)
         if mid.combine == "max":
+            from .boxmax import project_box_max
+
             result = project_box_max(x, target, mid.base, args.resolution, args.max_magnitude)
         elif grid_given:
             raise ValueError(gridless)

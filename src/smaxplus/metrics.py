@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from collections import deque
-from itertools import product, repeat
 from typing import Iterator, Sequence, Tuple
 
 from .algebra import EPS, SElem, Sign, _check_keys, _Record
@@ -190,17 +188,6 @@ def _trusted_svector(coords: Tuple[SElem, ...]) -> SVector:
     v = object.__new__(SVector)
     _set_coords(v, coords)
     return v
-
-
-def _trusted_product(clouds: Sequence[Sequence[SElem]]) -> Tuple[SVector, ...]:
-    """The vectors of ``itertools.product(*clouds)``, in its order, each
-    built as ``_trusted_svector`` builds one and under its precondition: the
-    clouds are nonempty sequences of SElem values the library returned.  Two
-    C-level passes (allocate, set the coordinates) replace a Python call per
-    vector."""
-    vectors = tuple(map(object.__new__, repeat(SVector, math.prod(map(len, clouds)))))
-    deque(map(_set_coords, vectors, product(*clouds)), 0)
-    return vectors
 
 
 def phi_n(x: SVector) -> Tuple[complex, ...]:

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from .algebra import RAYS, Sign
 from .metrics import SVector, phi
-from .raysets import BoxSet, RaySet
 from .segments import BrokenLine, PointPiece, SegmentSet, as_segment_set, psi_inverse
+
+if TYPE_CHECKING:
+    from .raysets import BoxSet, RaySet
 
 _RAY_ANGLE = {Sign.PLUS: 2.0 * math.pi / 3.0, Sign.MINUS: 4.0 * math.pi / 3.0, Sign.BALANCED: 0.0}
 

@@ -33,8 +33,9 @@ import random
 from pathlib import Path
 
 from smaxplus.algebra import RAYS, ZERO, SElem, Sign
+from smaxplus.boxmax import _ball_cut, _truncate, project_box_max
 from smaxplus.metrics import SVector
-from smaxplus.projection import _ball_cut, _truncate, project_box_max, project_ray
+from smaxplus.projection import project_ray
 from smaxplus.raysets import BoxSet, RaySet
 
 OUT = Path(__file__).with_name("box_max_golden.json")

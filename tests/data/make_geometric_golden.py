@@ -30,8 +30,9 @@ import warnings
 from pathlib import Path
 
 from smaxplus.algebra import ZERO, SElem, Sign
+from smaxplus.connectivity import components
 from smaxplus.metrics import MagnitudeRangeWarning, SVector
-from smaxplus.segments import SegmentSet, as_segment_set, components, geometric_segment
+from smaxplus.segments import SegmentSet, as_segment_set, geometric_segment
 
 OUT = Path(__file__).with_name("geometric_golden.json")
 SEED = 20171019

@@ -30,8 +30,9 @@ import warnings
 from pathlib import Path
 
 from smaxplus.algebra import EPS, ZERO, SElem, Sign
+from smaxplus.connectivity import components
 from smaxplus.metrics import MagnitudeRangeWarning, SVector
-from smaxplus.segments import SegmentSet, components, semimodule_segment
+from smaxplus.segments import SegmentSet, semimodule_segment
 
 OUT = Path(__file__).with_name("semimodule_golden.json")
 WIDE_OUT = Path(__file__).with_name("semimodule_wide_golden.json")

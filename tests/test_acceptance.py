@@ -42,7 +42,8 @@ from smaxplus import (
     s_otimes,
     semimodule_segment,
 )
-from smaxplus.segments import ArcPiece, component_count, isolated_points
+from smaxplus.connectivity import component_count, isolated_points
+from smaxplus.segments import ArcPiece
 
 from grid_oracle import GridSpec, grid_project, grid_segment_sm
 from instances import (

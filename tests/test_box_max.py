@@ -23,7 +23,7 @@ from smaxplus import (
 )
 from smaxplus.algebra import RAYS
 from smaxplus.metrics import cross_distance
-from smaxplus.projection import _sample, _truncate
+from smaxplus.boxmax import _sample, _truncate
 
 from grid_oracle import GridSpec, grid_project
 from instances import random_ray_set, random_svector

@@ -36,6 +36,7 @@ from smaxplus import (
     semimodule_segment,
     traditional_segment,
 )
+import smaxplus.connectivity as connectivity_module
 import smaxplus.metrics as metrics_module
 import smaxplus.segments as segments_module
 from smaxplus.segments import vec_oplus, vec_scale
@@ -836,7 +837,7 @@ class TestComponents:
         # the pass chains each endpoint's signature group with the arcs
         # that cross the origin
         monkeypatch.setattr(
-            segments_module, "chain", lambda *groups: (visits.append(j) or j for j in chain(*groups))
+            connectivity_module, "chain", lambda *groups: (visits.append(j) or j for j in chain(*groups))
         )
         assert len(components(seg)) > 1 and visits == []
 
@@ -847,9 +848,9 @@ class TestComponents:
         # negative chart value, as on a geodesic that crosses the origin
         calls = []
         for name in ("_chart_key", "_interior_signature"):
-            helper = getattr(segments_module, name)
+            helper = getattr(connectivity_module, name)
             monkeypatch.setattr(
-                segments_module, name, lambda *args, helper=helper: calls.append(1) or helper(*args)
+                connectivity_module, name, lambda *args, helper=helper: calls.append(1) or helper(*args)
             )
         rng = random.Random(128)
         a, b = random_svector(rng, 128), random_svector(rng, 128)
