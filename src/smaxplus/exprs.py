@@ -39,6 +39,7 @@ nested too deeply" at that position.  Other sources pay one ``count``.
 
 from __future__ import annotations
 
+import math
 import re
 from itertools import accumulate
 from typing import List, Optional
@@ -102,6 +103,16 @@ def _number(text: str, k: int):
         raise _Fail(f"integer literal too long ({len(text.lstrip('-'))} digits)", k) from None
 
 
+def _exponent(text: str, k: int):
+    """A literal's magnitude exponent.  ``float`` rounds a literal below
+    minus the float maximum to -inf, which ``SElem`` would read as the zero
+    element; it is refused at the literal, as one above the maximum is."""
+    value = _number(text, k)
+    if value == -math.inf:
+        raise _Fail(f"not a valid magnitude exponent: {value!r}", k)
+    return value
+
+
 def _evaluate(texts: List[str], mode: str) -> SElem:
     """The value of the token texts, which end in the END text ``""``."""
     stack = []  # (total, product, star) of each enclosing parenthesis
@@ -122,11 +133,11 @@ def _evaluate(texts: List[str], mode: str) -> SElem:
             elif text[0] in _SIGNS:
                 if mode == "mpa":
                     raise _Fail("signed literal in mpa mode", i)
-                value = SElem(_SIGNS[text[0]], _number(text[2:], i))
+                value = SElem(_SIGNS[text[0]], _exponent(text[2:], i))
             elif text[0] in _NOT_NUM:
                 raise _Fail(f"unexpected token {text!r}", i)
             else:
-                value = SElem(PLUS, _number(text, i))
+                value = SElem(PLUS, _exponent(text, i))
         except ValueError as exc:  # a float literal beyond the float range
             raise _Fail(str(exc), i) from None
         i += 1

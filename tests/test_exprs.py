@@ -155,17 +155,20 @@ def test_error_precedence(source, message, pos):
 
 @pytest.mark.parametrize(
     "source, pos",
-    [("1e400", 0), ("p:1e400", 0), ("2 + m:1e400 * 1", 4), ("1e308 * 1e308", 6), ("(1e308)^2", 8)],
+    [("1e400", 0), ("p:1e400", 0), ("2 + m:1e400 * 1", 4), ("1e308 * 1e308", 6), ("(1e308)^2", 8),
+     ("-1e400", 0), ("p:-1e400", 0), ("p:-1e400 + m:-1e400", 0)],
 )
 def test_float_overflow_is_a_parse_error(source, pos):
     # a literal beyond the float range fails at the literal, a product at
-    # its '*', a power at its exponent
-    with pytest.raises(ExprError, match="not a valid magnitude exponent: inf") as err:
+    # its '*', a power at its exponent; a literal below minus the float
+    # maximum reads as -inf, which is not the zero element either
+    value = "-inf" if "-1e400" in source else "inf"
+    with pytest.raises(ExprError, match=rf"not a valid magnitude exponent: {value} \(") as err:
         eval_expr(source)
     assert err.value.pos == pos
 
 
-_TOKENS = ["+", "*", "^", "(", ")", "eps", "p:1", "m:2.5", "b:-3", "1", "-2", "0.5", "1e308", "1e400",
+_TOKENS = ["+", "*", "^", "(", ")", "eps", "p:1", "m:2.5", "b:-3", "1", "-2", "0.5", "1e308", "1e400", "-1e400",
            "1" + "0" * 30, "p:", "e", "$", "\t", "\n", "-1", "0", "3"]
 
 
