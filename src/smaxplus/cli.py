@@ -230,6 +230,25 @@ def _cmd_check(args) -> str:
     return _emit(args, {key: table[key](target) for key in keys})
 
 
+def _write_stdout(text: str) -> None:
+    """Write ``text`` to stdout in full, encoded as the text layer would
+    encode it, through the binary layer and looping until every byte is out.
+    Unbuffered (``PYTHONUNBUFFERED=1``) that layer is a raw file, whose
+    write can be short; the text layer would drop the count of a short
+    write to a closed pipe, and the process would exit 0 with its output
+    cut.  A stream with no binary layer takes the text write."""
+    stream = getattr(sys.stdout, "buffer", None)
+    if stream is None:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+        return
+    sys.stdout.flush()  # whatever the text layer holds goes first
+    data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    while data:
+        data = data[stream.write(data):]
+    stream.flush()
+
+
 _DISPATCH = {
     "eval": _cmd_eval,
     "segment": _cmd_segment,
@@ -248,8 +267,7 @@ def main(argv=None) -> int:
         sys.stderr.write("\n")
         return 1
     try:
-        sys.stdout.write(output if output.endswith("\n") else output + "\n")
-        sys.stdout.flush()
+        _write_stdout(output if output.endswith("\n") else output + "\n")
     except BrokenPipeError:
         # the reader closed stdout early (`| head`): exit quietly, as CPython
         # does on EPIPE, with stdout on devnull so the flush at exit is silent
