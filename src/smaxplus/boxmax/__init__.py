@@ -66,7 +66,8 @@ def project_box_max(
     as a cloud sampled ``resolution`` apart (default 1e-3) from each low
     end, with the high end and the factor's own nearest points included
     exactly.  ``max_magnitude``, when given, truncates the factors first.
-    Clouds of more than 5,000,000 vectors are refused before any is built.
+    Clouds of more than 5,000,000 coordinates in all (vectors times
+    coordinates each) are refused before any is built.
     """
     if A.is_empty:
         raise ValueError("empty set")
@@ -93,7 +94,7 @@ def project_box_max(
     total = 1.0
     for (exact, _), cut in zip(per, cuts):
         total *= len(exact) + sum((hi - lo) / resolution + 2.0 for _, lo, hi in cut)
-    if total > 5_000_000:
+    if total * len(x) > 5_000_000:
         raise ValueError(f"argmin cloud too large ({total:.0f} points); raise the resolution")
     clouds = [_sample(exact, cut, resolution) for (exact, _), cut in zip(per, cuts)]
     return ProjectionResult(_trusted_product(clouds), D, all(len(c) == 1 for c in clouds))

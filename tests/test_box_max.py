@@ -21,9 +21,10 @@ from smaxplus import (
     project_ray,
     rho,
 )
+import smaxplus.boxmax as boxmax_module
 from smaxplus.algebra import RAYS
-from smaxplus.metrics import cross_distance
 from smaxplus.boxmax import _sample, _truncate
+from smaxplus.metrics import cross_distance
 
 from grid_oracle import GridSpec, grid_project
 from instances import random_ray_set, random_svector
@@ -142,6 +143,18 @@ class TestPinnedPitfalls:
         # 101 samples and the second factor's own nearest point, m = 1
         r = project_box_max(x, BoxSet((far, wide)), 2, 1e4)
         assert r.distance == 1e6 and len(r.points) == 102
+
+    def test_cloud_size_counts_coordinates(self, monkeypatch):
+        # D = 1 from the first factor; the other two cut [1, 2] into 1502
+        # samples each: about 2.26 million vectors under the 5 million
+        # limit, but 6.8 million coordinates, refused before any is sampled
+        sampled = []
+        monkeypatch.setattr(boxmax_module, "_sample", lambda *args: sampled.append(args))
+        factor = RaySet(plus=((1.0, 2.0),))
+        x = SVector((SElem.pos(math.log(3.0)), SElem.pos(math.log(1.5)), SElem.pos(math.log(1.5))))
+        with pytest.raises(ValueError, match="too large"):
+            project_box_max(x, BoxSet((factor, factor, factor)), 2, 1 / 1500)
+        assert sampled == []
 
 
 def test_max_magnitude_truncates_the_factors():
