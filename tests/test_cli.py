@@ -776,6 +776,29 @@ def test_import_loads_neither_numpy_nor_scipy(files):
         "smaxplus", "smaxplus.cli", "smaxplus.algebra", "smaxplus.raysets"}
     assert not loaded & heavy
 
+    # code a call does not run stays unloaded, so uncompiled: a segment's
+    # SVG needs neither ray sets nor connectivity, only a max-combine box
+    # loads its sampler, and no subcommand loads the pair algebra
+    query = files["write"]("q2.json", {"coords": [{"sign": "+", "exp": 2}, {"sign": "+", "exp": 0.4}]})
+    box = files["write"]("box2.json", {"factors": [{"plus": [[1, 2]]}, {"plus": [[1, 2]]}]})
+    calls = {
+        "eval": ["eval", "1"],
+        "segment": ["segment", "--kind", "semimodule", files["p1"], files["m0"]],
+        "segment-svg": ["segment", files["p1"], files["m0"], "--out", "svg"],
+        "ray": ["project", files["p1"], files["triple"]],
+        "rho12": ["project", query, box, "--metric", "rho12"],
+        "rho02": ["project", query, box, "--metric", "rho02", "--resolution", "0.25"],
+        "check": ["check", files["triple"]],
+    }
+    loaded = {
+        name: _newly_loaded("from smaxplus.cli import main\nassert main(sys.argv[1:]) == 0", *argv)
+        for name, argv in calls.items()
+    }
+    assert "smaxplus.svg" in loaded["segment-svg"]
+    assert not loaded["segment-svg"] & {"smaxplus.raysets", "smaxplus.connectivity"}
+    assert "smaxplus.boxmax" in loaded["rho02"] and "smaxplus.boxmax" not in loaded["rho12"]
+    assert not any("smaxplus.pairs" in modules for modules in loaded.values())
+
     # the lazy package: the old names, each the object of its home module,
     # and its submodules as attributes
     loaded = _newly_loaded("import smaxplus\nassert smaxplus.raysets.RaySet")

@@ -42,6 +42,6 @@ def test_the_scan_sees_reads_in_function_bodies_only():
     assert _sign_reads_in_functions(source) == [3, 6]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")), ids=lambda p: p.relative_to(PACKAGE).as_posix())
 def test_no_function_body_reads_a_sign_member(path):
     assert _sign_reads_in_functions(path.read_text()) == []

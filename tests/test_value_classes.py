@@ -161,7 +161,7 @@ def test_no_module_imports_dataclasses():
     # the value classes are hand-written: dataclasses (and the inspect/ast
     # chain it imports) stays off the import path of every CLI call
     package = Path(smaxplus.__file__).parent
-    modules = sorted(package.glob("*.py"))
+    modules = sorted(package.rglob("*.py"))
     assert len(modules) > 5
     for path in modules:
         for node in ast.walk(ast.parse(path.read_text())):
