@@ -1,15 +1,16 @@
-"""Exact arithmetic for the max-plus semiring, its pair algebra, and the
-signed (symmetrized) quotient.
+"""Exact arithmetic for the max-plus semiring and its signed (symmetrized)
+quotient.
 
-Three layers:
+Two layers:
 
 * scalars -- the max-plus semiring over the reals extended with a bottom
   element ``EPS``: addition is ``max``, multiplication is ``+``, ``EPS`` is
   the additive zero and absorbs multiplication;
-* pairs -- componentwise max with a convolution-style product, a component
-  swap (the formal minus) and a balance operator;
 * signed elements -- the quotient of the pair algebra, where every class is
   a sign tag (plus / minus / balanced) together with a magnitude exponent.
+
+The pair algebra itself, and the maps between pairs and signed elements,
+are in ``pairs``: every CLI call loads this module, and none uses pairs.
 
 ``EPS`` is a distinct tagged value, never an IEEE ``-inf`` float, so the
 semiring laws hold exactly at the zero element.  All values are immutable

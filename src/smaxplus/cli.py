@@ -5,11 +5,25 @@ Exit codes: 0 on success, 2 on usage errors (argparse), 1 on domain errors
 ``{"error": ...}`` object on stderr for the latter.  When the reader closes
 stdout before the output is written (``smaxplus ... | head -c 10``), the
 process exits 1 quietly, as CPython does on a broken pipe: no traceback and
-no error object, since the reader asked for no more.
+no error object, since the reader asked for no more.  Unbuffered or not,
+the output goes out through the binary layer of stdout in full, so a
+closed pipe is always seen.
 
 Each subcommand imports the package modules it runs when it runs, so a
-process loads only those: ``eval`` loads ``algebra`` and ``exprs``, and the
-SVG renderer loads only for ``--out svg``.
+process loads only those, besides ``smaxplus`` and this module:
+
+* ``eval``: ``algebra`` and ``exprs``;
+* ``segment``: ``algebra``, ``metrics`` and ``segments``, and ``svg`` for
+  ``--out svg``;
+* ``project``: ``algebra``, ``metrics``, ``raysets`` and ``projection``,
+  ``boxmax`` for a max-combine metric (``rho01``, ``rho02``), and ``svg``
+  and ``segments`` for ``--out svg``;
+* ``check``: ``algebra`` and ``raysets``.
+
+No subcommand loads ``pairs`` or ``connectivity``.  Where no bytecode cache
+is written (``PYTHONDONTWRITEBYTECODE=1``, or a read-only checkout), every
+call compiles each module it loads from source, so what a call does not
+load it does not compile either.
 """
 
 from __future__ import annotations

@@ -16,21 +16,18 @@ is built from the cached exponent, and a query that is a member by those
 exponents is returned as itself at distance 0; a segment set's intervals
 depend on the query and are built per call, with no exponents.  Boxes
 call the kernel per factor: the sum and Euclidean combines take the
-product of the factor argmins, and the max combine cuts each factor by the
-ball of the largest factor distance and samples the cut (``_sample``) per
-ray and in order, in C-level passes with no per-sample key, dict probe or
-global sort.  The kernel returns the nearest points and their distance,
-not a ``ProjectionResult``, so boxes, which call it once per factor, build
-one result per public call.  The multipoint witness is built in a gap, not
-scored.
+product of the factor argmins.  The max combine does not factorize; its
+projection, ``project_box_max``, lives in ``boxmax``, which only
+max-combine callers load.  The kernel returns the nearest points and their
+distance, not a ``ProjectionResult``, so boxes, which call it once per
+factor, build one result per public call.  The multipoint witness is built
+in a gap, not scored.
 
 Results are built without the public constructors' checks, through
-``_trusted_selem`` and ``_trusted_svector`` or their batch forms
-``_trusted_selems`` and ``_trusted_product``, and only from values the
-kernels have just computed: an argmin or sample at a positive finite
-radius ``m`` has exponent ``math.log(m)``, which is finite, and a product
-vector is a tuple of such elements.  The checks took most of the time of a
-large max-combine cloud.  The one other radius an argmin can have is 0,
+``_trusted_selem`` and ``_trusted_svector``, and only from values the
+kernels have just computed: an argmin at a positive finite radius ``m``
+has exponent ``math.log(m)``, which is finite, and a product vector is a
+tuple of such elements.  The one other radius an argmin can have is 0,
 an interval's low end at the origin: an arc's ends, also from JSON, are
 checked finite, and a ray set's only infinite end is a high end, which no
 clamp reaches.  That argmin goes through ``point_on_ray``, which returns

@@ -16,7 +16,10 @@ Three different segment notions between two vectors:
   magnitude crosses its partner's.
 
 Segment sets are stored as disjoint pieces: isolated points, and affine arcs
-in chart coordinates with explicit open/closed endpoint flags.
+in chart coordinates with explicit open/closed endpoint flags.  Their
+connected components are computed in ``connectivity``, which no CLI call
+loads; the membership test it shares with ``SegmentSet.contains``,
+``_piece_member``, stays here.
 """
 
 from __future__ import annotations
