@@ -28,12 +28,10 @@ class _Eps:
     """Bottom element of the scalar semiring; compares below every real."""
 
     __slots__ = ()
-    _instance = None
 
-    def __new__(cls) -> "_Eps":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    def __reduce__(self) -> str:
+        # pickled and copied by name, so every copy is the module's EPS
+        return "EPS"
 
     def __repr__(self) -> str:
         return "eps"
@@ -123,7 +121,11 @@ class _Record:
     """Base of the package's immutable value classes.
 
     A subclass names its fields in ``__slots__`` and sets them in its own
-    ``__init__`` (through ``object.__setattr__`` or the slot descriptors).
+    ``__init__``, through ``object.__setattr__``; only a class the library
+    builds by the thousand (``SElem``, ``SVector``, ``ArcPiece``,
+    ``ProjectionResult``) binds its slot descriptors' setters once in its
+    module and calls those, which is about twice as fast.  A field holds
+    only what the others cannot derive.
     The base supplies the rest of the value contract: assigning or deleting
     an attribute raises AttributeError; equality needs the same class and
     equal field tuples, and the hash is that of the field tuple; the repr is

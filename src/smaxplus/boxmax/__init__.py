@@ -7,48 +7,24 @@ samples each cut (``_sample``) per ray and in order, in C-level passes with
 no per-sample key, dict probe or global sort.
 
 The cloud is built without the public constructors' checks, through the
-batch constructors ``_trusted_selems`` and ``_trusted_product``, and only
-from values the kernels have just computed: a sample at a positive finite
-radius ``m`` has exponent ``math.log(m)``, which is finite, and a product
-vector is a tuple of such elements.  The checks took most of the time of a
+batch constructors ``_trusted_selems`` and ``_trusted_product`` of
+``metrics``, and only from values the kernels have just computed: a sample
+at a positive finite radius ``m`` has exponent ``math.log(m)``, which is
+finite, and a product vector is a tuple of such elements.  The checks took most of the time of a
 large max-combine cloud.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from itertools import product, repeat
+from itertools import repeat
 from operator import add, mul
-from typing import List, Optional, Sequence, Sized, Tuple
+from typing import List, Optional, Tuple
 
-from ..algebra import BALANCED, RAYS, ZERO, SElem, Sign, _set_exp, _set_sign
-from ..metrics import SVector, _set_coords, magnitude
+from ..algebra import BALANCED, RAYS, ZERO, SElem
+from ..metrics import SVector, _trusted_product, _trusted_selems, magnitude
 from ..projection import ProjectionResult, _nearest, _ray_intervals
 from ..raysets import BoxSet, RaySet
-
-
-def _trusted_selems(sign: Sign, exps: Sized) -> List[SElem]:
-    """The batch form of ``_trusted_selem``, under its precondition for
-    every exponent: one element of ``sign`` per exponent of the sized
-    iterable ``exps``, in order.  Three C-level passes (allocate, set the
-    signs, set the exponents) replace a Python call per element; the slot
-    setters return None, so an empty deque drains their maps."""
-    elems = list(map(object.__new__, repeat(SElem, len(exps))))
-    deque(map(_set_sign, elems, repeat(sign)), 0)
-    deque(map(_set_exp, elems, exps), 0)
-    return elems
-
-
-def _trusted_product(clouds: Sequence[Sequence[SElem]]) -> Tuple[SVector, ...]:
-    """The vectors of ``itertools.product(*clouds)``, in its order, each
-    built as ``_trusted_svector`` builds one and under its precondition: the
-    clouds are nonempty sequences of SElem values the library returned.  Two
-    C-level passes (allocate, set the coordinates) replace a Python call per
-    vector."""
-    vectors = tuple(map(object.__new__, repeat(SVector, math.prod(map(len, clouds)))))
-    deque(map(_set_coords, vectors, product(*clouds)), 0)
-    return vectors
 
 
 def project_box_max(
@@ -97,7 +73,7 @@ def project_box_max(
     if total * len(x) > 5_000_000:
         raise ValueError(f"argmin cloud too large ({total:.0f} points); raise the resolution")
     clouds = [_sample(exact, cut, resolution) for (exact, _), cut in zip(per, cuts)]
-    return ProjectionResult(_trusted_product(clouds), D, all(len(c) == 1 for c in clouds))
+    return ProjectionResult(_trusted_product(clouds), D)
 
 
 def _truncate(C: RaySet, bound: float) -> RaySet:
@@ -192,5 +168,5 @@ def _sample(exact: Tuple[SElem, ...], cut: List[tuple], step: float) -> List[SEl
             cloud.append(ZERO)
         ray_exps = exps[ray]
         if ray_exps:
-            cloud += _trusted_selems(ray, sorted(ray_exps) if ray in unsorted else ray_exps)
+            cloud += _trusted_selems(repeat(ray), sorted(ray_exps) if ray in unsorted else ray_exps)
     return cloud

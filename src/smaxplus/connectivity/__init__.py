@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import math
 from itertools import chain
+from operator import itemgetter
 from typing import List, Optional, Sequence
 
 from ..metrics import _MAX_EXP_ARG, _MIN_EXP_ARG, SVector
-from ..segments import (ArcPiece, PointPiece, PsiChart, SegmentSet, _first, _piece_member, _radius,
-                        psi_inverse)
+from ..segments import ArcPiece, PointPiece, PsiChart, SegmentSet, _piece_member, _radius, psi_inverse
+
+_first = itemgetter(0)
 
 # ---------------------------------------------------------------------------
 # Connectivity of a segment set

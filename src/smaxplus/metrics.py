@@ -16,9 +16,11 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from typing import Iterator, Sequence, Tuple
+from collections import deque
+from itertools import product, repeat
+from typing import Iterable, Iterator, List, Sequence, Sized, Tuple
 
-from .algebra import EPS, SElem, Sign, _check_keys, _Record
+from .algebra import EPS, SElem, Sign, _check_keys, _Record, _set_exp, _set_sign
 
 
 class MagnitudeRangeWarning(RuntimeWarning):
@@ -188,6 +190,33 @@ def _trusted_svector(coords: Tuple[SElem, ...]) -> SVector:
     v = object.__new__(SVector)
     _set_coords(v, coords)
     return v
+
+
+# The batch forms of ``_trusted_selem`` and ``_trusted_svector``, for the
+# clouds and point pieces the library builds by the thousand.  C-level
+# passes (allocate, then set each field) replace a Python call per value;
+# the slot setters return None, so an empty deque drains their maps.
+
+
+def _trusted_selems(signs: Iterable[Sign], exps: Sized) -> List[SElem]:
+    """One element per exponent of the sized iterable ``exps``, in order,
+    with the sign ``signs`` gives it, under ``_trusted_selem``'s
+    precondition for each: ``signs`` yields Signs, at least one per
+    exponent, and every exponent is a finite float, or the pair is one read
+    from an SElem's fields."""
+    elems = list(map(object.__new__, repeat(SElem, len(exps))))
+    deque(map(_set_sign, elems, signs), 0)
+    deque(map(_set_exp, elems, exps), 0)
+    return elems
+
+
+def _trusted_product(clouds: Sequence[Sequence[SElem]]) -> Tuple[SVector, ...]:
+    """The vectors of ``itertools.product(*clouds)``, in its order, each
+    built as ``_trusted_svector`` builds one and under its precondition: the
+    clouds are nonempty sequences of SElem values the library returned."""
+    vectors = tuple(map(object.__new__, repeat(SVector, math.prod(map(len, clouds)))))
+    deque(map(_set_coords, vectors, product(*clouds)), 0)
+    return vectors
 
 
 def phi_n(x: SVector) -> Tuple[complex, ...]:

@@ -60,15 +60,17 @@ _NO_EXP = math.nan
 class ProjectionResult(_Record):
     """All nearest points of a query in a set, with the attained distance."""
 
-    __slots__ = ("points", "distance", "is_singleton")
+    __slots__ = ("points", "distance")
     points: Tuple[object, ...]  # SElem for the line, SVector for products
     distance: float
-    is_singleton: bool
 
-    def __init__(self, points: Tuple[object, ...], distance: float, is_singleton: bool):
+    def __init__(self, points: Tuple[object, ...], distance: float):
         _set_points(self, points)
         _set_distance(self, distance)
-        _set_is_singleton(self, is_singleton)
+
+    @property
+    def is_singleton(self) -> bool:
+        return len(self.points) == 1
 
     def to_json(self) -> dict:
         return {
@@ -93,14 +95,15 @@ class ProjectionResult(_Record):
             if not isinstance(p, dict):
                 raise ValueError(f"a point must be an element or vector object, got {p!r}")
             pts.append(SVector.from_json(p) if "coords" in p else SElem.from_json(p))
-        result = cls(tuple(pts), distance, singleton)
+        if singleton != (len(pts) == 1):
+            raise ValueError(f"singleton {str(singleton).lower()} disagrees with the point count {len(pts)}")
+        result = cls(tuple(pts), distance)
         _check_keys(data, ("points", "distance", "singleton"))
         return result
 
 
 _set_points = ProjectionResult.points.__set__
 _set_distance = ProjectionResult.distance.__set__
-_set_is_singleton = ProjectionResult.is_singleton.__set__
 
 
 def _tied(d: float, ref: float) -> bool:
@@ -209,7 +212,7 @@ def project_ray(x: SElem, C: RaySet, base: int = 2) -> ProjectionResult:
     """All nearest points of ``x`` in a closed ray set under the chosen base
     metric (1 = chord, 2 = path)."""
     points, distance = _nearest(x, _ray_intervals(C, base), base)
-    return ProjectionResult(points, distance, len(points) == 1)
+    return ProjectionResult(points, distance)
 
 
 def distance_to_set(x: SElem, C: RaySet, base: int = 2) -> float:
@@ -236,7 +239,7 @@ def project_box(x: SVector, A: BoxSet, mid: MetricId) -> ProjectionResult:
     dists = [d for _, d in per]
     distance = float(sum(dists)) if mid.combine == "sum" else _euclid_norm(dists)
     points = tuple(map(_trusted_svector, itertools.product(*[p for p, _ in per])))
-    return ProjectionResult(points, distance, len(points) == 1)
+    return ProjectionResult(points, distance)
 
 
 def project_segment_set(x: SElem, S: SegmentSet, base: int = 2) -> ProjectionResult:
@@ -263,7 +266,7 @@ def project_segment_set(x: SElem, S: SegmentSet, base: int = 2) -> ProjectionRes
         else:
             intervals.append(_arc_interval(x, piece))
     points, distance = _nearest(x, intervals, base)
-    return ProjectionResult(points, distance, len(points) == 1)
+    return ProjectionResult(points, distance)
 
 
 def _arc_interval(x: SElem, arc: ArcPiece) -> tuple:

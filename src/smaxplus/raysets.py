@@ -119,18 +119,16 @@ class RaySet(_Record):
             rays = [ivs[1:] if ivs[:1] == _ORIGIN_ONLY else ivs for ivs in rays]
             if not any(ivs and ivs[0][0] == 0.0 for ivs in rays):
                 rays[2] = _ORIGIN_ONLY + rays[2]
-        _set_plus(self, rays[0])
-        _set_minus(self, rays[1])
-        _set_balanced(self, rays[2])
-        _set_index(self, None)
+        object.__setattr__(self, "plus", rays[0])
+        object.__setattr__(self, "minus", rays[1])
+        object.__setattr__(self, "balanced", rays[2])
+        object.__setattr__(self, "_index", None)
 
     def _prepare(self) -> tuple:
         """The cached index, built on first use."""
-        index = self._index
-        if index is None:
-            index = _build_index(self)
-            _set_index(self, index)
-        return index
+        if self._index is None:
+            object.__setattr__(self, "_index", _build_index(self))
+        return self._index
 
     def intervals(self, ray: Sign) -> Tuple[Interval, ...]:
         if ray is PLUS:
@@ -198,12 +196,6 @@ class RaySet(_Record):
         C = cls(dec("plus"), dec("minus"), dec("balanced"))
         _check_keys(data, ("plus", "minus", "balanced"))
         return C
-
-
-_set_plus = RaySet.plus.__set__
-_set_minus = RaySet.minus.__set__
-_set_balanced = RaySet.balanced.__set__
-_set_index = RaySet._index.__set__
 
 
 def point_on_ray(ray: Sign, m: float) -> SElem:

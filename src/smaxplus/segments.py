@@ -27,13 +27,12 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from collections import deque
 from itertools import repeat
-from operator import add, itemgetter, mul, sub
+from operator import add, mul, sub
 from typing import List, Optional, Sequence, Tuple
 
-from .algebra import (BALANCED, EPS, PLUS, SElem, Sign, ZERO, _check_keys, _is_number, _Record, _set_exp,
-                      _set_sign, _trusted_selem, s_oplus, scalar_mul)
+from .algebra import (BALANCED, EPS, PLUS, SElem, Sign, ZERO, _check_keys, _is_number, _Record,
+                      _trusted_selem, s_oplus, scalar_mul)
 from .metrics import (
     _MAX_EXP_ARG,
     _MIN_EXP_ARG,
@@ -41,6 +40,7 @@ from .metrics import (
     MagnitudeRangeWarning,
     MetricId,
     SVector,
+    _trusted_selems,
     _trusted_svector,
     magnitude,
     rho,
@@ -187,10 +187,10 @@ class BrokenLine(_Record):
     length: float
 
     def __init__(self, chart: PsiChart, vertices, breakpoint_params, length: float):
-        _set_line_chart(self, chart)
-        _set_vertices(self, vertices)
-        _set_breakpoint_params(self, breakpoint_params)
-        _set_length(self, length)
+        object.__setattr__(self, "chart", chart)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "breakpoint_params", breakpoint_params)
+        object.__setattr__(self, "length", length)
 
     def to_json(self) -> dict:
         return {
@@ -217,11 +217,6 @@ class BrokenLine(_Record):
         )
         _check_keys(data, ("chart", "t", "vertices", "length"))
         return line
-
-
-_set_line_chart, _set_vertices, _set_breakpoint_params, _set_length = (
-    getattr(BrokenLine, name).__set__ for name in BrokenLine.__slots__
-)
 
 
 def _euclid(p: Sequence[float], q: Sequence[float]) -> float:
@@ -315,7 +310,7 @@ class PointPiece(_Record):
     point: SVector
 
     def __init__(self, point: SVector):
-        _set_point(self, point)
+        object.__setattr__(self, "point", point)
 
     def to_json(self) -> dict:
         return {"kind": "point", "point": self.point.to_json()}
@@ -398,7 +393,6 @@ class ArcPiece(_Record):
         }
 
 
-_set_point = PointPiece.point.__set__
 _set_chart, _set_start, _set_end, _set_closed_lo, _set_closed_hi = (
     getattr(ArcPiece, name).__set__ for name in ArcPiece.__slots__
 )
@@ -437,7 +431,7 @@ class SegmentSet(_Record):
     pieces: Tuple[object, ...]
 
     def __init__(self, pieces):
-        object.__setattr__(self, "pieces", pieces)
+        object.__setattr__(self, "pieces", tuple(pieces))
 
     def contains(self, x: SVector) -> bool:
         return any(_piece_member(piece, x) for piece in self.pieces)
@@ -665,16 +659,9 @@ def _family_sweep(p: tuple, q: tuple, offset: int):
     return arcs, claims
 
 
-_first, _second = itemgetter(0), itemgetter(1)
-
-
 def _point_piece(x: tuple) -> PointPiece:
-    # normalized pairs (see Values above): the elements are built as
-    # _trusted_selems builds them, in C-level passes
-    elems = list(map(object.__new__, repeat(SElem, len(x))))
-    deque(map(_set_sign, elems, map(_first, x)), 0)
-    deque(map(_set_exp, elems, map(_second, x)), 0)
-    return PointPiece(_trusted_svector(tuple(elems)))
+    # normalized pairs (see Values above), unzipped into signs and exponents
+    return PointPiece(_trusted_svector(tuple(_trusted_selems(*zip(*x)))))
 
 
 def _huge(e) -> bool:

@@ -136,7 +136,7 @@ class TestMembersProjectToThemselves:
             C = random_ray_set(rng, band)
             x = _random_member(rng, C, band)
             for base in (1, 2):
-                assert project_ray(x, C, base) == ProjectionResult((x,), 0.0, True)
+                assert project_ray(x, C, base) == ProjectionResult((x,), 0.0)
 
     @pytest.mark.parametrize("band", MEMBER_BANDS)
     def test_project_box(self, band):
@@ -145,8 +145,8 @@ class TestMembersProjectToThemselves:
             A = BoxSet(tuple(random_ray_set(rng, band) for _ in range(1 + k % 3)))
             x = SVector(tuple(_random_member(rng, C, band) for C in A.factors))
             for code in ("rho11", "rho12", "rho21", "rho22"):
-                assert project_box(x, A, parse_metric_id(code)) == ProjectionResult((x,), 0.0, True)
-            assert project_box_max(x, A, 1 + k % 2) == ProjectionResult((x,), 0.0, True)
+                assert project_box(x, A, parse_metric_id(code)) == ProjectionResult((x,), 0.0)
+            assert project_box_max(x, A, 1 + k % 2) == ProjectionResult((x,), 0.0)
 
     def test_members_outside_the_float_range_do_not_warn(self):
         # the answer is exact, so the radius, which saturates or underflows
@@ -154,9 +154,9 @@ class TestMembersProjectToThemselves:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             x = SElem.pos(800)
-            assert project_ray(x, RaySet(plus=((1, math.inf),))) == ProjectionResult((x,), 0.0, True)
+            assert project_ray(x, RaySet(plus=((1, math.inf),))) == ProjectionResult((x,), 0.0)
             y = SElem.pos(-800)
-            assert project_ray(y, RaySet(plus=((0, 1),)), 1) == ProjectionResult((y,), 0.0, True)
+            assert project_ray(y, RaySet(plus=((0, 1),)), 1) == ProjectionResult((y,), 0.0)
         # a query there that is not a member still warns
         with pytest.warns(MagnitudeRangeWarning, match="overflows"):
             project_ray(SElem.neg(800), RaySet(plus=((1, math.inf),)))
@@ -167,7 +167,7 @@ class TestMembersProjectToThemselves:
         C = RaySet(plus=((0, 1),), minus=((1e-10, 1),))
         assert C.contains(ZERO)
         for base in (1, 2):
-            assert project_ray(ZERO, C, base) == ProjectionResult((ZERO,), 0.0, True)
+            assert project_ray(ZERO, C, base) == ProjectionResult((ZERO,), 0.0)
 
     def test_a_member_whose_radius_rounds_away(self):
         # exp/log moves this member's radius by an ulp: the kernel used to
@@ -760,3 +760,14 @@ def test_projection_result_json_shape_errors_are_named(change, message):
     assert str(err.value) == message
     with pytest.raises(ValueError, match="a projection result must be an object, got list"):
         ProjectionResult.from_json([data])
+
+
+def test_projection_result_json_refuses_a_singleton_flag_the_points_contradict():
+    two = {"points": [SElem.pos(1).to_json(), SElem.pos(2).to_json()], "distance": 1, "singleton": True}
+    with pytest.raises(ValueError, match="^singleton true disagrees with the point count 2$"):
+        ProjectionResult.from_json(two)
+    one = {"points": [SElem.pos(1).to_json()], "distance": 1, "singleton": False}
+    with pytest.raises(ValueError, match="^singleton false disagrees with the point count 1$"):
+        ProjectionResult.from_json(one)
+    assert ProjectionResult.from_json({**one, "singleton": True}).is_singleton
+    assert ProjectionResult._fields == ("points", "distance")

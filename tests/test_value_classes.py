@@ -12,6 +12,7 @@ import pytest
 
 import smaxplus
 from smaxplus import (
+    EPS,
     ZERO,
     ArcPiece,
     BoxSet,
@@ -74,10 +75,10 @@ CASES = {
         "SegmentSet(pieces=(PointPiece(point=(eps)),))",
     ),
     ProjectionResult: (
-        ("points", "distance", "is_singleton"),
-        ProjectionResult((SElem.pos(1),), 0.5, True),
-        ProjectionResult((SElem.pos(1),), 0.25, True),
-        "ProjectionResult(points=(p:1,), distance=0.5, is_singleton=True)",
+        ("points", "distance"),
+        ProjectionResult((SElem.pos(1),), 0.5),
+        ProjectionResult((SElem.pos(1),), 0.25),
+        "ProjectionResult(points=(p:1,), distance=0.5)",
     ),
 }
 
@@ -199,3 +200,40 @@ def test_trusted_values_match_their_validated_twins():
         for again in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
             assert type(again) is type(twin)
             assert again == twin and hash(again) == hash(twin)
+
+
+def test_eps_pickles_and_copies_by_name():
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(EPS, protocol)) is EPS
+    assert copy.copy(EPS) is EPS and copy.deepcopy(EPS) is EPS
+    assert copy.deepcopy(SElem(Sign.PLUS, EPS)).exp is EPS
+
+
+def test_segment_set_stores_its_pieces_as_a_tuple():
+    p = PointPiece(SVector((SElem.pos(1),)))
+    from_list, from_tuple = SegmentSet([p]), SegmentSet((p,))
+    assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
+    assert from_list.pieces == (p,)
+
+
+def test_unchecked_batch_builds_live_in_metrics():
+    # one definition each of the batch builders, beside _trusted_svector, and
+    # the SElem/SVector slot setters named only where they are defined and
+    # where those builders use them
+    package = Path(smaxplus.__file__).parent
+    definitions = {"_trusted_selems": [], "_trusted_product": []}
+    for path in sorted(package.rglob("*.py")):
+        module = path.parent.name if path.stem == "__init__" else path.stem
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name in definitions:
+                definitions[node.name].append(module)
+            names.update(
+                [node.id] if isinstance(node, ast.Name)
+                else [node.attr] if isinstance(node, ast.Attribute)
+                else [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+                else []
+            )
+        if module not in ("algebra", "metrics"):
+            assert not names & {"_set_sign", "_set_exp", "_set_coords"}, module
+    assert definitions == {"_trusted_selems": ["metrics"], "_trusted_product": ["metrics"]}
