@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from typing import Callable, Optional
 
@@ -104,6 +105,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate a max-plus expression")
     p_eval.add_argument("expression", help="expression text, or '-' to read stdin")
+    # an argument that starts with '-' and then a digit or '.' is the
+    # expression, as Python 3.13's argparse has it: before 3.13 only a plain
+    # negative number was, so -1e5 or -1e5+2 read as an unknown option
+    p_eval._negative_number_matcher = re.compile(r"-\.?\d")
     p_eval.add_argument("--mode", choices=("mpa", "smpa"), default="smpa")
     add_out(p_eval)
 

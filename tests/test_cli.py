@@ -97,6 +97,31 @@ class TestEval:
         assert code == 1 and out == ""
         assert "integer literal too long" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["-1e5"], {"sign": "+", "exp": -100000.0}),
+            (["-1e5+2"], {"sign": "+", "exp": 2}),
+            (["--mode", "mpa", "-2e0"], {"sign": "+", "exp": -2.0}),
+            (["-1e5", "--mode", "mpa"], {"sign": "+", "exp": -100000.0}),
+            (["-.5"], {"sign": "+", "exp": -0.5}),
+        ],
+    )
+    def test_a_leading_minus_literal_is_the_expression(self, capsys, argv, expected):
+        # '-' then a digit or '.' starts the expression, not an option
+        code, out, err = run(capsys, "eval", *argv)
+        assert (code, json.loads(out), err) == (0, expected, "")
+
+    def test_other_leading_minus_arguments_stay_options(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "-x"])
+        assert exc.value.code == 2
+        assert "required: expression" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: smaxplus eval")
+
 
 class TestSegment:
     def test_geometric_round_trip(self, capsys, files):
