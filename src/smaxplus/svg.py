@@ -98,7 +98,10 @@ class Scene:
         panel = self.panels[coord]
         for ray in RAYS:
             for lo, hi in C.intervals(ray):
-                hi = min(hi, self.ray_extent * 4.0)
+                if hi == math.inf:
+                    # an unbounded interval is drawn out to four times the
+                    # extent drawn so far, or its low end if that is farther
+                    hi = 4.0 * max(lo, self.ray_extent)
                 self.ray_extent = max(self.ray_extent, hi)
                 if hi > lo:
                     panel.line(self._ray_point(ray, lo), self._ray_point(ray, hi), _STYLE_SET)

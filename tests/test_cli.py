@@ -689,6 +689,31 @@ class TestSvg:
         assert code == 0
         assert out.count("<circle") >= 4  # query plus three nearest points
 
+    @pytest.mark.parametrize(
+        "ray_set, strokes",
+        [
+            ({"plus": [[5, 6]]}, [(120, 5.0, 6.0)]),
+            ({"plus": [[1, 2]], "minus": [[20, 30]]}, [(120, 1.0, 2.0), (240, 20.0, 30.0)]),
+            ({"plus": [[10, "inf"]]}, [(120, 10.0, 40.0)]),
+        ],
+        ids=["far", "far-after-near", "unbounded-far"],
+    )
+    def test_set_intervals_are_strokes_at_their_radii(self, capsys, files, ray_set, strokes):
+        # a finite interval is drawn from end to end at any radius; only an
+        # unbounded one is cut, four times out from its low end here
+        path = files["write"]("far.json", ray_set)
+        code, out, _ = run(capsys, "project", files["p1"], path, "--out", "svg")
+        assert code == 0
+        drawn = []
+        for line in ET.fromstring(out).iter("{http://www.w3.org/2000/svg}line"):
+            if line.get("stroke") == "#1f77b4":
+                z1 = complex(float(line.get("x1")), -float(line.get("y1")))
+                z2 = complex(float(line.get("x2")), -float(line.get("y2")))
+                angle = round(math.degrees(math.atan2(z2.imag, z2.real))) % 360
+                drawn.append((angle, round(abs(z1), 6), round(abs(z2), 6)))
+        assert drawn == strokes
+        assert 'fill="#1f77b4"' not in out  # no interval collapsed to a dot
+
     def test_two_coordinate_scene(self, capsys, files):
         aa = files["write"](
             "aa.json", {"coords": [{"sign": "+", "exp": 0}, {"sign": "-", "exp": 1}]}
