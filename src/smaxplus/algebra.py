@@ -253,9 +253,12 @@ class SElem(_Record):
         if not isinstance(data, dict):
             raise ValueError(f"an element must be an object, got {type(data).__name__}")
         exp = data["exp"]
+        sign = Sign(data["sign"])
         if exp == "-inf":
             exp = EPS
-        e = cls(Sign(data["sign"]), exp)
+        elif not _is_number(exp):
+            raise ValueError(f'exp must be a number or "-inf", got {exp!r}')
+        e = cls(sign, exp)
         _check_keys(data, ("sign", "exp"))
         return e
 

@@ -340,6 +340,8 @@ class BoxSet(_Record):
 
     @classmethod
     def from_json(cls, data: dict) -> "BoxSet":
+        if not isinstance(data, dict):
+            raise ValueError(f"a box must be an object, got {type(data).__name__}")
         factors = data["factors"]
         if not isinstance(factors, (list, tuple)):
             raise ValueError(f"factors must be a list of ray sets, got {factors!r}")

@@ -399,6 +399,8 @@ _set_chart, _set_start, _set_end, _set_closed_lo, _set_closed_hi = (
 
 
 def _piece_from_json(data: dict):
+    if not isinstance(data, dict):
+        raise ValueError(f"a piece must be an object, got {type(data).__name__}")
     if data["kind"] == "point":
         piece = PointPiece(SVector.from_json(data["point"]))
     elif data["kind"] == "arc":
@@ -461,7 +463,12 @@ class SegmentSet(_Record):
 
     @classmethod
     def from_json(cls, data: dict) -> "SegmentSet":
-        S = cls(tuple(_piece_from_json(p) for p in data["pieces"]))
+        if not isinstance(data, dict):
+            raise ValueError(f"a segment set must be an object, got {type(data).__name__}")
+        pieces = data["pieces"]
+        if not isinstance(pieces, (list, tuple)):
+            raise ValueError(f"pieces must be a list of pieces, got {pieces!r}")
+        S = cls(tuple(_piece_from_json(p) for p in pieces))
         dims = sorted({len(p.point) if isinstance(p, PointPiece) else len(p.chart) for p in S.pieces})
         if len(dims) > 1:
             raise ValueError(f"segment set pieces must share one dimension, got dimensions {dims}")

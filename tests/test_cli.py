@@ -393,8 +393,9 @@ def test_set_shape_errors_are_named(capsys, files, command, payload, message):
         ([1, 2], "an element must be an object, got list"),
         ({"coords": [5]}, "an element must be an object, got int"),
         ({"coords": [[{"sign": "+", "exp": 0}]]}, "an element must be an object, got list"),
+        ({"sign": "+", "exp": "abc"}, "exp must be a number or \"-inf\", got 'abc'"),
     ],
-    ids=["coords", "list", "coordinate", "nested"],
+    ids=["coords", "list", "coordinate", "nested", "exp"],
 )
 def test_vector_shape_errors_are_named(capsys, files, payload, message):
     query = files["write"]("q.json", payload)
