@@ -1,6 +1,8 @@
 """Command dispatch, exit codes, and output round-trips."""
 
+import contextlib
 import importlib
+import io
 import json
 import math
 import os
@@ -725,6 +727,42 @@ class TestSvg:
         code, out, _ = run(capsys, "segment", "--kind", "semimodule", aa, bb, "--out", "svg")
         assert code == 0
         assert out.count("<g transform=") == 2
+
+
+def test_output_to_a_stream_without_a_binary_layer(capsys, files):
+    # redirect_stdout(StringIO) has no buffer: the text write takes it all
+    argv = ["segment", "--kind", "semimodule", files["a"], files["b"], "--out", "text"]
+    _, expected, _ = run(capsys, *argv)
+    stream = io.StringIO()
+    with contextlib.redirect_stdout(stream):
+        code = main(argv)
+    assert code == 0
+    assert stream.getvalue() == expected and len(expected) > 1000
+
+
+def test_a_set_read_from_stdin(capsys, monkeypatch, files):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"plus": [[1, 2]], "minus": [[3, 4]]})))
+    code, out, err = run(capsys, "check", "-", "--connected")
+    assert (code, json.loads(out), err) == (0, {"connected": False}, "")
+
+
+def test_check_refuses_svg_output(capsys, files):
+    code, out, err = run(capsys, "check", files["triple"], "--out", "svg")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "svg output is not available for this command"}
+
+
+def test_box_projection_svg(capsys, files):
+    box = files["write"](
+        "box2.json", {"factors": [{"plus": [[1, 2]]}, {"minus": [[0, 1]], "balanced": [[3, 3]]}]}
+    )
+    query = files["write"]("q2.json", {"coords": [{"sign": "+", "exp": 0}, {"sign": "o", "exp": 0}]})
+    code, out, err = run(capsys, "project", query, box, "--metric", "rho12", "--out", "svg")
+    assert (code, err) == (0, "")
+    root = ET.fromstring(out)
+    assert len(root.findall("{http://www.w3.org/2000/svg}g")) == 2
+    # the query and its one nearest point in each panel, joined by an arrow
+    assert out.count('fill="#2ca02c"') == 4 and out.count('stroke="#2ca02c"') == 2
 
 
 def test_usage_error_exit_code():
