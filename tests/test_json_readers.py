@@ -86,12 +86,6 @@ def broken(draw, reader):
     return value
 
 
-def test_the_valid_values_read_back():
-    for reader, values in VALID.items():
-        for value in values:
-            assert reader.from_json(value).to_json() == value
-
-
 @pytest.mark.parametrize("reader", READERS, ids=[reader.__name__ for reader in READERS])
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(data=st.data())
