@@ -250,8 +250,7 @@ class SElem(_Record):
 
     @classmethod
     def from_json(cls, data: dict) -> "SElem":
-        if not isinstance(data, dict):
-            raise ValueError(f"an element must be an object, got {type(data).__name__}")
+        _check_object(data, "an element")
         exp = data["exp"]
         sign = Sign(data["sign"])
         if exp == "-inf":
@@ -277,6 +276,12 @@ def _trusted_selem(sign: Sign, exp: float) -> SElem:
     _set_sign(e, sign)
     _set_exp(e, exp)
     return e
+
+
+def _check_object(data, what: str) -> None:
+    """Reject JSON input that is not an object, naming what it should be."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be an object, got {type(data).__name__}")
 
 
 def _check_keys(data: dict, known: Tuple[str, ...]) -> None:

@@ -20,7 +20,7 @@ from collections import deque
 from itertools import product, repeat
 from typing import Iterable, Iterator, List, Sequence, Sized, Tuple
 
-from .algebra import EPS, SElem, Sign, _check_keys, _Record, _set_exp, _set_sign
+from .algebra import EPS, SElem, Sign, _check_keys, _check_object, _Record, _set_exp, _set_sign
 
 
 class MagnitudeRangeWarning(RuntimeWarning):
@@ -170,8 +170,7 @@ class SVector(_Record):
 
     @classmethod
     def from_json(cls, data: dict) -> "SVector":
-        if not isinstance(data, dict):
-            raise ValueError(f"a vector must be an object, got {type(data).__name__}")
+        _check_object(data, "a vector")
         coords = data["coords"]
         if not isinstance(coords, (list, tuple)):
             raise ValueError(f"coords must be a list of elements, got {coords!r}")

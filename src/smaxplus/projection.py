@@ -40,7 +40,7 @@ import itertools
 import math
 from typing import TYPE_CHECKING, Optional, Tuple
 
-from .algebra import EPS, RAYS, SElem, Sign, _check_keys, _is_number, _Record, _trusted_selem
+from .algebra import EPS, RAYS, SElem, Sign, _check_keys, _check_object, _is_number, _Record, _trusted_selem
 from .metrics import (
     _MAX_EXP_ARG, _MIN_EXP_ARG, MetricId, SVector, _euclid_norm, _trusted_svector,
     cross_distance, magnitude,
@@ -81,8 +81,7 @@ class ProjectionResult(_Record):
 
     @classmethod
     def from_json(cls, data: dict) -> "ProjectionResult":
-        if not isinstance(data, dict):
-            raise ValueError(f"a projection result must be an object, got {type(data).__name__}")
+        _check_object(data, "a projection result")
         points, distance, singleton = data["points"], data["distance"], data["singleton"]
         if not isinstance(points, (list, tuple)):
             raise ValueError(f"points must be a list of elements or vectors, got {points!r}")

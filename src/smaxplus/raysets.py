@@ -27,7 +27,8 @@ import math
 from bisect import bisect_right
 from typing import List, Optional, Tuple
 
-from .algebra import MINUS, PLUS, RAYS, SElem, Sign, ZERO, _SIGN_ORDER, _check_keys, _is_number, _Record
+from .algebra import (MINUS, PLUS, RAYS, SElem, Sign, ZERO, _SIGN_ORDER, _check_keys, _check_object,
+                      _is_number, _Record)
 
 Interval = Tuple[float, float]
 
@@ -176,8 +177,7 @@ class RaySet(_Record):
 
     @classmethod
     def from_json(cls, data: dict) -> "RaySet":
-        if not isinstance(data, dict):
-            raise ValueError(f"a ray set must be an object, got {type(data).__name__}")
+        _check_object(data, "a ray set")
 
         def dec(name):
             ivs = data.get(name, ())
@@ -340,8 +340,7 @@ class BoxSet(_Record):
 
     @classmethod
     def from_json(cls, data: dict) -> "BoxSet":
-        if not isinstance(data, dict):
-            raise ValueError(f"a box must be an object, got {type(data).__name__}")
+        _check_object(data, "a box")
         factors = data["factors"]
         if not isinstance(factors, (list, tuple)):
             raise ValueError(f"factors must be a list of ray sets, got {factors!r}")

@@ -31,7 +31,7 @@ from itertools import repeat
 from operator import add, mul, sub
 from typing import List, Optional, Sequence, Tuple
 
-from .algebra import (BALANCED, EPS, PLUS, SElem, Sign, ZERO, _check_keys, _is_number, _Record,
+from .algebra import (BALANCED, EPS, PLUS, SElem, Sign, ZERO, _check_keys, _check_object, _is_number, _Record,
                       _trusted_selem, s_oplus, scalar_mul)
 from .metrics import (
     _MAX_EXP_ARG,
@@ -202,8 +202,7 @@ class BrokenLine(_Record):
 
     @classmethod
     def from_json(cls, data: dict) -> "BrokenLine":
-        if not isinstance(data, dict):
-            raise ValueError(f"a broken line must be an object, got {type(data).__name__}")
+        _check_object(data, "a broken line")
         vertices, length = data["vertices"], data["length"]
         if not isinstance(vertices, (list, tuple)):
             raise ValueError(f"vertices must be a list of vertices, got {vertices!r}")
@@ -399,8 +398,7 @@ _set_chart, _set_start, _set_end, _set_closed_lo, _set_closed_hi = (
 
 
 def _piece_from_json(data: dict):
-    if not isinstance(data, dict):
-        raise ValueError(f"a piece must be an object, got {type(data).__name__}")
+    _check_object(data, "a piece")
     if data["kind"] == "point":
         piece = PointPiece(SVector.from_json(data["point"]))
     elif data["kind"] == "arc":
@@ -463,8 +461,7 @@ class SegmentSet(_Record):
 
     @classmethod
     def from_json(cls, data: dict) -> "SegmentSet":
-        if not isinstance(data, dict):
-            raise ValueError(f"a segment set must be an object, got {type(data).__name__}")
+        _check_object(data, "a segment set")
         pieces = data["pieces"]
         if not isinstance(pieces, (list, tuple)):
             raise ValueError(f"pieces must be a list of pieces, got {pieces!r}")
