@@ -10,8 +10,8 @@ The cloud is built without the public constructors' checks, through the
 batch constructors ``_trusted_selems`` and ``_trusted_product`` of
 ``metrics``, and only from values the kernels have just computed: a sample
 at a positive finite radius ``m`` has exponent ``math.log(m)``, which is
-finite, and a product vector is a tuple of such elements.  The checks took most of the time of a
-large max-combine cloud.
+finite, and a product vector is a tuple of such elements.  The checks
+took most of the time of a large max-combine cloud.
 """
 
 from __future__ import annotations
