@@ -270,8 +270,9 @@ def _trusted_selem(sign: Sign, exp: float) -> SElem:
     """An SElem built without ``__init__``'s checks, for an exponent the
     library has just computed.  The caller guarantees what those checks
     establish: ``sign`` is a Sign and ``exp`` is a finite float, such as
-    ``math.log`` of a positive finite float, so the element is nonzero and
-    needs no normalization.  Outside input goes through ``SElem(...)``."""
+    ``math.log`` of a positive finite float, or a nonzero element's own
+    exponent, so the element is nonzero and needs no normalization.
+    Outside input goes through ``SElem(...)``."""
     e = object.__new__(SElem)
     _set_sign(e, sign)
     _set_exp(e, exp)

@@ -3,35 +3,34 @@
 Distances along one ray are |m - m'| in the radial coordinate for both base
 metrics; across rays the path metric gives m + m' and the chord metric
 sqrt(m^2 + m'^2 + m m').  Both cross-ray forms are strictly increasing in
-m', so per interval only one candidate can attain the minimum: the clamp of
-the query's radial coordinate on its own ray, and the low endpoint on the
-other rays.  Ray sets and one-coordinate segment sets both reduce to radial
-intervals with open/closed ends (an arc to the part of its chord on the
-query's side of the origin), and one kernel scores every candidate in
-floats, keeps the attained ones within the absolute TIE_TOL of the best,
-and builds elements only for those.  A ray set's intervals are prepared
-once per set: the kernel reads them from the set's cached index, which
-carries each end's exponent ``math.log``, so an argmin at an interval end
-is built from the cached exponent, and a query that is a member by those
-exponents is returned as itself at distance 0; a segment set's intervals
-depend on the query and are built per call, with no exponents.  Boxes
-call the kernel per factor: the sum and Euclidean combines take the
-product of the factor argmins.  The max combine does not factorize; its
-projection, ``project_box_max``, lives in ``boxmax``, which only
-max-combine callers load.  The kernel returns the nearest points and their
-distance, not a ``ProjectionResult``, so boxes, which call it once per
-factor, build one result per public call.  The multipoint witness is built
-in a gap, not scored.
+m', so per interval only one candidate can attain the minimum: on the
+query's own ray the query itself, when it is a member, else the nearer end,
+and the low end on the other rays.  Ray sets and one-coordinate segment
+sets both reduce to radial intervals with open/closed ends (an arc to the
+part of its chord on the query's side of the origin) that carry their
+ends' exponents, and one kernel decides membership and the own-ray
+candidate on exponents, scores every candidate in floats, keeps the
+attained ones within the absolute TIE_TOL of the best, and builds elements
+only for those.  A ray set's intervals are prepared once per set: the
+kernel reads them from the set's cached index; a segment set's intervals
+depend on the query and are built per call.  Boxes call the kernel per
+factor: the sum and Euclidean combines take the product of the factor
+argmins.  The max combine does not factorize; its projection,
+``project_box_max``, lives in ``boxmax``, which only max-combine callers
+load.  The kernel returns the nearest points and their distance, not a
+``ProjectionResult``, so boxes, which call it once per factor, build one
+result per public call.  The multipoint witness is built in a gap, not
+scored.
 
-Results are built without the public constructors' checks, through
-``_trusted_selem`` and ``_trusted_svector``, and only from values the
-kernels have just computed: an argmin at a positive finite radius ``m``
-has exponent ``math.log(m)``, which is finite, and a product vector is a
-tuple of such elements.  The one other radius an argmin can have is 0,
-an interval's low end at the origin: an arc's ends, also from JSON, are
-checked finite, and a ray set's only infinite end is a high end, which no
-clamp reaches.  That argmin goes through ``point_on_ray``, which returns
-the zero element.
+Every nearest point is therefore the query or an interval end, and results
+are built without the public constructors' checks, through
+``_trusted_selem`` and ``_trusted_svector``, and only from exponents the
+intervals carry: a member query is returned as itself, and an end is built
+from its stored exponent, which is ``math.log`` of a positive finite
+radius, or the exponent of the element a one-point piece came as.  An end
+at the origin has exponent -inf and is the zero element; an unbounded end,
+with exponent inf, is never a candidate, since every finite exponent lies
+at or below it.  A product vector is a tuple of such elements.
 """
 
 from __future__ import annotations
@@ -40,7 +39,9 @@ import itertools
 import math
 from typing import TYPE_CHECKING, Optional, Tuple
 
-from .algebra import EPS, RAYS, SElem, Sign, _check_keys, _check_object, _is_number, _Record, _trusted_selem
+from .algebra import (
+    EPS, RAYS, ZERO, SElem, Sign, _check_keys, _check_object, _is_number, _Record, _trusted_selem,
+)
 from .metrics import (
     _MAX_EXP_ARG, _MIN_EXP_ARG, MetricId, SVector, _euclid_norm, _trusted_svector,
     cross_distance, magnitude,
@@ -51,10 +52,6 @@ if TYPE_CHECKING:
     from .segments import ArcPiece, SegmentSet
 
 TIE_TOL = 1e-9
-
-# the exponent of an interval end that has none known: every comparison
-# with it fails
-_NO_EXP = math.nan
 
 
 class ProjectionResult(_Record):
@@ -115,31 +112,28 @@ def _tied(d: float, ref: float) -> bool:
 def _nearest(x: SElem, intervals, base: int) -> Tuple[Tuple[SElem, ...], float]:
     """The nearest points of ``x`` among radial intervals, in sort order,
     and their distance.  Intervals are given as (ray, lo, hi, closed_lo,
-    closed_hi, point, t_lo, t_hi): ``point`` is the element to report for a
-    one-point interval that came as one (a segment's point piece), else
-    None, and ``t_lo``, ``t_hi`` are the ends' exponents when known (a ray
-    set's index), else nan.
+    closed_hi, t_lo, t_hi), where ``t_lo`` and ``t_hi`` are the ends'
+    exponents: ``math.log`` of a positive radius, -inf at the origin and
+    inf for an unbounded end; a one-point interval made from an element
+    carries that element's exponent at both ends.
 
-    Each interval offers one candidate, scored in floats: the clamp of the
-    query's radial coordinate on its own ray (every ray for a zero query),
-    the low end on the other rays.  The origin lies on every ray, so a low
-    end at 0 is at radial distance.  A candidate at an excluded end lowers
-    the infimum but is not attained.  Elements are built only for the
-    argmins, and deduplicated and sorted only when more than one ties.  An
-    argmin at an end with a known finite exponent is built from it, which
-    is the ``math.log`` of the end; any other from ``math.log`` of its
-    radius.
-
-    A query whose exponent lies in an interval of its own ray by the known
-    exponents (``t_lo <= x.exp <= t_hi``, the rule of ``RaySet.contains``)
-    is a member, and its own nearest point: every other point is at a
-    positive distance.  It is returned at once, itself at distance 0, and
-    not rebuilt from its radius, which the ``exp``/``log`` round trip can
-    move by an ulp.  The zero query takes the origin's exponent ``-inf``,
-    so an interval of any ray that starts at the origin answers it.  When
-    ``|x.exp|`` exceeds log(float max), the members are looked for before
-    the radius is taken, so that an exact answer raises no
-    ``MagnitudeRangeWarning``.
+    Every decision on the query's own ray (every ray for a zero query,
+    whose exponent is taken as the origin's -inf) is made on exponents.
+    The query is a member of an interval when ``t_lo <= x.exp <= t_hi``,
+    the rule of ``RaySet.contains``, and it is not at an open end; a
+    member is its own nearest point, since every other point is at a
+    positive distance, and is returned at once, itself at distance 0.
+    Otherwise the interval's candidate is its low end when the query lies
+    at or below it, else its high end.  On another ray the candidate is
+    the low end.  Candidates are scored in floats: on the query's ray at
+    radial distance, and from the origin, which lies on every ray, too;
+    across rays by ``cross_distance``.  A candidate at an excluded end
+    lowers the infimum but is not attained.  So every argmin is an
+    interval end, built from its exponent, or the origin; elements are
+    built only for the argmins, and deduplicated and sorted only when
+    more than one ties.  When ``|x.exp|`` exceeds log(float max), the
+    members are looked for before the radius is taken, so that an exact
+    answer raises no ``MagnitudeRangeWarning``.
     """
     tx = x.exp
     if _MIN_EXP_ARG <= tx <= _MAX_EXP_ARG:
@@ -151,41 +145,32 @@ def _nearest(x: SElem, intervals, base: int) -> Tuple[Tuple[SElem, ...], float]:
         # e**tx may leave the float range, where magnitude warns: a member
         # is answered from the exponents before the radius is taken
         own = x.sign
-        for ray, _, _, _, _, _, t_lo, t_hi in intervals:
-            if ray is own and t_lo <= tx <= t_hi:
+        for ray, _, _, closed_lo, closed_hi, t_lo, t_hi in intervals:
+            if ray is own and t_lo <= tx <= t_hi and (closed_lo or tx != t_lo) and (closed_hi or tx != t_hi):
                 return (x,), 0.0
         mx = magnitude(x)
     infimum = best = math.inf
     attained = []
-    for ray, lo, hi, closed_lo, closed_hi, point, t_lo, t_hi in intervals:
+    for ray, lo, hi, closed_lo, closed_hi, t_lo, t_hi in intervals:
         if own is None or ray is own:
-            if t_lo <= tx <= t_hi:
+            if t_lo <= tx <= t_hi and (closed_lo or tx != t_lo) and (closed_hi or tx != t_hi):
                 return (x,), 0.0
-            if mx < lo:
-                m, t = lo, t_lo
-            elif mx > hi:
-                m, t = hi, t_hi
-            else:
-                m, t = mx, _NO_EXP
+            m, t = (lo, t_lo) if tx <= t_lo else (hi, t_hi)
             d = abs(mx - m)
-        elif lo == 0.0:
-            m, t, d = lo, t_lo, mx
         else:
-            m, t, d = lo, t_lo, cross_distance(mx, lo, base)
+            m, t = lo, t_lo
+            d = mx if lo == 0.0 else cross_distance(mx, lo, base)
         if d < infimum:
             infimum = d
         if (m != lo or closed_lo) and (m != hi or closed_hi):
             if d < best:
                 best = d
-            attained.append((d, ray, m, point, t))
+            attained.append((d, ray, t))
     if not attained or best != infimum and not _tied(best, infimum):
         raise ValueError("nearest-point infimum is not attained in the segment set")
     points = [
-        point if point is not None
-        else _trusted_selem(ray, t) if -math.inf < t < math.inf
-        else _trusted_selem(ray, math.log(m)) if 0.0 < m < math.inf
-        else point_on_ray(ray, m)
-        for d, ray, m, point, t in attained
+        _trusted_selem(ray, t) if t > -math.inf else ZERO
+        for d, ray, t in attained
         if d == best or _tied(d, best)
     ]
     if len(points) == 1:
@@ -217,7 +202,7 @@ def project_ray(x: SElem, C: RaySet, base: int = 2) -> ProjectionResult:
 def distance_to_set(x: SElem, C: RaySet, base: int = 2) -> float:
     """The attained minimum distance (the set is boundedly compact, so the
     infimum is a minimum; unbounded tails never win because the cross and
-    radial forms are monotone beyond the clamp)."""
+    radial forms are monotone beyond an interval's ends)."""
     return project_ray(x, C, base).distance
 
 
@@ -244,9 +229,11 @@ def project_box(x: SVector, A: BoxSet, mid: MetricId) -> ProjectionResult:
 def project_segment_set(x: SElem, S: SegmentSet, base: int = 2) -> ProjectionResult:
     """Nearest points of a one-coordinate segment set, honoring open ends.
 
-    Open arc ends are not members: if an arc's infimum sits at an excluded
-    endpoint it contributes no candidate.  When nothing attains the overall
-    infimum the set is not proximinal at ``x`` and a ValueError is raised.
+    A member of the set is its own nearest point, returned as itself at
+    distance 0.  Open arc ends are not members: if an arc's infimum sits at
+    an excluded endpoint it contributes no candidate.  When nothing attains
+    the overall infimum the set is not proximinal at ``x`` and a ValueError
+    is raised.
     """
     # imported here, so that projecting onto ray sets and boxes (a cold
     # `smaxplus project` or `check`) never loads the segments layer
@@ -260,8 +247,8 @@ def project_segment_set(x: SElem, S: SegmentSet, base: int = 2) -> ProjectionRes
             if len(piece.point) != 1:
                 raise ValueError("segment projection is defined on the line only")
             e = piece.point[0]
-            m = magnitude(e)
-            intervals.append((e.sign, m, m, True, True, e, _NO_EXP, _NO_EXP))
+            m, t = magnitude(e), -math.inf if e.is_zero else e.exp
+            intervals.append((e.sign, m, m, True, True, t, t))
         else:
             intervals.append(_arc_interval(x, piece))
     points, distance = _nearest(x, intervals, base)
@@ -274,7 +261,8 @@ def _arc_interval(x: SElem, arc: ArcPiece) -> tuple:
     is >= 0 and on v where it is <= 0; the part taken is the one on the
     query's ray when the arc reaches it, else the other (for a zero or
     third-ray query, u unless the arc lies wholly below 0).  A chord that
-    crosses 0 holds the origin as an interior, hence closed, point."""
+    crosses 0 holds the origin as an interior, hence closed, point.  The
+    ends' exponents are ``math.log`` of their radii, -inf at 0."""
     if len(arc.start) != 1:
         raise ValueError("segment projection is defined on the line only")
     (u, v) = arc.chart[0]
@@ -288,7 +276,9 @@ def _arc_interval(x: SElem, arc: ArcPiece) -> tuple:
         ray, lo, hi, closed_lo, closed_hi = v, -hi, -lo, closed_hi, closed_lo
     if lo < 0.0:
         lo, closed_lo = 0.0, True
-    return (ray, lo, hi, closed_lo, closed_hi, None, _NO_EXP, _NO_EXP)
+    t_lo = math.log(lo) if lo > 0.0 else -math.inf
+    t_hi = math.log(hi) if hi > 0.0 else -math.inf
+    return (ray, lo, hi, closed_lo, closed_hi, t_lo, t_hi)
 
 
 def find_multipoint_witness(C: RaySet, base: int = 2) -> Optional[SElem]:

@@ -80,10 +80,10 @@ def _build_index(C: "RaySet") -> tuple:
     tuple (plus ends, minus ends, balanced ends, kernel intervals).
 
     The kernel intervals are its tuples (ray, lo, hi, closed_lo, closed_hi,
-    point, t_lo, t_hi), all closed and with no point, in ``RAYS`` order,
-    where ``t_lo`` and ``t_hi`` are the ends' exponents ``math.log``: -inf
-    for an end at the origin, and inf for an unbounded one.  A ray's ends
-    are the same exponents in ascending order, (t_lo, t_hi, t_lo, ...)."""
+    t_lo, t_hi), all closed, in ``RAYS`` order, where ``t_lo`` and ``t_hi``
+    are the ends' exponents ``math.log``: -inf for an end at the origin,
+    and inf for an unbounded one.  A ray's ends are the same exponents in
+    ascending order, (t_lo, t_hi, t_lo, ...)."""
     index = []
     intervals = []
     for ray, ivs in zip(RAYS, (C.plus, C.minus, C.balanced)):
@@ -91,7 +91,7 @@ def _build_index(C: "RaySet") -> tuple:
         for lo, hi in ivs:
             t_lo = math.log(lo) if lo > 0.0 else _NEG_INF
             t_hi = math.log(hi) if hi > 0.0 else _NEG_INF
-            intervals.append((ray, lo, hi, True, True, None, t_lo, t_hi))
+            intervals.append((ray, lo, hi, True, True, t_lo, t_hi))
             ends += (t_lo, t_hi)
         index.append(tuple(ends))
     index.append(tuple(intervals))
