@@ -187,9 +187,15 @@ def _ray_intervals(C: RaySet, base: int) -> Tuple[tuple, ...]:
     intervals = (C._index or C._prepare())[_KERNEL]
     if not intervals:
         raise ValueError("empty set")
+    _check_base(base)
+    return intervals
+
+
+def _check_base(base) -> None:
+    """The one base check of the line projections: ``cross_distance`` reads
+    any base but 2 as the chord metric, so another value is refused here."""
     if base not in (1, 2):
         raise ValueError("base metric must be 1 or 2")
-    return intervals
 
 
 def project_ray(x: SElem, C: RaySet, base: int = 2) -> ProjectionResult:
@@ -241,6 +247,7 @@ def project_segment_set(x: SElem, S: SegmentSet, base: int = 2) -> ProjectionRes
 
     if not S.pieces:
         raise ValueError("empty segment set")
+    _check_base(base)
     intervals = []
     for piece in S.pieces:
         if isinstance(piece, PointPiece):
@@ -310,8 +317,7 @@ def find_multipoint_witness(C: RaySet, base: int = 2) -> Optional[SElem]:
     """
     if C.is_empty:
         raise ValueError("empty set")
-    if base not in (1, 2):
-        raise ValueError("base metric must be 1 or 2")
+    _check_base(base)
     rays = (C.plus, C.minus, C.balanced)
     has_origin = C.has_origin
     for ray, ivs in zip(RAYS, rays):

@@ -35,6 +35,8 @@ from smaxplus import (
     semimodule_segment,
 )
 
+from smaxplus.algebra import RAYS
+
 from grid_oracle import GridSpec, grid_project
 from instances import (
     random_connected_ray_set,
@@ -107,6 +109,29 @@ class TestProjectRay:
             project_ray(ZERO, RaySet(), 2)
         with pytest.raises(ValueError):
             project_ray(ZERO, TRIPLE, 3)
+
+
+def _point_piece_set(e: SElem):
+    from smaxplus.segments import PointPiece, SegmentSet
+
+    return SegmentSet((PointPiece(SVector((e,))),))
+
+
+# the three line entry points that take a base metric, each on a set it
+# accepts; cross_distance would read any base but 2 as the chord metric
+BASE_TAKERS = {
+    "project_ray": lambda base: project_ray(SElem.neg(1), RaySet(plus=((1, 2),)), base),
+    "find_multipoint_witness": lambda base: find_multipoint_witness(RaySet(plus=((1, 2), (3, 4))), base),
+    "project_segment_set":
+        lambda base: project_segment_set(SElem.neg(1), _point_piece_set(SElem.pos(1)), base),
+}
+
+
+@pytest.mark.parametrize("base", [5, "x", None])
+@pytest.mark.parametrize("entry", sorted(BASE_TAKERS))
+def test_a_base_other_than_1_or_2_is_refused(entry, base):
+    with pytest.raises(ValueError, match="^base metric must be 1 or 2$"):
+        BASE_TAKERS[entry](base)
 
 
 MEMBER_BANDS = [(-3.0, 3.0), (30.0, 40.0), (-690.0, 690.0)]
@@ -702,6 +727,105 @@ class TestSegmentSetProjection:
         for piece in (PointPiece(SVector((ZERO, ZERO))), ArcPiece(plane, (1.0, 1.0), (2.0, 2.0), True, True)):
             with pytest.raises(ValueError, match="defined on the line only"):
                 project_segment_set(ZERO, SegmentSet((piece,)))
+
+
+LINE_BANDS = MEMBER_BANDS + [(-40.0, -30.0)]
+
+
+def _closed_arc(rng, band):
+    """A closed one-coordinate arc whose chart values have one sign, so that
+    it lies on one ray, with that ray and its ends' exponents in order."""
+    from smaxplus.segments import ArcPiece
+
+    u, v = rng.choice(RAYS), rng.choice(RAYS)
+    t1, t2 = sorted(rng.uniform(*band) for _ in range(2))
+    a, b = math.exp(t1), math.exp(t2)
+    if rng.random() < 0.5:  # at chart values <= 0, on v
+        arc, ray = ArcPiece(((u, v),), (-a,), (-b,), True, True), v
+    else:
+        arc, ray = ArcPiece(((u, v),), (b,), (a,), True, True), u
+    return arc, ray, math.log(a), math.log(b)
+
+
+class TestNearestPointsAreQueriesOrEnds:
+    """Every nearest point on the line is the query, when it is a member,
+    or an end of the set, built from the end's exponent: never a point
+    rebuilt from the query's radius."""
+
+    @pytest.mark.parametrize("band", LINE_BANDS)
+    def test_a_query_inside_a_closed_arc_projects_to_itself(self, band):
+        from smaxplus.segments import PointPiece, SegmentSet
+
+        rng = random.Random(54)
+        for k in range(300):
+            arc, ray, t_lo, t_hi = _closed_arc(rng, band)
+            t = rng.uniform(t_lo, t_hi)
+            if not t_lo < t < t_hi:
+                continue
+            x = SElem(ray, t)
+            other = PointPiece(SVector((SElem(rng.choice(RAYS), rng.uniform(*band)),)))
+            S = SegmentSet((arc, other) if k % 2 else (arc,))
+            for base in (1, 2):
+                assert project_segment_set(x, S, base) == ProjectionResult((x,), 0.0), (x, S)
+
+    @pytest.mark.parametrize("base", [1, 2])
+    def test_a_member_at_e_minus_36_is_one_point(self, base):
+        # the geodesic from b:0 to p:1 passes the origin at chart value
+        # 1.1e-16, so the query, at radius 2.2e-16 inside its first arc, is
+        # within TIE_TOL of the second arc's end; it used to come back as a
+        # two-point tie at distance 0
+        seg = as_segment_set(geometric_segment(SVector((SElem.bal(0.0),)), SVector((SElem.pos(1),))))
+        x = SElem.bal(-36.04365338911715)
+        assert project_segment_set(x, seg, base) == ProjectionResult((x,), 0.0)
+
+    @pytest.mark.parametrize("band", LINE_BANDS)
+    def test_ray_set_points_are_the_query_or_stored_ends(self, band):
+        rng = random.Random(55)
+        for _ in range(200):
+            C = random_ray_set(rng, band)
+            ends = {(ray, math.log(m)) for ray in RAYS for iv in C.intervals(ray) for m in iv
+                    if 0.0 < m < math.inf}
+            if C.has_origin:
+                ends.add((ZERO.sign, ZERO.exp))
+            x = _near_an_end(rng, sorted(ends, key=repr), band)
+            for base in (1, 2):
+                for p in project_ray(x, C, base).points:
+                    assert p == x or (p.sign, p.exp) in ends, (x, C, p)
+
+    @pytest.mark.parametrize("band", LINE_BANDS)
+    def test_segment_set_points_are_the_query_or_stored_ends(self, band):
+        rng = random.Random(56)
+        for k in range(200):
+            a, b = (SVector((random_selem(rng, 0.1, band),)) for _ in range(2))
+            S = semimodule_segment(a, b) if k % 2 else as_segment_set(geometric_segment(a, b))
+            ends = {(ZERO.sign, ZERO.exp)}
+            for piece in S.pieces:
+                if hasattr(piece, "point"):
+                    ends.add((piece.point[0].sign, piece.point[0].exp))
+                    continue
+                (u, v), = piece.chart
+                ends.update((u, math.log(val)) if val > 0.0 else (v, math.log(-val))
+                            for val in (piece.start[0], piece.end[0]) if val != 0.0)
+            x = _near_an_end(rng, sorted(ends, key=repr), band)
+            for base in (1, 2):
+                try:
+                    points = project_segment_set(x, S, base).points
+                except ValueError:  # an infimum at an open end
+                    continue
+                for p in points:
+                    assert p == x or (p.sign, p.exp) in ends, (x, S, p)
+
+
+def _near_an_end(rng, ends, band) -> SElem:
+    """A query at one of ``ends``, given as (sign, exponent) pairs, or one
+    or two ulps off it in exponent, on its ray or another; else one drawn
+    in the band."""
+    sign, t = rng.choice(ends)
+    if rng.random() < 0.3 or t is ZERO.exp:
+        return random_selem(rng, 0.1, band)
+    for _ in range(rng.choice((0, 1, 2))):
+        t = math.nextafter(t, rng.choice((-math.inf, math.inf)))
+    return SElem(rng.choice(RAYS) if rng.random() < 0.3 else sign, t)
 
 
 def _assert_unique_projections(S, cases, base):
