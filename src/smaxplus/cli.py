@@ -122,7 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_proj.add_argument("x", help="path to the query JSON (element or vector)")
     p_proj.add_argument("set", help="path to the set JSON (ray set or box)")
     p_proj.add_argument("--metric", default=None, help="rho<k><j>, D1 or D2 (boxes)")
-    p_proj.add_argument("--base", choices=("d1", "d2"), default="d2")
+    # None means d2; --base is refused beside --metric, whose code names a base
+    p_proj.add_argument("--base", choices=("d1", "d2"), default=None)
     add_out(p_proj)
     # None takes project_box_max's defaults: its argmin cloud is sampled 1e-3
     # apart and nothing is truncated
@@ -196,6 +197,9 @@ def _cmd_project(args) -> str:
             raise ValueError("a ray set expects a one-coordinate query")
         result = project_ray(x[0], target, base)
     else:
+        if args.metric is not None and args.base is not None:
+            raise ValueError("--base applies to ray sets and the default box metric; "
+                             "--metric names its own base")
         mid = parse_metric_id(args.metric) if args.metric else MetricId("euclid", base)
         if mid.combine == "max":
             from .boxmax import project_box_max

@@ -100,7 +100,8 @@ class Scene:
             for lo, hi in C.intervals(ray):
                 if hi == math.inf:
                     # an unbounded interval is drawn out to four times the
-                    # extent drawn so far, or its low end if that is farther
+                    # extent so far, which holds every finite end of the box
+                    # (add_box_set), or its low end if that is farther
                     hi = 4.0 * max(lo, self.ray_extent)
                 self.ray_extent = max(self.ray_extent, hi)
                 if hi > lo:
@@ -109,6 +110,12 @@ class Scene:
                     panel.dot(self._ray_point(ray, lo), 0.05, "#1f77b4")
 
     def add_box_set(self, A: BoxSet):
+        # every finite end counts toward the extent before any interval is
+        # drawn, so that an unbounded one reaches beyond all of them
+        for C in A.factors:
+            for ray in RAYS:
+                for lo, hi in C.intervals(ray):
+                    self.ray_extent = max(self.ray_extent, lo if hi == math.inf else hi)
         for i, C in enumerate(A.factors):
             self.add_ray_set(i, C)
 

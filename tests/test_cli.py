@@ -285,6 +285,28 @@ def test_metric_with_a_ray_set_is_a_domain_error(capsys, files):
     assert "--metric" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("metric", ["rho12", "rho02", "D1"])
+def test_base_with_a_metric_is_a_domain_error(capsys, files, metric):
+    # the metric code names its own base, so a --base beside it would be
+    # ignored; it used to print the --metric answer
+    box = files["write"]("box.json", {"factors": [{"plus": [[1, 2]]}, {"minus": [[0.5, 3]]}]})
+    xx = files["write"]("xx.json", {"coords": [{"sign": "+", "exp": 1.5}, {"sign": "+", "exp": 0}]})
+    code, out, err = run(capsys, "project", xx, box, "--metric", metric, "--base", "d1")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "--base applies to ray sets and the default box metric; --metric names its own base"
+    }
+
+
+def test_base_alone_picks_the_default_box_metric(capsys, files):
+    box = files["write"]("box.json", {"factors": [{"plus": [[1, 2]]}, {"minus": [[0.5, 3]]}]})
+    xx = files["write"]("xx.json", {"coords": [{"sign": "+", "exp": 1.5}, {"sign": "+", "exp": 0}]})
+    for base, code in (("d1", "rho11"), ("d2", "rho12")):
+        result = run(capsys, "project", xx, box, "--base", base)
+        assert result[0] == 0 and result == run(capsys, "project", xx, box, "--metric", code)
+    assert run(capsys, "project", xx, box) == run(capsys, "project", xx, box, "--base", "d2")
+
+
 @pytest.mark.parametrize(
     "target, extra",
     [
@@ -698,24 +720,26 @@ class TestSvg:
             ({"plus": [[5, 6]]}, [(120, 5.0, 6.0)]),
             ({"plus": [[1, 2]], "minus": [[20, 30]]}, [(120, 1.0, 2.0), (240, 20.0, 30.0)]),
             ({"plus": [[10, "inf"]]}, [(120, 10.0, 40.0)]),
+            ({"plus": [[1, "inf"]], "minus": [[20, 30]]}, [(120, 1.0, 120.0), (240, 20.0, 30.0)]),
         ],
-        ids=["far", "far-after-near", "unbounded-far"],
+        ids=["far", "far-after-near", "unbounded-far", "unbounded-before-far"],
     )
     def test_set_intervals_are_strokes_at_their_radii(self, capsys, files, ray_set, strokes):
         # a finite interval is drawn from end to end at any radius; only an
-        # unbounded one is cut, four times out from its low end here
+        # unbounded one is cut, four times out from the farthest finite end
+        # or its own low end, so it reaches beyond every finite interval
         path = files["write"]("far.json", ray_set)
         code, out, _ = run(capsys, "project", files["p1"], path, "--out", "svg")
         assert code == 0
-        drawn = []
-        for line in ET.fromstring(out).iter("{http://www.w3.org/2000/svg}line"):
-            if line.get("stroke") == "#1f77b4":
-                z1 = complex(float(line.get("x1")), -float(line.get("y1")))
-                z2 = complex(float(line.get("x2")), -float(line.get("y2")))
-                angle = round(math.degrees(math.atan2(z2.imag, z2.real))) % 360
-                drawn.append((angle, round(abs(z1), 6), round(abs(z2), 6)))
-        assert drawn == strokes
+        assert _set_strokes(out) == [strokes]
         assert 'fill="#1f77b4"' not in out  # no interval collapsed to a dot
+
+    def test_an_unbounded_factor_interval_reaches_beyond_the_other_factor(self, capsys, files):
+        box = files["write"]("box.json", {"factors": [{"plus": [[1, "inf"]]}, {"minus": [[20, 30]]}]})
+        query = files["write"]("q2.json", {"coords": [{"sign": "+", "exp": 0}, {"sign": "-", "exp": 3}]})
+        code, out, _ = run(capsys, "project", query, box, "--out", "svg")
+        assert code == 0
+        assert _set_strokes(out) == [[(120, 1.0, 120.0)], [(240, 20.0, 30.0)]]
 
     def test_two_coordinate_scene(self, capsys, files):
         aa = files["write"](
@@ -727,6 +751,22 @@ class TestSvg:
         code, out, _ = run(capsys, "segment", "--kind", "semimodule", aa, bb, "--out", "svg")
         assert code == 0
         assert out.count("<g transform=") == 2
+
+
+def _set_strokes(svg: str):
+    """Per panel, the set strokes as (angle in degrees, radius from, radius
+    to), in drawing order."""
+    panels = []
+    for g in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}g"):
+        drawn = []
+        for line in g.iter("{http://www.w3.org/2000/svg}line"):
+            if line.get("stroke") == "#1f77b4":
+                z1 = complex(float(line.get("x1")), -float(line.get("y1")))
+                z2 = complex(float(line.get("x2")), -float(line.get("y2")))
+                angle = round(math.degrees(math.atan2(z2.imag, z2.real))) % 360
+                drawn.append((angle, round(abs(z1), 6), round(abs(z2), 6)))
+        panels.append(drawn)
+    return panels
 
 
 def test_output_to_a_stream_without_a_binary_layer(capsys, files):
