@@ -1,22 +1,30 @@
 """Print the code lines of each module in a source tree: the lines that
 hold a token, without blank lines, comments or docstrings.
 
-    python tests/data/code_lines.py [src/smaxplus]
+    python tests/data/code_lines.py [src/smaxplus] [--base REV]
 
 A module is a ``.py`` file anywhere under the tree, named by its path
 relative to it; a package's ``__init__.py`` is named by its directory.  A
 token that spans lines (a string) counts each line it spans.  A docstring
 is a string statement that opens a module, class or function body.  The
 last line is the total.
+
+With ``--base REV`` the tree, which must lie inside this repository, is
+also read at the revision ``REV`` from a ``git archive`` export, and each
+module's count there is printed beside the working tree's (``-`` where a
+side lacks the module), with both totals last.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
+import subprocess
 import sys
+import tarfile
 import tokenize
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 ROOT = Path(__file__).resolve().parents[2]
 _SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
@@ -42,18 +50,51 @@ def code_lines(source: str) -> int:
     return len(lines - _docstring_lines(ast.parse(source)))
 
 
+def _module_name(relative: PurePosixPath) -> str:
+    name = relative.with_suffix("")
+    if name.name == "__init__" and name.parent.parts:
+        name = name.parent
+    return name.as_posix()
+
+
+def tree_counts(tree: Path) -> dict:
+    """Module name -> code lines, for the working tree under ``tree``."""
+    return {_module_name(PurePosixPath(path.relative_to(tree).as_posix())):
+            code_lines(path.read_text(encoding="utf-8")) for path in tree.rglob("*.py")}
+
+
+def revision_counts(tree: Path, rev: str) -> dict:
+    """Module name -> code lines, for ``tree`` at the revision ``rev``."""
+    prefix = tree.resolve().relative_to(ROOT).as_posix()
+    export = subprocess.run(["git", "archive", "--format=tar", rev, prefix], cwd=ROOT, capture_output=True)
+    if export.returncode:
+        sys.exit(export.stderr.decode(errors="replace").strip())
+    counts = {}
+    with tarfile.open(fileobj=io.BytesIO(export.stdout)) as tar:
+        for member in tar.getmembers():
+            path = PurePosixPath(member.name)
+            if member.isfile() and path.suffix == ".py":
+                source = tar.extractfile(member).read().decode("utf-8")
+                counts[_module_name(path.relative_to(prefix))] = code_lines(source)
+    return counts
+
+
 def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    tree = Path(args[0]) if args else ROOT / "src" / "smaxplus"
-    total = 0
-    for path in sorted(tree.rglob("*.py")):
-        name = path.relative_to(tree).with_suffix("")
-        if name.name == "__init__" and name.parent.parts:
-            name = name.parent
-        count = code_lines(path.read_text(encoding="utf-8"))
-        total += count
-        print(f"{count:6d}  {name.as_posix()}")
-    print(f"{total:6d}  total")
+    parser = argparse.ArgumentParser(description="Code lines per module of a source tree.")
+    parser.add_argument("tree", nargs="?", type=Path, default=ROOT / "src" / "smaxplus")
+    parser.add_argument("--base", metavar="REV", help="also count the tree at this revision")
+    args = parser.parse_args(argv)
+    work = tree_counts(args.tree)
+    if args.base is None:
+        for name in sorted(work):
+            print(f"{work[name]:6d}  {name}")
+        print(f"{sum(work.values()):6d}  total")
+        return 0
+    base = revision_counts(args.tree, args.base)
+    print(f"{'base':>6}  {'work':>6}  module")
+    for name in sorted(base.keys() | work.keys()):
+        print(f"{base.get(name, '-'):>6}  {work.get(name, '-'):>6}  {name}")
+    print(f"{sum(base.values()):6d}  {sum(work.values()):6d}  total")
     return 0
 
 
