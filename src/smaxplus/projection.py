@@ -125,9 +125,9 @@ def _nearest(x: SElem, intervals, base: int) -> Tuple[Tuple[SElem, ...], float]:
     positive distance, and is returned at once, itself at distance 0.
     Otherwise the interval's candidate is its low end when the query lies
     at or below it, else its high end.  On another ray the candidate is
-    the low end.  Candidates are scored in floats: on the query's ray at
-    radial distance, and from the origin, which lies on every ray, too;
-    across rays by ``cross_distance``.  A candidate at an excluded end
+    the low end.  Candidates are scored in floats: at radial distance on
+    the query's ray and at the origin, which lies on every ray, and by
+    ``cross_distance`` across rays.  A candidate at an excluded end
     lowers the infimum but is not attained.  So every argmin is an
     interval end, built from its exponent, or the origin; elements are
     built only for the argmins, and deduplicated and sorted only when

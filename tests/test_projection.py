@@ -718,6 +718,25 @@ class TestSegmentSetProjection:
             project_segment_set(SElem.neg(math.log(4)), arc, base)
 
 
+    @pytest.mark.parametrize("base", [1, 2])
+    def test_a_query_at_an_open_end_is_not_a_member(self, base):
+        from smaxplus.segments import ArcPiece, SegmentSet
+
+        # the end's exponent is the query's, but the end is excluded, so the
+        # infimum 0 is not attained; on either chart ray, at either end
+        chart = ((Sign.PLUS, Sign.MINUS),)
+        for start, end, closed_lo, closed_hi, x in [
+            ((1.0,), (2.0,), True, False, SElem.pos(math.log(2.0))),
+            ((1.0,), (2.0,), False, True, SElem.pos(0.0)),
+            ((-2.0,), (-1.0,), False, True, SElem.neg(math.log(2.0))),
+            ((-2.0,), (-1.0,), True, False, SElem.neg(0.0)),
+            # a subnormal end, whose exponent is below -log(float max)
+            ((5e-324,), (1.0,), False, True, SElem.pos(math.log(5e-324))),
+        ]:
+            arc = SegmentSet((ArcPiece(chart, start, end, closed_lo, closed_hi),))
+            with pytest.raises(ValueError, match="not attained"):
+                project_segment_set(x, arc, base)
+
     def test_documented_errors(self):
         from smaxplus.segments import ArcPiece, PointPiece, SegmentSet
 
@@ -794,13 +813,15 @@ class TestNearestPointsAreQueriesOrEnds:
 
     @pytest.mark.parametrize("band", LINE_BANDS)
     def test_segment_set_points_are_the_query_or_stored_ends(self, band):
+        from smaxplus.segments import PointPiece
+
         rng = random.Random(56)
         for k in range(200):
             a, b = (SVector((random_selem(rng, 0.1, band),)) for _ in range(2))
             S = semimodule_segment(a, b) if k % 2 else as_segment_set(geometric_segment(a, b))
             ends = {(ZERO.sign, ZERO.exp)}
             for piece in S.pieces:
-                if hasattr(piece, "point"):
+                if isinstance(piece, PointPiece):
                     ends.add((piece.point[0].sign, piece.point[0].exp))
                     continue
                 (u, v), = piece.chart
@@ -823,8 +844,9 @@ def _near_an_end(rng, ends, band) -> SElem:
     sign, t = rng.choice(ends)
     if rng.random() < 0.3 or t is ZERO.exp:
         return random_selem(rng, 0.1, band)
+    toward = rng.choice((-math.inf, math.inf))
     for _ in range(rng.choice((0, 1, 2))):
-        t = math.nextafter(t, rng.choice((-math.inf, math.inf)))
+        t = math.nextafter(t, toward)
     return SElem(rng.choice(RAYS) if rng.random() < 0.3 else sign, t)
 
 
