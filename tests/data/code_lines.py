@@ -65,9 +65,10 @@ def tree_counts(tree: Path) -> dict:
 
 def revision_counts(tree: Path, rev: str) -> dict:
     """Module name -> code lines, for ``tree`` at the revision ``rev``."""
-    if not tree.resolve().is_relative_to(ROOT):
+    resolved = tree.resolve()
+    if not resolved.is_relative_to(ROOT):
         sys.exit(f"--base needs a tree inside the repository {ROOT}, got {tree}")
-    prefix = tree.resolve().relative_to(ROOT).as_posix()
+    prefix = resolved.relative_to(ROOT).as_posix()
     export = subprocess.run(["git", "archive", "--format=tar", rev, prefix], cwd=ROOT, capture_output=True)
     if export.returncode:
         sys.exit(export.stderr.decode(errors="replace").strip())
