@@ -175,7 +175,7 @@ def _cmd_segment(args) -> str:
 
         return render_segment_svg(seg)
 
-    return _emit(args, payload, svg=svg if len(a) <= 2 else None)
+    return _emit(args, payload, svg=svg)
 
 
 def _cmd_project(args) -> str:
@@ -219,7 +219,7 @@ def _cmd_project(args) -> str:
             points, box = list(result.points), target
         return render_projection_svg(x, points, box)
 
-    return _emit(args, result.to_json(), svg=svg if len(x) <= 2 else None)
+    return _emit(args, result.to_json(), svg=svg)
 
 
 # the report key each --convex choice selects

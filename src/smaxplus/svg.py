@@ -2,8 +2,12 @@
 
 Each coordinate gets a panel showing the three tripod rays at 120 degrees;
 sets render as strokes along the rays, segment pieces as polylines through
-the embedded image, breakpoints as markers and projections as arrows.  The
-output is byte-for-byte reproducible for identical inputs.
+the embedded image, breakpoints as markers and projections as arrows.  A
+scene records what it draws and lays it out once, at render: the extent is
+the largest of 1 and every finite radius recorded, an unbounded interval
+is drawn out to four times the extent, and the axes, the panel spacing and
+the view box follow from it.  The output is byte-for-byte reproducible for
+identical inputs.
 """
 
 from __future__ import annotations
@@ -61,68 +65,61 @@ class _Panel:
         self.max_y = max(self.max_y, y)
         return x, y
 
-    def line(self, z1: complex, z2: complex, style: str):
-        (x1, y1), (x2, y2) = self._pt(z1), self._pt(z2)
+    def line(self, zs: Sequence[complex], style: str):
+        (x1, y1), (x2, y2) = map(self._pt, zs)
         self.commands.append(
             f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" {style} />'
         )
 
     def polyline(self, zs: Sequence[complex], style: str):
-        pts = " ".join("{0},{1}".format(_fmt(x), _fmt(y)) for x, y in (self._pt(z) for z in zs))
+        pts = " ".join("{0},{1}".format(_fmt(x), _fmt(y)) for x, y in map(self._pt, zs))
         self.commands.append(f'<polyline points="{pts}" {style} />')
 
-    def dot(self, z: complex, radius: float, fill: str):
-        x, y = self._pt(z)
-        self.commands.append(
-            f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(radius)}" fill="{fill}" />'
-        )
+    def dot(self, zs: Sequence[complex], style: str):
+        (x, y), = map(self._pt, zs)
+        self.commands.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" {style} />')
+
+
+def _dot_style(radius: float, fill: str) -> str:
+    return f'r="{_fmt(radius)}" fill="{fill}"'
+
+
+def _ray_point(ray: Sign, m: float) -> complex:
+    # capped before scaling, since inf * sin(0) would be nan
+    m = min(m, _MAX_RADIUS)
+    ang = _RAY_ANGLE[ray]
+    return complex(m * math.cos(ang), m * math.sin(ang))
 
 
 class Scene:
-    """A row of per-coordinate panels over embedded tripods."""
+    """A row of per-coordinate panels over embedded tripods.  The ``add_*``
+    methods only record what they draw, and ``render`` lays it all out at
+    once, so the picture does not depend on the order of the calls."""
 
     def __init__(self, n: int):
         if n > 2:
             raise ValueError("SVG rendering supports one or two coordinates only")
         self.n = n
-        self.ray_extent = 1.0
-        self.panels = [_Panel() for _ in range(n)]
-
-    def _ray_point(self, ray: Sign, m: float) -> complex:
-        # capped before scaling, since inf * sin(0) would be nan
-        m = min(m, _MAX_RADIUS)
-        ang = _RAY_ANGLE[ray]
-        return complex(m * math.cos(ang), m * math.sin(ang))
+        # (coordinate, _Panel method, points, style) in call order; a point
+        # is a complex number, or (ray, radius) for a set's interval end,
+        # with radius inf for an unbounded interval until render cuts it
+        self.drawn: List[tuple] = []
 
     def add_ray_set(self, coord: int, C: RaySet):
-        panel = self.panels[coord]
         for ray in RAYS:
             for lo, hi in C.intervals(ray):
-                if hi == math.inf:
-                    # an unbounded interval is drawn out to four times the
-                    # extent so far, which holds every finite end of the box
-                    # (add_box_set), or its low end if that is farther
-                    hi = 4.0 * max(lo, self.ray_extent)
-                self.ray_extent = max(self.ray_extent, hi)
                 if hi > lo:
-                    panel.line(self._ray_point(ray, lo), self._ray_point(ray, hi), _STYLE_SET)
+                    self.drawn.append((coord, _Panel.line, ((ray, lo), (ray, hi)), _STYLE_SET))
                 else:
-                    panel.dot(self._ray_point(ray, lo), 0.05, "#1f77b4")
+                    self.drawn.append((coord, _Panel.dot, ((ray, lo),), _dot_style(0.05, "#1f77b4")))
 
     def add_box_set(self, A: BoxSet):
-        # every finite end counts toward the extent before any interval is
-        # drawn, so that an unbounded one reaches beyond all of them
-        for C in A.factors:
-            for ray in RAYS:
-                for lo, hi in C.intervals(ray):
-                    self.ray_extent = max(self.ray_extent, lo if hi == math.inf else hi)
         for i, C in enumerate(A.factors):
             self.add_ray_set(i, C)
 
     def add_point(self, x: SVector, fill: str = "#000000", radius: float = 0.05):
-        for i, c in enumerate(x):
-            self.panels[i].dot(phi(c), radius, fill)
-            self.ray_extent = max(self.ray_extent, abs(phi(c)))
+        style = _dot_style(radius, fill)
+        self.drawn.extend((i, _Panel.dot, (phi(c),), style) for i, c in enumerate(x))
 
     def add_segment_set(self, seg: SegmentSet):
         for piece in seg.pieces:
@@ -131,12 +128,7 @@ class Scene:
                 continue
             path = [piece.point_at(t / _ARC_SAMPLES) for t in range(_ARC_SAMPLES + 1)]
             for i in range(self.n):
-                zs = [phi(v[i]) for v in path]
-                self.panels[i].polyline(zs, _STYLE_SEGMENT)
-            for v in path:
-                self.ray_extent = max(
-                    self.ray_extent, max(abs(phi(c)) for c in v)
-                )
+                self.drawn.append((i, _Panel.polyline, [phi(v[i]) for v in path], _STYLE_SEGMENT))
 
     def add_broken_line(self, line: BrokenLine):
         self.add_segment_set(as_segment_set(line))
@@ -147,23 +139,32 @@ class Scene:
         self.add_point(x, "#2ca02c", 0.055)
         for y in targets:
             for i in range(self.n):
-                self.panels[i].line(phi(x[i]), phi(y[i]), _STYLE_ARROW)
+                self.drawn.append((i, _Panel.line, (phi(x[i]), phi(y[i])), _STYLE_ARROW))
             self.add_point(y, "#2ca02c", 0.04)
 
     def render(self) -> str:
-        extent = min(self.ray_extent, _MAX_RADIUS) * 1.05
-        for panel in self.panels:
+        radii = [abs(z) if isinstance(z, complex) else z[1] for _, _, zs, _ in self.drawn for z in zs]
+        extent = max([1.0, *(r for r in radii if r < math.inf)])
+        if math.inf in radii:
+            extent *= 4.0  # the cut of every unbounded interval, and the axes reach it
+        panels = [_Panel() for _ in range(self.n)]
+        for coord, draw, zs, style in self.drawn:
+            # an interval end on a ray is placed now, an unbounded one at the extent
+            zs = [z if isinstance(z, complex) else _ray_point(z[0], min(z[1], extent)) for z in zs]
+            draw(panels[coord], zs, style)
+        extent = min(extent, _MAX_RADIUS) * 1.05
+        for panel in panels:
             for ray in RAYS:
-                panel.line(complex(0, 0), self._ray_point(ray, extent), _STYLE_RAY)
+                panel.line((0j, _ray_point(ray, extent)), _STYLE_RAY)
         spacing = 2.6 * extent
-        min_x = min(p.min_x + i * spacing for i, p in enumerate(self.panels))
-        max_x = max(p.max_x + i * spacing for i, p in enumerate(self.panels))
-        min_y = min(p.min_y for p in self.panels)
-        max_y = max(p.max_y for p in self.panels)
+        min_x = min(p.min_x + i * spacing for i, p in enumerate(panels))
+        max_x = max(p.max_x + i * spacing for i, p in enumerate(panels))
+        min_y = min(p.min_y for p in panels)
+        max_y = max(p.max_y for p in panels)
         pad = 0.1 * max(max_x - min_x, max_y - min_y, 1.0)
         vb = (min_x - pad, min_y - pad, (max_x - min_x) + 2 * pad, (max_y - min_y) + 2 * pad)
         body: List[str] = []
-        for i, panel in enumerate(self.panels):
+        for i, panel in enumerate(panels):
             body.append(f'<g transform="translate({_fmt(i * spacing)} 0)">')
             body.extend(panel.commands)
             body.append("</g>")

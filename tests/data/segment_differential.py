@@ -3,13 +3,15 @@ revision, on seeded endpoint pairs.
 
 Per pair it compares the ``to_json`` of ``semimodule_segment`` and of
 ``geometric_segment``, ``components`` of the semimodule segment, of its
-JSON round trip and of ``as_segment_set`` of the geodesic, a ``ValueError``
-message where one is raised, and per stage the sorted distinct warning
-messages.  Pairs have 1 to 33 coordinates, about one in ten of them zero,
-with exponents uniform in +-1, +-3, +-30, +-300 or +-750 (past the overflow
-threshold log(float max) = 709.78 and the underflow threshold near -745),
-or small ints, or half-integers, whose equal differences make several
-coordinates tie at one event; in one pair in five ``b`` keeps ``a``'s rays.
+JSON round trip and of ``as_segment_set`` of the geodesic, for pairs of one
+or two coordinates the ``render_segment_svg`` text of the semimodule
+segment and of the geodesic, a ``ValueError`` message where one is raised,
+and per stage the sorted distinct warning messages.  Pairs have 1 to 33
+coordinates, about one in ten of them zero, with exponents uniform in +-1,
++-3, +-30, +-300 or +-750 (past the overflow threshold log(float max) =
+709.78 and the underflow threshold near -745), or small ints, or
+half-integers, whose equal differences make several coordinates tie at one
+event; in one pair in five ``b`` keeps ``a``'s rays.
 
     python tests/data/segment_differential.py --base HEAD~1 [--pairs 20000] [--seed 1]
 
@@ -76,6 +78,7 @@ def record(a_json: dict, b_json: dict) -> dict:
     """What one tree makes of one pair."""
     from smaxplus import (SVector, SegmentSet, as_segment_set, components, geometric_segment,
                           semimodule_segment)
+    from smaxplus.svg import render_segment_svg
 
     a, b = SVector.from_json(a_json), SVector.from_json(b_json)
     out = {"a": a_json, "b": b_json}
@@ -89,6 +92,9 @@ def record(a_json: dict, b_json: dict) -> dict:
         line, warned["line"] = _warned(geometric_segment, a, b)
         out["line"] = line.to_json()
         out["components_of_line"], warned["components_of_line"] = _warned(components, as_segment_set(line))
+        if len(a) <= 2:
+            out["segment_svg"], warned["segment_svg"] = _warned(render_segment_svg, seg)
+            out["line_svg"], warned["line_svg"] = _warned(render_segment_svg, line)
     except ValueError as exc:
         out["error"] = str(exc)
     return out

@@ -15,8 +15,10 @@ from pathlib import Path
 import pytest
 
 import smaxplus
-from smaxplus import BrokenLine, MagnitudeRangeWarning, ProjectionResult, SElem, SegmentSet
+from smaxplus import (BoxSet, BrokenLine, MagnitudeRangeWarning, ProjectionResult, RaySet, SElem, SegmentSet,
+                      SVector, project_ray)
 from smaxplus.cli import main
+from smaxplus.svg import Scene, render_projection_svg
 
 
 def run(capsys, *argv):
@@ -715,31 +717,71 @@ class TestSvg:
         assert out.count("<circle") >= 4  # query plus three nearest points
 
     @pytest.mark.parametrize(
-        "ray_set, strokes",
+        "query, ray_set, strokes",
         [
-            ({"plus": [[5, 6]]}, [(120, 5.0, 6.0)]),
-            ({"plus": [[1, 2]], "minus": [[20, 30]]}, [(120, 1.0, 2.0), (240, 20.0, 30.0)]),
-            ({"plus": [[10, "inf"]]}, [(120, 10.0, 40.0)]),
-            ({"plus": [[1, "inf"]], "minus": [[20, 30]]}, [(120, 1.0, 120.0), (240, 20.0, 30.0)]),
+            (1, {"plus": [[5, 6]]}, [(120, 5.0, 6.0)]),
+            (1, {"plus": [[1, 2]], "minus": [[20, 30]]}, [(120, 1.0, 2.0), (240, 20.0, 30.0)]),
+            (1, {"plus": [[10, "inf"]]}, [(120, 10.0, 40.0)]),
+            (1, {"plus": [[1, "inf"]], "minus": [[20, 30]]}, [(120, 1.0, 120.0), (240, 20.0, 30.0)]),
+            (1, {"plus": [[1, "inf"]], "minus": [[2, "inf"]], "balanced": [[3, "inf"]]},
+             [(120, 1.0, 12.0), (240, 2.0, 12.0), (0, 3.0, 12.0)]),
+            # the query is its own nearest point, at e**5 = 148.413159
+            (5, {"plus": [[1, "inf"]]}, [(120, 1.0, 593.652636)]),
         ],
-        ids=["far", "far-after-near", "unbounded-far", "unbounded-before-far"],
+        ids=["far", "far-after-near", "unbounded-far", "unbounded-before-far", "three-unbounded",
+             "unbounded-before-a-far-member"],
     )
-    def test_set_intervals_are_strokes_at_their_radii(self, capsys, files, ray_set, strokes):
-        # a finite interval is drawn from end to end at any radius; only an
-        # unbounded one is cut, four times out from the farthest finite end
-        # or its own low end, so it reaches beyond every finite interval
+    def test_set_intervals_are_strokes_at_their_radii(self, capsys, files, query, ray_set, strokes):
+        # a finite interval is drawn from end to end at any radius; every
+        # unbounded one is cut at four times the extent, the largest of 1
+        # and every finite radius drawn (interval ends, the low ends of
+        # unbounded intervals, the query and its nearest points), so it
+        # reaches beyond all of them
+        x = files["write"]("q.json", {"sign": "+", "exp": query})
         path = files["write"]("far.json", ray_set)
-        code, out, _ = run(capsys, "project", files["p1"], path, "--out", "svg")
+        code, out, _ = run(capsys, "project", x, path, "--out", "svg")
         assert code == 0
         assert _set_strokes(out) == [strokes]
         assert 'fill="#1f77b4"' not in out  # no interval collapsed to a dot
+        # a nearest point's dot lies on a stroke of its ray, and so does the
+        # query's where the query is a member
+        _, result, _ = run(capsys, "project", x, path)
+        member = json.loads(result)["distance"] == 0
+        dots = [(size, angle, radius) for fill, size, angle, radius in _dots(out)[0] if fill == "#2ca02c"]
+        assert len(dots) == 1 + len(json.loads(result)["points"])
+        for size, angle, radius in dots:
+            if size == 0.04 or member:
+                assert any(a == angle and lo <= radius <= hi for a, lo, hi in strokes), (angle, radius)
 
     def test_an_unbounded_factor_interval_reaches_beyond_the_other_factor(self, capsys, files):
-        box = files["write"]("box.json", {"factors": [{"plus": [[1, "inf"]]}, {"minus": [[20, 30]]}]})
-        query = files["write"]("q2.json", {"coords": [{"sign": "+", "exp": 0}, {"sign": "-", "exp": 3}]})
-        code, out, _ = run(capsys, "project", query, box, "--out", "svg")
-        assert code == 0
-        assert _set_strokes(out) == [[(120, 1.0, 120.0)], [(240, 20.0, 30.0)]]
+        cases = [
+            ([{"plus": [[1, "inf"]]}, {"minus": [[20, 30]]}], 3, [[(120, 1.0, 120.0)], [(240, 20.0, 30.0)]]),
+            ([{"plus": [[1, "inf"]]}, {"minus": [[2, "inf"]]}], 0, [[(120, 1.0, 8.0)], [(240, 2.0, 8.0)]]),
+        ]
+        for factors, minus_exp, strokes in cases:
+            box = files["write"]("box.json", {"factors": factors})
+            query = files["write"]("q2.json", {"coords": [{"sign": "+", "exp": 0},
+                                                           {"sign": "-", "exp": minus_exp}]})
+            code, out, _ = run(capsys, "project", query, box, "--out", "svg")
+            assert code == 0
+            assert _set_strokes(out) == strokes, factors
+
+    @pytest.mark.parametrize(
+        "query, ray_set",
+        [(SElem.pos(5), RaySet(plus=((1, math.inf),))),
+         (SElem.pos(1), RaySet(plus=((1, math.inf),), minus=((2, math.inf),), balanced=((3, math.inf),)))],
+        ids=["far-member", "three-unbounded"],
+    )
+    def test_the_picture_does_not_depend_on_the_call_order(self, query, ray_set):
+        x, box = SVector((query,)), BoxSet((ray_set,))
+        points = [SVector((p,)) for p in project_ray(query, ray_set).points]
+        scene = Scene(1)
+        scene.add_projection(x, points)
+        scene.add_box_set(box)
+        reordered, cli_order = scene.render(), render_projection_svg(x, points, box)
+        assert reordered != cli_order
+        assert _panel_contents(reordered) == _panel_contents(cli_order)
+        assert ET.fromstring(reordered).get("viewBox") == ET.fromstring(cli_order).get("viewBox")
 
     def test_two_coordinate_scene(self, capsys, files):
         aa = files["write"](
@@ -769,6 +811,25 @@ def _set_strokes(svg: str):
     return panels
 
 
+def _dots(svg: str):
+    """Per panel, the dots as (fill, dot radius, angle in degrees, radius),
+    sorted."""
+    panels = []
+    for g in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}g"):
+        drawn = []
+        for dot in g.iter("{http://www.w3.org/2000/svg}circle"):
+            z = complex(float(dot.get("cx")), -float(dot.get("cy")))
+            angle = round(math.degrees(math.atan2(z.imag, z.real))) % 360
+            drawn.append((dot.get("fill"), float(dot.get("r")), angle, round(abs(z), 6)))
+        panels.append(sorted(drawn))
+    return panels
+
+
+def _panel_contents(svg: str):
+    """Per panel, every element drawn in it, in text form and sorted."""
+    return [sorted(map(ET.tostring, g)) for g in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}g")]
+
+
 def test_output_to_a_stream_without_a_binary_layer(capsys, files):
     # redirect_stdout(StringIO) has no buffer: the text write takes it all
     argv = ["segment", "--kind", "semimodule", files["a"], files["b"], "--out", "text"]
@@ -790,6 +851,15 @@ def test_check_refuses_svg_output(capsys, files):
     code, out, err = run(capsys, "check", files["triple"], "--out", "svg")
     assert (code, out) == (1, "")
     assert json.loads(err) == {"error": "svg output is not available for this command"}
+
+
+@pytest.mark.parametrize("command", ["segment", "project"])
+def test_svg_of_three_coordinates_is_refused(capsys, files, command):
+    box = files["write"]("box3.json", {"factors": [{"plus": [[1, 2]]}] * 3})
+    argv = [files["a"], files["b"]] if command == "segment" else [files["a"], box]
+    code, out, err = run(capsys, command, *argv, "--out", "svg")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "SVG rendering supports one or two coordinates only"}
 
 
 def test_box_projection_svg(capsys, files):
