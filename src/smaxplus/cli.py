@@ -166,6 +166,8 @@ def _cmd_segment(args) -> str:
     else:
         seg = traditional_segment(a, b)
         if seg is None:
+            if args.out == "svg":
+                raise ValueError("the traditional segment of these endpoints is not representable")
             return _emit(args, {"representable": False})
         payload = seg.to_json()
         payload["representable"] = True

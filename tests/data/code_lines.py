@@ -10,9 +10,10 @@ is a string statement that opens a module, class or function body.  The
 last line is the total.
 
 With ``--base REV`` the tree, which must lie inside this repository, is
-also read at the revision ``REV`` from a ``git archive`` export, and each
-module's count there is printed beside the working tree's (``-`` where a
-side lacks the module), with both totals last.
+also counted as it is at the revision ``REV``, in an export made by
+``_revision.exported``, and each module's count there is printed beside the
+working tree's (``-`` where a side lacks the module), with both totals
+last.
 """
 
 from __future__ import annotations
@@ -20,13 +21,12 @@ from __future__ import annotations
 import argparse
 import ast
 import io
-import subprocess
 import sys
-import tarfile
 import tokenize
-from pathlib import Path, PurePosixPath
+from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[2]
+from _revision import ROOT, exported
+
 _SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
             tokenize.ENDMARKER}
 
@@ -50,7 +50,7 @@ def code_lines(source: str) -> int:
     return len(lines - _docstring_lines(ast.parse(source)))
 
 
-def _module_name(relative: PurePosixPath) -> str:
+def _module_name(relative: Path) -> str:
     name = relative.with_suffix("")
     if name.name == "__init__" and name.parent.parts:
         name = name.parent
@@ -58,9 +58,9 @@ def _module_name(relative: PurePosixPath) -> str:
 
 
 def tree_counts(tree: Path) -> dict:
-    """Module name -> code lines, for the working tree under ``tree``."""
-    return {_module_name(PurePosixPath(path.relative_to(tree).as_posix())):
-            code_lines(path.read_text(encoding="utf-8")) for path in tree.rglob("*.py")}
+    """Module name -> code lines, for the modules under ``tree``."""
+    return {_module_name(path.relative_to(tree)): code_lines(path.read_text(encoding="utf-8"))
+            for path in tree.rglob("*.py")}
 
 
 def revision_counts(tree: Path, rev: str) -> dict:
@@ -69,17 +69,8 @@ def revision_counts(tree: Path, rev: str) -> dict:
     if not resolved.is_relative_to(ROOT):
         sys.exit(f"--base needs a tree inside the repository {ROOT}, got {tree}")
     prefix = resolved.relative_to(ROOT).as_posix()
-    export = subprocess.run(["git", "archive", "--format=tar", rev, prefix], cwd=ROOT, capture_output=True)
-    if export.returncode:
-        sys.exit(export.stderr.decode(errors="replace").strip())
-    counts = {}
-    with tarfile.open(fileobj=io.BytesIO(export.stdout)) as tar:
-        for member in tar.getmembers():
-            path = PurePosixPath(member.name)
-            if member.isfile() and path.suffix == ".py":
-                source = tar.extractfile(member).read().decode("utf-8")
-                counts[_module_name(path.relative_to(prefix))] = code_lines(source)
-    return counts
+    with exported(rev, prefix) as export:
+        return tree_counts(export / prefix)
 
 
 def main(argv=None) -> int:

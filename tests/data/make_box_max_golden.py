@@ -22,6 +22,11 @@ The stored results were captured from the argmin sampler that built one
 ``SElem`` per sample and sorted them with ``SElem.sort_key``; regenerate only
 when a change of output is intended, and say why.
 
+``outcome`` computes a stored case's ``result`` or ``error`` from its stored
+query, box, base, resolution and truncation.  The build stores what it
+returns, after checking that the entry read back from its JSON text gives
+the same, and ``tests/test_golden.py`` compares it with the file.
+
     PYTHONPATH=src python tests/data/make_box_max_golden.py
 """
 
@@ -141,34 +146,28 @@ def _fine_tags(x, A, base, max_magnitude, step, outcome) -> list:
     return tags
 
 
-def _outcome(x, A, base, max_magnitude, resolution) -> dict:
+def outcome(entry) -> dict:
+    """The stored answer of one case: the projection's JSON, or the error
+    text."""
+    x, A = SVector.from_json(entry["x"]), BoxSet.from_json(entry["box"])
     try:
-        return {"result": project_box_max(x, A, base, resolution, max_magnitude).to_json()}
+        result = project_box_max(x, A, entry["base"], entry["resolution"], entry["max_magnitude"])
+        return {"result": result.to_json()}
     except ValueError as exc:
         return {"error": str(exc)}
 
 
 def _entry(group, x, A, base, max_magnitude=None, resolution=RESOLUTION) -> dict:
-    outcome = _outcome(x, A, base, max_magnitude, resolution)
-    tags = _tags(x, A, base, max_magnitude, outcome)
+    case = {"x": x.to_json(), "box": A.to_json(), "base": base, "max_magnitude": max_magnitude,
+            "resolution": resolution}
+    answer = outcome(case)
+    # the stored inputs, read back from the file's text, must reproduce it
+    again = outcome(json.loads(json.dumps(case)))
+    assert json.dumps(again, sort_keys=True) == json.dumps(answer, sort_keys=True), case
+    tags = _tags(x, A, base, max_magnitude, answer)
     if group == "fine":
-        tags = sorted(set(tags) | set(_fine_tags(x, A, base, max_magnitude, resolution, outcome)))
-    entry = {
-        "group": group,
-        "x": x.to_json(),
-        "box": A.to_json(),
-        "base": base,
-        "max_magnitude": max_magnitude,
-        "resolution": resolution,
-        "tags": tags,
-    }
-    entry.update(outcome)
-    # the stored inputs must reproduce the stored outcome
-    again = _outcome(
-        SVector.from_json(entry["x"]), BoxSet.from_json(entry["box"]), base, max_magnitude, resolution
-    )
-    assert json.dumps(again, sort_keys=True) == json.dumps(outcome, sort_keys=True), entry
-    return entry
+        tags = sorted(set(tags) | set(_fine_tags(x, A, base, max_magnitude, resolution, answer)))
+    return {"group": group, **case, "tags": tags, **answer}
 
 
 def _pinned() -> list:

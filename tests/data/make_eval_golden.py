@@ -28,6 +28,10 @@ regenerated since, on purpose: ``1e308 * 1e308`` raised a bare
 ``*`` (position 6), as an overflowing power already did at its exponent.
 Regenerate only when a change of output is intended, and say why.
 
+``outcome`` computes a stored case's ``result`` or ``error`` from its stored
+source and mode.  The build stores what it returns, and
+``tests/test_golden.py`` compares it with the file.
+
     PYTHONPATH=src python tests/data/make_eval_golden.py
 """
 
@@ -43,6 +47,7 @@ OUT = Path(__file__).with_name("eval_golden.json")
 SEED = 20170913
 LEAF_COUNTS = (1, 2, 8, 20)
 PER_GROUP = 75  # valid cases per (mode, leaf count): 4 x 2 x 75 = 600
+DEPTH_ERROR = "expression nested too deeply"
 
 EDGE_SOURCES = [
     # malformed input
@@ -150,15 +155,15 @@ def _expr(rng: random.Random, n: int, mode: str) -> str:
     return text
 
 
-def outcome(source: str, mode: str) -> dict:
-    """The value's JSON, or the exception's class, message and position."""
+def outcome(entry) -> dict:
+    """The value's JSON, or the exception's class, message and position;
+    a nesting-depth error keeps only its message (see above)."""
     try:
-        return {"result": eval_expr(source, mode).to_json()}
+        return {"result": eval_expr(entry["source"], entry["mode"]).to_json()}
     except ValueError as exc:
         error = {"class": type(exc).__name__, "message": str(exc), "pos": getattr(exc, "pos", None)}
-        if "nested too deeply" in str(exc):
-            error["message"] = "expression nested too deeply"
-            error["pos"] = None
+        if error["message"] == f"{DEPTH_ERROR} (at position {error['pos']})":
+            error["message"], error["pos"] = DEPTH_ERROR, None
         return {"error": error}
 
 
@@ -169,13 +174,13 @@ def main() -> None:
         for n in LEAF_COUNTS:
             valid = 0
             while valid < PER_GROUP:
-                source = _expr(rng, n, mode)
-                entry = {"group": "seeded", "leaves": n, "mode": mode, "source": source}
-                entry.update(outcome(source, mode))
+                entry = {"group": "seeded", "leaves": n, "mode": mode, "source": _expr(rng, n, mode)}
+                entry.update(outcome(entry))
                 valid += "result" in entry
                 entries.append(entry)
     for source, mode in EDGE_SOURCES:
-        entries.append({"group": "edge", "mode": mode, "source": source, **outcome(source, mode)})
+        entry = {"group": "edge", "mode": mode, "source": source}
+        entries.append({**entry, **outcome(entry)})
     OUT.write_text(json.dumps(entries, sort_keys=True) + "\n")
 
 

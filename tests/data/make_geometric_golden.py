@@ -18,6 +18,10 @@ the component grouping, so a rewrite of the geodesic or of the
 connectivity index can be checked byte for byte.  Regenerate only when a
 change of output is intended, and say why.
 
+``outcome`` computes a stored pair's answer fields from its stored
+endpoints.  The build stores what it returns, and ``tests/test_golden.py``
+compares it with the file.
+
     PYTHONPATH=src python tests/data/make_geometric_golden.py
 """
 
@@ -26,13 +30,10 @@ from __future__ import annotations
 import json
 import math
 import random
-import warnings
 from pathlib import Path
 
-from smaxplus.algebra import ZERO, SElem, Sign
-from smaxplus.connectivity import components
-from smaxplus.metrics import MagnitudeRangeWarning, SVector
-from smaxplus.segments import SegmentSet, as_segment_set, geometric_segment
+from make_semimodule_golden import _warned
+from smaxplus import ZERO, SegmentSet, SElem, Sign, SVector, as_segment_set, components, geometric_segment
 
 OUT = Path(__file__).with_name("geometric_golden.json")
 SEED = 20171019
@@ -100,25 +101,16 @@ def _square_pairs():
     raise RuntimeError(f"found {len(found)} of {SQUARES} pairs in {SQUARES_SEARCH} candidates")
 
 
-def _warned(fn, *args):
-    """fn(*args) and the sorted distinct MagnitudeRangeWarning messages it
-    emitted."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        out = fn(*args)
-    return out, sorted({str(w.message) for w in caught if w.category is MagnitudeRangeWarning})
-
-
-def entry(style, a, b):
-    """The stored record of one pair."""
+def outcome(entry) -> dict:
+    """The stored answer of one pair: the geodesic, the components of the
+    line as a segment set and of its JSON round trip, and each stage's
+    warnings."""
+    a, b = SVector.from_json(entry["a"]), SVector.from_json(entry["b"])
     line, line_warnings = _warned(geometric_segment, a, b)
     seg = as_segment_set(line)
     groups, groups_warnings = _warned(components, seg)
     loaded, loaded_warnings = _warned(components, SegmentSet.from_json(seg.to_json()))
     return {
-        "style": style,
-        "a": a.to_json(),
-        "b": b.to_json(),
         "line": line.to_json(),
         "components": groups,
         "components_from_json": loaded,
@@ -128,6 +120,12 @@ def entry(style, a, b):
             "components_from_json": loaded_warnings,
         },
     }
+
+
+def entry(style, a, b) -> dict:
+    """The stored record of one pair."""
+    pair = {"style": style, "a": a.to_json(), "b": b.to_json()}
+    return {**pair, **outcome(pair)}
 
 
 def build():

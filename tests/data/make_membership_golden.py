@@ -15,6 +15,10 @@ The pairs are at n = 1, 2, 3 and 8, with exponents uniform in the bands
 +-1 and +-3 and some zero coordinates.  Regenerate only when a change of
 output is intended, and say why.
 
+``outcome`` computes a stored pair's answers, per stored query, from its
+stored endpoints and queries.  The build stores what it returns, and
+``tests/test_golden.py`` compares it with the file.
+
     PYTHONPATH=src python tests/data/make_membership_golden.py
 """
 
@@ -63,25 +67,39 @@ def queries(rng, a, b, band, sets, line):
     return out
 
 
+def _sets(a, b):
+    """The pair's geodesic, and its two segment sets by name."""
+    line = geometric_segment(a, b)
+    return line, (("semimodule", semimodule_segment(a, b)), ("geodesic", as_segment_set(line)))
+
+
+def outcome(entry) -> dict:
+    """The stored queries of one pair, each with its answers: ``contains``
+    on both segment sets and ``d_segment_contains`` under each metric."""
+    a, b = SVector.from_json(entry["a"]), SVector.from_json(entry["b"])
+    _, sets = _sets(a, b)
+    metrics = [parse_metric_id(code) for code in METRICS]
+    answers = []
+    for query in entry["queries"]:
+        x = SVector.from_json(query["x"])
+        answers.append({
+            **query,
+            "contains": {name: seg.contains(x) for name, seg in sets},
+            "between": {code: d_segment_contains(a, b, x, mid) for code, mid in zip(METRICS, metrics)},
+        })
+    return {"queries": answers}
+
+
 def entry(rng, a, b, band):
     """The stored record of one pair."""
-    line = geometric_segment(a, b)
-    sets = (("semimodule", semimodule_segment(a, b)), ("geodesic", as_segment_set(line)))
-    metrics = [parse_metric_id(code) for code in METRICS]
-    return {
+    line, sets = _sets(a, b)
+    pair = {
         "band": band,
         "a": a.to_json(),
         "b": b.to_json(),
-        "queries": [
-            {
-                "kind": kind,
-                "x": x.to_json(),
-                "contains": {name: seg.contains(x) for name, seg in sets},
-                "between": {code: d_segment_contains(a, b, x, mid) for code, mid in zip(METRICS, metrics)},
-            }
-            for kind, x in queries(rng, a, b, band, sets, line)
-        ],
+        "queries": [{"kind": kind, "x": x.to_json()} for kind, x in queries(rng, a, b, band, sets, line)],
     }
+    return {**pair, **outcome(pair)}
 
 
 def build():

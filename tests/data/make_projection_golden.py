@@ -18,6 +18,10 @@ intended, and say why.
 
     PYTHONPATH=src python tests/data/make_projection_golden.py [--refresh]
 
+``outcome`` computes a stored case's ``result`` or ``error`` from its stored
+query, set and base.  The build stores what it returns, and
+``tests/test_golden.py`` compares it with the file.
+
 With ``--refresh`` it keeps the stored cases and recomputes only their
 outcomes, so that a diff of the file shows just the outcomes that changed.
 A full rebuild no longer draws the stored segment cases: the query draws
@@ -152,9 +156,19 @@ def _segment_query(rng, seg: SegmentSet) -> SElem:
     return _elem(rng, zero_p=0.15)
 
 
-def _outcome(fn, *args) -> dict:
+# each group's set reader and projection
+PROJECT = {
+    "ray": (RaySet.from_json, project_ray),
+    "segment": (SegmentSet.from_json, project_segment_set),
+}
+
+
+def outcome(entry) -> dict:
+    """The stored answer of one case: the projection's JSON, or the error
+    text when the infimum is not attained."""
+    load, project = PROJECT[entry["group"]]
     try:
-        return {"result": fn(*args).to_json()}
+        return {"result": project(SElem.from_json(entry["x"]), load(entry["set"]), entry["base"]).to_json()}
     except ValueError as exc:
         return {"error": str(exc)}
 
@@ -167,8 +181,7 @@ def build():
         x = _ray_query(rng, C)
         base = 1 + k % 2
         entry = {"group": "ray", "x": x.to_json(), "set": C.to_json(), "base": base}
-        entry.update(_outcome(project_ray, x, C, base))
-        entries.append(entry)
+        entries.append({**entry, **outcome(entry)})
     for k in range(SEGMENT_CASES):
         kind, a, b, seg = _segment_set(rng)
         x = _segment_query(rng, seg)
@@ -182,19 +195,16 @@ def build():
             "set": seg.to_json(),
             "base": base,
         }
-        entry.update(_outcome(project_segment_set, x, seg, base))
-        entries.append(entry)
+        entries.append({**entry, **outcome(entry)})
     return entries
 
 
 def refresh(entries):
     """The stored cases with their outcomes recomputed."""
     for entry in entries:
-        load = RaySet.from_json if entry["group"] == "ray" else SegmentSet.from_json
-        project = project_ray if entry["group"] == "ray" else project_segment_set
         entry.pop("result", None)
         entry.pop("error", None)
-        entry.update(_outcome(project, SElem.from_json(entry["x"]), load(entry["set"]), entry["base"]))
+        entry.update(outcome(entry))
     return entries
 
 

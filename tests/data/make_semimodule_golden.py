@@ -18,6 +18,12 @@ distinct ``MagnitudeRangeWarning`` messages.  That corpus was captured from
 the event sweep on ``SElem``/``SVector`` values, before the sweep moved to
 (sign, exponent) pairs.
 
+``outcome`` (and ``wide_outcome`` for the wide corpus) computes a stored
+pair's answer fields from its stored endpoints.  The build stores what it
+returns, and ``tests/test_golden.py`` compares it with the file.
+``_warned`` is the one warnings recorder of the corpora and of
+``segment_differential.py``.
+
     PYTHONPATH=src python tests/data/make_semimodule_golden.py [--wide]
 """
 
@@ -29,10 +35,9 @@ import sys
 import warnings
 from pathlib import Path
 
-from smaxplus.algebra import EPS, ZERO, SElem, Sign
-from smaxplus.connectivity import components
-from smaxplus.metrics import MagnitudeRangeWarning, SVector
-from smaxplus.segments import SegmentSet, semimodule_segment
+from smaxplus import (
+    EPS, ZERO, MagnitudeRangeWarning, SegmentSet, SElem, Sign, SVector, components, semimodule_segment,
+)
 
 OUT = Path(__file__).with_name("semimodule_golden.json")
 WIDE_OUT = Path(__file__).with_name("semimodule_wide_golden.json")
@@ -84,6 +89,41 @@ def _pair(rng, n, style):
     return SVector(tuple(a)), SVector(tuple(b))
 
 
+def _warned(fn, *args):
+    """fn(*args) and the sorted distinct MagnitudeRangeWarning messages it
+    emitted."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, sorted({str(w.message) for w in caught if w.category is MagnitudeRangeWarning})
+
+
+def wide_outcome(entry) -> dict:
+    """The stored answer of one wide pair: the segment, its components,
+    those of its JSON round trip, and each stage's warnings."""
+    a, b = SVector.from_json(entry["a"]), SVector.from_json(entry["b"])
+    seg, seg_warnings = _warned(semimodule_segment, a, b)
+    data = seg.to_json()
+    groups, groups_warnings = _warned(components, seg)
+    loaded, loaded_warnings = _warned(components, SegmentSet.from_json(data))
+    return {
+        "segment": data,
+        "components": groups,
+        "components_from_json": loaded,
+        "warnings": {
+            "segment": seg_warnings,
+            "components": groups_warnings,
+            "components_from_json": loaded_warnings,
+        },
+    }
+
+
+def outcome(entry) -> dict:
+    """The stored answer of one pair: the segment and its components."""
+    wide = wide_outcome(entry)
+    return {"segment": wide["segment"], "components": wide["components"]}
+
+
 def build():
     rng = random.Random(SEED)
     entries = []
@@ -91,16 +131,8 @@ def build():
         for k in range(count):
             style = STYLES[k % len(STYLES)]
             a, b = _pair(rng, n, style)
-            seg = semimodule_segment(a, b)
-            entries.append(
-                {
-                    "style": style,
-                    "a": a.to_json(),
-                    "b": b.to_json(),
-                    "segment": seg.to_json(),
-                    "components": components(seg),
-                }
-            )
+            pair = {"style": style, "a": a.to_json(), "b": b.to_json()}
+            entries.append({**pair, **outcome(pair)})
     return entries
 
 
@@ -171,33 +203,6 @@ def _wide_pair(rng, n, style):
     return tuple(SVector(tuple(elem(e) for e in side)) for side in zip(*pairs))
 
 
-def _warned(fn, *args):
-    """fn(*args) and the sorted distinct MagnitudeRangeWarning messages it
-    emitted."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        out = fn(*args)
-    return out, sorted({str(w.message) for w in caught if w.category is MagnitudeRangeWarning})
-
-
-def wide_entry(a, b):
-    """The stored record of one pair."""
-    seg, seg_warnings = _warned(semimodule_segment, a, b)
-    data = seg.to_json()
-    groups, groups_warnings = _warned(components, seg)
-    loaded, loaded_warnings = _warned(components, SegmentSet.from_json(data))
-    return {
-        "segment": data,
-        "components": groups,
-        "components_from_json": loaded,
-        "warnings": {
-            "segment": seg_warnings,
-            "components": groups_warnings,
-            "components_from_json": loaded_warnings,
-        },
-    }
-
-
 def build_wide():
     rng = random.Random(WIDE_SEED)
     entries = []
@@ -205,7 +210,8 @@ def build_wide():
         for k in range(count):
             style = WIDE_STYLES[k % len(WIDE_STYLES)]
             a, b = _wide_pair(rng, n, style)
-            entries.append({"style": style, "a": a.to_json(), "b": b.to_json(), **wide_entry(a, b)})
+            pair = {"style": style, "a": a.to_json(), "b": b.to_json()}
+            entries.append({**pair, **wide_outcome(pair)})
     return entries
 
 

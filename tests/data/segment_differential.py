@@ -1,12 +1,15 @@
 """Compare the segment outputs of this checkout with those of another
 revision, on seeded endpoint pairs.
 
-Per pair it compares the ``to_json`` of ``semimodule_segment`` and of
-``geometric_segment``, ``components`` of the semimodule segment, of its
-JSON round trip and of ``as_segment_set`` of the geodesic, for pairs of one
-or two coordinates the ``render_segment_svg`` text of the semimodule
-segment and of the geodesic, a ``ValueError`` message where one is raised,
-and per stage the sorted distinct warning messages.  Pairs have 1 to 33
+Per pair it compares the stored answer of the wide semimodule corpus
+(``make_semimodule_golden.wide_outcome``: the segment's ``to_json``, its
+``components`` and those of its JSON round trip) and of the geodesic corpus
+(``make_geometric_golden.outcome``: the geodesic's ``to_json`` and the
+``components`` of ``as_segment_set`` of it and of its JSON round trip),
+each with its stages' sorted distinct ``MagnitudeRangeWarning`` messages;
+for pairs of one or two coordinates the ``render_segment_svg`` text of the
+segment and of the geodesic, read back from that JSON, with its warnings;
+and a ``ValueError`` message where one is raised.  Pairs have 1 to 33
 coordinates, about one in ten of them zero, with exponents uniform in +-1,
 +-3, +-30, +-300 or +-750 (past the overflow threshold log(float max) =
 709.78 and the underflow threshold near -745), or small ints, or
@@ -15,8 +18,7 @@ event; in one pair in five ``b`` keeps ``a``'s rays.
 
     python tests/data/segment_differential.py --base HEAD~1 [--pairs 20000] [--seed 1]
 
-It exports ``src`` of the base revision with ``git archive`` into a
-temporary directory, runs the pairs through both trees in two child
+It exports ``src`` of the base revision (``_revision.exported``), runs the pairs through both trees in two child
 processes and compares their records line by line.  It prints the number
 of pairs that differ, with the first few, and exits 1 when any differ.
 """
@@ -24,18 +26,15 @@ of pairs that differ, with the first few, and exits 1 when any differ.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import random
 import subprocess
 import sys
-import tarfile
-import tempfile
-import warnings
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[2]
+from _revision import ROOT, exported
+
 BANDS = (1.0, 3.0, 30.0, 300.0, 750.0, "int", "half")
 SIGNS = ("+", "-", "o")
 SHOWN = 3  # differing pairs printed in full
@@ -66,35 +65,22 @@ def pairs(count: int, seed: int):
         )
 
 
-def _warned(fn, *args):
-    """fn(*args) and the sorted distinct warning messages it emitted."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        out = fn(*args)
-    return out, sorted({str(w.message) for w in caught})
-
-
 def record(a_json: dict, b_json: dict) -> dict:
     """What one tree makes of one pair."""
-    from smaxplus import (SVector, SegmentSet, as_segment_set, components, geometric_segment,
-                          semimodule_segment)
+    from make_geometric_golden import outcome as geodesic_outcome
+    from make_semimodule_golden import _warned, wide_outcome
+    from smaxplus import BrokenLine, SegmentSet
     from smaxplus.svg import render_segment_svg
 
-    a, b = SVector.from_json(a_json), SVector.from_json(b_json)
     out = {"a": a_json, "b": b_json}
-    warned = out["warnings"] = {}
     try:
-        seg, warned["segment"] = _warned(semimodule_segment, a, b)
-        out["segment"] = seg.to_json()
-        out["components"], warned["components"] = _warned(components, seg)
-        loaded = SegmentSet.from_json(out["segment"])
-        out["components_from_json"], warned["components_from_json"] = _warned(components, loaded)
-        line, warned["line"] = _warned(geometric_segment, a, b)
-        out["line"] = line.to_json()
-        out["components_of_line"], warned["components_of_line"] = _warned(components, as_segment_set(line))
-        if len(a) <= 2:
-            out["segment_svg"], warned["segment_svg"] = _warned(render_segment_svg, seg)
-            out["line_svg"], warned["line_svg"] = _warned(render_segment_svg, line)
+        out["semimodule"] = wide_outcome(out)
+        out["geodesic"] = geodesic_outcome(out)
+        if len(a_json["coords"]) <= 2:
+            out["svg"] = {
+                "semimodule": _warned(render_segment_svg, SegmentSet.from_json(out["semimodule"]["segment"])),
+                "geodesic": _warned(render_segment_svg, BrokenLine.from_json(out["geodesic"]["line"])),
+            }
     except ValueError as exc:
         out["error"] = str(exc)
     return out
@@ -112,12 +98,8 @@ def _child(src: Path, count: int, seed: int) -> subprocess.Popen:
 
 
 def compare(base: str, count: int, seed: int) -> int:
-    archive = subprocess.run(["git", "archive", "--format=tar", base, "src"], cwd=ROOT,
-                             capture_output=True, check=True).stdout
-    with tempfile.TemporaryDirectory() as tmp:
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(tmp, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
-        children = [_child(Path(tmp) / "src", count, seed), _child(ROOT / "src", count, seed)]
+    with exported(base, "src") as tree:
+        children = [_child(tree / "src", count, seed), _child(ROOT / "src", count, seed)]
         differ = 0
         for k, (old, new) in enumerate(zip(*(child.stdout for child in children))):
             if old == new:

@@ -71,6 +71,8 @@ class TestScalars:
         assert ext_power(5, 0) == 0
         with pytest.raises(ValueError):
             ext_power(EPS, -1)
+        with pytest.raises(TypeError):
+            ext_power(3, 1.5)
 
     def test_eps_ordering(self):
         assert EPS < 3
@@ -78,6 +80,10 @@ class TestScalars:
         assert not (EPS < EPS)
         assert 3 > EPS
         assert max(EPS, -7) == -7
+        assert EPS <= 0 and EPS <= EPS
+        for compare in (lambda: EPS < "a", lambda: EPS > "a"):
+            with pytest.raises(TypeError):
+                compare()
 
 
 class TestPairs:
@@ -254,6 +260,8 @@ class TestSignedOps:
             s_power(SElem.bal(1), -1)
         with pytest.raises(ValueError):
             s_power(ZERO, -2)
+        with pytest.raises(TypeError):
+            s_power(SElem.pos(1), 2.0)
 
 
 class TestLaws:

@@ -146,6 +146,12 @@ class TestSegment:
         code, out, _ = run(capsys, "segment", "--kind", "traditional", p0, files["m0"])
         assert code == 0
         assert json.loads(out) == {"representable": False}
+        code, out, _ = run(capsys, "segment", "--kind", "traditional", p0, files["m0"], "--out", "text")
+        assert code == 0
+        assert json.loads(out) == {"representable": False}
+        code, out, err = run(capsys, "segment", "--kind", "traditional", p0, files["m0"], "--out", "svg")
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "the traditional segment of these endpoints is not representable"}
 
     def test_traditional_round_trip(self, capsys, files):
         code, out, _ = run(capsys, "segment", "--kind", "traditional", files["p1"], files["p1"])
@@ -1002,6 +1008,8 @@ def test_import_loads_neither_numpy_nor_scipy(files):
     # and its submodules as attributes
     loaded = _newly_loaded("import smaxplus\nassert smaxplus.raysets.RaySet")
     assert "smaxplus.raysets" in loaded and "smaxplus.segments" not in loaded
+    loaded = _newly_loaded("import smaxplus\nassert smaxplus.segments.SegmentSet")
+    assert "smaxplus.segments" in loaded and "smaxplus.raysets" not in loaded
     namespace = {}
     exec("from smaxplus import *", namespace)
     del namespace["__builtins__"]

@@ -210,6 +210,8 @@ class TestProductMetrics:
             parse_metric_id("rho31")
         with pytest.raises(ValueError):
             MetricId("median", 1)
+        with pytest.raises(ValueError):
+            MetricId("max", 3)
 
     def test_worked_triple(self):
         a = SVector((SElem.pos(0), SElem.neg(LN3), SElem.bal(LN2)))

@@ -86,6 +86,8 @@ class TestRepresentation:
             RaySet(plus=((3, 2),))
         with pytest.raises(ValueError):
             RaySet(plus=((math.inf, math.inf),))
+        with pytest.raises(ValueError):
+            point_on_ray(Sign.PLUS, -1.0)
 
     def test_unbounded(self):
         C = RaySet(plus=((1, math.inf),))

@@ -97,6 +97,12 @@ class TestCharts:
         chart = chart_for(V(SElem.pos(1)), V(SElem.neg(1)))
         with pytest.raises(ChartError):
             psi(chart, V(SElem.bal(1)))
+        # a point of another dimension
+        two = V(SElem.pos(1), SElem.pos(2))
+        for call in (lambda: vec_oplus(V(SElem.pos(1)), two), lambda: psi(chart, two),
+                     lambda: psi_inverse(chart, (1.0, 2.0))):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                call()
 
     def test_zero_coordinate_gets_deterministic_complement(self):
         chart = chart_for(V(ZERO), V(SElem.pos(2)))
