@@ -18,8 +18,9 @@ event; in one pair in five ``b`` keeps ``a``'s rays.
 
     python tests/data/segment_differential.py --base HEAD~1 [--pairs 20000] [--seed 1]
 
-It exports ``src`` of the base revision (``_revision.exported``), runs the pairs through both trees in two child
-processes and compares their records line by line.  It prints the number
+It exports ``src`` of the base revision (``_revision.exported``), runs
+the pairs through both trees in two child processes and compares their
+records line by line.  It prints the number
 of pairs that differ, with the first few, and exits 1 when any differ.
 """
 
