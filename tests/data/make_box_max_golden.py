@@ -25,7 +25,7 @@ when a change of output is intended, and say why.
 ``outcome`` computes a stored case's ``result`` or ``error`` from its stored
 query, box, base, resolution and truncation.  The build stores what it
 returns, after checking that the entry read back from its JSON text gives
-the same, and ``tests/test_golden.py`` compares it with the file.
+the same, and ``tests/test_box_max_golden.py`` compares it with the file.
 
     PYTHONPATH=src python tests/data/make_box_max_golden.py
 """

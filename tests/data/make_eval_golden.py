@@ -30,7 +30,7 @@ Regenerate only when a change of output is intended, and say why.
 
 ``outcome`` computes a stored case's ``result`` or ``error`` from its stored
 source and mode.  The build stores what it returns, and
-``tests/test_golden.py`` compares it with the file.
+``tests/test_eval_golden.py`` compares it with the file.
 
     PYTHONPATH=src python tests/data/make_eval_golden.py
 """

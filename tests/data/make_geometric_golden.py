@@ -19,8 +19,8 @@ connectivity index can be checked byte for byte.  Regenerate only when a
 change of output is intended, and say why.
 
 ``outcome`` computes a stored pair's answer fields from its stored
-endpoints.  The build stores what it returns, and ``tests/test_golden.py``
-compares it with the file.
+endpoints.  The build stores what it returns, and
+``tests/test_geometric_golden.py`` compares it with the file.
 
     PYTHONPATH=src python tests/data/make_geometric_golden.py
 """

@@ -17,7 +17,7 @@ output is intended, and say why.
 
 ``outcome`` computes a stored pair's answers, per stored query, from its
 stored endpoints and queries.  The build stores what it returns, and
-``tests/test_golden.py`` compares it with the file.
+``tests/test_membership_golden.py`` compares it with the file.
 
     PYTHONPATH=src python tests/data/make_membership_golden.py
 """

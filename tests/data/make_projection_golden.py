@@ -20,7 +20,7 @@ intended, and say why.
 
 ``outcome`` computes a stored case's ``result`` or ``error`` from its stored
 query, set and base.  The build stores what it returns, and
-``tests/test_golden.py`` compares it with the file.
+``tests/test_projection_golden.py`` compares it with the file.
 
 With ``--refresh`` it keeps the stored cases and recomputes only their
 outcomes, so that a diff of the file shows just the outcomes that changed.

@@ -20,7 +20,7 @@ the event sweep on ``SElem``/``SVector`` values, before the sweep moved to
 
 ``outcome`` (and ``wide_outcome`` for the wide corpus) computes a stored
 pair's answer fields from its stored endpoints.  The build stores what it
-returns, and ``tests/test_golden.py`` compares it with the file.
+returns, and ``tests/test_semimodule_golden.py`` compares it with the file.
 ``_warned`` is the one warnings recorder of the corpora and of
 ``segment_differential.py``.
 

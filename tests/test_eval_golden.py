@@ -2,47 +2,27 @@
 expressions, and the exception class, message and position of malformed
 and edge inputs (regenerate with ``tests/data/make_eval_golden.py``)."""
 
-import json
-from pathlib import Path
-
 import pytest
 
+from golden import CORPUS, assert_matches, group
+from make_eval_golden import DEPTH_ERROR
 from smaxplus import eval_expr
 
-CORPUS = json.loads((Path(__file__).parent / "data" / "eval_golden.json").read_text())
+NAME = "eval_golden.json"
 
 
-def _matches(entry) -> bool:
-    try:
-        got = {"result": eval_expr(entry["source"], entry["mode"]).to_json()}
-    except ValueError as exc:
-        pos = getattr(exc, "pos", None)
-        expected = entry.get("error")
-        if expected is None or type(exc).__name__ != expected["class"]:
-            return False
-        if expected["pos"] is None and pos is not None:
-            # nesting too deep: captured when the position depended on the
-            # caller's stack depth, so pin the message and that it points
-            # into the source (test_exprs.py pins the position itself)
-            return str(exc) == f"{expected['message']} (at position {pos})" and 0 <= pos < len(entry["source"])
-        got = {"error": {"class": type(exc).__name__, "message": str(exc), "pos": pos}}
-    expected = {key: entry[key] for key in ("result", "error") if key in entry}
-    return json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True)
-
-
-@pytest.mark.parametrize("group", ["seeded", "edge"])
-def test_eval_matches_corpus(group):
-    mismatched = [k for k, entry in enumerate(CORPUS) if entry["group"] == group and not _matches(entry)]
-    assert mismatched == []
+@pytest.mark.parametrize("name", ["seeded", "edge"])
+def test_eval_matches_corpus(name):
+    assert_matches(NAME, group(NAME, name))
 
 
 def test_corpus_covers_both_modes_every_size_and_the_edges():
-    seeded = [e for e in CORPUS if e["group"] == "seeded" and "result" in e]
+    seeded = [e for e in group(NAME, "seeded") if "result" in e]
     assert len(seeded) == 600
     assert {(e["mode"], e["leaves"]) for e in seeded} == {
         (mode, n) for mode in ("mpa", "smpa") for n in (1, 2, 8, 20)
     }
-    edges = [e for e in CORPUS if e["group"] == "edge"]
+    edges = group(NAME, "edge")
     assert len(edges) >= 50
     messages = " ".join(e["error"]["message"] for e in edges if "error" in e)
     for fragment in (
@@ -60,3 +40,17 @@ def test_corpus_covers_both_modes_every_size_and_the_edges():
         assert fragment in messages
     assert any(e["source"] == "" for e in edges)
     assert any("\t" in e["source"] and "\n" in e["source"] and "result" in e for e in edges)
+
+
+def test_a_depth_error_points_into_its_source():
+    # nesting too deep: captured when the position depended on the caller's
+    # stack depth, so the corpus pins the message and this that it points
+    # into the source (test_exprs.py pins the position itself)
+    deep = [e for e in CORPUS[NAME] if e.get("error", {}).get("message") == DEPTH_ERROR]
+    assert deep
+    for entry in deep:
+        with pytest.raises(ValueError) as caught:
+            eval_expr(entry["source"], entry["mode"])
+        pos = caught.value.pos
+        assert str(caught.value) == f"{entry['error']['message']} (at position {pos})"
+        assert 0 <= pos < len(entry["source"])

@@ -1,185 +1,15 @@
-"""Byte-level regression corpora: every ``tests/data/*_golden.json``.
+"""Every golden corpus is checked: each ``tests/data/*_golden.json`` has an
+outcome registered in ``golden.OUTCOMES``, and a ``test_*_golden.py``
+module compares it with that outcome."""
 
-Each corpus's make script in ``tests/data`` has one ``outcome(entry)``
-that computes a stored entry's answer fields from its stored inputs; the
-script's build stores what it returns.  Here every stored entry is
-compared with its ``outcome``, per group or per entry, and the checks
-that go beyond the outcome follow.  Regenerate a corpus with its script
-(``PYTHONPATH=src python tests/data/make_<name>_golden.py``), only when a
-change of output is intended.
-"""
-
-import json
-import sys
-from collections import Counter
 from pathlib import Path
 
-import pytest
-
-from smaxplus import SegmentSet, components, eval_expr
-
-DATA = Path(__file__).parent / "data"
-sys.path.insert(0, str(DATA))
-
-import make_box_max_golden  # noqa: E402
-import make_eval_golden  # noqa: E402
-import make_geometric_golden  # noqa: E402
-import make_membership_golden  # noqa: E402
-import make_projection_golden  # noqa: E402
-import make_semimodule_golden  # noqa: E402
-
-# the stored fields an outcome computes; every other field is an input
-ANSWERS = {"result", "error", "segment", "line", "components", "components_from_json", "warnings", "queries"}
-
-
-def _pair_id(entry):
-    return f"n{len(entry['a']['coords'])}-{entry['style']}"
-
-
-def _band_id(entry):
-    return f"band{entry['band']:g}-n{len(entry['a']['coords'])}"
-
-
-# corpus file -> its outcome, and each entry's test id, or None to compare
-# the entries per group
-CORPORA = {
-    "box_max_golden.json": (make_box_max_golden.outcome, None),
-    "eval_golden.json": (make_eval_golden.outcome, None),
-    "geometric_golden.json": (make_geometric_golden.outcome, _pair_id),
-    "membership_golden.json": (make_membership_golden.outcome, _band_id),
-    "projection_golden.json": (make_projection_golden.outcome, None),
-    "semimodule_golden.json": (make_semimodule_golden.outcome, _pair_id),
-    "semimodule_wide_golden.json": (make_semimodule_golden.wide_outcome, _pair_id),
-}
-CORPUS = {name: json.loads((DATA / name).read_text()) for name in CORPORA}
-
-
-def _dump(data):
-    return json.dumps(data, sort_keys=True)
-
-
-def _cases():
-    for name, (_, case_id) in CORPORA.items():
-        stem = name.removesuffix("_golden.json")
-        if case_id is not None:
-            for entry in CORPUS[name]:
-                yield pytest.param(name, [entry], id=f"{stem}-{case_id(entry)}")
-            continue
-        groups = {}
-        for entry in CORPUS[name]:
-            groups.setdefault(entry["group"], []).append(entry)
-        for group, entries in groups.items():
-            yield pytest.param(name, entries, id=f"{stem}-{group}")
-
-
-@pytest.mark.parametrize("name, entries", _cases())
-def test_outcome_matches_corpus(name, entries):
-    outcome, _ = CORPORA[name]
-    got = [_dump(outcome(entry)) for entry in entries]
-    assert got == [_dump({key: entry[key] for key in ANSWERS & entry.keys()}) for entry in entries]
+from golden import DATA, OUTCOMES
 
 
 def test_every_corpus_has_an_outcome():
-    # a corpus file with no outcome here would be checked by nothing
-    assert sorted(path.name for path in DATA.glob("*_golden.json")) == sorted(CORPORA)
-
-
-def test_corpus_covers_the_box_max_cases():
-    corpus = CORPUS["box_max_golden.json"]
-    assert {e["group"] for e in corpus} == {"n1", "n2", "n3", "pinned", "fine"}
-    coarse = [e for e in corpus if e["group"] != "fine"]
-    assert {e["resolution"] for e in coarse} == {0.05}
-    assert {(len(e["x"]["coords"]), e["base"]) for e in coarse} == {
-        (n, base) for n in (1, 2, 3) for base in (1, 2)
-    }
-    assert {t for e in coarse for t in e["tags"]} == {
-        "cloud",
-        "cut reaches the origin",
-        "error",
-        "origin-anchored factor",
-        "truncated",
-        "unbounded factor",
-        "zero query",
-    }
-    errors = [e["error"] for e in corpus if "error" in e]
-    assert any("too large" in err for err in errors)
-    assert any("no point of magnitude" in err for err in errors)
-
-
-def test_corpus_covers_the_fine_sampler_cases():
-    fine = [e for e in CORPUS["box_max_golden.json"] if e["group"] == "fine"]
-    assert {(len(e["x"]["coords"]), e["base"], e["resolution"]) for e in fine} == {
-        (n, base, res) for n in (1, 2) for base in (1, 2) for res in (0.01, 1e-3)
-    }
-    assert {t for e in fine for t in e["tags"]} >= {
-        "exact point off the grid",
-        "two cuts on one ray",
-        "origin beside balanced samples",
-        "radius near 1e15",
-        "stalled samples",
-        "tail clamp",
-        "truncation cuts",
-        "truncation keeps",
-    }
-
-
-def test_corpus_covers_both_modes_every_size_and_the_edges():
-    corpus = CORPUS["eval_golden.json"]
-    seeded = [e for e in corpus if e["group"] == "seeded" and "result" in e]
-    assert len(seeded) == 600
-    assert {(e["mode"], e["leaves"]) for e in seeded} == {
-        (mode, n) for mode in ("mpa", "smpa") for n in (1, 2, 8, 20)
-    }
-    edges = [e for e in corpus if e["group"] == "edge"]
-    assert len(edges) >= 50
-    messages = " ".join(e["error"]["message"] for e in edges if "error" in e)
-    for fragment in (
-        "unexpected character",
-        "unexpected end of input",
-        "missing ')'",
-        "missing exponent",
-        "exponent must be an integer literal",
-        "signed literal in mpa mode",
-        "nested too deeply",
-        "integer literal too long",
-        "int too large to convert to float",
-        "no multiplicative inverse",
-    ):
-        assert fragment in messages
-    assert any(e["source"] == "" for e in edges)
-    assert any("\t" in e["source"] and "\n" in e["source"] and "result" in e for e in edges)
-
-
-def test_a_depth_error_points_into_its_source():
-    # nesting too deep: captured when the position depended on the caller's
-    # stack depth, so the corpus pins the message and this that it points
-    # into the source (test_exprs.py pins the position itself)
-    depth_error = make_eval_golden.DEPTH_ERROR
-    deep = [e for e in CORPUS["eval_golden.json"] if e.get("error", {}).get("message") == depth_error]
-    assert deep
-    for entry in deep:
-        with pytest.raises(ValueError) as caught:
-            eval_expr(entry["source"], entry["mode"])
-        pos = caught.value.pos
-        assert str(caught.value) == f"{entry['error']['message']} (at position {pos})"
-        assert 0 <= pos < len(entry["source"])
-
-
-def test_corpus_covers_ties_and_unattained_infima():
-    corpus = CORPUS["projection_golden.json"]
-    assert Counter(e["group"] for e in corpus) == {"ray": 240, "segment": 240}
-    results = [e["result"] for e in corpus if "result" in e]
-    assert any(len(r["points"]) == 3 for r in results)
-    assert any(len(r["points"]) == 2 for r in results)
-    assert sum("error" in e for e in corpus) >= 5
-    assert {e["kind"] for e in corpus if e["group"] == "segment"} == {
-        "semimodule",
-        "traditional",
-        "geometric",
-    }
-
-
-def test_semimodule_components_survive_a_json_round_trip():
-    # a set rebuilt from JSON takes the same path through components()
-    for entry in CORPUS["semimodule_golden.json"]:
-        assert components(SegmentSet.from_json(entry["segment"])) == entry["components"]
+    # a corpus file with no outcome, or none of the test modules naming it,
+    # would be checked by nothing
+    assert sorted(path.name for path in DATA.glob("*_golden.json")) == sorted(OUTCOMES)
+    modules = " ".join(path.read_text() for path in Path(__file__).parent.glob("test_*_golden.py"))
+    assert [name for name in OUTCOMES if f'"{name}"' not in modules] == []
