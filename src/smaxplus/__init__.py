@@ -35,7 +35,7 @@ _EXPORTS = {
         ("pairs", """Pair balance_rel classify equiv_rel lift pair_balance pair_minus pair_norm
             pair_oplus pair_otimes"""),
         ("projection", """ProjectionResult distance_to_set find_multipoint_witness project_box
-            project_ray project_segment_set"""),
+            project_ray"""),
         ("raysets", """BoxSet RaySet is_box_semimodule_convex is_chebyshev is_connected
             is_geometrically_convex is_semimodule_convex is_traditionally_convex point_on_ray
             ray_components"""),

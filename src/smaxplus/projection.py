@@ -1,19 +1,21 @@
-"""Nearest-point maps onto ray sets, boxes, and segment sets.
+"""Nearest-point maps onto line sets and boxes.
 
 Distances along one ray are |m - m'| in the radial coordinate for both base
 metrics; across rays the path metric gives m + m' and the chord metric
 sqrt(m^2 + m'^2 + m m').  Both cross-ray forms are strictly increasing in
 m', so per interval only one candidate can attain the minimum: on the
 query's own ray the query itself, when it is a member, else the nearer end,
-and the low end on the other rays.  Ray sets and one-coordinate segment
-sets both reduce to radial intervals with open/closed ends (an arc to the
-part of its chord on the query's side of the origin) that carry their
-ends' exponents, and one kernel decides membership and the own-ray
-candidate on exponents, scores every candidate in floats, keeps the
-attained ones within the absolute TIE_TOL of the best, and builds elements
-only for those.  A ray set's intervals are prepared once per set: the
-kernel reads them from the set's cached index; a segment set's intervals
-depend on the query and are built per call.  Boxes call the kernel per
+and the low end on the other rays.  A line set, a ray set or a
+one-coordinate segment set, is a union of radial intervals with
+open/closed ends that carry their ends' exponents.  Each set builds its
+intervals once, from itself alone, and caches them in the last slot of its
+index: a ray set's are closed, and a segment set's carry its pieces' end
+flags, an arc giving its chord's part on each ray it reaches
+(``segments._build_index``).  So ``project_ray`` projects every line set
+through one path, and this module knows no piece types.  One kernel
+decides membership and the own-ray candidate on exponents, scores every
+candidate in floats, keeps the attained ones within the absolute TIE_TOL of
+the best, and builds elements only for those.  Boxes call the kernel per
 factor: the sum and Euclidean combines take the product of the factor
 argmins.  The max combine does not factorize; its projection,
 ``project_box_max``, lives in ``boxmax``, which only max-combine callers
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import Optional, Tuple
 
 from .algebra import (
     EPS, RAYS, ZERO, SElem, Sign, _check_keys, _check_object, _is_number, _Record, _trusted_selem,
@@ -47,9 +49,6 @@ from .metrics import (
     cross_distance, magnitude,
 )
 from .raysets import _KERNEL, BoxSet, RaySet, point_on_ray
-
-if TYPE_CHECKING:
-    from .segments import ArcPiece, SegmentSet
 
 TIE_TOL = 1e-9
 
@@ -181,9 +180,11 @@ def _nearest(x: SElem, intervals, base: int) -> Tuple[Tuple[SElem, ...], float]:
     return tuple([by_key[key] for key in sorted(by_key)]), best
 
 
-def _ray_intervals(C: RaySet, base: int) -> Tuple[tuple, ...]:
-    """The kernel's intervals for a ray set, read from its index, after the
-    checks every projection onto a ray set makes."""
+def _ray_intervals(C, base: int) -> Tuple[tuple, ...]:
+    """The kernel's intervals for a line set, a ray set or a one-coordinate
+    segment set, read from the last slot of its index, after the checks
+    every line projection makes.  A segment set's index refuses an empty or
+    a multi-coordinate set as it is built."""
     intervals = (C._index or C._prepare())[_KERNEL]
     if not intervals:
         raise ValueError("empty set")
@@ -198,17 +199,24 @@ def _check_base(base) -> None:
         raise ValueError("base metric must be 1 or 2")
 
 
-def project_ray(x: SElem, C: RaySet, base: int = 2) -> ProjectionResult:
-    """All nearest points of ``x`` in a closed ray set under the chosen base
-    metric (1 = chord, 2 = path)."""
+def project_ray(x: SElem, C, base: int = 2) -> ProjectionResult:
+    """All nearest points of ``x`` in a line set under the chosen base
+    metric (1 = chord, 2 = path).  The set is a closed ray set, or a
+    one-coordinate segment set, whose open arc ends are not members: a query
+    at one is not its own nearest point, and an end it excludes is no
+    candidate.  Where nothing in a segment set attains the infimum, the set
+    is not proximinal at ``x`` and a ValueError says that the infimum is not
+    attained."""
     points, distance = _nearest(x, _ray_intervals(C, base), base)
     return ProjectionResult(points, distance)
 
 
-def distance_to_set(x: SElem, C: RaySet, base: int = 2) -> float:
-    """The attained minimum distance (the set is boundedly compact, so the
-    infimum is a minimum; unbounded tails never win because the cross and
-    radial forms are monotone beyond an interval's ends)."""
+def distance_to_set(x: SElem, C, base: int = 2) -> float:
+    """The attained minimum distance.  On a ray set the infimum is a minimum
+    (the set is boundedly compact, and unbounded tails never win because
+    the cross and radial forms are monotone beyond an interval's ends); on a
+    segment set whose infimum sits at an open end it is not, and, as in
+    ``project_ray``, a ValueError says so."""
     return project_ray(x, C, base).distance
 
 
@@ -230,62 +238,6 @@ def project_box(x: SVector, A: BoxSet, mid: MetricId) -> ProjectionResult:
     distance = float(sum(dists)) if mid.combine == "sum" else _euclid_norm(dists)
     points = tuple(map(_trusted_svector, itertools.product(*[p for p, _ in per])))
     return ProjectionResult(points, distance)
-
-
-def project_segment_set(x: SElem, S: SegmentSet, base: int = 2) -> ProjectionResult:
-    """Nearest points of a one-coordinate segment set, honoring open ends.
-
-    A member of the set is its own nearest point, returned as itself at
-    distance 0.  Open arc ends are not members: if an arc's infimum sits at
-    an excluded endpoint it contributes no candidate.  When nothing attains
-    the overall infimum the set is not proximinal at ``x`` and a ValueError
-    is raised.
-    """
-    # imported here, so that projecting onto ray sets and boxes (a cold
-    # `smaxplus project` or `check`) never loads the segments layer
-    from .segments import PointPiece
-
-    if not S.pieces:
-        raise ValueError("empty segment set")
-    _check_base(base)
-    intervals = []
-    for piece in S.pieces:
-        if isinstance(piece, PointPiece):
-            if len(piece.point) != 1:
-                raise ValueError("segment projection is defined on the line only")
-            e = piece.point[0]
-            m, t = magnitude(e), -math.inf if e.is_zero else e.exp
-            intervals.append((e.sign, m, m, True, True, t, t))
-        else:
-            intervals.append(_arc_interval(x, piece))
-    points, distance = _nearest(x, intervals, base)
-    return ProjectionResult(points, distance)
-
-
-def _arc_interval(x: SElem, arc: ArcPiece) -> tuple:
-    """The radial interval of a one-coordinate arc that holds its nearest
-    point to ``x``.  An arc on chart (u, v) lies on u where its chart value
-    is >= 0 and on v where it is <= 0; the part taken is the one on the
-    query's ray when the arc reaches it, else the other (for a zero or
-    third-ray query, u unless the arc lies wholly below 0).  A chord that
-    crosses 0 holds the origin as an interior, hence closed, point.  The
-    ends' exponents are ``math.log`` of their radii, -inf at 0."""
-    if len(arc.start) != 1:
-        raise ValueError("segment projection is defined on the line only")
-    (u, v) = arc.chart[0]
-    p, q = arc.start[0], arc.end[0]
-    lo, hi, closed_lo, closed_hi = (
-        (p, q, arc.closed_lo, arc.closed_hi) if p <= q else (q, p, arc.closed_hi, arc.closed_lo)
-    )
-    toward_v = not x.is_zero and x.sign is v and x.sign is not u
-    ray = u
-    if (lo <= 0.0) if toward_v else (hi < 0.0):
-        ray, lo, hi, closed_lo, closed_hi = v, -hi, -lo, closed_hi, closed_lo
-    if lo < 0.0:
-        lo, closed_lo = 0.0, True
-    t_lo = math.log(lo) if lo > 0.0 else -math.inf
-    t_hi = math.log(hi) if hi > 0.0 else -math.inf
-    return (ray, lo, hi, closed_lo, closed_hi, t_lo, t_hi)
 
 
 def find_multipoint_witness(C: RaySet, base: int = 2) -> Optional[SElem]:

@@ -70,9 +70,9 @@ def _no_exponent_between(hi1: float, lo2: float) -> bool:
 
 _ORIGIN_ONLY = ((0.0, 0.0),)
 _NEG_INF = -math.inf
-# the index's slot of the kernel intervals; a ray's ends sit at the ray's
-# position in RAYS
-_KERNEL = 3
+# the index's slot of the kernel intervals, the last, here as in a segment
+# set's index; a ray's ends sit at the ray's position in RAYS
+_KERNEL = -1
 
 
 def _build_index(C: "RaySet") -> tuple:

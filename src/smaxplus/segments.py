@@ -424,14 +424,71 @@ def _piece_from_json(data: dict):
     return piece
 
 
-class SegmentSet(_Record):
-    """A segment as a finite union of pairwise disjoint pieces."""
+def _build_index(S: "SegmentSet") -> tuple:
+    """What the projection kernel reads of a one-coordinate segment set: the
+    one-tuple (kernel intervals,), whose last slot holds the intervals, as
+    the last slot of a ray set's index does.
 
-    __slots__ = ("pieces",)
+    The kernel intervals are radial intervals (ray, lo, hi, closed_lo,
+    closed_hi, t_lo, t_hi) that carry the pieces' end flags, with the ends'
+    exponents ``math.log`` of their radii, -inf at the origin.  A point piece
+    is the one-point interval at its element, with the element's exponent.
+    An arc on chart (u, v) lies on u where its chart value is > 0 and on v
+    where it is < 0, and gives its chord's part on each ray it reaches; a
+    chord that crosses 0 holds the origin as an interior, hence closed,
+    point of both parts, and one that reaches 0 at an end only has the
+    origin as the low end of its one part, with that end's flag.  So the
+    index depends on the set alone, not on a query."""
+    if not S.pieces:
+        raise ValueError("empty segment set")
+    intervals = []
+    for piece in S.pieces:
+        point = isinstance(piece, PointPiece)
+        if len(piece.point if point else piece.start) != 1:
+            raise ValueError("segment projection is defined on the line only")
+        if point:
+            e = piece.point[0]
+            m, t = magnitude(e), _NEG_INF if e.is_zero else e.exp
+            intervals.append((e.sign, m, m, True, True, t, t))
+            continue
+        (u, v), p, q = piece.chart[0], piece.start[0], piece.end[0]
+        lo, hi, closed_lo, closed_hi = (
+            (p, q, piece.closed_lo, piece.closed_hi) if p <= q else (q, p, piece.closed_hi, piece.closed_lo)
+        )
+        if hi > 0.0 or lo >= 0.0:
+            intervals.append(_radial_part(u, max(lo, 0.0), hi, closed_lo or lo < 0.0, closed_hi))
+        if lo < 0.0:
+            intervals.append(_radial_part(v, max(-hi, 0.0), -lo, closed_hi or hi > 0.0, closed_lo))
+    return (tuple(intervals),)
+
+
+def _radial_part(ray: Sign, lo: float, hi: float, closed_lo: bool, closed_hi: bool) -> tuple:
+    t_lo = math.log(lo) if lo > 0.0 else _NEG_INF
+    t_hi = math.log(hi) if hi > 0.0 else _NEG_INF
+    return (ray, lo, hi, closed_lo, closed_hi, t_lo, t_hi)
+
+
+class SegmentSet(_Record):
+    """A segment as a finite union of pairwise disjoint pieces.
+
+    The field is the piece tuple.  The slot ``_index`` caches the radial
+    intervals that projections read (``_build_index``), built on the first
+    projection (``_prepare``); it is not a field."""
+
+    __slots__ = ("pieces", "_index")
+    _fields = ("pieces",)
     pieces: Tuple[object, ...]
+    _index: Optional[tuple]
 
     def __init__(self, pieces):
         object.__setattr__(self, "pieces", tuple(pieces))
+        object.__setattr__(self, "_index", None)
+
+    def _prepare(self) -> tuple:
+        """The cached index, built on first use."""
+        if self._index is None:
+            object.__setattr__(self, "_index", _build_index(self))
+        return self._index
 
     def contains(self, x: SVector) -> bool:
         return any(_piece_member(piece, x) for piece in self.pieces)

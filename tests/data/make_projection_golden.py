@@ -7,7 +7,7 @@ Two groups of cases:
 * ``ray``: ``project_ray`` under both base metrics on random ray sets, with
   origin-anchored, unbounded and ``[0, 0]`` intervals, zero queries and
   queries placed at interval ends.
-* ``segment``: ``project_segment_set`` on one-coordinate segment sets built
+* ``segment``: ``project_ray`` on one-coordinate segment sets built
   by ``semimodule_segment``, ``traditional_segment`` and
   ``as_segment_set(geometric_segment(...))``.  The set itself is stored as
   JSON, so the case pins the projection and not the segment construction.
@@ -39,7 +39,7 @@ from pathlib import Path
 
 from smaxplus.algebra import RAYS, ZERO, SElem
 from smaxplus.metrics import SVector
-from smaxplus.projection import project_ray, project_segment_set
+from smaxplus.projection import project_ray
 from smaxplus.raysets import RaySet, point_on_ray
 from smaxplus.segments import (
     ArcPiece,
@@ -156,19 +156,16 @@ def _segment_query(rng, seg: SegmentSet) -> SElem:
     return _elem(rng, zero_p=0.15)
 
 
-# each group's set reader and projection
-PROJECT = {
-    "ray": (RaySet.from_json, project_ray),
-    "segment": (SegmentSet.from_json, project_segment_set),
-}
+# each group's set reader
+LOAD = {"ray": RaySet.from_json, "segment": SegmentSet.from_json}
 
 
 def outcome(entry) -> dict:
     """The stored answer of one case: the projection's JSON, or the error
     text when the infimum is not attained."""
-    load, project = PROJECT[entry["group"]]
+    load = LOAD[entry["group"]]
     try:
-        return {"result": project(SElem.from_json(entry["x"]), load(entry["set"]), entry["base"]).to_json()}
+        return {"result": project_ray(SElem.from_json(entry["x"]), load(entry["set"]), entry["base"]).to_json()}
     except ValueError as exc:
         return {"error": str(exc)}
 

@@ -35,7 +35,6 @@ from smaxplus import (
     parse_metric_id,
     project_box,
     project_ray,
-    project_segment_set,
     rho,
     s_abs,
     s_oplus,
@@ -133,7 +132,7 @@ def test_criterion_04_non_closed_segment():
     closed = arc.closed_lo if abs(arc.start[0]) == open_end_value else arc.closed_hi
     assert not closed, "the arc must be open at its lower end"
     for base in (1, 2):
-        r = project_segment_set(ZERO, seg, base)
+        r = project_ray(ZERO, seg, base)
         assert set(r.points) == {SElem.neg(0), SElem.bal(0)}
         assert abs(r.distance - 1.0) <= 1e-12
     print("criterion 4: 3 components, open lower end, projection {m:0, b:0}")

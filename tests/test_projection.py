@@ -31,7 +31,6 @@ from smaxplus import (
     project_box,
     project_box_max,
     project_ray,
-    project_segment_set,
     semimodule_segment,
 )
 
@@ -117,13 +116,13 @@ def _point_piece_set(e: SElem):
     return SegmentSet((PointPiece(SVector((e,))),))
 
 
-# the three line entry points that take a base metric, each on a set it
-# accepts; cross_distance would read any base but 2 as the chord metric
+# the line entry points that take a base metric, each on a set it accepts
+# (the last is project_ray on a segment set); cross_distance would read any
+# base but 2 as the chord metric
 BASE_TAKERS = {
     "project_ray": lambda base: project_ray(SElem.neg(1), RaySet(plus=((1, 2),)), base),
     "find_multipoint_witness": lambda base: find_multipoint_witness(RaySet(plus=((1, 2), (3, 4))), base),
-    "project_segment_set":
-        lambda base: project_segment_set(SElem.neg(1), _point_piece_set(SElem.pos(1)), base),
+    "project_segment_set": lambda base: project_ray(SElem.neg(1), _point_piece_set(SElem.pos(1)), base),
 }
 
 
@@ -671,14 +670,14 @@ class TestSegmentSetProjection:
     def test_non_closed_segment_example(self):
         seg = semimodule_segment(SVector((SElem.pos(1),)), SVector((SElem.neg(0),)))
         for base in (1, 2):
-            r = project_segment_set(ZERO, seg, base)
+            r = project_ray(ZERO, seg, base)
             assert set(r.points) == {SElem.neg(0), SElem.bal(0)}
             assert r.distance == pytest.approx(1.0, abs=1e-12)
 
     def test_open_end_excluded_but_interior_attained(self):
         seg = semimodule_segment(SVector((SElem.pos(1),)), SVector((SElem.neg(0),)))
         x = SElem.pos(0.5)  # interior of the half-open arc
-        r = project_segment_set(x, seg, 2)
+        r = project_ray(x, seg, 2)
         assert r.points == (x,) and r.distance == 0.0
 
     def test_unattained_infimum_raises(self):
@@ -687,7 +686,7 @@ class TestSegmentSetProjection:
         chart = ((Sign.PLUS, Sign.PLUS),)
         open_arc = SegmentSet((ArcPiece(chart, (1.0,), (2.0,), False, True),))
         with pytest.raises(ValueError, match="not attained"):
-            project_segment_set(ZERO, open_arc, 2)
+            project_ray(ZERO, open_arc, 2)
 
     @pytest.mark.parametrize("base", [1, 2])
     def test_across_the_origin(self, base):
@@ -715,7 +714,7 @@ class TestSegmentSetProjection:
         ]
         _assert_unique_projections(arc, cases, base)
         with pytest.raises(ValueError, match="not attained"):
-            project_segment_set(SElem.neg(math.log(4)), arc, base)
+            project_ray(SElem.neg(math.log(4)), arc, base)
 
 
     @pytest.mark.parametrize("base", [1, 2])
@@ -735,17 +734,63 @@ class TestSegmentSetProjection:
         ]:
             arc = SegmentSet((ArcPiece(chart, start, end, closed_lo, closed_hi),))
             with pytest.raises(ValueError, match="not attained"):
-                project_segment_set(x, arc, base)
+                project_ray(x, arc, base)
+
+    @pytest.mark.parametrize("base", [1, 2])
+    def test_an_arc_on_a_one_ray_chart_reaches_both_sides(self, base):
+        from smaxplus.segments import ArcPiece, SegmentSet
+
+        # chart (o, o): the balanced radii up to 1 from the positive chart
+        # values and up to 3 from the negative ones; both parts are taken,
+        # whatever ray the query is on
+        arc = SegmentSet((ArcPiece(((Sign.BALANCED, Sign.BALANCED),), (1.0,), (-3.0,), True, True),))
+        x = SElem.bal(math.log(2.0))
+        assert project_ray(x, arc, base) == ProjectionResult((x,), 0.0)
+        _assert_unique_projections(arc, [(SElem.bal(math.log(4.0)), SElem.bal(math.log(3.0)), 1.0)], base)
+
+    @pytest.mark.parametrize("base", [1, 2])
+    def test_a_crossing_arc_projects_as_the_ray_set_of_its_points(self, base):
+        from smaxplus.segments import ArcPiece, SegmentSet
+
+        # the arc reaches 1e-12 on plus and 1 on minus through the origin,
+        # which both parts hold; from p:0 the plus end and the origin, on
+        # the minus part, are within TIE_TOL of each other, as they are in
+        # the ray set of the same points
+        arc = SegmentSet((ArcPiece(((Sign.PLUS, Sign.MINUS),), (1e-12,), (-1.0,), True, True),))
+        stars = RaySet(plus=((0.0, 1e-12),), minus=((0.0, 1.0),))
+        for x in (SElem.pos(0.0), SElem.neg(1.0), SElem.bal(0.0), ZERO):
+            r = project_ray(x, arc, base)
+            assert r == project_ray(x, stars, base), x
+        assert len(project_ray(SElem.pos(0.0), arc, base).points) == 2
+
+    def test_the_index_is_built_once_and_is_no_field(self, monkeypatch):
+        import copy
+        import pickle
+
+        import smaxplus.segments as segments
+
+        builds = []
+        build = segments._build_index
+        monkeypatch.setattr(segments, "_build_index", lambda S: builds.append(S) or build(S))
+        seg = semimodule_segment(SVector((SElem.pos(1),)), SVector((SElem.neg(0),)))
+        before = (seg, hash(seg), repr(seg), seg.to_json(), pickle.dumps(seg))
+        for x, base in ((ZERO, 1), (SElem.pos(0.5), 2), (SElem.bal(3.0), 2)):
+            project_ray(x, seg, base)
+        distance_to_set(SElem.pos(0.5), seg)
+        assert builds == [seg] and seg._index is not None
+        assert (seg, hash(seg), repr(seg), seg.to_json(), pickle.dumps(seg)) == before
+        for twin in (pickle.loads(pickle.dumps(seg)), copy.copy(seg), copy.deepcopy(seg)):
+            assert twin == seg and twin._index is None
 
     def test_documented_errors(self):
         from smaxplus.segments import ArcPiece, PointPiece, SegmentSet
 
         with pytest.raises(ValueError, match="^empty segment set$"):
-            project_segment_set(ZERO, SegmentSet(()))
+            project_ray(ZERO, SegmentSet(()))
         plane = ((Sign.PLUS, Sign.MINUS),) * 2
         for piece in (PointPiece(SVector((ZERO, ZERO))), ArcPiece(plane, (1.0, 1.0), (2.0, 2.0), True, True)):
             with pytest.raises(ValueError, match="defined on the line only"):
-                project_segment_set(ZERO, SegmentSet((piece,)))
+                project_ray(ZERO, SegmentSet((piece,)))
 
 
 LINE_BANDS = MEMBER_BANDS + [(-40.0, -30.0)]
@@ -785,7 +830,7 @@ class TestNearestPointsAreQueriesOrEnds:
             other = PointPiece(SVector((SElem(rng.choice(RAYS), rng.uniform(*band)),)))
             S = SegmentSet((arc, other) if k % 2 else (arc,))
             for base in (1, 2):
-                assert project_segment_set(x, S, base) == ProjectionResult((x,), 0.0), (x, S)
+                assert project_ray(x, S, base) == ProjectionResult((x,), 0.0), (x, S)
 
     @pytest.mark.parametrize("base", [1, 2])
     def test_a_member_at_e_minus_36_is_one_point(self, base):
@@ -795,7 +840,7 @@ class TestNearestPointsAreQueriesOrEnds:
         # two-point tie at distance 0
         seg = as_segment_set(geometric_segment(SVector((SElem.bal(0.0),)), SVector((SElem.pos(1),))))
         x = SElem.bal(-36.04365338911715)
-        assert project_segment_set(x, seg, base) == ProjectionResult((x,), 0.0)
+        assert project_ray(x, seg, base) == ProjectionResult((x,), 0.0)
 
     @pytest.mark.parametrize("band", LINE_BANDS)
     def test_ray_set_points_are_the_query_or_stored_ends(self, band):
@@ -830,7 +875,7 @@ class TestNearestPointsAreQueriesOrEnds:
             x = _near_an_end(rng, sorted(ends, key=repr), band)
             for base in (1, 2):
                 try:
-                    points = project_segment_set(x, S, base).points
+                    points = project_ray(x, S, base).points
                 except ValueError:  # an infimum at an open end
                     continue
                 for p in points:
@@ -852,7 +897,7 @@ def _near_an_end(rng, ends, band) -> SElem:
 
 def _assert_unique_projections(S, cases, base):
     for x, nearest, distance in cases:
-        r = project_segment_set(x, S, base)
+        r = project_ray(x, S, base)
         assert r.is_singleton and r.points[0].sign is nearest.sign, x
         assert r.points[0].exp == pytest.approx(nearest.exp, abs=1e-12), x
         assert r.distance == pytest.approx(distance, abs=1e-12), x
