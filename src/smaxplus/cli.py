@@ -16,9 +16,11 @@ process loads only those, besides ``smaxplus`` and this module:
 * ``segment``: ``algebra``, ``metrics`` and ``segments``, and ``svg`` for
   ``--out svg``;
 * ``project``: ``algebra``, ``metrics``, ``raysets`` and ``projection``,
-  ``boxmax`` for a max-combine metric (``rho01``, ``rho02``), and ``svg``
-  and ``segments`` for ``--out svg``;
-* ``check``: ``algebra`` and ``raysets``.
+  ``segments`` for a segment set or a geodesic, ``boxmax`` for a
+  max-combine metric (``rho01``, ``rho02``), and ``svg`` and ``segments``
+  for ``--out svg``;
+* ``check``: ``algebra`` and ``raysets``, and ``segments`` for a segment
+  set or a geodesic, which it refuses.
 
 No subcommand loads ``pairs`` or ``connectivity``.  Where no bytecode cache
 is written (``PYTHONDONTWRITEBYTECODE=1``, or a read-only checkout), every
@@ -70,9 +72,22 @@ def _load_vector(path: str):
 
 
 def _load_set(path: str):
+    """A ray set, a box, or a segment set: the ``pieces`` JSON of a
+    semimodule or traditional segment, or a geodesic's JSON, viewed through
+    ``as_segment_set``.  Only a segment set or a geodesic loads
+    ``segments``."""
+    data = _load_json(path)
+    if isinstance(data, dict) and ("pieces" in data or "vertices" in data):
+        from .segments import BrokenLine, SegmentSet, as_segment_set
+
+        try:
+            if "pieces" in data:
+                return SegmentSet.from_json(data)
+            return as_segment_set(BrokenLine.from_json(data))
+        except _SHAPE_ERRORS as exc:
+            raise _malformed(path, "a segment set" if "pieces" in data else "a geodesic", exc) from None
     from .raysets import BoxSet, RaySet
 
-    data = _load_json(path)
     try:
         if isinstance(data, dict) and "factors" in data:
             return BoxSet.from_json(data)
@@ -120,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_proj = sub.add_parser("project", help="nearest points of a query in a set")
     p_proj.add_argument("x", help="path to the query JSON (element or vector)")
-    p_proj.add_argument("set", help="path to the set JSON (ray set or box)")
+    p_proj.add_argument("set", help="path to the set JSON (ray set, box, segment set or geodesic)")
     p_proj.add_argument("--metric", default=None, help="rho<k><j>, D1 or D2 (boxes)")
     # None means d2; --base is refused beside --metric, whose code names a base
     p_proj.add_argument("--base", choices=("d1", "d2"), default=None)
@@ -190,13 +205,15 @@ def _cmd_project(args) -> str:
     base = 1 if args.base == "d1" else 2
     gridless = "--resolution and --max-magnitude apply to max-combine box metrics only"
     grid_given = args.resolution is not None or args.max_magnitude is not None
-    if isinstance(target, RaySet):
+    if not isinstance(target, BoxSet):
+        # a line set: a ray set, or a segment set of one coordinate
+        kind = "ray set" if isinstance(target, RaySet) else "segment set"
         if args.metric is not None:
-            raise ValueError("--metric applies to boxes; a ray set takes --base")
+            raise ValueError(f"--metric applies to boxes; a {kind} takes --base")
         if grid_given:
             raise ValueError(gridless)
         if len(x) != 1:
-            raise ValueError("a ray set expects a one-coordinate query")
+            raise ValueError(f"a {kind} expects a one-coordinate query")
         result = project_ray(x[0], target, base)
     else:
         if args.metric is not None and args.base is not None:
@@ -215,11 +232,10 @@ def _cmd_project(args) -> str:
     def svg():
         from .svg import render_projection_svg
 
-        if isinstance(target, RaySet):
-            points, box = [SVector((p,)) for p in result.points], BoxSet((target,))
-        else:
-            points, box = list(result.points), target
-        return render_projection_svg(x, points, box)
+        if isinstance(target, BoxSet):
+            return render_projection_svg(x, list(result.points), target)
+        points = [SVector((p,)) for p in result.points]
+        return render_projection_svg(x, points, BoxSet((target,)) if isinstance(target, RaySet) else target)
 
     return _emit(args, result.to_json(), svg=svg)
 
@@ -233,6 +249,8 @@ def _cmd_check(args) -> str:
     from . import raysets as rs
 
     target = _load_set(args.set)
+    if not isinstance(target, (rs.BoxSet, rs.RaySet)):
+        raise ValueError("check decides ray sets and boxes, not segment sets")
     if isinstance(target, rs.BoxSet):
         if args.convex not in (None, "box"):
             raise ValueError("box sets support --convex box only")

@@ -44,14 +44,15 @@ _first = itemgetter(0)
 # leg ends where its coordinate reaches 0), so only a hand-built or JSON arc
 # adds tests.
 # Two skips keep both passes to the work that can join something.  The
-# union step runs only on keys that two or more pieces share.  Before the
-# endpoint pass every piece's root is taken, and taken again after each
-# union the pass makes; a signature group whose pieces all share one root
-# is noted.  With no arc crossing the origin, an endpoint whose group is
-# noted and shares its own piece's root is skipped: every candidate in the
-# group would be skipped as joined already.  Both rest on one invariant:
-# unions only merge, so pieces that share a root keep sharing one, and the
-# root of any piece of a noted group stays the root of all of them.  Pieces
+# union step runs only on keys that two or more pieces share.  The
+# union-find is the only record of joins: roots are read only through
+# ``find``, which halves the paths it walks.  Before the endpoint pass a
+# signature group whose pieces all share one root is noted.  With no
+# arc crossing the origin, an endpoint whose group is noted and shares its
+# own piece's root is skipped: every candidate in the group would be
+# skipped as joined already.  Both rest on one invariant: unions only
+# merge, so pieces that share a root keep sharing one, and the root of any
+# piece of a noted group stays the root of all of them.  Pieces
 # built by the sweep meet only at shared endpoints: on the 67 seeded pairs
 # of the segment-sweep benchmark the endpoint pass visits no candidate, and
 # the whole pass is O(P n).
@@ -147,31 +148,30 @@ def components(seg: SegmentSet) -> List[List[int]]:
     # arc, an endpoint whose signature group already shares its own root
     # has nothing left to join
     crossing = by_signature.get(None, ())
-    # the root of every piece, kept current through the unions below
-    roots = list(map(find, range(len(pieces))))
     # signature -> a piece of its group, where the whole group shares one root
     joined = {} if crossing else {
         signature: group[0] for signature, group in by_signature.items()
-        if len(group) == 1 or len(set(map(roots.__getitem__, group))) == 1
+        if len(group) == 1 or len(set(map(find, group))) == 1
     }
     for i, piece in enumerate(pieces):
+        # union(i, j) keeps i's root, so it stays current through the loop
+        root = find(i)
         for end, key in enumerate(keys[i]):
             shared = joined.get(key[0])
-            if shared is not None and roots[shared] == roots[i]:
+            if shared is not None and find(shared) == root:
                 continue
             x = None
             for j in chain(by_signature.get(key[0], ()), crossing):
-                if j == i or key in keys[j] or roots[i] == roots[j]:
+                if j == i or key in keys[j] or find(j) == root:
                     continue
                 if x is None:
                     x = _closure_point(piece, end)
                 if _piece_member(pieces[j], x):
                     union(i, j)
-                    roots = list(map(find, range(len(pieces))))
 
     groups: dict = {}
-    for i, root in enumerate(roots):
-        groups.setdefault(root, []).append(i)
+    for i in range(len(pieces)):
+        groups.setdefault(find(i), []).append(i)
     return sorted(groups.values())
 
 

@@ -192,8 +192,13 @@ def render_segment_svg(obj) -> str:
     return scene.render()
 
 
-def render_projection_svg(x: SVector, points: Sequence[SVector], box: BoxSet) -> str:
+def render_projection_svg(x: SVector, points: Sequence[SVector], target: BoxSet | SegmentSet) -> str:
+    """Standalone SVG of a projection onto a box or a segment set: the set,
+    the query, its nearest points and the arrows to them."""
     scene = Scene(len(x))
-    scene.add_box_set(box)
+    if isinstance(target, SegmentSet):
+        scene.add_segment_set(target)
+    else:
+        scene.add_box_set(target)
     scene.add_projection(x, points)
     return scene.render()

@@ -9,6 +9,10 @@ Per pair it compares the stored answer of the wide semimodule corpus
 each with its stages' sorted distinct ``MagnitudeRangeWarning`` messages;
 for pairs of one or two coordinates the ``render_segment_svg`` text of the
 segment and of the geodesic, read back from that JSON, with its warnings;
+for pairs of one coordinate the line projections of the segment and of the
+geodesic's segment set, read back from that JSON (``line_projections``:
+the zero element and queries at each piece end on each ray and one ulp
+off it in exponent, under both bases, each with its answer or its error);
 and a ``ValueError`` message where one is raised.  Pairs have 1 to 33
 coordinates, about one in ten of them zero, with exponents uniform in +-1,
 +-3, +-30, +-300 or +-750 (past the overflow threshold log(float max) =
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import subprocess
@@ -66,11 +71,46 @@ def pairs(count: int, seed: int):
         )
 
 
+def line_projections(S) -> list:
+    """The line projections of a one-coordinate segment set: for the zero
+    element, and for each piece end on each ray and one ulp off it in
+    exponent, under both bases, the query, the base, and the result's JSON
+    or the error's text.  Warnings are not recorded: a set may warn once
+    or once per query."""
+    import warnings
+
+    from smaxplus import projection
+    from smaxplus.algebra import EPS, RAYS, ZERO, SElem
+    from smaxplus.segments import PointPiece
+
+    # the base revision may still project segment sets through their own entry point
+    project = getattr(projection, "project_segment_set", projection.project_ray)
+    ends = []
+    for piece in S.pieces:
+        if isinstance(piece, PointPiece):
+            ends.append(piece.point[0].exp)
+        else:
+            ends += [math.log(abs(v)) for v in (piece.start[0], piece.end[0]) if v != 0.0]
+    queries = [ZERO] + [SElem(ray, u) for t in dict.fromkeys(ends) if t is not EPS for ray in RAYS
+                        for u in (math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf))]
+    out = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for x in queries:
+            for base in (1, 2):
+                try:
+                    answer = {"result": project(x, S, base).to_json()}
+                except ValueError as exc:
+                    answer = {"error": str(exc)}
+                out.append({"x": x.to_json(), "base": base, **answer})
+    return out
+
+
 def record(a_json: dict, b_json: dict) -> dict:
     """What one tree makes of one pair."""
     from make_geometric_golden import outcome as geodesic_outcome
     from make_semimodule_golden import _warned, wide_outcome
-    from smaxplus import BrokenLine, SegmentSet
+    from smaxplus import BrokenLine, SegmentSet, as_segment_set
     from smaxplus.svg import render_segment_svg
 
     out = {"a": a_json, "b": b_json}
@@ -81,6 +121,11 @@ def record(a_json: dict, b_json: dict) -> dict:
             out["svg"] = {
                 "semimodule": _warned(render_segment_svg, SegmentSet.from_json(out["semimodule"]["segment"])),
                 "geodesic": _warned(render_segment_svg, BrokenLine.from_json(out["geodesic"]["line"])),
+            }
+        if len(a_json["coords"]) == 1:
+            out["projection"] = {
+                "semimodule": line_projections(SegmentSet.from_json(out["semimodule"]["segment"])),
+                "geodesic": line_projections(as_segment_set(BrokenLine.from_json(out["geodesic"]["line"]))),
             }
     except ValueError as exc:
         out["error"] = str(exc)

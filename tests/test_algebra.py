@@ -81,7 +81,7 @@ class TestScalars:
         assert 3 > EPS
         assert max(EPS, -7) == -7
         assert EPS <= 0 and EPS <= EPS
-        for compare in (lambda: EPS < "a", lambda: EPS > "a"):
+        for compare in (lambda: EPS < "a", lambda: EPS > "a", lambda: EPS <= "a"):
             with pytest.raises(TypeError):
                 compare()
 

@@ -483,18 +483,102 @@ def test_non_numeric_interval_ends_are_a_domain_error(capsys, files, command):
 
 
 def test_malformed_segment_set_is_a_domain_error(capsys, files):
-    # no subcommand reads segment sets yet; an arc whose chart, start and
-    # end lengths differ is refused by SegmentSet.from_json, and the CLI's
-    # set reader refuses the object too
+    # an arc whose chart, start and end lengths differ is refused by
+    # SegmentSet.from_json, and the CLI's set reader names that error
     arc = {"kind": "arc", "chart": [["+", "-"]], "start": [1.0, 2.0], "end": [3.0],
            "closed_lo": True, "closed_hi": True}
     with pytest.raises(ValueError, match="one length"):
         SegmentSet.from_json({"pieces": [arc]})
     target = files["write"]("seg.json", {"pieces": [arc]})
+    message = "arc chart, start and end must have one length, got 1, 2 and 1"
     for argv in (["check", target], ["project", files["p1"], target]):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
-        assert "Traceback" not in err and "unknown keys ['pieces']" in json.loads(err)["error"]
+        assert json.loads(err) == {"error": f"{target}: not a segment set (ValueError: {message})"}
+
+
+class TestProjectSegmentSets:
+    """``smaxplus project`` reads what ``smaxplus segment`` prints, and
+    projects a one-coordinate segment set through ``project_ray``."""
+
+    @pytest.mark.parametrize(
+        "kind, b, expected",
+        [
+            ("geometric", {"sign": "-", "exp": 1}, {"d1": ("eps", 1.0), "d2": ("eps", 1.0)}),
+            ("semimodule", {"sign": "-", "exp": 1},
+             {"d1": ("b:1", 1.718281828459045), "d2": ("b:1", 1.718281828459045)}),
+            ("traditional", {"sign": "+", "exp": 0},
+             {"d1": ("p:0.0", 1.7320508075688772), "d2": ("p:0.0", 2.0)}),
+        ],
+    )
+    def test_a_printed_segment_is_a_target(self, capsys, files, kind, b, expected):
+        b = files["write"]("b1.json", b)
+        code, seg, _ = run(capsys, "segment", "--kind", kind, files["p1"], b)
+        assert code == 0
+        target = files["write"]("seg.json", json.loads(seg))
+        query = files["write"]("q.json", {"sign": "o", "exp": 0})
+        for base, (point, distance) in expected.items():
+            code, out, err = run(capsys, "project", query, target, "--base", base)
+            assert (code, err) == (0, ""), base
+            result = ProjectionResult.from_json(json.loads(out))
+            assert [str(p) for p in result.points] == [point] and result.distance == distance, base
+
+    def test_an_unrepresentable_traditional_segment_is_no_set(self, capsys, files):
+        m1 = files["write"]("m1.json", {"sign": "-", "exp": 1})
+        _, seg, _ = run(capsys, "segment", "--kind", "traditional", files["p1"], m1)
+        target = files["write"]("seg.json", json.loads(seg))
+        code, out, err = run(capsys, "project", files["x"], target)
+        assert (code, out) == (1, "")
+        assert "unknown keys ['representable']" in json.loads(err)["error"]
+
+    def test_svg_draws_the_segment_set_and_the_arrows(self, capsys, files):
+        m1 = files["write"]("m1.json", {"sign": "-", "exp": 1})
+        _, seg, _ = run(capsys, "segment", files["p1"], m1)
+        target = files["write"]("seg.json", json.loads(seg))
+        query = files["write"]("q.json", {"sign": "o", "exp": 0})
+        code, out, err = run(capsys, "project", query, target, "--out", "svg")
+        assert (code, err) == (0, "")
+        root = ET.fromstring(out)
+        # the geodesic's two legs as polylines, and one arrow to the origin
+        assert len(root.findall(".//{http://www.w3.org/2000/svg}polyline")) == 2
+        assert out.count('stroke="#2ca02c"') == 1 and out.count('fill="#2ca02c"') == 2
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--metric", "rho12"], "--metric applies to boxes; a segment set takes --base"),
+            (["--resolution", "0.5"], "--resolution and --max-magnitude apply to max-combine box metrics only"),
+            (["--max-magnitude", "5"], "--resolution and --max-magnitude apply to max-combine box metrics only"),
+        ],
+        ids=["metric", "resolution", "max-magnitude"],
+    )
+    def test_box_options_are_refused(self, capsys, files, extra, message):
+        target = files["write"]("seg.json", _OPEN_ARC)
+        code, out, err = run(capsys, "project", files["p1"], target, *extra)
+        assert (code, out, json.loads(err)) == (1, "", {"error": message})
+
+    def test_line_only_errors(self, capsys, files):
+        line = files["write"]("seg.json", _OPEN_ARC)
+        plane = files["write"]("seg2.json", {"pieces": [{"kind": "point", "point": json.loads(
+            Path(files["a"]).read_text())}]})
+        for query, target, message in [
+            (files["a"], line, "a segment set expects a one-coordinate query"),
+            (files["p1"], plane, "segment projection is defined on the line only"),
+            # the infimum sits at the arc's open end p:0
+            (files["x"], line, "nearest-point infimum is not attained in the segment set"),
+        ]:
+            code, out, err = run(capsys, "project", query, target)
+            assert (code, out, json.loads(err)) == (1, "", {"error": message}), message
+
+    def test_check_refuses_a_segment_set(self, capsys, files):
+        target = files["write"]("seg.json", _OPEN_ARC)
+        code, out, err = run(capsys, "check", target)
+        assert (code, out, json.loads(err)) == (1, "", {"error": "check decides ray sets and boxes, not segment sets"})
+
+
+# the plus stretch (1, 2]: a one-coordinate segment set with an open end
+_OPEN_ARC = {"pieces": [{"kind": "arc", "chart": [["+", "+"]], "start": [1.0], "end": [2.0],
+                         "closed_lo": False, "closed_hi": True}]}
 
 
 def test_malformed_set_is_a_domain_error(capsys, files):
@@ -986,11 +1070,14 @@ def test_import_loads_neither_numpy_nor_scipy(files):
     # loads its sampler, and no subcommand loads the pair algebra
     query = files["write"]("q2.json", {"coords": [{"sign": "+", "exp": 2}, {"sign": "+", "exp": 0.4}]})
     box = files["write"]("box2.json", {"factors": [{"plus": [[1, 2]]}, {"plus": [[1, 2]]}]})
+    point = {"kind": "point", "point": {"coords": [{"sign": "-", "exp": 0}]}}
+    segment = files["write"]("seg.json", {"pieces": [point]})
     calls = {
         "eval": ["eval", "1"],
         "segment": ["segment", "--kind", "semimodule", files["p1"], files["m0"]],
         "segment-svg": ["segment", files["p1"], files["m0"], "--out", "svg"],
         "ray": ["project", files["p1"], files["triple"]],
+        "segment-set": ["project", files["p1"], segment],
         "rho12": ["project", query, box, "--metric", "rho12"],
         "rho02": ["project", query, box, "--metric", "rho02", "--resolution", "0.25"],
         "check": ["check", files["triple"]],
@@ -1002,6 +1089,9 @@ def test_import_loads_neither_numpy_nor_scipy(files):
     assert "smaxplus.svg" in loaded["segment-svg"]
     assert not loaded["segment-svg"] & {"smaxplus.raysets", "smaxplus.connectivity"}
     assert "smaxplus.boxmax" in loaded["rho02"] and "smaxplus.boxmax" not in loaded["rho12"]
+    # a segment-set file loads the segments layer for its reader only
+    assert "smaxplus.segments" in loaded["segment-set"] and "smaxplus.segments" not in loaded["ray"]
+    assert not loaded["segment-set"] & {"smaxplus.connectivity", "smaxplus.boxmax", "smaxplus.svg"}
     assert not any("smaxplus.pairs" in modules for modules in loaded.values())
 
     # the lazy package: the old names, each the object of its home module,

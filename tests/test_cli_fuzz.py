@@ -21,18 +21,27 @@ from smaxplus.cli import main
 EXPS = st.sampled_from([0, 5e-324, 1e308, 10**400, -10**400, 700, -700, 746, -746, 1, -0.0, "-inf"])
 ENDS = st.sampled_from([0, 5e-324, 1, 700, 746, 1e308, 10**400, "inf"])
 WRONG = st.sampled_from([None, True, "x", [], {}, [1], {"a": 1}, -1])
+SIGNS = st.sampled_from(["+", "-", "o"])
+# chart values of arc ends, on either chart ray and at the origin
+CHART_VALUES = st.sampled_from([0, -0.0, 1, -1, 0.5, -2, 5e-324, -5e-324, 1e308, -1e308])
 
 
 def _inputs(exp, end, interval, n):
-    """Queries (elements and vectors) and sets (ray sets and boxes) of
-    ``n`` coordinates, built from these leaves."""
-    elems = st.fixed_dictionaries({"sign": st.sampled_from(["+", "-", "o"]), "exp": exp})
+    """Queries (elements and vectors) and sets (ray sets and boxes, and for
+    ``n`` = 1 segment sets) of ``n`` coordinates, built from these leaves."""
+    elems = st.fixed_dictionaries({"sign": SIGNS, "exp": exp})
     vectors = st.fixed_dictionaries({"coords": st.lists(elems, min_size=n, max_size=n)})
     ray_sets = st.dictionaries(st.sampled_from(["plus", "minus", "balanced"]),
                                st.lists(interval(end), min_size=1, max_size=2), min_size=1)
     boxes = st.fixed_dictionaries({"factors": st.lists(ray_sets, min_size=n, max_size=n)})
     if n == 1:
-        return elems | vectors, ray_sets | boxes
+        one = st.lists(CHART_VALUES, min_size=1, max_size=1)
+        chart = st.lists(st.lists(SIGNS, min_size=2, max_size=2), min_size=1, max_size=1)
+        arcs = st.fixed_dictionaries({"kind": st.just("arc"), "chart": chart, "start": one, "end": one,
+                                      "closed_lo": st.booleans(), "closed_hi": st.booleans()})
+        points = st.fixed_dictionaries({"kind": st.just("point"), "point": vectors})
+        segment_sets = st.fixed_dictionaries({"pieces": st.lists(arcs | points, min_size=1, max_size=3)})
+        return elems | vectors, ray_sets | boxes | segment_sets
     return vectors, boxes
 
 

@@ -488,6 +488,23 @@ class TestWideMagnitudes:
             groups = components(seg)
         assert len(seg.pieces) == 5 and groups == [[0], [1, 3, 4], [2]]
 
+    def test_rounding_overrules_the_exponent_test(self):
+        # at the event lam = -2.0**58 of the second coordinate, the first
+        # coordinate's exponent lam + (2**58 + 6) rounds to 0.0, below its
+        # partner's 5, although its own event lies below lam: the signed
+        # max of the sweep's _oplus, not the exponent test, keeps p:5
+        a, b = V(SElem.pos(2**58 + 6), SElem.pos(2.0**58)), V(SElem.pos(5), SElem.pos(0.0))
+        with pytest.warns(MagnitudeRangeWarning, match="overflows"):
+            seg = semimodule_segment(a, b)
+        big = sys.float_info.max
+        assert seg.to_json() == {"pieces": [
+            {"kind": "arc", "chart": [["+", "+"], ["+", "+"]], "start": [1.0, 1.0], "end": [big, big],
+             "closed_lo": False, "closed_hi": True},
+            {"kind": "arc", "chart": [["+", "+"], ["+", "+"]], "start": [math.exp(5), 1.0], "end": [1.0, 1.0],
+             "closed_lo": False, "closed_hi": False},
+            {"kind": "point", "point": {"coords": [{"sign": "+", "exp": 5}, {"sign": "+", "exp": 0.0}]}},
+        ]}
+
 
 MEMBERSHIP_BANDS = (3.0, 10.0, 20.0, 30.0, 100.0)
 BETWEENNESS_METRICS = [parse_metric_id(code) for code in ("rho02", "rho12", "rho22")]
