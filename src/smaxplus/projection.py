@@ -10,12 +10,12 @@ one-coordinate segment set, is a union of radial intervals with
 open/closed ends that carry their ends' exponents.  Each set builds its
 intervals once, from itself alone, and caches them in the last slot of its
 index: a ray set's are closed, and a segment set's carry its pieces' end
-flags, an arc giving its chord's part on each ray it reaches
-(``segments._build_index``).  So ``project_ray`` projects every line set
-through one path, and this module knows no piece types.  One kernel
-decides membership and the own-ray candidate on exponents, scores every
-candidate in floats, keeps the attained ones within the absolute TIE_TOL of
-the best, and builds elements only for those.  Boxes call the kernel per
+flags, an arc giving its chord's part on each ray it reaches.  So
+``project_ray`` projects every line set through one path, and this module
+knows no piece types.  One kernel decides membership and the own-ray
+candidate on exponents, scores every candidate in floats, keeps the
+attained ones within the absolute TIE_TOL of the best, and builds elements
+only for those.  Boxes call the kernel per
 factor: the sum and Euclidean combines take the product of the factor
 argmins.  The max combine does not factorize; its projection,
 ``project_box_max``, lives in ``boxmax``, which only max-combine callers
