@@ -7,32 +7,31 @@ m', so per interval only one candidate can attain the minimum: on the
 query's own ray the query itself, when it is a member, else the nearer end,
 and the low end on the other rays.  A line set, a ray set or a
 one-coordinate segment set, is a union of radial intervals with
-open/closed ends that carry their ends' exponents.  Each set builds its
-intervals once, from itself alone, and caches them in the last slot of its
-index: a ray set's are closed, and a segment set's carry its pieces' end
-flags, an arc giving its chord's part on each ray it reaches.  So
-``project_ray`` projects every line set through one path, and this module
-knows no piece types.  One kernel decides membership and the own-ray
-candidate on exponents, scores every candidate in floats, keeps the
-attained ones within the absolute TIE_TOL of the best, and builds elements
-only for those.  Boxes call the kernel per
-factor: the sum and Euclidean combines take the product of the factor
-argmins.  The max combine does not factorize; its projection,
-``project_box_max``, lives in ``boxmax``, which only max-combine callers
-load.  The kernel returns the nearest points and their distance, not a
-``ProjectionResult``, so boxes, which call it once per factor, build one
-result per public call.  The multipoint witness is built in a gap, not
-scored.
+open/closed ends that carry their ends' exponents and elements.  Each set
+builds its intervals once, from itself alone, and caches them in the last
+slot of its index: a ray set's are closed, and a segment set's carry its
+pieces' end flags, an arc giving its chord's part on each ray it reaches.
+So ``project_ray`` projects every line set through one path, and this
+module knows no piece types.  One kernel decides membership and the
+own-ray candidate on exponents, scores every candidate in floats, and
+keeps the attained ones within the absolute TIE_TOL of the best.  Boxes
+call the kernel per factor: the sum and Euclidean combines take the
+product of the factor argmins.  The max combine does not factorize; its
+projection, ``project_box_max``, lives in ``boxmax``, which only
+max-combine callers load.  The kernel returns the nearest points and their
+distance, not a ``ProjectionResult``, so boxes, which call it once per
+factor, build one result per public call.  The multipoint witness is built
+in a gap, not scored.
 
-Every nearest point is therefore the query or an interval end, and results
-are built without the public constructors' checks, through
-``_trusted_selem`` and ``_trusted_svector``, and only from exponents the
-intervals carry: a member query is returned as itself, and an end is built
-from its stored exponent, which is ``math.log`` of a positive finite
-radius, or the exponent of the element a one-point piece came as.  An end
-at the origin has exponent -inf and is the zero element; an unbounded end,
-with exponent inf, is never a candidate, since every finite exponent lies
-at or below it.  A product vector is a tuple of such elements.
+Every nearest point is therefore the query or an interval end, and the
+kernel builds no element: a member query is returned as itself, and an end
+as the element its interval carries, built once with the set's index from
+the end's exponent (``math.log`` of a positive finite radius), or the
+element a one-point piece came as.  An end at the origin has exponent -inf
+and is the zero element; an unbounded end, with exponent inf, carries no
+element and is never a candidate, since every finite exponent lies at or
+below it.  A product vector is a tuple of such elements, built without the
+public constructor's checks through ``_trusted_svector``.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ import math
 from typing import Optional, Tuple
 
 from .algebra import (
-    EPS, RAYS, ZERO, SElem, Sign, _check_keys, _check_object, _is_number, _Record, _trusted_selem,
+    EPS, RAYS, SElem, Sign, _check_keys, _check_object, _is_number, _Record, _trusted_selem,
 )
 from .metrics import (
     _MAX_EXP_ARG, _MIN_EXP_ARG, MetricId, SVector, _euclid_norm, _trusted_svector,
@@ -111,10 +110,12 @@ def _tied(d: float, ref: float) -> bool:
 def _nearest(x: SElem, intervals, base: int) -> Tuple[Tuple[SElem, ...], float]:
     """The nearest points of ``x`` among radial intervals, in sort order,
     and their distance.  Intervals are given as (ray, lo, hi, closed_lo,
-    closed_hi, t_lo, t_hi), where ``t_lo`` and ``t_hi`` are the ends'
-    exponents: ``math.log`` of a positive radius, -inf at the origin and
-    inf for an unbounded end; a one-point interval made from an element
-    carries that element's exponent at both ends.
+    closed_hi, t_lo, t_hi, e_lo, e_hi), where ``t_lo`` and ``t_hi`` are the
+    ends' exponents: ``math.log`` of a positive radius, -inf at the origin
+    and inf for an unbounded end; ``e_lo`` and ``e_hi`` are the ends'
+    elements, ``ZERO`` at the origin and None at an unbounded end.  A
+    one-point interval made from an element carries that element and its
+    exponent at both ends.
 
     Every decision on the query's own ray (every ray for a zero query,
     whose exponent is taken as the origin's -inf) is made on exponents.
@@ -128,9 +129,10 @@ def _nearest(x: SElem, intervals, base: int) -> Tuple[Tuple[SElem, ...], float]:
     the query's ray and at the origin, which lies on every ray, and by
     ``cross_distance`` across rays.  A candidate at an excluded end
     lowers the infimum but is not attained.  So every argmin is an
-    interval end, built from its exponent, or the origin; elements are
-    built only for the argmins, and deduplicated and sorted only when
-    more than one ties.  When ``|x.exp|`` exceeds log(float max), the
+    interval end, returned as the element its interval carries, or the
+    origin; no element is built here.  A single attained candidate is
+    returned at once, and the argmins are deduplicated and sorted only
+    when more than one ties.  When ``|x.exp|`` exceeds log(float max), the
     members are looked for before the radius is taken, so that an exact
     answer raises no ``MagnitudeRangeWarning``.
     """
@@ -144,34 +146,32 @@ def _nearest(x: SElem, intervals, base: int) -> Tuple[Tuple[SElem, ...], float]:
         # e**tx may leave the float range, where magnitude warns: a member
         # is answered from the exponents before the radius is taken
         own = x.sign
-        for ray, _, _, closed_lo, closed_hi, t_lo, t_hi in intervals:
+        for ray, _, _, closed_lo, closed_hi, t_lo, t_hi, _, _ in intervals:
             if ray is own and t_lo <= tx <= t_hi and (closed_lo or tx != t_lo) and (closed_hi or tx != t_hi):
                 return (x,), 0.0
         mx = magnitude(x)
     infimum = best = math.inf
     attained = []
-    for ray, lo, hi, closed_lo, closed_hi, t_lo, t_hi in intervals:
+    for ray, lo, hi, closed_lo, closed_hi, t_lo, t_hi, e_lo, e_hi in intervals:
         if own is None or ray is own:
             if t_lo <= tx <= t_hi and (closed_lo or tx != t_lo) and (closed_hi or tx != t_hi):
                 return (x,), 0.0
-            m, t = (lo, t_lo) if tx <= t_lo else (hi, t_hi)
+            m, e = (lo, e_lo) if tx <= t_lo else (hi, e_hi)
             d = abs(mx - m)
         else:
-            m, t = lo, t_lo
+            m, e = lo, e_lo
             d = mx if lo == 0.0 else cross_distance(mx, lo, base)
         if d < infimum:
             infimum = d
         if (m != lo or closed_lo) and (m != hi or closed_hi):
             if d < best:
                 best = d
-            attained.append((d, ray, t))
+            attained.append((d, e))
     if not attained or best != infimum and not _tied(best, infimum):
         raise ValueError("nearest-point infimum is not attained in the segment set")
-    points = [
-        _trusted_selem(ray, t) if t > -math.inf else ZERO
-        for d, ray, t in attained
-        if d == best or _tied(d, best)
-    ]
+    if len(attained) == 1:
+        return (attained[0][1],), best
+    points = [e for d, e in attained if d == best or _tied(d, best)]
     if len(points) == 1:
         return (points[0],), best
     by_key = {}  # sort key -> the first argmin with it; equal keys are equal elements

@@ -17,8 +17,8 @@ membership, which compares exponents, and every gap holds an element.
 
 Each set caches what its projections and membership tests read, built on
 first use (``_build_index``): the projection kernel's interval tuples with
-the ends' exponents, and per ray the ascending exponent ends, which
-``contains`` bisects.  The cache is not a field of the value.
+the ends' exponents and elements, and per ray the ascending exponent ends,
+which ``contains`` bisects.  The cache is not a field of the value.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from bisect import bisect_right
 from typing import List, Optional, Tuple
 
 from .algebra import (MINUS, PLUS, RAYS, SElem, Sign, ZERO, _SIGN_ORDER, _check_keys, _check_object,
-                      _is_number, _Record)
+                      _is_number, _Record, _trusted_selem)
 
 Interval = Tuple[float, float]
 
@@ -80,10 +80,14 @@ def _build_index(C: "RaySet") -> tuple:
     tuple (plus ends, minus ends, balanced ends, kernel intervals).
 
     The kernel intervals are its tuples (ray, lo, hi, closed_lo, closed_hi,
-    t_lo, t_hi), all closed, in ``RAYS`` order, where ``t_lo`` and ``t_hi``
-    are the ends' exponents ``math.log``: -inf for an end at the origin,
-    and inf for an unbounded one.  A ray's ends are the same exponents in
-    ascending order, (t_lo, t_hi, t_lo, ...)."""
+    t_lo, t_hi, e_lo, e_hi), all closed, in ``RAYS`` order, where ``t_lo``
+    and ``t_hi`` are the ends' exponents ``math.log``: -inf for an end at
+    the origin, and inf for an unbounded one.  ``e_lo`` and ``e_hi`` are the
+    ends' elements, which the kernel returns as nearest points: ``ZERO`` at
+    the origin, the element of exponent ``t`` on the ray at a positive
+    finite radius, and None for an unbounded end, which is never a
+    candidate.  A ray's ends are the same exponents in ascending order,
+    (t_lo, t_hi, t_lo, ...)."""
     index = []
     intervals = []
     for ray, ivs in zip(RAYS, (C.plus, C.minus, C.balanced)):
@@ -91,11 +95,18 @@ def _build_index(C: "RaySet") -> tuple:
         for lo, hi in ivs:
             t_lo = math.log(lo) if lo > 0.0 else _NEG_INF
             t_hi = math.log(hi) if hi > 0.0 else _NEG_INF
-            intervals.append((ray, lo, hi, True, True, t_lo, t_hi))
+            e_hi = None if hi == math.inf else _end_element(ray, t_hi)
+            intervals.append((ray, lo, hi, True, True, t_lo, t_hi, _end_element(ray, t_lo), e_hi))
             ends += (t_lo, t_hi)
         index.append(tuple(ends))
     index.append(tuple(intervals))
     return tuple(index)
+
+
+def _end_element(ray: Sign, t: float) -> SElem:
+    """The element at a finite interval end of exponent ``t`` on a ray:
+    ``ZERO`` at the origin (``t`` = -inf)."""
+    return _trusted_selem(ray, t) if t > _NEG_INF else ZERO
 
 
 class RaySet(_Record):

@@ -430,9 +430,13 @@ def _build_index(S: "SegmentSet") -> tuple:
     the last slot of a ray set's index does.
 
     The kernel intervals are radial intervals (ray, lo, hi, closed_lo,
-    closed_hi, t_lo, t_hi) that carry the pieces' end flags, with the ends'
-    exponents ``math.log`` of their radii, -inf at the origin.  A point piece
-    is the one-point interval at its element, with the element's exponent.
+    closed_hi, t_lo, t_hi, e_lo, e_hi) that carry the pieces' end flags,
+    with the ends' exponents ``math.log`` of their radii, -inf at the
+    origin, and the ends' elements, which the kernel returns as nearest
+    points: ``ZERO`` at the origin, else the element of exponent ``t`` on
+    the ray.  A point piece is the one-point interval at its element, with
+    the element's exponent and the element itself (``ZERO`` for the zero
+    element) at both ends.
     An arc on chart (u, v) lies on u where its chart value is > 0 and on v
     where it is < 0, and gives its chord's part on each ray it reaches; a
     chord that crosses 0 holds the origin as an interior, hence closed,
@@ -448,8 +452,8 @@ def _build_index(S: "SegmentSet") -> tuple:
             raise ValueError("segment projection is defined on the line only")
         if point:
             e = piece.point[0]
-            m, t = magnitude(e), _NEG_INF if e.is_zero else e.exp
-            intervals.append((e.sign, m, m, True, True, t, t))
+            m, t, end = (0.0, _NEG_INF, ZERO) if e.is_zero else (magnitude(e), e.exp, e)
+            intervals.append((e.sign, m, m, True, True, t, t, end, end))
             continue
         (u, v), p, q = piece.chart[0], piece.start[0], piece.end[0]
         lo, hi, closed_lo, closed_hi = (
@@ -465,7 +469,9 @@ def _build_index(S: "SegmentSet") -> tuple:
 def _radial_part(ray: Sign, lo: float, hi: float, closed_lo: bool, closed_hi: bool) -> tuple:
     t_lo = math.log(lo) if lo > 0.0 else _NEG_INF
     t_hi = math.log(hi) if hi > 0.0 else _NEG_INF
-    return (ray, lo, hi, closed_lo, closed_hi, t_lo, t_hi)
+    e_lo = _trusted_selem(ray, t_lo) if lo > 0.0 else ZERO
+    e_hi = _trusted_selem(ray, t_hi) if hi > 0.0 else ZERO
+    return (ray, lo, hi, closed_lo, closed_hi, t_lo, t_hi, e_lo, e_hi)
 
 
 class SegmentSet(_Record):

@@ -895,6 +895,80 @@ def _near_an_end(rng, ends, band) -> SElem:
     return SElem(rng.choice(RAYS) if rng.random() < 0.3 else sign, t)
 
 
+class TestNearestPointsAreTheIndexElements:
+    """A prepared set's index carries each interval end's element, and a
+    non-member query is answered with those objects, so that a projection
+    builds no element of its own; a member is answered with itself."""
+
+    @staticmethod
+    def _ends(C):
+        from smaxplus.raysets import _KERNEL
+
+        return [iv[7:] for iv in (C._index or C._prepare())[_KERNEL]]
+
+    @staticmethod
+    def _assert_answers(C, cases):
+        for base in (1, 2):
+            for x, end in cases:
+                first, again = project_ray(x, C, base), project_ray(x, C, base)
+                assert len(first.points) == 1 and first.points[0] is end, (x, base)
+                assert again.points[0] is first.points[0], (x, base)
+
+    def test_ray_set(self):
+        C = RaySet(plus=((2, 3),), balanced=((0, 1),))
+        (p_lo, p_hi), (origin, b_hi) = self._ends(C)
+        assert origin is ZERO
+        self._assert_answers(C, [
+            (SElem.pos(math.log(4)), p_hi),
+            (SElem.pos(math.log(1.9)), p_lo),
+            (SElem.bal(math.log(1.5)), b_hi),
+            (SElem.neg(math.log(0.5)), origin),
+        ])
+        tied = project_ray(SElem.pos(0.0), C, 2).points  # radius 1: 1 from 2 and from 0
+        assert tied[0] is p_lo and tied[1] is origin
+
+    def test_one_coordinate_segment_set(self):
+        from smaxplus.segments import ArcPiece, PointPiece, SegmentSet
+
+        point = SElem.bal(math.log(5))
+        # a chord from p:log 2 to m:0 that crosses the origin, and a point piece
+        S = SegmentSet((
+            ArcPiece(((Sign.PLUS, Sign.MINUS),), (2.0,), (-1.0,), True, True),
+            PointPiece(SVector((point,))),
+        ))
+        (u_origin, u_hi), (v_origin, v_hi), (p_lo, p_hi) = self._ends(S)
+        assert u_origin is v_origin is ZERO and p_lo is p_hi is point
+        self._assert_answers(S, [
+            (SElem.pos(math.log(3)), u_hi),
+            (SElem.neg(math.log(1.5)), v_hi),
+            (SElem.bal(math.log(4.5)), point),
+            (SElem.bal(0.0), ZERO),
+        ])
+
+    def test_a_member_is_answered_with_itself(self):
+        C = RaySet(plus=((2, 3),), balanced=((0, 1),))
+        for x in (SElem.pos(math.log(2.5)), SElem.pos(math.log(2)), ZERO):
+            for base in (1, 2):
+                assert project_ray(x, C, base).points[0] is x
+
+    def test_boxes(self):
+        C = RaySet(plus=((2, 3),), balanced=((0, 1),))
+        D = RaySet(plus=((1, 2),))
+        (_, p_hi), (origin, _) = self._ends(C)
+        (d_lo, _), = self._ends(D)
+        inside = SElem.pos(math.log(1.5))
+        x = SVector((SElem.pos(math.log(4)), inside))
+        for mid in (MetricId("sum", 2), MetricId("euclid", 1)):
+            point, = project_box(x, BoxSet((C, D)), mid).points
+            assert point.coords[0] is p_hi and point.coords[1] is inside
+        point, = project_box(SVector((ZERO, ZERO)), BoxSet((C, D)), MetricId("sum", 2)).points
+        assert point.coords[0] is origin and point.coords[1] is d_lo
+        # the first factor binds at D = 1; the second is sampled in its cut
+        r = project_box_max(x, BoxSet((C, D)), 2, resolution=0.25)
+        assert r.distance == pytest.approx(1.0) and len(r.points) > 1
+        assert all(v.coords[0] is p_hi for v in r.points)
+
+
 def _assert_unique_projections(S, cases, base):
     for x, nearest, distance in cases:
         r = project_ray(x, S, base)
