@@ -237,10 +237,12 @@ class MetricId(_Record):
     def __init__(self, combine: str, base: int):
         if combine not in _K_BY_COMBINE:
             raise ValueError(f"unknown combine rule {combine!r}")
-        if base not in (1, 2):
+        # True == 1 and 2.0 == 2: a bool is refused, and the base is stored
+        # as an int, so that equal ids print alike
+        if base not in (1, 2) or base is True:
             raise ValueError(f"unknown base metric {base!r}")
         object.__setattr__(self, "combine", combine)
-        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "base", int(base))
 
     @property
     def code(self) -> str:

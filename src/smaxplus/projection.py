@@ -194,8 +194,9 @@ def _ray_intervals(C, base: int) -> Tuple[tuple, ...]:
 
 def _check_base(base) -> None:
     """The one base check of the line projections: ``cross_distance`` reads
-    any base but 2 as the chord metric, so another value is refused here."""
-    if base not in (1, 2):
+    any base but 2 as the chord metric, so another value is refused here,
+    ``True`` too, although it equals 1."""
+    if base not in (1, 2) or base is True:
         raise ValueError("base metric must be 1 or 2")
 
 

@@ -213,6 +213,19 @@ class TestProductMetrics:
         with pytest.raises(ValueError):
             MetricId("max", 3)
 
+    @pytest.mark.parametrize("base", [True, False])
+    def test_a_bool_base_is_refused(self, base):
+        # True == 1, but a flag is no base metric
+        with pytest.raises(ValueError, match=f"^unknown base metric {base}$"):
+            MetricId("sum", base)
+
+    def test_equal_ids_print_alike(self):
+        for base in (2, 2.0):
+            mid = MetricId("sum", base)
+            assert mid == MetricId("sum", 2) and hash(mid) == hash(MetricId("sum", 2))
+            assert type(mid.base) is int
+            assert mid.code == repr(mid) == "rho22"
+
     def test_worked_triple(self):
         a = SVector((SElem.pos(0), SElem.neg(LN3), SElem.bal(LN2)))
         b = SVector((SElem.neg(0), SElem.bal(0), SElem.pos(0)))

@@ -118,7 +118,7 @@ def _point_piece_set(e: SElem):
 
 # the line entry points that take a base metric, each on a set it accepts
 # (the last is project_ray on a segment set); cross_distance would read any
-# base but 2 as the chord metric
+# base but 2 as the chord metric, True (== 1) too
 BASE_TAKERS = {
     "project_ray": lambda base: project_ray(SElem.neg(1), RaySet(plus=((1, 2),)), base),
     "find_multipoint_witness": lambda base: find_multipoint_witness(RaySet(plus=((1, 2), (3, 4))), base),
@@ -126,7 +126,7 @@ BASE_TAKERS = {
 }
 
 
-@pytest.mark.parametrize("base", [5, "x", None])
+@pytest.mark.parametrize("base", [5, "x", None, True])
 @pytest.mark.parametrize("entry", sorted(BASE_TAKERS))
 def test_a_base_other_than_1_or_2_is_refused(entry, base):
     with pytest.raises(ValueError, match="^base metric must be 1 or 2$"):
