@@ -12,6 +12,14 @@ Two layers:
 The pair algebra itself, and the maps between pairs and signed elements,
 are in ``pairs``: every CLI call loads this module, and none uses pairs.
 
+Next to ``s_oplus``, ``s_otimes`` and ``s_power`` stand their forms on
+(sign, exp) tuples, ``_se_oplus``, ``_se_otimes`` and ``_se_power``, which
+the semimodule sweep and the expression evaluator run on and which build
+no element.  The product and power forms return the raw exponent, which
+may be +-inf where a float sum or multiple leaves the float range; the
+caller normalizes it (the evaluator refuses it).  The ``s_*`` functions
+keep their ``SElem`` bodies.
+
 ``EPS`` is a distinct tagged value, never an IEEE ``-inf`` float, so the
 semiring laws hold exactly at the zero element.  All values are immutable
 and every operation is a pure function.
@@ -375,3 +383,44 @@ def s_power(a: SElem, k: int) -> SElem:
     elif sign is MINUS and k % 2 == 0:
         sign = PLUS
     return SElem(sign, k * a.exp)
+
+
+# The pair forms take normalized pairs ((BALANCED, EPS) for zero, an int or
+# finite float exponent otherwise).  _se_oplus returns an operand or a
+# balanced tie, which is normalized.  An int beyond the float range next to
+# a float raises the OverflowError that s_otimes and s_power raise.
+
+
+def _se_oplus(x: tuple, y: tuple) -> tuple:
+    """s_oplus on (sign, exp) pairs."""
+    if x[1] is EPS or y[1] is EPS:
+        return y if x[1] is EPS else x
+    if x[1] != y[1]:
+        return x if x[1] > y[1] else y
+    return x if x[0] is y[0] else (BALANCED, x[1])
+
+
+def _se_otimes(x: tuple, y: tuple) -> tuple:
+    """s_otimes on (sign, exp) pairs, with the raw exponent sum."""
+    if x[1] is EPS or y[1] is EPS:
+        return (BALANCED, EPS)
+    sx, sy = x[0], y[0]
+    return (BALANCED if sx is BALANCED or sy is BALANCED else PLUS if sx is sy else MINUS, x[1] + y[1])
+
+
+def _se_power(x: tuple, k: int) -> tuple:
+    """s_power on a (sign, exp) pair and an int ``k``, with the raw
+    exponent ``k * exp``."""
+    if k == 0:
+        return (PLUS, 0)
+    sign, exp = x
+    if exp is EPS:
+        if k < 0:
+            raise ValueError("the zero element has no multiplicative inverse")
+        return x
+    if sign is BALANCED:
+        if k < 0:
+            raise ValueError("balanced elements have no multiplicative inverse")
+    elif sign is MINUS and k % 2 == 0:
+        sign = PLUS
+    return (sign, k * exp)

@@ -27,6 +27,16 @@ applies them, so an evaluation error comes before any later syntax error.
 Errors are located by token index; a position is taken only for the error
 raised, by a ``finditer`` over the same pattern.
 
+The loop combines (sign, exp) pairs, the fields of an ``SElem``, through the
+pair forms of the signed operations in ``algebra`` (``_se_oplus``,
+``_se_otimes``, ``_se_power``), and builds one ``SElem``, from the final
+pair.  The pair forms of a product and a power return the raw exponent,
+and the loop normalizes it: a float exponent that leaves the float range
+in either direction is refused, at the literal, the ``*`` or the power's
+exponent, with "not a valid magnitude exponent: inf" (or ``-inf``).  So an
+underflow such as ``p:-1e308 * p:-1e308`` is an error, as the overflow
+``1e308 * 1e308`` is, and never the zero element.
+
 Parentheses nest at most ``MAX_DEPTH`` deep.  The loop does not recurse, so
 this is a limit on the input, not a stack budget.  It stays so that the
 accepted language and its errors do not depend on how the evaluator is
@@ -39,12 +49,12 @@ nested too deeply" at that position.  Other sources pay one ``count``.
 
 from __future__ import annotations
 
-import math
 import re
 from itertools import accumulate
+from math import isfinite
 from typing import List, Optional
 
-from .algebra import BALANCED, MINUS, PLUS, ZERO, SElem, s_oplus, s_otimes, s_power
+from .algebra import BALANCED, EPS, MINUS, PLUS, SElem, _se_oplus, _se_otimes, _se_power
 
 
 class ExprError(ValueError):
@@ -67,6 +77,8 @@ _NUM = r"-?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 # speed (operators are the most common).
 _SCAN = re.compile(rf"\s*(?:([+*^()]|[pmb]:{_NUM}|eps\b|{_NUM})|\S)")
 _SIGNS = {"p": PLUS, "m": MINUS, "b": BALANCED}
+_ZERO = (BALANCED, EPS)
+_NOT_FINITE = "not a valid magnitude exponent: {!r}"
 MAX_DEPTH = 200
 _NOT_NUM = "+*^()epmb"  # first characters of the tokens that are not numbers
 
@@ -93,9 +105,7 @@ def _cut_too_deep(texts: List[str]) -> Optional[int]:
     return None
 
 
-def _number(text: str, k: int):
-    if "." in text or "e" in text or "E" in text:
-        return float(text)
+def _integer(text: str, k: int) -> int:
     try:
         return int(text)
     except ValueError:
@@ -104,17 +114,25 @@ def _number(text: str, k: int):
 
 
 def _exponent(text: str, k: int):
-    """A literal's magnitude exponent.  ``float`` rounds a literal below
-    minus the float maximum to -inf, which ``SElem`` would read as the zero
-    element; it is refused at the literal, as one above the maximum is."""
-    value = _number(text, k)
-    if value == -math.inf:
-        raise _Fail(f"not a valid magnitude exponent: {value!r}", k)
-    return value
+    """A literal's magnitude exponent.  ``float`` rounds a literal beyond
+    the float range to +-inf; it is refused at the literal, since ``SElem``
+    would refuse inf and read -inf as the zero element."""
+    if "." in text or "e" in text or "E" in text:
+        value = float(text)
+        if isfinite(value):
+            return value
+        raise _Fail(_NOT_FINITE.format(value), k)
+    return _integer(text, k)
 
 
 def _evaluate(texts: List[str], mode: str) -> SElem:
-    """The value of the token texts, which end in the END text ``""``."""
+    """The value of the token texts, which end in the END text ``""``.
+
+    Values are (sign, exp) pairs, combined by algebra's pair forms; the one
+    ``SElem`` is built from the final pair.  Every pair stays normalized: a
+    literal's exponent is finite, ``_se_oplus`` returns an operand or a
+    balanced tie, and the raw exponent of a product or power is refused
+    where it leaves the float range, at the ``*`` or at the exponent."""
     stack = []  # (total, product, star) of each enclosing parenthesis
     total = product = None  # the running sum and product; None before any
     star = i = 0  # the index of the pending '*', and of the token read
@@ -125,21 +143,18 @@ def _evaluate(texts: List[str], mode: str) -> SElem:
             total = product = None
             i += 1
             text = texts[i]
-        try:
-            if text == "eps":
-                value = ZERO
-            elif not text:
-                raise _Fail("unexpected end of input", i)
-            elif text[0] in _SIGNS:
-                if mode == "mpa":
-                    raise _Fail("signed literal in mpa mode", i)
-                value = SElem(_SIGNS[text[0]], _exponent(text[2:], i))
-            elif text[0] in _NOT_NUM:
-                raise _Fail(f"unexpected token {text!r}", i)
-            else:
-                value = SElem(PLUS, _exponent(text, i))
-        except ValueError as exc:  # a float literal beyond the float range
-            raise _Fail(str(exc), i) from None
+        if text == "eps":
+            value = _ZERO
+        elif not text:
+            raise _Fail("unexpected end of input", i)
+        elif text[0] in _SIGNS:
+            if mode == "mpa":
+                raise _Fail("signed literal in mpa mode", i)
+            value = (_SIGNS[text[0]], _exponent(text[2:], i))
+        elif text[0] in _NOT_NUM:
+            raise _Fail(f"unexpected token {text!r}", i)
+        else:
+            value = (PLUS, _exponent(text, i))
         i += 1
         text = texts[i]
         while True:  # after an operand: its powers, then what ends it
@@ -148,28 +163,34 @@ def _evaluate(texts: List[str], mode: str) -> SElem:
                 text = texts[i]
                 if not text:
                     raise _Fail("missing exponent", i)
-                k = None if text[0] in _NOT_NUM else _number(text, i)
-                if not isinstance(k, int):
+                if text[0] in _NOT_NUM or "." in text or "e" in text or "E" in text:
                     raise _Fail("exponent must be an integer literal", i)
+                k = _integer(text, i)
                 try:
-                    value = s_power(value, k)
+                    value = _se_power(value, k)
                 except (ValueError, OverflowError) as exc:
-                    # OverflowError: a huge integer k times a float exponent
+                    # ValueError: a negative power of zero or of a balanced
+                    # element; OverflowError: a huge integer k times a float
                     raise _Fail(str(exc), i) from None
+                exp = value[1]
+                if exp.__class__ is float and not isfinite(exp):
+                    raise _Fail(_NOT_FINITE.format(exp), i)
                 i += 1
                 text = texts[i]
             if product is not None:
                 try:
-                    value = s_otimes(product, value)
-                except (ValueError, OverflowError) as exc:
-                    # ValueError: a sum beyond the float range; OverflowError:
+                    value = _se_otimes(product, value)
+                except OverflowError as exc:
                     # a huge integer exponent plus a float one
                     raise _Fail(str(exc), star) from None
+                exp = value[1]
+                if exp.__class__ is float and not isfinite(exp):
+                    raise _Fail(_NOT_FINITE.format(exp), star)
             if text == "*":
                 product, star = value, i
                 break
             product = None
-            total = value if total is None else s_oplus(total, value)
+            total = value if total is None else _se_oplus(total, value)
             if text == "+":
                 break
             if text == ")" and stack:
@@ -182,7 +203,7 @@ def _evaluate(texts: List[str], mode: str) -> SElem:
             elif text:
                 raise _Fail(f"unexpected token {text!r}", i)
             else:
-                return total
+                return SElem(*total)
         i += 1
 
 

@@ -223,6 +223,18 @@ def phi_n(x: SVector) -> Tuple[complex, ...]:
     return tuple(phi(c) for c in x)
 
 
+def _is_base(base) -> bool:
+    """Whether ``base`` names a base metric, 1 (chord) or 2 (path): it
+    equals 1 or 2 and its type subclasses int or float but not bool.
+    ``True == 1``, and numpy's bool and integer scalars equal 1 or 2
+    without subclassing int; each is refused, since ``cross_distance``
+    reads any base but 2 as the chord metric."""
+    kind = base.__class__
+    if kind is not int and (issubclass(kind, bool) or not issubclass(kind, (int, float))):
+        return False
+    return base == 1 or base == 2
+
+
 _COMBINE_BY_K = {0: "max", 1: "euclid", 2: "sum"}
 _K_BY_COMBINE = {v: k for k, v in _COMBINE_BY_K.items()}
 
@@ -237,9 +249,9 @@ class MetricId(_Record):
     def __init__(self, combine: str, base: int):
         if combine not in _K_BY_COMBINE:
             raise ValueError(f"unknown combine rule {combine!r}")
-        # True == 1 and 2.0 == 2: a bool is refused, and the base is stored
-        # as an int, so that equal ids print alike
-        if base not in (1, 2) or base is True:
+        # 2.0 == 2: the base is stored as an int, so that equal ids print
+        # alike
+        if not _is_base(base):
             raise ValueError(f"unknown base metric {base!r}")
         object.__setattr__(self, "combine", combine)
         object.__setattr__(self, "base", int(base))

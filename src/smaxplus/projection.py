@@ -44,7 +44,7 @@ from .algebra import (
     EPS, RAYS, SElem, Sign, _check_keys, _check_object, _is_number, _Record, _trusted_selem,
 )
 from .metrics import (
-    _MAX_EXP_ARG, _MIN_EXP_ARG, MetricId, SVector, _euclid_norm, _trusted_svector,
+    _MAX_EXP_ARG, _MIN_EXP_ARG, MetricId, SVector, _euclid_norm, _is_base, _trusted_svector,
     cross_distance, magnitude,
 )
 from .raysets import _KERNEL, BoxSet, RaySet, point_on_ray
@@ -193,10 +193,10 @@ def _ray_intervals(C, base: int) -> Tuple[tuple, ...]:
 
 
 def _check_base(base) -> None:
-    """The one base check of the line projections: ``cross_distance`` reads
-    any base but 2 as the chord metric, so another value is refused here,
-    ``True`` too, although it equals 1."""
-    if base not in (1, 2) or base is True:
+    """The one base check of the line projections, by ``MetricId``'s rule
+    (``metrics._is_base``); a plain int is decided here, since
+    ``project_ray`` runs the check on every call."""
+    if not (base.__class__ is int and (base == 1 or base == 2) or _is_base(base)):
         raise ValueError("base metric must be 1 or 2")
 
 
@@ -234,7 +234,9 @@ def project_box(x: SVector, A: BoxSet, mid: MetricId) -> ProjectionResult:
             "use project_box_max instead"
         )
     base = mid.base
-    per = [_nearest(xi, _ray_intervals(Ci, base), base) for xi, Ci in zip(x, A.factors)]
+    _check_base(base)
+    # no factor is empty, so each needs only its cached kernel intervals
+    per = [_nearest(xi, (Ci._index or Ci._prepare())[_KERNEL], base) for xi, Ci in zip(x, A.factors)]
     dists = [d for _, d in per]
     distance = float(sum(dists)) if mid.combine == "sum" else _euclid_norm(dists)
     points = tuple(map(_trusted_svector, itertools.product(*[p for p, _ in per])))

@@ -32,7 +32,7 @@ from operator import add, mul, sub
 from typing import List, Optional, Sequence, Tuple
 
 from .algebra import (BALANCED, EPS, PLUS, SElem, Sign, ZERO, _check_keys, _check_object, _is_number, _Record,
-                      _trusted_selem, s_oplus, scalar_mul)
+                      _se_oplus, _trusted_selem, s_oplus, scalar_mul)
 from .metrics import (
     _MAX_EXP_ARG,
     _MIN_EXP_ARG,
@@ -602,7 +602,7 @@ def traditional_segment(a: SVector, b: SVector) -> Optional[SegmentSet]:
 # its equality tests and its set of met points compare and hash tuples in C;
 # SElem and SVector values are built only for the point pieces it returns,
 # without the constructors' checks: every pair was read from SElem fields,
-# or made from such pairs as _scaled_coord and _oplus make them, and is
+# or made from such pairs as _scaled_coord and _se_oplus make them, and is
 # therefore normalized ((BALANCED, EPS) for zero, an int or finite float
 # exponent otherwise).  Radii follow the one rule of _radius: math.exp
 # inside [_MIN_EXP_ARG, _MAX_EXP_ARG], magnitude outside.  An event point
@@ -619,7 +619,7 @@ def traditional_segment(a: SVector, b: SVector) -> Optional[SegmentSet]:
 # through _scaled_coord, the one statement of the tie rule, and the radius
 # is taken from its result.  Past its event a moving copy's exponent
 # exceeds q's, and it wins the signed max; where rounding or a tie says
-# otherwise, _oplus decides.
+# otherwise, _se_oplus decides.
 #
 # Cost.  Sorting the events is O(n log n); each event builds one event point
 # and one arc in O(n).  A segment with P pieces costs O(P n), the size of its
@@ -627,15 +627,6 @@ def traditional_segment(a: SVector, b: SVector) -> Optional[SegmentSet]:
 
 _LO, _HI = 1, 2  # positions of the end vectors in an arc record
 _NEG_INF = -math.inf
-
-
-def _oplus(x: tuple, y: tuple) -> tuple:
-    # s_oplus on (sign, exp) pairs
-    if x[1] is EPS or y[1] is EPS:
-        return y if x[1] is EPS else x
-    if x[1] != y[1]:
-        return x if x[1] > y[1] else y
-    return x if x[0] is y[0] else (BALANCED, x[1])
 
 
 def _scaled_coord(pi: tuple, qi: tuple, lam) -> tuple:
@@ -698,10 +689,10 @@ def _family_sweep(p: tuple, q: tuple, offset: int):
             ends[i] = c
             mags[i] = math.exp(t) if _MIN_EXP_ARG <= t <= _MAX_EXP_ARG else _radius(t)
             # the scaled copy wins where its exponent exceeds q's
-            value[i] = c if t > qe else _oplus(c, q[i])
+            value[i] = c if t > qe else _se_oplus(c, q[i])
         for i, _, pe, qe in order[:start]:
             if not lam + pe < qe:
-                value[i] = _oplus(_scaled_coord(p[i], q[i], lam), q[i])
+                value[i] = _se_oplus(_scaled_coord(p[i], q[i], lam), q[i])
         return tuple(value)
 
     start = len(idle)

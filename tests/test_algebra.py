@@ -4,6 +4,8 @@ import copy
 import itertools
 import math
 import pickle
+import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +37,8 @@ from smaxplus import (
     s_power,
     scalar_mul,
 )
+from smaxplus.algebra import _se_oplus, _se_otimes, _se_power
+from smaxplus.exprs import ExprError, eval_expr
 
 # rational magnitude grid plus the bottom element
 GRID_EXPS = [-2, -1, -0.5, 0, 0.5, 1, 2]
@@ -422,3 +426,90 @@ class TestValueContract:
 
     def test_sign_hash_is_identity(self):
         assert all(hash(s) == object.__hash__(s) for s in Sign)
+
+
+class TestPairForms:
+    """The (sign, exp) forms of the signed operations agree with ``s_*``:
+    the same value with the same exponent type, or an error of the same
+    class and message.  The raw exponent of a product or a power may be
+    +-inf, which ``SElem`` refuses or reads as the zero element as
+    ``s_otimes`` and ``s_power`` do; the evaluator, which runs on the pair
+    forms, refuses it at the ``*`` or the exponent."""
+
+    FLOAT_MAX = sys.float_info.max
+
+    def _exp(self, rng):
+        kind = rng.choice((0, 1, 2, 2, 3, 4, 5))  # twice as many near the float maximum
+        if kind == 0:
+            return rng.randint(-3, 3)
+        if kind == 1:
+            return rng.choice((10**400, -10**400))
+        if kind == 2:  # near +-1e308
+            return rng.choice((1, -1)) * rng.choice((1e308, self.FLOAT_MAX, rng.uniform(0.5, 1.0) * self.FLOAT_MAX))
+        if kind == 3:  # near +-5e-324
+            return rng.choice((1, -1)) * rng.randint(0, 3) * 5e-324
+        if kind == 4:
+            return rng.uniform(-4.0, 4.0)
+        return rng.choice((0.0, -0.0, 0.5, -2.5))
+
+    def _elem(self, rng) -> SElem:
+        return ZERO if rng.random() < 0.1 else SElem(rng.choice(list(Sign)), self._exp(rng))
+
+    @staticmethod
+    def _outcome(fn, *args):
+        try:
+            value = fn(*args)
+        except (ValueError, OverflowError) as exc:
+            return type(exc), str(exc)
+        return value.sign, value.exp, type(value.exp)
+
+    PREFIX = dict(zip(Sign, "pmb"))
+
+    def _literal(self, a: SElem) -> str:
+        return "eps" if a.is_zero else f"{self.PREFIX[a.sign]}:{a.exp!r}"
+
+    def _check_evaluator(self, source: str, raw, expected, pos: int):
+        """The evaluator on ``source`` refuses a non-finite raw exponent at
+        ``pos``, reports an ``s_*`` error there, and otherwise gives the
+        ``s_*`` value."""
+        if isinstance(raw, float) and not math.isfinite(raw):
+            expected = (ValueError, f"not a valid magnitude exponent: {raw!r}")
+        if isinstance(expected[0], type):
+            with pytest.raises(ExprError) as err:
+                eval_expr(source)
+            assert (str(err.value), err.value.pos) == (f"{expected[1]} (at position {pos})", pos)
+        else:
+            assert self._outcome(eval_expr, source) == expected
+
+    def test_pair_forms_match_the_signed_ops(self):
+        rng = random.Random(31)
+        for _ in range(3000):
+            a, b = self._elem(rng), self._elem(rng)
+            pa, pb = (a.sign, a.exp), (b.sign, b.exp)
+            assert self._outcome(lambda: SElem(*_se_oplus(pa, pb))) == self._outcome(s_oplus, a, b)
+            expected = self._outcome(s_otimes, a, b)
+            try:
+                raw = _se_otimes(pa, pb)
+            except OverflowError as exc:
+                raw = (None, None)
+                assert expected == (OverflowError, str(exc))
+            else:
+                assert self._outcome(SElem, *raw) == expected
+            left = self._literal(a)
+            self._check_evaluator(f"{left} * {self._literal(b)}", raw[1], expected, len(left) + 1)
+
+    def test_power_form_matches_s_power(self):
+        rng = random.Random(32)
+        for _ in range(3000):
+            a = self._elem(rng)
+            k = rng.choice((0, 1, 2, 3, -1, -2, -3, 5, 10**400, -10**400))
+            expected = self._outcome(s_power, a, k)
+            try:
+                raw = _se_power((a.sign, a.exp), k)
+            except (ValueError, OverflowError) as exc:
+                raw = (None, None)
+                assert expected == (type(exc), str(exc))
+            else:
+                assert self._outcome(SElem, *raw) == expected
+            source = f"({self._literal(a)}) ^ {k}"
+            self._check_evaluator(source, raw[1], expected, source.rindex(" ") + 1)

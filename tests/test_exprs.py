@@ -156,13 +156,15 @@ def test_error_precedence(source, message, pos):
 @pytest.mark.parametrize(
     "source, pos",
     [("1e400", 0), ("p:1e400", 0), ("2 + m:1e400 * 1", 4), ("1e308 * 1e308", 6), ("(1e308)^2", 8),
-     ("-1e400", 0), ("p:-1e400", 0), ("p:-1e400 + m:-1e400", 0)],
+     ("-1e400", 0), ("p:-1e400", 0), ("p:-1e400 + m:-1e400", 0), ("p:-1e308 * p:-1e308", 9),
+     ("(-1e308) ^ 3", 11)],
 )
 def test_float_overflow_is_a_parse_error(source, pos):
     # a literal beyond the float range fails at the literal, a product at
     # its '*', a power at its exponent; a literal below minus the float
-    # maximum reads as -inf, which is not the zero element either
-    value = "-inf" if "-1e400" in source else "inf"
+    # maximum reads as -inf, and so do a product or a power below it, which
+    # is not the zero element either
+    value = "-inf" if "-1e" in source else "inf"
     with pytest.raises(ExprError, match=rf"not a valid magnitude exponent: {value} \(") as err:
         eval_expr(source)
     assert err.value.pos == pos

@@ -5,7 +5,9 @@ import copy
 import math
 import pickle
 import random
+import re
 
+import numpy
 import pytest
 
 from smaxplus import (
@@ -219,8 +221,14 @@ class TestProductMetrics:
         with pytest.raises(ValueError, match=f"^unknown base metric {base}$"):
             MetricId("sum", base)
 
+    @pytest.mark.parametrize("base", [numpy.True_, numpy.int64(2), numpy.int64(1)], ids=repr)
+    def test_a_base_of_no_int_or_float_type_is_refused(self, base):
+        # numpy's bool and integer scalars equal 1 or 2 but subclass neither
+        with pytest.raises(ValueError, match=f"^unknown base metric {re.escape(repr(base))}$"):
+            MetricId("sum", base)
+
     def test_equal_ids_print_alike(self):
-        for base in (2, 2.0):
+        for base in (2, 2.0, numpy.float64(2.0)):
             mid = MetricId("sum", base)
             assert mid == MetricId("sum", 2) and hash(mid) == hash(MetricId("sum", 2))
             assert type(mid.base) is int

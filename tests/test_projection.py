@@ -4,6 +4,7 @@ import math
 import random
 import warnings
 
+import numpy
 import pytest
 
 from smaxplus import (
@@ -126,11 +127,20 @@ BASE_TAKERS = {
 }
 
 
-@pytest.mark.parametrize("base", [5, "x", None, True])
+@pytest.mark.parametrize(
+    "base", [5, "x", None, True, *(pytest.param(b, id=repr(b)) for b in (numpy.True_, numpy.int64(2)))]
+)
 @pytest.mark.parametrize("entry", sorted(BASE_TAKERS))
 def test_a_base_other_than_1_or_2_is_refused(entry, base):
+    # numpy's bool and integer scalars equal 1 or 2 but subclass no int
     with pytest.raises(ValueError, match="^base metric must be 1 or 2$"):
         BASE_TAKERS[entry](base)
+
+
+@pytest.mark.parametrize("base", [2.0, numpy.float64(2.0)], ids=repr)
+@pytest.mark.parametrize("entry", sorted(BASE_TAKERS))
+def test_a_float_base_is_accepted(entry, base):
+    assert BASE_TAKERS[entry](base) == BASE_TAKERS[entry](2)
 
 
 MEMBER_BANDS = [(-3.0, 3.0), (30.0, 40.0), (-690.0, 690.0)]
