@@ -17,8 +17,9 @@ Next to ``s_oplus``, ``s_otimes`` and ``s_power`` stand their forms on
 the semimodule sweep and the expression evaluator run on and which build
 no element.  The product and power forms return the raw exponent, which
 may be +-inf where a float sum or multiple leaves the float range; the
-caller normalizes it (the evaluator refuses it).  The ``s_*`` functions
-keep their ``SElem`` bodies.
+caller normalizes it.  ``s_otimes`` and ``s_power`` are those forms
+wrapped in ``SElem``, which refuses +inf and reads -inf as the zero
+element; the evaluator refuses both.
 
 ``EPS`` is a distinct tagged value, never an IEEE ``-inf`` float, so the
 semiring laws hold exactly at the zero element.  All values are immutable
@@ -330,9 +331,7 @@ def s_oplus(a: SElem, b: SElem) -> SElem:
 
 def s_otimes(a: SElem, b: SElem) -> SElem:
     """Signed multiplication: magnitudes add, signs multiply (balanced absorbs)."""
-    sa, sb = a.sign, b.sign
-    mag = ext_otimes(a.exp, b.exp)
-    return SElem(BALANCED if sa is BALANCED or sb is BALANCED else PLUS if sa is sb else MINUS, mag)
+    return SElem(*_se_otimes((a.sign, a.exp), (b.sign, b.exp)))
 
 
 def s_minus(a: SElem) -> SElem:
@@ -370,25 +369,13 @@ def s_power(a: SElem, k: int) -> SElem:
     which balanced elements do not admit."""
     if not isinstance(k, int):
         raise TypeError("exponent must be an integer")
-    if k == 0:
-        return UNIT
-    if a.exp is EPS:
-        if k < 0:
-            raise ValueError("the zero element has no multiplicative inverse")
-        return ZERO
-    sign = a.sign
-    if sign is BALANCED:
-        if k < 0:
-            raise ValueError("balanced elements have no multiplicative inverse")
-    elif sign is MINUS and k % 2 == 0:
-        sign = PLUS
-    return SElem(sign, k * a.exp)
+    return SElem(*_se_power((a.sign, a.exp), k))
 
 
 # The pair forms take normalized pairs ((BALANCED, EPS) for zero, an int or
 # finite float exponent otherwise).  _se_oplus returns an operand or a
 # balanced tie, which is normalized.  An int beyond the float range next to
-# a float raises the OverflowError that s_otimes and s_power raise.
+# a float raises OverflowError.
 
 
 def _se_oplus(x: tuple, y: tuple) -> tuple:

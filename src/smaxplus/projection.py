@@ -233,9 +233,9 @@ def project_box(x: SVector, A: BoxSet, mid: MetricId) -> ProjectionResult:
             "max-combine projection does not factorize over coordinates; "
             "use project_box_max instead"
         )
+    # MetricId holds base 1 or 2 and no factor is empty, so each factor
+    # needs only its cached kernel intervals
     base = mid.base
-    _check_base(base)
-    # no factor is empty, so each needs only its cached kernel intervals
     per = [_nearest(xi, (Ci._index or Ci._prepare())[_KERNEL], base) for xi, Ci in zip(x, A.factors)]
     dists = [d for _, d in per]
     distance = float(sum(dists)) if mid.combine == "sum" else _euclid_norm(dists)

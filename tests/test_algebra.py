@@ -431,10 +431,10 @@ class TestValueContract:
 class TestPairForms:
     """The (sign, exp) forms of the signed operations agree with ``s_*``:
     the same value with the same exponent type, or an error of the same
-    class and message.  The raw exponent of a product or a power may be
-    +-inf, which ``SElem`` refuses or reads as the zero element as
-    ``s_otimes`` and ``s_power`` do; the evaluator, which runs on the pair
-    forms, refuses it at the ``*`` or the exponent."""
+    class and message.  ``s_otimes`` and ``s_power`` wrap their pair forms
+    in ``SElem``, so the product and power cases check the evaluator, which
+    runs on the pair forms: it gives the ``s_*`` outcome, except that it
+    refuses a raw +-inf exponent at the ``*`` or the power's exponent."""
 
     FLOAT_MAX = sys.float_info.max
 
@@ -468,10 +468,14 @@ class TestPairForms:
     def _literal(self, a: SElem) -> str:
         return "eps" if a.is_zero else f"{self.PREFIX[a.sign]}:{a.exp!r}"
 
-    def _check_evaluator(self, source: str, raw, expected, pos: int):
-        """The evaluator on ``source`` refuses a non-finite raw exponent at
-        ``pos``, reports an ``s_*`` error there, and otherwise gives the
-        ``s_*`` value."""
+    def _check_evaluator(self, source: str, form, expected, pos: int):
+        """The evaluator on ``source`` refuses at ``pos`` a non-finite raw
+        exponent of ``form()``, reports an ``s_*`` error there, and
+        otherwise gives the ``s_*`` value."""
+        try:
+            raw = form()[1]
+        except (ValueError, OverflowError):
+            raw = None
         if isinstance(raw, float) and not math.isfinite(raw):
             expected = (ValueError, f"not a valid magnitude exponent: {raw!r}")
         if isinstance(expected[0], type):
@@ -481,35 +485,29 @@ class TestPairForms:
         else:
             assert self._outcome(eval_expr, source) == expected
 
-    def test_pair_forms_match_the_signed_ops(self):
+    def test_oplus_form_matches_s_oplus(self):
         rng = random.Random(31)
         for _ in range(3000):
             a, b = self._elem(rng), self._elem(rng)
-            pa, pb = (a.sign, a.exp), (b.sign, b.exp)
-            assert self._outcome(lambda: SElem(*_se_oplus(pa, pb))) == self._outcome(s_oplus, a, b)
-            expected = self._outcome(s_otimes, a, b)
-            try:
-                raw = _se_otimes(pa, pb)
-            except OverflowError as exc:
-                raw = (None, None)
-                assert expected == (OverflowError, str(exc))
-            else:
-                assert self._outcome(SElem, *raw) == expected
-            left = self._literal(a)
-            self._check_evaluator(f"{left} * {self._literal(b)}", raw[1], expected, len(left) + 1)
+            pair = _se_oplus((a.sign, a.exp), (b.sign, b.exp))
+            assert self._outcome(SElem, *pair) == self._outcome(s_oplus, a, b)
 
-    def test_power_form_matches_s_power(self):
+    def test_evaluated_products_match_s_otimes(self):
+        rng = random.Random(31)
+        for _ in range(3000):
+            a, b = self._elem(rng), self._elem(rng)
+            left = self._literal(a)
+            self._check_evaluator(
+                f"{left} * {self._literal(b)}", lambda: _se_otimes((a.sign, a.exp), (b.sign, b.exp)),
+                self._outcome(s_otimes, a, b), len(left) + 1,
+            )
+
+    def test_evaluated_powers_match_s_power(self):
         rng = random.Random(32)
         for _ in range(3000):
             a = self._elem(rng)
             k = rng.choice((0, 1, 2, 3, -1, -2, -3, 5, 10**400, -10**400))
-            expected = self._outcome(s_power, a, k)
-            try:
-                raw = _se_power((a.sign, a.exp), k)
-            except (ValueError, OverflowError) as exc:
-                raw = (None, None)
-                assert expected == (type(exc), str(exc))
-            else:
-                assert self._outcome(SElem, *raw) == expected
             source = f"({self._literal(a)}) ^ {k}"
-            self._check_evaluator(source, raw[1], expected, source.rindex(" ") + 1)
+            self._check_evaluator(
+                source, lambda: _se_power((a.sign, a.exp), k), self._outcome(s_power, a, k), source.rindex(" ") + 1
+            )
