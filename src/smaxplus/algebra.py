@@ -13,13 +13,13 @@ The pair algebra itself, and the maps between pairs and signed elements,
 are in ``pairs``: every CLI call loads this module, and none uses pairs.
 
 Next to ``s_oplus``, ``s_otimes`` and ``s_power`` stand their forms on
-(sign, exp) tuples, ``_se_oplus``, ``_se_otimes`` and ``_se_power``, which
-the semimodule sweep and the expression evaluator run on and which build
-no element.  The product and power forms return the raw exponent, which
-may be +-inf where a float sum or multiple leaves the float range; the
-caller normalizes it.  ``s_otimes`` and ``s_power`` are those forms
-wrapped in ``SElem``, which refuses +inf and reads -inf as the zero
-element; the evaluator refuses both.
+normalized (sign, exp) tuples, ``_se_oplus``, ``_se_otimes`` and
+``_se_power``, which build no element; the semimodule sweep and the
+expression evaluator run on them.  The product and power forms return the
+raw exponent, +-inf where a float result leaves the float range, and the
+caller normalizes it: ``s_otimes`` and ``s_power`` wrap them in ``SElem``,
+which refuses +inf and reads -inf as the zero element; the evaluator
+refuses both.
 
 ``EPS`` is a distinct tagged value, never an IEEE ``-inf`` float, so the
 semiring laws hold exactly at the zero element.  All values are immutable
@@ -372,10 +372,9 @@ def s_power(a: SElem, k: int) -> SElem:
     return SElem(*_se_power((a.sign, a.exp), k))
 
 
-# The pair forms take normalized pairs ((BALANCED, EPS) for zero, an int or
-# finite float exponent otherwise).  _se_oplus returns an operand or a
-# balanced tie, which is normalized.  An int beyond the float range next to
-# a float raises OverflowError.
+# A normalized pair is (BALANCED, EPS) for zero, or has an int or finite
+# float exponent.  An int beyond the float range next to a float raises
+# OverflowError.
 
 
 def _se_oplus(x: tuple, y: tuple) -> tuple:

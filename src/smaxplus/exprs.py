@@ -127,12 +127,9 @@ def _exponent(text: str, k: int):
 
 def _evaluate(texts: List[str], mode: str) -> SElem:
     """The value of the token texts, which end in the END text ``""``.
-
-    Values are (sign, exp) pairs, combined by algebra's pair forms; the one
-    ``SElem`` is built from the final pair.  Every pair stays normalized: a
-    literal's exponent is finite, ``_se_oplus`` returns an operand or a
-    balanced tie, and the raw exponent of a product or power is refused
-    where it leaves the float range, at the ``*`` or at the exponent."""
+    Every pair stays normalized: a literal's exponent is finite,
+    ``_se_oplus`` returns an operand or a balanced tie, and a product's or
+    power's raw exponent is checked where it is made."""
     stack = []  # (total, product, star) of each enclosing parenthesis
     total = product = None  # the running sum and product; None before any
     star = i = 0  # the index of the pending '*', and of the token read
