@@ -17,9 +17,9 @@ normalized (sign, exp) tuples, ``_se_oplus``, ``_se_otimes`` and
 ``_se_power``, which build no element; the semimodule sweep and the
 expression evaluator run on them.  The product and power forms return the
 raw exponent, +-inf where a float result leaves the float range, and the
-caller normalizes it: ``s_otimes`` and ``s_power`` wrap them in ``SElem``,
-which refuses +inf and reads -inf as the zero element; the evaluator
-refuses both.
+caller normalizes it.  ``s_oplus``, ``s_otimes`` and ``s_power`` wrap
+their forms in ``SElem``, which refuses +inf and reads -inf as the zero
+element; the evaluator refuses both.
 
 ``EPS`` is a distinct tagged value, never an IEEE ``-inf`` float, so the
 semiring laws hold exactly at the zero element.  All values are immutable
@@ -316,17 +316,7 @@ UNIT = SElem(PLUS, 0)
 def s_oplus(a: SElem, b: SElem) -> SElem:
     """Signed addition: larger magnitude wins; on a tie, equal signs keep the
     sign and distinct signs balance."""
-    if a.exp is EPS:
-        return b
-    if b.exp is EPS:
-        return a
-    if a.exp > b.exp:
-        return a
-    if b.exp > a.exp:
-        return b
-    if a.sign is b.sign:
-        return a
-    return SElem(BALANCED, a.exp)
+    return SElem(*_se_oplus((a.sign, a.exp), (b.sign, b.exp)))
 
 
 def s_otimes(a: SElem, b: SElem) -> SElem:

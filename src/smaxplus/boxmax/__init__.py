@@ -23,8 +23,8 @@ from typing import List, Optional, Tuple
 
 from ..algebra import BALANCED, RAYS, ZERO, SElem
 from ..metrics import SVector, _trusted_product, _trusted_selems, magnitude
-from ..projection import ProjectionResult, _nearest, _ray_intervals
-from ..raysets import BoxSet, RaySet
+from ..projection import ProjectionResult, _check_base, _nearest
+from ..raysets import _KERNEL, BoxSet, RaySet
 
 
 def project_box_max(
@@ -61,7 +61,10 @@ def project_box_max(
         factors = tuple(_truncate(C, max_magnitude) for C in factors)
         if any(C.is_empty for C in factors):
             raise ValueError(f"the box has no point of magnitude at most {max_magnitude}")
-    per = [_nearest(xi, _ray_intervals(Ci, base), base) for xi, Ci in zip(x, factors)]
+    # no factor is empty, so after the one base check each factor needs only
+    # its cached kernel intervals
+    _check_base(base)
+    per = [_nearest(xi, (Ci._index or Ci._prepare())[_KERNEL], base) for xi, Ci in zip(x, factors)]
     D = max(d for _, d in per)
     cuts = [
         () if d == D else _ball_cut(xi, Ci, D, base)

@@ -93,14 +93,22 @@ def _build_index(C: "RaySet") -> tuple:
     for ray, ivs in zip(RAYS, (C.plus, C.minus, C.balanced)):
         ends = []
         for lo, hi in ivs:
-            t_lo = math.log(lo) if lo > 0.0 else _NEG_INF
-            t_hi = math.log(hi) if hi > 0.0 else _NEG_INF
-            e_hi = None if hi == math.inf else _end_element(ray, t_hi)
-            intervals.append((ray, lo, hi, True, True, t_lo, t_hi, _end_element(ray, t_lo), e_hi))
-            ends += (t_lo, t_hi)
+            intervals.append(_kernel_interval(ray, lo, hi, True, True))
+            ends += intervals[-1][5:7]  # t_lo, t_hi
         index.append(tuple(ends))
     index.append(tuple(intervals))
     return tuple(index)
+
+
+def _kernel_interval(ray: Sign, lo: float, hi: float, closed_lo: bool, closed_hi: bool) -> tuple:
+    """The kernel's tuple for the radial interval [lo, hi] on a ray with
+    these end flags: (ray, lo, hi, closed_lo, closed_hi, t_lo, t_hi, e_lo,
+    e_hi), as ``_build_index`` describes; a segment set's index builds its
+    arcs' parts with it too."""
+    t_lo = math.log(lo) if lo > 0.0 else _NEG_INF
+    t_hi = math.log(hi) if hi > 0.0 else _NEG_INF
+    e_hi = None if hi == math.inf else _end_element(ray, t_hi)
+    return (ray, lo, hi, closed_lo, closed_hi, t_lo, t_hi, _end_element(ray, t_lo), e_hi)
 
 
 def _end_element(ray: Sign, t: float) -> SElem:

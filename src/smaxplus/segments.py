@@ -442,7 +442,13 @@ def _build_index(S: "SegmentSet") -> tuple:
     chord that crosses 0 holds the origin as an interior, hence closed,
     point of both parts, and one that reaches 0 at an end only has the
     origin as the low end of its one part, with that end's flag.  So the
-    index depends on the set alone, not on a query."""
+    index depends on the set alone, not on a query.  An arc's parts are
+    built as a ray set's intervals are (``raysets._kernel_interval``); a
+    point piece keeps its own tuple, since its exponent may be an int that
+    ``math.log`` of its radius does not give back."""
+    # imported here: at module level every cold ``smaxplus segment`` would load raysets
+    from .raysets import _kernel_interval
+
     if not S.pieces:
         raise ValueError("empty segment set")
     intervals = []
@@ -460,18 +466,10 @@ def _build_index(S: "SegmentSet") -> tuple:
             (p, q, piece.closed_lo, piece.closed_hi) if p <= q else (q, p, piece.closed_hi, piece.closed_lo)
         )
         if hi > 0.0 or lo >= 0.0:
-            intervals.append(_radial_part(u, max(lo, 0.0), hi, closed_lo or lo < 0.0, closed_hi))
+            intervals.append(_kernel_interval(u, max(lo, 0.0), hi, closed_lo or lo < 0.0, closed_hi))
         if lo < 0.0:
-            intervals.append(_radial_part(v, max(-hi, 0.0), -lo, closed_hi or hi > 0.0, closed_lo))
+            intervals.append(_kernel_interval(v, max(-hi, 0.0), -lo, closed_hi or hi > 0.0, closed_lo))
     return (tuple(intervals),)
-
-
-def _radial_part(ray: Sign, lo: float, hi: float, closed_lo: bool, closed_hi: bool) -> tuple:
-    t_lo = math.log(lo) if lo > 0.0 else _NEG_INF
-    t_hi = math.log(hi) if hi > 0.0 else _NEG_INF
-    e_lo = _trusted_selem(ray, t_lo) if lo > 0.0 else ZERO
-    e_hi = _trusted_selem(ray, t_hi) if hi > 0.0 else ZERO
-    return (ray, lo, hi, closed_lo, closed_hi, t_lo, t_hi, e_lo, e_hi)
 
 
 class SegmentSet(_Record):

@@ -1,39 +1,62 @@
 """Compare the answers of this checkout with those of another revision, on
 seeded cases, one suite at a time.
 
-    python tests/data/differential.py --base REV --suite eval [--cases 200000] [--seed 1]
+    python tests/data/differential.py --base REV --suite eval|segments [--cases N] [--seed 1]
 
 It exports ``src`` of the base revision (``_revision.exported``), runs the
 suite's cases through both trees in two child processes, each importing the
 package from its own tree, and compares their records line by line.  It
-prints the number of cases whose records differ, with the first few, and
-exits 1 when any differ or a child fails.  pytest does not collect it.
+prints the number of cases whose records differ, with the first few: each
+one's case, the top-level fields of its record that differ, and those
+fields on both sides.  It exits 1 when any differ or a child fails.
+pytest does not collect it; ``tests/test_differential.py`` runs a few cases
+of each suite in process.
 
 A suite is an entry of ``SUITES``: a function ``cases(count, seed)`` that
-yields the cases, and a function ``record(case)`` that returns what one tree
-makes of one case as a JSON-able dict.  Both run in each child, from this
-checkout's copy of this file, so both trees read the same cases; only the
-package differs.  A new suite (projection, ray sets, segments) adds one
-entry.
+yields the JSON-able cases, a function ``record(case)`` that returns what
+one tree makes of one case as a JSON-able dict, and the default count.
+Both functions run in each child, from this checkout's copy of this file,
+so both trees read the same cases; only the package differs.  A new suite
+(projection, ray sets, box-max) adds one entry.
 
 Suites:
 
-* ``eval``: seeded sources, each evaluated in both modes.  Half are
-  well-formed expressions of 1 to 12 leaves, whose literals are small
-  ints, halves, floats, exponent notation, ``eps``, signed literals, floats
-  near the float maximum and the smallest subnormal, literals beyond the
-  float range in either direction and long integers, with integer powers
-  (zero, negative and long ones too) and assorted whitespace.  The other
-  half are strings of up to 25 tokens and stray characters joined with
-  or without a space.  The record holds, per mode, the value's
-  ``to_json``, ``repr`` and exponent type (an int exponent too long for
-  ``str`` as its ``hex``), or the error's class, message and ``pos``.
+* ``eval`` (200,000 cases): seeded sources, each evaluated in both modes.
+  Half are well-formed expressions of 1 to 12 leaves, whose literals are
+  small ints, halves, floats, exponent notation, ``eps``, signed literals,
+  floats near the float maximum and the smallest subnormal, literals
+  beyond the float range in either direction and long integers, with
+  integer powers (zero, negative and long ones too) and assorted
+  whitespace.  The other half are strings of up to 25 tokens and stray
+  characters joined with or without a space.  The record holds, per mode,
+  the value's ``to_json``, ``repr`` and exponent type (an int exponent too
+  long for ``str`` as its ``hex``), or the error's class, message and
+  ``pos``.
+* ``segments`` (20,000 cases): seeded endpoint pairs ``(a, b)`` as JSON
+  vectors.  Pairs have 1 to 33 coordinates, about one in ten of them zero,
+  with exponents uniform in +-1, +-3, +-30, +-300 or +-750 (past the
+  overflow threshold log(float max) = 709.78 and the underflow threshold
+  near -745), or small ints, or half-integers, whose equal differences
+  make several coordinates tie at one event; in one pair in five ``b``
+  keeps ``a``'s rays.  The record holds the stored answer of the wide
+  semimodule corpus (``make_semimodule_golden.wide_outcome``: the
+  segment's ``to_json``, its ``components`` and those of its JSON round
+  trip) and of the geodesic corpus (``make_geometric_golden.outcome``: the
+  geodesic's ``to_json`` and the ``components`` of ``as_segment_set`` of
+  it and of its JSON round trip), each with its stages' sorted distinct
+  ``MagnitudeRangeWarning`` messages; for pairs of one or two coordinates
+  the ``render_segment_svg`` text of the segment and of the geodesic, read
+  back from that JSON, with its warnings; for pairs of one coordinate the
+  line projections of the segment and of the geodesic's segment set, read
+  back from that JSON (``line_projections``); and a ``ValueError`` message
+  where one is raised.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import subprocess
@@ -116,14 +139,109 @@ def eval_record(source: str) -> dict:
     return out
 
 
-SUITES = {"eval": (eval_cases, eval_record)}
-SHOWN = 3  # differing cases printed in full
+# --- segments ---------------------------------------------------------------------
+
+BANDS = (1.0, 3.0, 30.0, 300.0, 750.0, "int", "half")
+SIGNS = ("+", "-", "o")
+
+
+def _exp(rng, band):
+    if band == "int":
+        return rng.randint(-3, 3)
+    if band == "half":
+        k = rng.randint(-6, 6)
+        return k // 2 if k % 2 == 0 else k / 2
+    return rng.uniform(-band, band)
+
+
+def segments_cases(count: int, seed: int):
+    rng = random.Random(seed)
+    for k in range(count):
+        band = BANDS[k % len(BANDS)]
+        n = rng.randint(1, 33)
+        same_ray = rng.random() < 0.2
+        a = [rng.choice(SIGNS) for _ in range(n)]
+        b = a if same_ray else [rng.choice(SIGNS) for _ in range(n)]
+        yield tuple(
+            {"coords": [{"sign": s, "exp": "-inf" if rng.random() < 0.1 else _exp(rng, band)}
+                        for s in signs]}
+            for signs in (a, b)
+        )
+
+
+def line_projections(S) -> list:
+    """The line projections of a one-coordinate segment set: for the zero
+    element, and for each piece end on each ray and one ulp off it in
+    exponent, under both bases, the query, the base, and the result's JSON
+    or the error's text.  Warnings are not recorded: a set may warn once
+    or once per query."""
+    import warnings
+
+    from smaxplus import projection
+    from smaxplus.algebra import EPS, RAYS, ZERO, SElem
+    from smaxplus.segments import PointPiece
+
+    # the base revision may still project segment sets through their own entry point
+    project = getattr(projection, "project_segment_set", projection.project_ray)
+    ends = []
+    for piece in S.pieces:
+        if isinstance(piece, PointPiece):
+            ends.append(piece.point[0].exp)
+        else:
+            ends += [math.log(abs(v)) for v in (piece.start[0], piece.end[0]) if v != 0.0]
+    queries = [ZERO] + [SElem(ray, u) for t in dict.fromkeys(ends) if t is not EPS for ray in RAYS
+                        for u in (math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf))]
+    out = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for x in queries:
+            for base in (1, 2):
+                try:
+                    answer = {"result": project(x, S, base).to_json()}
+                except ValueError as exc:
+                    answer = {"error": str(exc)}
+                out.append({"x": x.to_json(), "base": base, **answer})
+    return out
+
+
+def segments_record(case: tuple) -> dict:
+    from make_geometric_golden import outcome as geodesic_outcome
+    from make_semimodule_golden import _warned, wide_outcome
+    from smaxplus import BrokenLine, SegmentSet, as_segment_set
+    from smaxplus.svg import render_segment_svg
+
+    a_json, b_json = case
+    out = {"a": a_json, "b": b_json}
+    try:
+        out["semimodule"] = wide_outcome(out)
+        out["geodesic"] = geodesic_outcome(out)
+        if len(a_json["coords"]) <= 2:
+            out["svg"] = {
+                "semimodule": _warned(render_segment_svg, SegmentSet.from_json(out["semimodule"]["segment"])),
+                "geodesic": _warned(render_segment_svg, BrokenLine.from_json(out["geodesic"]["line"])),
+            }
+        if len(a_json["coords"]) == 1:
+            out["projection"] = {
+                "semimodule": line_projections(SegmentSet.from_json(out["semimodule"]["segment"])),
+                "geodesic": line_projections(as_segment_set(BrokenLine.from_json(out["geodesic"]["line"]))),
+            }
+    except ValueError as exc:
+        out["error"] = str(exc)
+    return out
+
+
+# name -> (cases, record, default count)
+SUITES = {
+    "eval": (eval_cases, eval_record, 200000),
+    "segments": (segments_cases, segments_record, 20000),
+}
+SHOWN = 3  # differing cases printed
 
 # --- driver ------------------------------------------------------------------------
 
 
 def emit(suite: str, count: int, seed: int) -> None:
-    cases, record = SUITES[suite]
+    cases, record, _ = SUITES[suite]
     for case in cases(count, seed):
         sys.stdout.write(json.dumps(record(case), sort_keys=True) + "\n")
 
@@ -134,20 +252,38 @@ def _child(src: Path, suite: str, count: int, seed: int) -> subprocess.Popen:
     return subprocess.Popen(args, env=env, stdout=subprocess.PIPE, text=True)
 
 
-def _shorten(text: str, limit: int = 300) -> str:
-    return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
+def _excerpt(text: str, start: int, limit: int = 300) -> str:
+    """``text`` from ``start``, cut at ``limit`` characters, with its length
+    when anything is left out."""
+    if start == 0 and len(text) <= limit:
+        return text
+    return f"{'...' if start else ''}{text[start:start + limit]}... ({len(text)} characters)"
+
+
+def _show(k: int, case, old: str, new: str) -> None:
+    """Print a differing case and the top-level fields of its record that
+    differ, with their JSON on both sides from a little before the first
+    character where they part."""
+    old, new = json.loads(old), json.loads(new)
+    fields = sorted(name for name in old.keys() | new.keys() if old.get(name) != new.get(name))
+    print(f"case {k} differs in {fields}: {_excerpt(json.dumps(case), 0)}")
+    for name in fields:
+        texts = [json.dumps(side.get(name)) for side in (old, new)]
+        start = max(0, len(os.path.commonprefix(texts)) - 60)
+        print(f"  base {name}: {_excerpt(texts[0], start)}\n  this {name}: {_excerpt(texts[1], start)}")
 
 
 def compare(base: str, suite: str, count: int, seed: int) -> int:
+    cases = SUITES[suite][0](count, seed)
     with exported(base, "src") as tree:
         children = [_child(tree / "src", suite, count, seed), _child(ROOT / "src", suite, count, seed)]
         differ = 0
-        for k, (old, new) in enumerate(zip(*(child.stdout for child in children))):
+        for k, (case, old, new) in enumerate(zip(cases, *(child.stdout for child in children))):
             if old == new:
                 continue
             differ += 1
             if differ <= SHOWN:
-                print(f"case {k} differs:\n  base: {_shorten(old.rstrip())}\n  this: {_shorten(new.rstrip())}")
+                _show(k, case, old, new)
         # a child that stopped early ends the loop; closing the pipes ends the other
         for child in children:
             child.stdout.close()
@@ -163,11 +299,12 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", default="HEAD", help="the revision to compare against")
     parser.add_argument("--suite", required=True, choices=sorted(SUITES))
-    parser.add_argument("--cases", type=int, default=200000)
+    parser.add_argument("--cases", type=int, help="the number of cases (default: the suite's own)")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--emit", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
+    count = SUITES[args.suite][2] if args.cases is None else args.cases
     if args.emit:
-        emit(args.suite, args.cases, args.seed)
+        emit(args.suite, count, args.seed)
     else:
-        sys.exit(compare(args.base, args.suite, args.cases, args.seed))
+        sys.exit(compare(args.base, args.suite, count, args.seed))

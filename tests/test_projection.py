@@ -117,12 +117,15 @@ def _point_piece_set(e: SElem):
     return SegmentSet((PointPiece(SVector((e,))),))
 
 
-# the line entry points that take a base metric, each on a set it accepts
-# (the last is project_ray on a segment set); cross_distance would read any
-# base but 2 as the chord metric, True (== 1) too
+# the entry points that take a base metric, each on a set it accepts (the
+# last is project_ray on a segment set); cross_distance would read any base
+# but 2 as the chord metric, True (== 1) too
 BASE_TAKERS = {
     "project_ray": lambda base: project_ray(SElem.neg(1), RaySet(plus=((1, 2),)), base),
     "find_multipoint_witness": lambda base: find_multipoint_witness(RaySet(plus=((1, 2), (3, 4))), base),
+    "project_box_max": lambda base: project_box_max(
+        SVector((SElem.neg(1),)), BoxSet((RaySet(plus=((1, 2),)),)), base
+    ),
     "project_segment_set": lambda base: project_ray(SElem.neg(1), _point_piece_set(SElem.pos(1)), base),
 }
 
