@@ -8,10 +8,13 @@ query's own ray the query itself, when it is a member, else the nearer end,
 and the low end on the other rays.  A line set, a ray set or a
 one-coordinate segment set, is a union of radial intervals with
 open/closed ends that carry their ends' exponents and elements.  Each set
-builds its intervals once, from itself alone, and caches them in the last
-slot of its index: a ray set's are closed, and a segment set's carry its
-pieces' end flags, an arc giving its chord's part on each ray it reaches.
-So ``project_ray`` projects every line set through one path, and this
+builds its index once, from itself alone, through one builder,
+``raysets._line_index``, in one layout, whose ``_KERNEL`` slot holds the
+intervals: disjoint and sorted per ray.  A ray set's are closed; a
+segment set's carry its pieces' end flags, an arc giving its chord's part
+on each ray it reaches, and parts that overlap or touch at a closed end
+are merged, so how the pieces are listed makes no false tie.  So
+``project_ray`` projects every line set through one path, and this
 module knows no piece types.  One kernel decides membership and the
 own-ray candidate on exponents, scores every candidate in floats, and
 keeps the attained ones within the absolute TIE_TOL of the best.  Boxes
@@ -182,9 +185,9 @@ def _nearest(x: SElem, intervals, base: int) -> Tuple[Tuple[SElem, ...], float]:
 
 def _ray_intervals(C, base: int) -> Tuple[tuple, ...]:
     """The kernel's intervals for a line set, a ray set or a one-coordinate
-    segment set, read from the last slot of its index, after the checks
-    every line projection makes.  A segment set's index refuses an empty or
-    a multi-coordinate set as it is built."""
+    segment set, read from the ``_KERNEL`` slot of its index, after the
+    checks every line projection makes.  A segment set's index refuses an
+    empty or a multi-coordinate set as it is built."""
     intervals = (C._index or C._prepare())[_KERNEL]
     if not intervals:
         raise ValueError("empty set")

@@ -18,7 +18,10 @@ membership, which compares exponents, and every gap holds an element.
 Each set caches what its projections and membership tests read, built on
 first use (``_build_index``): the projection kernel's interval tuples with
 the ends' exponents and elements, and per ray the ascending exponent ends,
-which ``contains`` bisects.  The cache is not a field of the value.
+which ``contains`` bisects.  The cache is not a field of the value.  A
+one-coordinate segment set's index is built by the same ``_line_index``,
+in the same layout, from its pieces' radial parts, which it merges as this
+canonical form merges intervals.
 """
 
 from __future__ import annotations
@@ -70,40 +73,61 @@ def _no_exponent_between(hi1: float, lo2: float) -> bool:
 
 _ORIGIN_ONLY = ((0.0, 0.0),)
 _NEG_INF = -math.inf
-# the index's slot of the kernel intervals, the last, here as in a segment
-# set's index; a ray's ends sit at the ray's position in RAYS
-_KERNEL = -1
+# the index's slot of the kernel intervals, after the three rays' ends,
+# which sit at the rays' positions in RAYS; the same in a segment set's index
+_KERNEL = 3
 
 
 def _build_index(C: "RaySet") -> tuple:
     """What the projection kernel and ``contains`` read of a ray set: the
-    tuple (plus ends, minus ends, balanced ends, kernel intervals).
+    ``_line_index`` of its canonical intervals, all closed, which are
+    already disjoint and in order, so that none merges."""
+    return _line_index([_kernel_interval(ray, lo, hi, True, True) for ray in RAYS for lo, hi in C.intervals(ray)])
 
-    The kernel intervals are its tuples (ray, lo, hi, closed_lo, closed_hi,
-    t_lo, t_hi, e_lo, e_hi), all closed, in ``RAYS`` order, where ``t_lo``
-    and ``t_hi`` are the ends' exponents ``math.log``: -inf for an end at
-    the origin, and inf for an unbounded one.  ``e_lo`` and ``e_hi`` are the
-    ends' elements, which the kernel returns as nearest points: ``ZERO`` at
-    the origin, the element of exponent ``t`` on the ray at a positive
-    finite radius, and None for an unbounded end, which is never a
-    candidate.  A ray's ends are the same exponents in ascending order,
-    (t_lo, t_hi, t_lo, ...)."""
-    index = []
-    intervals = []
-    for ray, ivs in zip(RAYS, (C.plus, C.minus, C.balanced)):
-        ends = []
-        for lo, hi in ivs:
-            intervals.append(_kernel_interval(ray, lo, hi, True, True))
-            ends += intervals[-1][5:7]  # t_lo, t_hi
-        index.append(tuple(ends))
-    index.append(tuple(intervals))
-    return tuple(index)
+
+def _line_index(parts) -> tuple:
+    """The one index of a line set, a ray set or a one-coordinate segment
+    set: the tuple (plus ends, minus ends, balanced ends, kernel intervals).
+
+    ``parts`` are kernel tuples (ray, lo, hi, closed_lo, closed_hi, t_lo,
+    t_hi, e_lo, e_hi), sorted by ray in ``RAYS`` order, then by ``lo``,
+    closed low ends first.  ``t_lo`` and ``t_hi`` are the ends' exponents
+    ``math.log``: -inf for an end at the origin, and inf for an unbounded
+    one.  ``e_lo`` and ``e_hi`` are the ends' elements, which the kernel
+    returns as nearest points: ``ZERO`` at the origin, the element of
+    exponent ``t`` on the ray at a positive finite radius, and None for an
+    unbounded end, which is never a candidate.
+
+    Per ray, a part merges into the interval before it when it overlaps it,
+    touches it at a closed end, or leaves a gap with no exponent strictly
+    inside between two closed ends, the ray set's canonical rule; all on
+    exponents, as membership is decided.  Two open ends at one point stay
+    apart.  The merged interval keeps the higher high end, of two equal ones
+    the closed one, and each end's tuple fields as they came, so a point
+    piece's int exponent survives.  So the kernel intervals are disjoint and
+    sorted per ray, and a ray's ends are their exponents in ascending order,
+    (t_lo, t_hi, t_lo, ...), which ``RaySet.contains`` bisects."""
+    merged, ends = [], {ray: [] for ray in RAYS}
+    for part in parts:
+        ray, _, hi, closed_lo, closed_hi, t_lo, t_hi, _, e_hi = part
+        if merged and merged[-1][0] is ray:
+            # the interval before, and how many of the facing ends are closed
+            _, lo1, hi1, closed_lo1, closed_hi1, t_lo1, t_hi1, e_lo1, _ = merged[-1]
+            closed = closed_lo + closed_hi1
+            if t_lo < t_hi1 or t_lo == t_hi1 and closed or closed == 2 and t_lo <= math.nextafter(t_hi1, math.inf):
+                if (hi, closed_hi) > (hi1, closed_hi1):
+                    merged[-1] = (ray, lo1, hi, closed_lo1, closed_hi, t_lo1, t_hi, e_lo1, e_hi)
+                    ends[ray][-1] = t_hi
+                continue
+        merged.append(part)
+        ends[ray] += t_lo, t_hi
+    return (*map(tuple, ends.values()), tuple(merged))
 
 
 def _kernel_interval(ray: Sign, lo: float, hi: float, closed_lo: bool, closed_hi: bool) -> tuple:
     """The kernel's tuple for the radial interval [lo, hi] on a ray with
     these end flags: (ray, lo, hi, closed_lo, closed_hi, t_lo, t_hi, e_lo,
-    e_hi), as ``_build_index`` describes; a segment set's index builds its
+    e_hi), as ``_line_index`` describes; a segment set's index builds its
     arcs' parts with it too."""
     t_lo = math.log(lo) if lo > 0.0 else _NEG_INF
     t_hi = math.log(hi) if hi > 0.0 else _NEG_INF

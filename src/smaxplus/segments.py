@@ -15,11 +15,13 @@ Three different segment notions between two vectors:
   splitting the scaling parameter at the values where a scaled coordinate
   magnitude crosses its partner's.
 
-Segment sets are stored as disjoint pieces: isolated points, and affine arcs
-in chart coordinates with explicit open/closed endpoint flags.  Their
-connected components are computed in ``connectivity``, which no CLI call
-loads; the membership test it shares with ``SegmentSet.contains``,
-``_piece_member``, stays here.
+Segment sets are stored as pieces: isolated points, and affine arcs in
+chart coordinates with explicit open/closed endpoint flags.  The library's
+own constructions give disjoint pieces; pieces read from JSON may overlap
+or touch, and a one-coordinate set's projection index merges them
+(``_build_index``).  Their connected components are computed in
+``connectivity``, which no CLI call loads; the membership test it shares
+with ``SegmentSet.contains``, ``_piece_member``, stays here.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from itertools import repeat
 from operator import add, mul, sub
 from typing import List, Optional, Sequence, Tuple
 
-from .algebra import (BALANCED, EPS, PLUS, SElem, Sign, ZERO, _check_keys, _check_object, _is_number, _Record,
-                      _se_oplus, _trusted_selem, s_oplus, scalar_mul)
+from .algebra import (BALANCED, EPS, PLUS, SElem, Sign, ZERO, _SIGN_ORDER, _check_keys, _check_object, _is_number,
+                      _Record, _se_oplus, _trusted_selem, s_oplus, scalar_mul)
 from .metrics import (
     _MAX_EXP_ARG,
     _MIN_EXP_ARG,
@@ -321,6 +323,15 @@ class ArcPiece(_Record):
     The arc is {psi_inverse(chart, (1-t) start + t end) : t in (0,1)} plus
     the endpoints whose flag is set.  Interior points never cross a
     coordinate zero, so the pullback is continuous and injective.
+
+    Precondition: where a chart coordinate names one ray twice, (u, u), the
+    start and end are nonnegative there.  ``psi`` maps such a coordinate to
+    its first ray only, so a negative value would be a point that
+    ``contains`` refuses and ``project_ray`` takes.  The library makes such
+    a chart only for two endpoints on one ray, whose chart values are
+    nonnegative (``chart_for``), and ``SegmentSet.from_json`` refuses the
+    rest; the constructor does not check it, since every arc of a segment
+    sweep is built through it.
     """
 
     __slots__ = ("chart", "start", "end", "closed_lo", "closed_hi")
@@ -412,6 +423,10 @@ def _piece_from_json(data: dict):
         if not len(chart) == len(start) == len(end):
             lengths = f"{len(chart)}, {len(start)} and {len(end)}"
             raise ValueError(f"arc chart, start and end must have one length, got {lengths}")
+        # ArcPiece's precondition on a chart coordinate (u, u)
+        for i, ((u, v), s, e) in enumerate(zip(chart, start, end)):
+            if u is v and min(s, e) < 0.0:
+                raise ValueError(f"arc chart coordinate {i} names one ray twice, so its ends there must be >= 0")
         flags = data["closed_lo"], data["closed_hi"]
         for name, flag in zip(("closed_lo", "closed_hi"), flags):
             if not isinstance(flag, bool):
@@ -426,32 +441,31 @@ def _piece_from_json(data: dict):
 
 def _build_index(S: "SegmentSet") -> tuple:
     """What the projection kernel reads of a one-coordinate segment set: the
-    one-tuple (kernel intervals,), whose last slot holds the intervals, as
-    the last slot of a ray set's index does.
+    index a ray set has, (plus ends, minus ends, balanced ends, kernel
+    intervals), built by the same ``raysets._line_index`` from the radial
+    parts of the pieces, which carry the pieces' end flags.
 
-    The kernel intervals are radial intervals (ray, lo, hi, closed_lo,
-    closed_hi, t_lo, t_hi, e_lo, e_hi) that carry the pieces' end flags,
-    with the ends' exponents ``math.log`` of their radii, -inf at the
-    origin, and the ends' elements, which the kernel returns as nearest
-    points: ``ZERO`` at the origin, else the element of exponent ``t`` on
-    the ray.  A point piece is the one-point interval at its element, with
-    the element's exponent and the element itself (``ZERO`` for the zero
-    element) at both ends.
-    An arc on chart (u, v) lies on u where its chart value is > 0 and on v
-    where it is < 0, and gives its chord's part on each ray it reaches; a
-    chord that crosses 0 holds the origin as an interior, hence closed,
+    A point piece is the one-point part at its element, with the element's
+    exponent and the element itself (``ZERO`` for the zero element) at both
+    ends.  An arc on chart (u, v) lies on u where its chart value is > 0 and
+    on v where it is < 0, and gives its chord's part on each ray it reaches;
+    a chord that crosses 0 holds the origin as an interior, hence closed,
     point of both parts, and one that reaches 0 at an end only has the
-    origin as the low end of its one part, with that end's flag.  So the
-    index depends on the set alone, not on a query.  An arc's parts are
-    built as a ray set's intervals are (``raysets._kernel_interval``); a
-    point piece keeps its own tuple, since its exponent may be an int that
-    ``math.log`` of its radius does not give back."""
+    origin as the low end of its one part, with that end's flag.  An arc's
+    parts are built as a ray set's intervals are
+    (``raysets._kernel_interval``); a point piece keeps its own tuple, since
+    its exponent may be an int that ``math.log`` of its radius does not give
+    back.  The parts are sorted by ray, low end and closed low ends first,
+    and ``_line_index`` merges those that overlap or touch at a closed end,
+    so pieces that share points, as JSON pieces may, give the index of
+    their union.  So the index depends on the set alone, not on how its
+    pieces are listed, nor on a query."""
     # imported here: at module level every cold ``smaxplus segment`` would load raysets
-    from .raysets import _kernel_interval
+    from .raysets import _kernel_interval, _line_index
 
     if not S.pieces:
         raise ValueError("empty segment set")
-    intervals = []
+    parts = []
     for piece in S.pieces:
         point = isinstance(piece, PointPiece)
         if len(piece.point if point else piece.start) != 1:
@@ -459,25 +473,29 @@ def _build_index(S: "SegmentSet") -> tuple:
         if point:
             e = piece.point[0]
             m, t, end = (0.0, _NEG_INF, ZERO) if e.is_zero else (magnitude(e), e.exp, e)
-            intervals.append((e.sign, m, m, True, True, t, t, end, end))
+            parts.append((e.sign, m, m, True, True, t, t, end, end))
             continue
         (u, v), p, q = piece.chart[0], piece.start[0], piece.end[0]
         lo, hi, closed_lo, closed_hi = (
             (p, q, piece.closed_lo, piece.closed_hi) if p <= q else (q, p, piece.closed_hi, piece.closed_lo)
         )
         if hi > 0.0 or lo >= 0.0:
-            intervals.append(_kernel_interval(u, max(lo, 0.0), hi, closed_lo or lo < 0.0, closed_hi))
+            parts.append(_kernel_interval(u, max(lo, 0.0), hi, closed_lo or lo < 0.0, closed_hi))
         if lo < 0.0:
-            intervals.append(_kernel_interval(v, max(-hi, 0.0), -lo, closed_hi or hi > 0.0, closed_lo))
-    return (tuple(intervals),)
+            parts.append(_kernel_interval(v, max(-hi, 0.0), -lo, closed_hi or hi > 0.0, closed_lo))
+    parts.sort(key=lambda part: (_SIGN_ORDER[part[0]], part[1], not part[3]))
+    return _line_index(parts)
 
 
 class SegmentSet(_Record):
-    """A segment as a finite union of pairwise disjoint pieces.
+    """A segment as a finite union of pieces, pairwise disjoint as the
+    library builds them; pieces read from JSON may share points.
 
-    The field is the piece tuple.  The slot ``_index`` caches the radial
-    intervals that projections read (``_build_index``), built on the first
-    projection (``_prepare``); it is not a field."""
+    The field is the piece tuple.  The slot ``_index`` caches what
+    projections read of a one-coordinate set, the index a ray set has, with
+    parts that share points merged (``_build_index``), built on the first
+    projection (``_prepare``); it is not a field.  ``contains`` asks the
+    pieces, not the index."""
 
     __slots__ = ("pieces", "_index")
     _fields = ("pieces",)

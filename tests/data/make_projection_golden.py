@@ -2,7 +2,7 @@
 their ``ProjectionResult.to_json()`` (or the error text when the infimum is
 not attained).
 
-Two groups of cases:
+Three groups of cases:
 
 * ``ray``: ``project_ray`` under both base metrics on random ray sets, with
   origin-anchored, unbounded and ``[0, 0]`` intervals, zero queries and
@@ -11,6 +11,12 @@ Two groups of cases:
   by ``semimodule_segment``, ``traditional_segment`` and
   ``as_segment_set(geometric_segment(...))``.  The set itself is stored as
   JSON, so the case pins the projection and not the segment construction.
+* ``pinned``: a fixed list of hand-built one-coordinate segment sets
+  (``_pinned``) whose pieces share points, as JSON pieces may and library
+  constructions never do, so that the corpus pins how a segment set's
+  index merges them: touching, overlapping, nested and open-open pieces,
+  crossing arcs, a point piece with an int exponent inside and at the
+  ends of an arc, ulp-wide gaps, and the refused arc on a one-ray chart.
 
 The stored results were captured from the per-input candidate scoring that
 the radial kernel replaced; regenerate only when a change of output is
@@ -22,8 +28,9 @@ intended, and say why.
 query, set and base.  The build stores what it returns, and
 ``tests/test_projection_golden.py`` compares it with the file.
 
-With ``--refresh`` it keeps the stored cases and recomputes only their
-outcomes, so that a diff of the file shows just the outcomes that changed.
+With ``--refresh`` it keeps the stored random cases, takes the pinned
+ones from ``_pinned`` again, and recomputes only the outcomes, so that a
+diff of the file shows just the outcomes and pinned cases that changed.
 A full rebuild no longer draws the stored segment cases: the query draws
 depend on the pieces of each segment set, and the segment constructions
 have changed since the cases were drawn.
@@ -37,12 +44,13 @@ import random
 import sys
 from pathlib import Path
 
-from smaxplus.algebra import RAYS, ZERO, SElem
+from smaxplus.algebra import RAYS, ZERO, SElem, Sign
 from smaxplus.metrics import SVector
 from smaxplus.projection import project_ray
 from smaxplus.raysets import RaySet, point_on_ray
 from smaxplus.segments import (
     ArcPiece,
+    PointPiece,
     SegmentSet,
     as_segment_set,
     geometric_segment,
@@ -156,13 +164,74 @@ def _segment_query(rng, seg: SegmentSet) -> SElem:
     return _elem(rng, zero_p=0.15)
 
 
+def _pinned() -> list:
+    """The pinned cases, without their outcomes: each set with its queries,
+    under both bases."""
+    p, m, o = Sign.PLUS, Sign.MINUS, Sign.BALANCED
+    log = math.log
+
+    def arc(lo, hi, closed_lo=True, closed_hi=True, chart=(o, o)):
+        return ArcPiece((chart,), (lo,), (hi,), closed_lo, closed_hi)
+
+    def point(sign, exp):
+        return PointPiece(SVector((SElem(sign, exp),)))
+
+    big = 1e15
+    cases = [
+        # the two parts touch at 2, closed on both sides: one point from b:log 5
+        ("touching closed ends", (arc(1.0, 2.0), arc(2.0, 2.0 + 1e-12)),
+         (SElem(o, log(5.0)), SElem(o, log(2.0)), SElem(p, 0.0))),
+        # a closed end meets an open one at 2, listed in either order
+        ("closed meets open", (arc(2.0, 3.0, False, True), arc(1.0, 2.0)),
+         (SElem(o, log(2.0)), SElem(o, log(5.0)), SElem(o, -1.0))),
+        ("open meets closed", (arc(1.0, 2.0, True, False), arc(2.0, 3.0)),
+         (SElem(o, log(2.0)), SElem(m, log(2.0)))),
+        # two open ends at 2 keep their one-point gap, not attained there
+        ("open-open at one point", (arc(1.0, 2.0, True, False), arc(2.0, 3.0, False, True)),
+         (SElem(o, log(2.0)), SElem(o, log(5.0)), SElem(o, -1.0))),
+        # the parts' ends next to the origin, or at 2, are within the tie
+        # tolerance of each other, but the merged part has one end there
+        ("touching at the origin", (arc(0.0, 1e-12, True, False, chart=(p, m)), arc(1e-12, 1.0, chart=(p, m))),
+         (SElem(m, 0.0), SElem(o, 0.0))),
+        ("overlapping near an end", (arc(1.0, 2.0), arc(2.0 - 1e-12, 2.0 + 1e-12)),
+         (SElem(o, log(5.0)), SElem(p, 0.0))),
+        ("overlapping", (arc(2.0, 4.0), arc(1.0, 3.0, True, False)),
+         (SElem(o, log(5.0)), SElem(o, log(0.5)), SElem(o, log(3.5)), SElem(p, 0.0))),
+        ("overlapping open ends", (arc(1.0, 3.0, False, False), arc(2.0, 4.0, False, False)),
+         (SElem(o, 0.0), SElem(o, log(3.0)), SElem(o, log(5.0)))),
+        ("nested", (arc(1.0, 4.0), arc(2.0, 3.0, False, False), arc(4.0, 1.0)),
+         (SElem(o, log(2.5)), SElem(o, log(6.0)), SElem(m, log(0.5)))),
+        # two arcs through the origin on one chart, and a third on another
+        ("crossing arcs", (arc(2.0, -1.0, chart=(p, m)), arc(-3.0, 1.0, chart=(p, m)),
+                           arc(0.5, -0.25, False, True, chart=(o, p))),
+         (SElem(m, log(4.0)), SElem(p, log(3.0)), SElem(o, 0.0), ZERO, SElem(p, log(0.1)))),
+        # a point piece of int exponent 1 inside an arc, and at its open ends
+        ("int point inside an arc", (arc(1.0, math.e ** 2), point(o, 1)),
+         (SElem(o, 1), SElem(o, 3), SElem(p, 1))),
+        ("int point at an open high end", (arc(1.0, math.e, True, False), point(o, 1)),
+         (SElem(o, 2), SElem(o, 1), SElem(m, 0))),
+        ("int point at an open low end", (arc(math.e, math.e ** 2, False, True), point(o, 1)),
+         (SElem(o, 0), SElem(o, 1), SElem(p, 0))),
+        # radii near 1e15 whose logarithms are an ulp apart: closed ends
+        # leave no exponent between them and merge, open ones stay apart
+        ("ulp gap, closed ends", (arc(big / 2, big), arc(big + 8.0, 2 * big)),
+         (SElem(o, log(big + 4.0)), SElem(o, log(big) + 1.0))),
+        ("ulp gap, open ends", (arc(big / 2, big, True, False), arc(big + 8.0, 2 * big, False, True)),
+         (SElem(o, log(big + 4.0)), SElem(o, log(big) + 1.0))),
+        # a one-ray chart with a negative end is refused as it is read
+        ("one-ray chart across the origin", (arc(1.0, -3.0),), (SElem(o, log(2.0)),)),
+    ]
+    return [{"group": "pinned", "name": name, "x": x.to_json(), "set": SegmentSet(pieces).to_json(), "base": base}
+            for name, pieces, queries in cases for x in queries for base in (1, 2)]
+
+
 # each group's set reader
-LOAD = {"ray": RaySet.from_json, "segment": SegmentSet.from_json}
+LOAD = {"ray": RaySet.from_json, "segment": SegmentSet.from_json, "pinned": SegmentSet.from_json}
 
 
 def outcome(entry) -> dict:
     """The stored answer of one case: the projection's JSON, or the error
-    text when the infimum is not attained."""
+    text when the infimum is not attained or the set is refused."""
     load = LOAD[entry["group"]]
     try:
         return {"result": project_ray(SElem.from_json(entry["x"]), load(entry["set"]), entry["base"]).to_json()}
@@ -193,11 +262,13 @@ def build():
             "base": base,
         }
         entries.append({**entry, **outcome(entry)})
-    return entries
+    return entries + [{**entry, **outcome(entry)} for entry in _pinned()]
 
 
 def refresh(entries):
-    """The stored cases with their outcomes recomputed."""
+    """The stored random cases and the pinned ones, with their outcomes
+    recomputed."""
+    entries = [entry for entry in entries if entry["group"] != "pinned"] + _pinned()
     for entry in entries:
         entry.pop("result", None)
         entry.pop("error", None)

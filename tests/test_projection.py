@@ -750,16 +750,38 @@ class TestSegmentSetProjection:
                 project_ray(x, arc, base)
 
     @pytest.mark.parametrize("base", [1, 2])
-    def test_an_arc_on_a_one_ray_chart_reaches_both_sides(self, base):
-        from smaxplus.segments import ArcPiece, SegmentSet
+    def test_a_json_arc_on_a_one_ray_chart_stays_on_its_side(self, base, tmp_path, capsys):
+        import json
 
-        # chart (o, o): the balanced radii up to 1 from the positive chart
-        # values and up to 3 from the negative ones; both parts are taken,
-        # whatever ray the query is on
-        arc = SegmentSet((ArcPiece(((Sign.BALANCED, Sign.BALANCED),), (1.0,), (-3.0,), True, True),))
+        from smaxplus.cli import main
+        from smaxplus.segments import SegmentSet
+
+        # psi maps a chart coordinate (o, o) to its first ray only, so a
+        # negative start or end there would be a point that contains refuses
+        # and project_ray takes: the reader refuses it and names the coordinate
+        def arc(chart, start, end):
+            return {"kind": "arc", "chart": chart, "start": start, "end": end, "closed_lo": True, "closed_hi": True}
+
+        message = "arc chart coordinate {} names one ray twice, so its ends there must be >= 0"
+        for chart, start, end, i in [
+            ([["o", "o"]], [1.0], [-3.0], 0),
+            ([["o", "o"]], [-1e-300], [2.0], 0),
+            ([["+", "-"], ["o", "o"]], [1.0, 1.0], [-2.0, -0.5], 1),
+        ]:
+            with pytest.raises(ValueError, match=f"^{message.format(i)}$"):
+                SegmentSet.from_json({"pieces": [arc(chart, start, end)]})
+        query, target = tmp_path / "x.json", tmp_path / "seg.json"
+        query.write_text(json.dumps({"coords": [{"sign": "o", "exp": math.log(2.0)}]}))
+        target.write_text(json.dumps({"pieces": [arc([["o", "o"]], [1.0], [-3.0])]}))
+        assert main(["project", str(query), str(target), "--base", f"d{base}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": f"{target}: not a segment set (ValueError: {message.format(0)})"}
+        # on its nonnegative side the arc loads, and contains and project_ray agree
+        S = SegmentSet.from_json({"pieces": [arc([["o", "o"]], [0.0], [3.0])]})
         x = SElem.bal(math.log(2.0))
-        assert project_ray(x, arc, base) == ProjectionResult((x,), 0.0)
-        _assert_unique_projections(arc, [(SElem.bal(math.log(4.0)), SElem.bal(math.log(3.0)), 1.0)], base)
+        assert S.contains(SVector((x,))) and project_ray(x, S, base) == ProjectionResult((x,), 0.0)
 
     @pytest.mark.parametrize("base", [1, 2])
     def test_a_crossing_arc_projects_as_the_ray_set_of_its_points(self, base):
@@ -804,6 +826,164 @@ class TestSegmentSetProjection:
         for piece in (PointPiece(SVector((ZERO, ZERO))), ArcPiece(plane, (1.0, 1.0), (2.0, 2.0), True, True)):
             with pytest.raises(ValueError, match="defined on the line only"):
                 project_ray(ZERO, SegmentSet((piece,)))
+
+
+def _balanced_arcs(*parts):
+    """A one-coordinate segment set of arcs on the balanced ray, each given
+    as (lo, hi, closed_lo, closed_hi)."""
+    from smaxplus.segments import ArcPiece, SegmentSet
+
+    chart = ((Sign.BALANCED, Sign.BALANCED),)
+    return SegmentSet(tuple(ArcPiece(chart, (lo,), (hi,), c_lo, c_hi) for lo, hi, c_lo, c_hi in parts))
+
+
+def _index(C):
+    return C._index or C._prepare()
+
+
+def _kernel(C):
+    """The (ray, lo, hi, closed_lo, closed_hi) of a line set's kernel intervals."""
+    from smaxplus.raysets import _KERNEL
+
+    return [iv[:5] for iv in _index(C)[_KERNEL]]
+
+
+def _random_closed_intervals(rng):
+    """Per ray, closed radial intervals that touch, overlap, nest, sit an
+    ulp-wide gap apart near 1e15, start at the origin or are one point,
+    [0, 0] among them."""
+    per_ray = []
+    for _ in RAYS:
+        ivs = []
+        for _ in range(rng.choice((0, 1, 2, 3, 4))):
+            lo = math.exp(rng.uniform(-3.0, 3.0))
+            hi = lo * math.exp(rng.uniform(0.0, 1.5))
+            kind = rng.randrange(8)
+            if ivs and kind == 0:  # touching the last one
+                lo = ivs[-1][1]
+                hi = lo * math.exp(rng.uniform(0.0, 1.0))
+            elif ivs and kind == 1:  # overlapping or nested in it
+                lo = rng.uniform(*ivs[-1])
+                hi = lo * math.exp(rng.uniform(0.0, 1.0))
+            elif kind == 2:  # no exponent between it and a second one
+                ivs.append((5e14, 1e15))
+                lo, hi = 1e15 + 8.0, 2e15
+            elif kind == 3:
+                lo = 0.0
+            elif kind == 4:
+                hi = lo
+            elif kind == 5 and rng.random() < 0.3:
+                lo = hi = 0.0
+            ivs.append((lo, hi))
+        per_ray.append(ivs)
+    return per_ray
+
+
+class TestOneLineIndex:
+    """A one-coordinate segment set's index is the ray set's: disjoint,
+    sorted intervals per ray, whose parts that overlap or touch at a closed
+    end merge, whatever order the pieces come in."""
+
+    @pytest.mark.parametrize("base", [1, 2])
+    def test_touching_pieces_give_one_nearest_point(self, base):
+        # pieces [1, 2] and [2, 2 + 1e-12] used to answer both 2 and 2 + 1e-12
+        S = _balanced_arcs((1.0, 2.0, True, True), (2.0, 2.0 + 1e-12, True, True))
+        x = SElem.bal(math.log(5.0))
+        end = SElem.bal(math.log(2.0 + 1e-12))
+        assert project_ray(x, S, base) == ProjectionResult((end,), math.exp(x.exp) - (2.0 + 1e-12))
+        assert _kernel(S) == [(Sign.BALANCED, 1.0, 2.0 + 1e-12, True, True)]
+
+    @pytest.mark.parametrize("base", [1, 2])
+    def test_a_closed_end_wins_over_an_open_one_at_the_same_point(self, base):
+        o = Sign.BALANCED
+        at_two = SElem.bal(math.log(2.0))
+        for parts, kernel in [
+            # a high end meets a low end, closed on either side
+            (((1.0, 2.0, True, False), (2.0, 3.0, True, True)), [(o, 1.0, 3.0, True, True)]),
+            (((2.0, 3.0, False, True), (1.0, 2.0, True, True)), [(o, 1.0, 3.0, True, True)]),
+            # two high ends at 2, and two low ends at 1
+            (((1.5, 2.0, True, False), (1.0, 2.0, True, True)), [(o, 1.0, 2.0, True, True)]),
+            (((1.0, 2.0, False, True), (1.0, 1.5, True, True)), [(o, 1.0, 2.0, True, True)]),
+        ]:
+            S = _balanced_arcs(*parts)
+            assert _kernel(S) == kernel, parts
+            assert project_ray(at_two, S, base) == ProjectionResult((at_two,), 0.0), parts
+
+    @pytest.mark.parametrize("base", [1, 2])
+    def test_two_open_ends_at_one_point_keep_their_gap(self, base):
+        o = Sign.BALANCED
+        S = _balanced_arcs((2.0, 3.0, False, True), (1.0, 2.0, True, False))
+        assert _kernel(S) == [(o, 1.0, 2.0, True, False), (o, 2.0, 3.0, False, True)]
+        with pytest.raises(ValueError, match="not attained"):
+            project_ray(SElem.bal(math.log(2.0)), S, base)
+        x = SElem.bal(math.log(2.5))
+        assert project_ray(x, S, base) == ProjectionResult((x,), 0.0)
+
+    @pytest.mark.parametrize("base", [1, 2])
+    def test_nested_and_crossing_pieces(self, base):
+        from smaxplus.segments import ArcPiece, PointPiece, SegmentSet
+
+        o, p, m = Sign.BALANCED, Sign.PLUS, Sign.MINUS
+        # an open part inside a closed one, and a point piece of int
+        # exponent 1 at the open high end of another part, whose element the
+        # merged end keeps
+        S = _balanced_arcs((1.0, 4.0, True, True), (2.0, 3.0, False, False), (5.0, math.e ** 2, False, True))
+        assert _kernel(S) == [(o, 1.0, 4.0, True, True), (o, 5.0, math.e ** 2, False, True)]
+        T = SegmentSet((ArcPiece(((o, p),), (1.0,), (math.e,), True, False), PointPiece(SVector((SElem.bal(1),)))))
+        assert _kernel(T) == [(o, 1.0, math.e, True, True)]
+        nearest = project_ray(SElem.bal(2), T, base).points
+        assert nearest == (SElem.bal(1),) and type(nearest[0].exp) is int
+        # two arcs through the origin, and one on another chart, project as
+        # the ray set of their points
+        arcs = SegmentSet((
+            ArcPiece(((p, m),), (2.0,), (-1.0,), True, True),
+            ArcPiece(((m, p),), (3.0,), (-1.5,), True, True),
+            ArcPiece(((p, o),), (0.5,), (1.5,), True, True),
+        ))
+        C = RaySet(plus=((0.0, 2.0),), minus=((0.0, 3.0),))
+        assert _index(arcs) == _index(C)
+        for x in (SElem.neg(math.log(4.0)), SElem.pos(math.log(3.0)), SElem.bal(0.0), ZERO):
+            assert project_ray(x, arcs, base) == project_ray(x, C, base), x
+
+    def test_the_index_of_closed_parts_is_the_ray_sets(self):
+        """A segment set of closed arcs, listed in any order and on either
+        side of their charts, has the index of the ray set of the same
+        intervals: ends, kernel intervals and their end elements.  The one
+        difference is the origin: the ray set drops a [0, 0] interval, and
+        keeps one on the balanced ray only when no other interval holds the
+        origin, while the segment set keeps each [0, 0] part on its own ray
+        unless a part there starts at the origin.  So those lone origins are
+        left out of the comparison, and the ray set then holds the origin."""
+        from smaxplus.raysets import _KERNEL
+        from smaxplus.segments import ArcPiece, SegmentSet
+
+        def without_lone_origins(index):
+            kernel = [iv for iv in index[_KERNEL] if iv[2] > 0.0]
+            return (*(tuple(t for iv in kernel if iv[0] is ray for t in iv[5:7]) for ray in RAYS), tuple(kernel))
+
+        rng = random.Random(57)
+        lone_origins = 0
+        for _ in range(2000):
+            per_ray = _random_closed_intervals(rng)
+            pieces = []
+            for ray, ivs in zip(RAYS, per_ray):
+                for lo, hi in ivs:
+                    other = rng.choice([r for r in RAYS if r is not ray])
+                    if rng.random() < 0.5:
+                        pieces.append(ArcPiece(((ray, other),), (lo,), (hi,), True, True))
+                    else:  # at negative chart values, on the chart's second ray
+                        pieces.append(ArcPiece(((other, ray),), (-hi,), (-lo,), True, True))
+            if not pieces:
+                continue
+            rng.shuffle(pieces)
+            S, C = SegmentSet(pieces), RaySet(*per_ray)
+            if any(iv[1] == 0.0 for iv in _index(S)[_KERNEL]):
+                lone_origins += 1
+                assert C.has_origin
+                assert without_lone_origins(_index(S)) == without_lone_origins(_index(C)), per_ray
+            else:
+                assert _index(S) == _index(C), per_ray
+        assert lone_origins > 50
 
 
 LINE_BANDS = MEMBER_BANDS + [(-40.0, -30.0)]

@@ -3,7 +3,7 @@
 
 import pytest
 
-from golden import CORPUS, assert_matches, group
+from golden import ANSWERS, CORPUS, assert_matches, group, make_projection_golden
 
 NAME = "projection_golden.json"
 
@@ -12,6 +12,14 @@ NAME = "projection_golden.json"
 def test_projections_match_corpus(name):
     cases = group(NAME, name)
     assert len(cases) == 240
+    assert_matches(NAME, cases)
+
+
+def test_pinned_line_sets_match_corpus():
+    # the stored pinned cases are those the make script lists, so a refresh
+    # that takes them from it again changes only what the list changes
+    cases = group(NAME, "pinned")
+    assert [{key: e[key] for key in e.keys() - ANSWERS} for e in cases] == make_projection_golden._pinned()
     assert_matches(NAME, cases)
 
 
