@@ -750,6 +750,19 @@ class TestSegmentSetProjection:
                 project_ray(x, arc, base)
 
     @pytest.mark.parametrize("base", [1, 2])
+    def test_an_arc_on_a_one_ray_chart_reaches_both_sides(self, base):
+        from smaxplus.segments import ArcPiece, SegmentSet
+
+        # chart (o, o) with a negative end breaks ArcPiece's precondition,
+        # which the constructor does not check: the balanced radii up to 1
+        # from the positive chart values and up to 3 from the negative ones;
+        # project_ray takes both parts, whatever ray the query is on
+        arc = SegmentSet((ArcPiece(((Sign.BALANCED, Sign.BALANCED),), (1.0,), (-3.0,), True, True),))
+        x = SElem.bal(math.log(2.0))
+        assert project_ray(x, arc, base) == ProjectionResult((x,), 0.0)
+        _assert_unique_projections(arc, [(SElem.bal(math.log(4.0)), SElem.bal(math.log(3.0)), 1.0)], base)
+
+    @pytest.mark.parametrize("base", [1, 2])
     def test_a_json_arc_on_a_one_ray_chart_stays_on_its_side(self, base, tmp_path, capsys):
         import json
 
