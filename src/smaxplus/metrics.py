@@ -14,6 +14,7 @@ distances by max, Euclidean norm or sum, giving six product metrics.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 import warnings
 from collections import deque
@@ -78,13 +79,18 @@ def phi(a: SElem) -> complex:
 def cross_distance(m: float, mp: float, base: int) -> float:
     """Distance between points of radial coordinates m and m' on two
     distinct rays: m + m' through the origin for the path metric (base 2),
-    and for the chord metric (base 1) the law of cosines at 120 degrees,
-    sqrt(m^2 + m'^2 + m m'), which avoids the roundoff of complex
-    subtraction.  Where the squares overflow, or fall below the normal
-    float range (d < sqrt(float min), where they round to 0.0 or lose
-    digits), it is taken as big * sqrt(1 + r + r^2) with r = small / big."""
-    if base == 2:
-        return m + mp
+    and for the chord metric (base 1) the law of cosines at 120 degrees
+    (``_chord_cross``).  ``_CROSS`` maps each base to its kernel, which the
+    projection kernel calls directly."""
+    return m + mp if base == 2 else _chord_cross(m, mp)
+
+
+def _chord_cross(m: float, mp: float) -> float:
+    """The chord metric across rays, sqrt(m^2 + m'^2 + m m'), which avoids
+    the roundoff of complex subtraction.  Where the squares overflow, or
+    fall below the normal float range (d < sqrt(float min), where they round
+    to 0.0 or lose digits), it is taken as big * sqrt(1 + r + r^2) with
+    r = small / big."""
     d = math.sqrt(m * m + mp * mp + m * mp)
     if d == math.inf or (d < _SQRT_FLOAT_MIN and (m or mp)):
         big, small = max(m, mp), min(m, mp)
@@ -93,10 +99,14 @@ def cross_distance(m: float, mp: float, base: int) -> float:
     return d
 
 
+# the cross-ray kernel of each base metric: 1 (chord) and 2 (path)
+_CROSS = {1: _chord_cross, 2: operator.add}
+
+
 def _euclid_norm(ds: Sequence[float]) -> float:
     """The Euclidean combine sqrt(sum(d * d)) of nonempty distances.  Where
     the squares overflow, or fall below the normal float range (as in
-    ``cross_distance``), it is taken as big * sqrt(sum((d / big)**2)) with
+    ``_chord_cross``), it is taken as big * sqrt(sum((d / big)**2)) with
     big the largest distance; an infinite distance gives inf."""
     d = math.sqrt(sum([x * x for x in ds]))
     if d == math.inf or (d < _SQRT_FLOAT_MIN and any(ds)):

@@ -16,15 +16,18 @@ on each ray it reaches, and parts that overlap or touch at a closed end
 are merged, so how the pieces are listed makes no false tie.  So
 ``project_ray`` projects every line set through one path, and this
 module knows no piece types.  One kernel decides membership and the
-own-ray candidate on exponents, scores every candidate in floats, and
-keeps the attained ones within the absolute TIE_TOL of the best.  Boxes
-call the kernel per factor: the sum and Euclidean combines take the
-product of the factor argmins.  The max combine does not factorize; its
-projection, ``project_box_max``, lives in ``boxmax``, which only
-max-combine callers load.  The kernel returns the nearest points and their
-distance, not a ``ProjectionResult``, so boxes, which call it once per
-factor, build one result per public call.  The multipoint witness is built
-in a gap, not scored.
+own-ray candidate on exponents, scores every candidate in floats, across
+rays with the base's cross kernel (``metrics._CROSS``, which
+``_check_base`` returns, so a path-metric candidate costs one add), and
+keeps the attained ones within the absolute TIE_TOL of the best; it holds
+the first attained candidate alone and starts a candidate list only at
+the second.  Boxes call the kernel per factor: the sum and Euclidean
+combines take the product of the factor argmins.  The max combine does not
+factorize; its projection, ``project_box_max``, lives in ``boxmax``, which
+only max-combine callers load.  The kernel returns the nearest points and
+their distance, not a ``ProjectionResult``, so boxes, which call it once
+per factor, build one result per public call.  The multipoint witness is
+built in a gap, not scored.
 
 Every nearest point is therefore the query or an interval end, and the
 kernel builds no element: a member query is returned as itself, and an end
@@ -47,8 +50,8 @@ from .algebra import (
     EPS, RAYS, SElem, Sign, _check_keys, _check_object, _is_number, _Record, _trusted_selem,
 )
 from .metrics import (
-    _MAX_EXP_ARG, _MIN_EXP_ARG, MetricId, SVector, _euclid_norm, _is_base, _trusted_svector,
-    cross_distance, magnitude,
+    _CROSS, _MAX_EXP_ARG, _MIN_EXP_ARG, MetricId, SVector, _euclid_norm, _is_base, _trusted_svector,
+    magnitude,
 )
 from .raysets import _KERNEL, BoxSet, RaySet, point_on_ray
 
@@ -101,6 +104,7 @@ class ProjectionResult(_Record):
 
 _set_points = ProjectionResult.points.__set__
 _set_distance = ProjectionResult.distance.__set__
+_exp = math.exp
 
 
 def _tied(d: float, ref: float) -> bool:
@@ -110,7 +114,7 @@ def _tied(d: float, ref: float) -> bool:
     return d <= ref + TIE_TOL
 
 
-def _nearest(x: SElem, intervals, base: int) -> Tuple[Tuple[SElem, ...], float]:
+def _nearest(x: SElem, intervals, cross) -> Tuple[Tuple[SElem, ...], float]:
     """The nearest points of ``x`` among radial intervals, in sort order,
     and their distance.  Intervals are given as (ray, lo, hi, closed_lo,
     closed_hi, t_lo, t_hi, e_lo, e_hi), where ``t_lo`` and ``t_hi`` are the
@@ -130,19 +134,21 @@ def _nearest(x: SElem, intervals, base: int) -> Tuple[Tuple[SElem, ...], float]:
     at or below it, else its high end.  On another ray the candidate is
     the low end.  Candidates are scored in floats: at radial distance on
     the query's ray and at the origin, which lies on every ray, and by
-    ``cross_distance`` across rays.  A candidate at an excluded end
-    lowers the infimum but is not attained.  So every argmin is an
-    interval end, returned as the element its interval carries, or the
-    origin; no element is built here.  A single attained candidate is
-    returned at once, and the argmins are deduplicated and sorted only
-    when more than one ties.  When ``|x.exp|`` exceeds log(float max), the
-    members are looked for before the radius is taken, so that an exact
-    answer raises no ``MagnitudeRangeWarning``.
+    ``cross``, the base's kernel from ``metrics._CROSS``, across rays.  A
+    candidate at an excluded end lowers the infimum but is not attained.
+    So every argmin is an interval end, returned as the element its
+    interval carries, or the origin; no element is built here.  The first
+    attained candidate is held alone and returned when no other is
+    attained; the candidate list starts at the second, and the argmins are
+    deduplicated and sorted only when more than one ties.  When
+    ``|x.exp|`` exceeds log(float max), the members are looked for before
+    the radius is taken, so that an exact answer raises no
+    ``MagnitudeRangeWarning``.
     """
     tx = x.exp
     if _MIN_EXP_ARG <= tx <= _MAX_EXP_ARG:
         # magnitude(x), which cannot leave the float range here
-        own, mx = x.sign, math.exp(tx)
+        own, mx = x.sign, _exp(tx)
     elif tx is EPS:
         own, tx, mx = None, -math.inf, 0.0
     else:
@@ -154,7 +160,7 @@ def _nearest(x: SElem, intervals, base: int) -> Tuple[Tuple[SElem, ...], float]:
                 return (x,), 0.0
         mx = magnitude(x)
     infimum = best = math.inf
-    attained = []
+    first = attained = None  # the first attained candidate; the list from the second
     for ray, lo, hi, closed_lo, closed_hi, t_lo, t_hi, e_lo, e_hi in intervals:
         if own is None or ray is own:
             if t_lo <= tx <= t_hi and (closed_lo or tx != t_lo) and (closed_hi or tx != t_hi):
@@ -163,44 +169,40 @@ def _nearest(x: SElem, intervals, base: int) -> Tuple[Tuple[SElem, ...], float]:
             d = abs(mx - m)
         else:
             m, e = lo, e_lo
-            d = mx if lo == 0.0 else cross_distance(mx, lo, base)
+            d = mx if lo == 0.0 else cross(mx, lo)
         if d < infimum:
             infimum = d
         if (m != lo or closed_lo) and (m != hi or closed_hi):
+            if first is None:
+                first, best = e, d
+                continue
+            attained = attained or [(best, first)]  # best is still the first's distance here
+            attained.append((d, e))
             if d < best:
                 best = d
-            attained.append((d, e))
-    if not attained or best != infimum and not _tied(best, infimum):
+    if first is None or best != infimum and not _tied(best, infimum):
         raise ValueError("nearest-point infimum is not attained in the segment set")
-    if len(attained) == 1:
-        return (attained[0][1],), best
-    points = [e for d, e in attained if d == best or _tied(d, best)]
+    if attained is None:
+        return (first,), best
+    points = []  # a loop, not a comprehension, which would cost a call here
+    for d, e in attained:
+        if d == best or _tied(d, best):
+            points.append(e)
     if len(points) == 1:
         return (points[0],), best
-    by_key = {}  # sort key -> the first argmin with it; equal keys are equal elements
-    for point in points:
-        by_key.setdefault(point.sort_key(), point)
+    # sort key -> the first argmin with it, set last; equal keys are equal elements
+    by_key = {point.sort_key(): point for point in reversed(points)}
     return tuple([by_key[key] for key in sorted(by_key)]), best
 
 
-def _ray_intervals(C, base: int) -> Tuple[tuple, ...]:
-    """The kernel's intervals for a line set, a ray set or a one-coordinate
-    segment set, read from the ``_KERNEL`` slot of its index, after the
-    checks every line projection makes.  A segment set's index refuses an
-    empty or a multi-coordinate set as it is built."""
-    intervals = (C._index or C._prepare())[_KERNEL]
-    if not intervals:
-        raise ValueError("empty set")
-    _check_base(base)
-    return intervals
-
-
-def _check_base(base) -> None:
+def _check_base(base):
     """The one base check of the line projections, by ``MetricId``'s rule
-    (``metrics._is_base``); a plain int is decided here, since
+    (``metrics._is_base``), returning the base's cross kernel
+    (``metrics._CROSS``); a plain int is decided here, since
     ``project_ray`` runs the check on every call."""
-    if not (base.__class__ is int and (base == 1 or base == 2) or _is_base(base)):
-        raise ValueError("base metric must be 1 or 2")
+    if base.__class__ is int and (base == 1 or base == 2) or _is_base(base):
+        return _CROSS[base]
+    raise ValueError("base metric must be 1 or 2")
 
 
 def project_ray(x: SElem, C, base: int = 2) -> ProjectionResult:
@@ -210,9 +212,20 @@ def project_ray(x: SElem, C, base: int = 2) -> ProjectionResult:
     at one is not its own nearest point, and an end it excludes is no
     candidate.  Where nothing in a segment set attains the infimum, the set
     is not proximinal at ``x`` and a ValueError says that the infimum is not
-    attained."""
-    points, distance = _nearest(x, _ray_intervals(C, base), base)
-    return ProjectionResult(points, distance)
+    attained.
+
+    The kernel's intervals are the ``_KERNEL`` slot of the set's index; a
+    segment set's index refuses an empty or a multi-coordinate set as it
+    is built, before the emptiness and base checks here."""
+    intervals = (C._index or C._prepare())[_KERNEL]
+    if not intervals:
+        raise ValueError("empty set")
+    points, distance = _nearest(x, intervals, _check_base(base))
+    # built as the hot classes of ``_Record`` are, with no __init__ frame
+    result = object.__new__(ProjectionResult)
+    _set_points(result, points)
+    _set_distance(result, distance)
+    return result
 
 
 def distance_to_set(x: SElem, C, base: int = 2) -> float:
@@ -238,12 +251,10 @@ def project_box(x: SVector, A: BoxSet, mid: MetricId) -> ProjectionResult:
         )
     # MetricId holds base 1 or 2 and no factor is empty, so each factor
     # needs only its cached kernel intervals
-    base = mid.base
-    per = [_nearest(xi, (Ci._index or Ci._prepare())[_KERNEL], base) for xi, Ci in zip(x, A.factors)]
-    dists = [d for _, d in per]
+    cross = _CROSS[mid.base]
+    pts, dists = zip(*[_nearest(xi, (Ci._index or Ci._prepare())[_KERNEL], cross) for xi, Ci in zip(x, A.factors)])
     distance = float(sum(dists)) if mid.combine == "sum" else _euclid_norm(dists)
-    points = tuple(map(_trusted_svector, itertools.product(*[p for p, _ in per])))
-    return ProjectionResult(points, distance)
+    return ProjectionResult(tuple(map(_trusted_svector, itertools.product(*pts))), distance)
 
 
 def find_multipoint_witness(C: RaySet, base: int = 2) -> Optional[SElem]:

@@ -230,7 +230,7 @@ def _euclid(p: Sequence[float], q: Sequence[float]) -> float:
         d = math.inf
     if d == math.inf or (d < _SQRT_FLOAT_MIN and p != q):
         # the squares overflow, or fall below the normal float range (where
-        # they round to 0.0 or lose digits, as in metrics.cross_distance):
+        # they round to 0.0 or lose digits, as in metrics._chord_cross):
         # rescale by the largest difference, halving first on overflow
         # because a difference itself can exceed the float maximum
         h = 0.5 if d == math.inf else 1.0
@@ -451,15 +451,17 @@ def _build_index(S: "SegmentSet") -> tuple:
     on v where it is < 0, and gives its chord's part on each ray it reaches;
     a chord that crosses 0 holds the origin as an interior, hence closed,
     point of both parts, and one that reaches 0 at an end only has the
-    origin as the low end of its one part, with that end's flag.  An arc's
-    parts are built as a ray set's intervals are
-    (``raysets._kernel_interval``); a point piece keeps its own tuple, since
-    its exponent may be an int that ``math.log`` of its radius does not give
-    back.  The parts are sorted by ray, low end and closed low ends first,
-    and ``_line_index`` merges those that overlap or touch at a closed end,
-    so pieces that share points, as JSON pieces may, give the index of
-    their union.  So the index depends on the set alone, not on how its
-    pieces are listed, nor on a query."""
+    origin as the low end of its one part, with that end's flag.  An arc
+    whose start is its end is its one point, closed, when either end is
+    closed, as ``contains`` reads it, and gives no part when neither is; a
+    set with no part left has an empty index.  An arc's parts are built as
+    a ray set's intervals are (``raysets._kernel_interval``); a point piece
+    keeps its own tuple, since its exponent may be an int that ``math.log``
+    of its radius does not give back.  The parts are sorted by ray, low
+    end and closed low ends first, and ``_line_index`` merges those that
+    overlap or touch at a closed end, so pieces that share points, as JSON
+    pieces may, give the index of their union.  So the index depends on the
+    set alone, not on how its pieces are listed, nor on a query."""
     # imported here: at module level every cold ``smaxplus segment`` would load raysets
     from .raysets import _kernel_interval, _line_index
 
@@ -479,6 +481,9 @@ def _build_index(S: "SegmentSet") -> tuple:
         lo, hi, closed_lo, closed_hi = (
             (p, q, piece.closed_lo, piece.closed_hi) if p <= q else (q, p, piece.closed_hi, piece.closed_lo)
         )
+        if lo == hi and not (closed_lo or closed_hi):
+            continue  # a one-point arc holds its point when either end does, else nothing
+        closed_lo, closed_hi = closed_lo or lo == hi, closed_hi or lo == hi
         if hi > 0.0 or lo >= 0.0:
             parts.append(_kernel_interval(u, max(lo, 0.0), hi, closed_lo or lo < 0.0, closed_hi))
         if lo < 0.0:

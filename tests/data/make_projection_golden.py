@@ -16,7 +16,8 @@ Three groups of cases:
   constructions never do, so that the corpus pins how a segment set's
   index merges them: touching, overlapping, nested and open-open pieces,
   crossing arcs, a point piece with an int exponent inside and at the
-  ends of an arc, ulp-wide gaps, and the refused arc on a one-ray chart.
+  ends of an arc, ulp-wide gaps, the refused arc on a one-ray chart, and
+  one-point arcs, half open and open.
 
 The stored results were captured from the per-input candidate scoring that
 the radial kernel replaced; regenerate only when a change of output is
@@ -220,6 +221,13 @@ def _pinned() -> list:
          (SElem(o, log(big + 4.0)), SElem(o, log(big) + 1.0))),
         # a one-ray chart with a negative end is refused as it is read
         ("one-ray chart across the origin", (arc(1.0, -3.0),), (SElem(o, log(2.0)),)),
+        # an arc whose start is its end: its point when either end is
+        # closed, and no point when neither is, so a set of it alone is empty
+        ("one-point arc, half open", (arc(1.0, 1.0, True, False),),
+         (SElem(o, 0), SElem(o, 2), SElem(p, 0.5))),
+        ("one-point open arc beside a closed one", (arc(1.0, 1.0, False, False), arc(3.0, 4.0)),
+         (SElem(o, log(0.5)), SElem(o, 0))),
+        ("one-point open arc alone", (arc(1.0, 1.0, False, False),), (SElem(o, 0),)),
     ]
     return [{"group": "pinned", "name": name, "x": x.to_json(), "set": SegmentSet(pieces).to_json(), "base": base}
             for name, pieces, queries in cases for x in queries for base in (1, 2)]

@@ -6,6 +6,7 @@ import math
 import pickle
 import random
 import re
+import sys
 
 import numpy
 import pytest
@@ -33,7 +34,7 @@ from smaxplus import (
     s_otimes,
 )
 
-from smaxplus.metrics import cross_distance
+from smaxplus.metrics import _CROSS, cross_distance
 
 from instances import random_selem, random_svector
 
@@ -199,6 +200,22 @@ class TestBaseMetrics:
         assert r.distance > 0.0
         assert r.distance == pytest.approx(small, rel=1e-4, abs=0.0)
         assert cross_distance(0.0, 0.0, 1) == 0.0
+
+    def test_the_cross_kernel_table_is_cross_distance(self):
+        # bit for bit, at 0, subnormals and radii near the float maximum,
+        # where the chord's squares leave the float range and it rescales
+        tiny, huge = 5e-324, sys.float_info.max
+        specials = [0.0, tiny, 1e-310, 2.2e-308, 1e-160, 1.0, 1e154, 1e200, huge / 3, huge]
+        rng = random.Random(35)
+        radii = specials + [math.exp(rng.uniform(-744.0, 709.0)) for _ in range(200)]
+        rescaled = 0
+        for m in radii:
+            for mp in specials + rng.sample(radii, 20):
+                for base in (1, 2):
+                    assert _CROSS[base](m, mp).hex() == cross_distance(m, mp, base).hex(), (m, mp, base)
+                naive = math.sqrt(m * m + mp * mp + m * mp)
+                rescaled += naive == math.inf or 0.0 < max(m, mp) and naive < math.sqrt(sys.float_info.min)
+        assert rescaled > 1000
 
 
 class TestProductMetrics:

@@ -36,6 +36,8 @@ from smaxplus import (
 )
 
 from smaxplus.algebra import RAYS
+from smaxplus.metrics import _CROSS
+from smaxplus.projection import _check_base
 
 from grid_oracle import GridSpec, grid_project
 from instances import (
@@ -104,6 +106,27 @@ class TestProjectRay:
                     assert d(x, p) == pytest.approx(r.distance, abs=1e-9)
                 assert r.is_singleton == (len(r.points) == 1)
 
+    @pytest.mark.parametrize("base", [1, 2])
+    @pytest.mark.parametrize(
+        "x, C, nearest",
+        [
+            # one attained candidate
+            (SElem.neg(0), RaySet(plus=((1, 2),)), (SElem.pos(0),)),
+            # two, no tie: the own ray's high end wins over the cross-ray end
+            (SElem.pos(math.log(3.0)), RaySet(plus=((1, 2),), minus=((5, 6),)), (SElem.pos(math.log(2.0)),)),
+            # two tied
+            (ZERO, RaySet(plus=((1, 2),), minus=((1, 2),)), (SElem.pos(0.0), SElem.neg(0.0))),
+            # three, the later two tied and nearer than the first
+            (ZERO, RaySet(plus=((3, 4),), minus=((1, 2),), balanced=((1, 2),)), (SElem.neg(0.0), SElem.bal(0.0))),
+            (SElem.pos(0), RaySet(plus=((5, 6),), minus=((1, 2),), balanced=((1, 2),)),
+             (SElem.neg(0.0), SElem.bal(0.0))),
+        ],
+    )
+    def test_one_two_and_three_attained_candidates(self, x, C, nearest, base):
+        r = project_ray(x, C, base)
+        assert r.points == nearest
+        assert r.distance == base_metric(base)(x, nearest[0])
+
     def test_errors(self):
         with pytest.raises(ValueError):
             project_ray(ZERO, RaySet(), 2)
@@ -118,9 +141,11 @@ def _point_piece_set(e: SElem):
 
 
 # the entry points that take a base metric, each on a set it accepts (the
-# last is project_ray on a segment set); cross_distance would read any base
-# but 2 as the chord metric, True (== 1) too
+# last is project_ray on a segment set), and the one base check they share;
+# cross_distance would read any base but 2 as the chord metric, True (== 1)
+# too
 BASE_TAKERS = {
+    "_check_base": _check_base,
     "project_ray": lambda base: project_ray(SElem.neg(1), RaySet(plus=((1, 2),)), base),
     "find_multipoint_witness": lambda base: find_multipoint_witness(RaySet(plus=((1, 2), (3, 4))), base),
     "project_box_max": lambda base: project_box_max(
@@ -131,7 +156,8 @@ BASE_TAKERS = {
 
 
 @pytest.mark.parametrize(
-    "base", [5, "x", None, True, *(pytest.param(b, id=repr(b)) for b in (numpy.True_, numpy.int64(2)))]
+    "base",
+    [0, 3, 5, "2", "x", None, True, *(pytest.param(b, id=repr(b)) for b in (numpy.True_, numpy.int64(2)))],
 )
 @pytest.mark.parametrize("entry", sorted(BASE_TAKERS))
 def test_a_base_other_than_1_or_2_is_refused(entry, base):
@@ -140,10 +166,12 @@ def test_a_base_other_than_1_or_2_is_refused(entry, base):
         BASE_TAKERS[entry](base)
 
 
-@pytest.mark.parametrize("base", [2.0, numpy.float64(2.0)], ids=repr)
+@pytest.mark.parametrize("base", [1, 2, 2.0, numpy.float64(2.0)], ids=repr)
 @pytest.mark.parametrize("entry", sorted(BASE_TAKERS))
 def test_a_float_base_is_accepted(entry, base):
-    assert BASE_TAKERS[entry](base) == BASE_TAKERS[entry](2)
+    # the check returns the base's cross-ray kernel
+    assert _check_base(base) is _CROSS[int(base)]
+    assert BASE_TAKERS[entry](base) == BASE_TAKERS[entry](int(base))
 
 
 MEMBER_BANDS = [(-3.0, 3.0), (30.0, 40.0), (-690.0, 690.0)]
@@ -345,7 +373,6 @@ class TestWitnessConstruction:
 
         calls = []
         monkeypatch.setattr(projection, "_nearest", lambda *a: calls.append(a))
-        monkeypatch.setattr(projection, "_ray_intervals", lambda *a: calls.append(a))
         rng = random.Random(46)
         for _ in range(50):
             C = random_disconnected_ray_set(rng)
@@ -850,6 +877,12 @@ def _balanced_arcs(*parts):
     return SegmentSet(tuple(ArcPiece(chart, (lo,), (hi,), c_lo, c_hi) for lo, hi, c_lo, c_hi in parts))
 
 
+def _json_arc(start, end, closed_lo, closed_hi) -> dict:
+    """The JSON of a one-coordinate arc on the balanced ray's one-ray chart."""
+    return {"kind": "arc", "chart": [["o", "o"]], "start": [start], "end": [end],
+            "closed_lo": closed_lo, "closed_hi": closed_hi}
+
+
 def _index(C):
     return C._index or C._prepare()
 
@@ -957,6 +990,36 @@ class TestOneLineIndex:
         assert _index(arcs) == _index(C)
         for x in (SElem.neg(math.log(4.0)), SElem.pos(math.log(3.0)), SElem.bal(0.0), ZERO):
             assert project_ray(x, arcs, base) == project_ray(x, C, base), x
+
+    @pytest.mark.parametrize("base", [1, 2])
+    @pytest.mark.parametrize("flags", [(True, False), (False, True)])
+    def test_a_one_point_json_arc_is_its_point_when_an_end_is_closed(self, flags, base):
+        # `contains` takes the point through the closed end, so the index
+        # holds it closed, and no query meets an excluded end at it
+        from smaxplus.segments import SegmentSet
+
+        S = SegmentSet.from_json({"pieces": [_json_arc(1.0, 1.0, *flags)]})
+        one = SElem.bal(0)
+        assert S.contains(SVector((one,)))
+        assert _kernel(S) == [(Sign.BALANCED, 1.0, 1.0, True, True)]
+        assert project_ray(one, S, base) == ProjectionResult((one,), 0.0)
+        for x in (SElem.bal(2), SElem.pos(0.5)):
+            end = SElem.bal(0.0)
+            assert project_ray(x, S, base) == ProjectionResult((end,), base_metric(base)(x, end)), x
+
+    @pytest.mark.parametrize("base", [1, 2])
+    def test_a_one_point_json_arc_open_at_both_ends_holds_no_point(self, base):
+        # the arc holds no point, so its open ends must not lower the infimum
+        from smaxplus.segments import SegmentSet
+
+        S = SegmentSet.from_json({"pieces": [_json_arc(1.0, 1.0, False, False), _json_arc(3.0, 4.0, True, True)]})
+        assert not S.contains(SVector((SElem.bal(0),)))
+        assert _kernel(S) == [(Sign.BALANCED, 3.0, 4.0, True, True)]
+        x, three = SElem.bal(math.log(0.5)), SElem.bal(math.log(3.0))
+        assert project_ray(x, S, base) == ProjectionResult((three,), 2.5)
+        alone = SegmentSet.from_json({"pieces": [_json_arc(1.0, 1.0, False, False)]})
+        with pytest.raises(ValueError, match="^empty set$"):
+            project_ray(x, alone, base)
 
     def test_the_index_of_closed_parts_is_the_ray_sets(self):
         """A segment set of closed arcs, listed in any order and on either
