@@ -142,10 +142,12 @@ class _Record:
     the field tuple, so the constructor takes the fields in slot order.
 
     The fields are the names in ``_fields``, which defaults to
-    ``__slots__``.  A subclass that caches something derived from its fields
-    keeps the cache in a slot that ``_fields`` leaves out: the cache takes no
-    part in equality, hash, repr or pickling, and a copy, built from the
-    fields, starts without it.
+    ``__slots__``.  A subclass that keeps something derived from its fields
+    keeps it in a slot that ``_fields`` leaves out: it takes no part in
+    equality, hash, repr or pickling, and a copy, built from the fields,
+    derives it again as the original did.  A ray set builds its index at
+    construction, so a copy has an equal one; a segment set builds its
+    index on its first projection, so a copy starts without it.
     """
 
     __slots__ = ()

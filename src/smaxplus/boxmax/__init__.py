@@ -62,9 +62,9 @@ def project_box_max(
         if any(C.is_empty for C in factors):
             raise ValueError(f"the box has no point of magnitude at most {max_magnitude}")
     # no factor is empty, so after the one base check each factor needs only
-    # its cached kernel intervals
+    # the kernel intervals its index holds
     cross = _check_base(base)
-    per = [_nearest(xi, (Ci._index or Ci._prepare())[_KERNEL], cross) for xi, Ci in zip(x, factors)]
+    per = [_nearest(xi, Ci._index[_KERNEL], cross) for xi, Ci in zip(x, factors)]
     D = max(d for _, d in per)
     cuts = [
         () if d == D else _ball_cut(xi, Ci, D, base)

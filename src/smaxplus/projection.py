@@ -10,10 +10,12 @@ one-coordinate segment set, is a union of radial intervals with
 open/closed ends that carry their ends' exponents and elements.  Each set
 builds its index once, from itself alone, through one builder,
 ``raysets._line_index``, in one layout, whose ``_KERNEL`` slot holds the
-intervals: disjoint and sorted per ray.  A ray set's are closed; a
-segment set's carry its pieces' end flags, an arc giving its chord's part
-on each ray it reaches, and parts that overlap or touch at a closed end
-are merged, so how the pieces are listed makes no false tie.  So
+intervals: disjoint and sorted per ray.  A ray set builds it at
+construction, and a segment set on its first projection, since a
+multi-coordinate segment set has none.  A ray set's intervals are
+closed; a segment set's carry its pieces' end flags, an arc giving its
+chord's part on each ray it reaches, and parts that overlap or touch at a
+closed end are merged, so how the pieces are listed makes no false tie.  So
 ``project_ray`` projects every line set through one path, and this
 module knows no piece types.  One kernel decides membership and the
 own-ray candidate on exponents, scores every candidate in floats, across
@@ -214,9 +216,10 @@ def project_ray(x: SElem, C, base: int = 2) -> ProjectionResult:
     is not proximinal at ``x`` and a ValueError says that the infimum is not
     attained.
 
-    The kernel's intervals are the ``_KERNEL`` slot of the set's index; a
-    segment set's index refuses an empty or a multi-coordinate set as it
-    is built, before the emptiness and base checks here."""
+    The kernel's intervals are the ``_KERNEL`` slot of the set's index.  A
+    ray set has it from construction; a segment set builds it here on the
+    first call, and refuses an empty or a multi-coordinate set as it does,
+    before the emptiness and base checks here."""
     intervals = (C._index or C._prepare())[_KERNEL]
     if not intervals:
         raise ValueError("empty set")
@@ -250,9 +253,9 @@ def project_box(x: SVector, A: BoxSet, mid: MetricId) -> ProjectionResult:
             "use project_box_max instead"
         )
     # MetricId holds base 1 or 2 and no factor is empty, so each factor
-    # needs only its cached kernel intervals
+    # needs only the kernel intervals its index holds
     cross = _CROSS[mid.base]
-    pts, dists = zip(*[_nearest(xi, (Ci._index or Ci._prepare())[_KERNEL], cross) for xi, Ci in zip(x, A.factors)])
+    pts, dists = zip(*[_nearest(xi, Ci._index[_KERNEL], cross) for xi, Ci in zip(x, A.factors)])
     distance = float(sum(dists)) if mid.combine == "sum" else _euclid_norm(dists)
     return ProjectionResult(tuple(map(_trusted_svector, itertools.product(*pts))), distance)
 

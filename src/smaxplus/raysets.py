@@ -15,13 +15,15 @@ a ray whose gap holds no element -- no float lies strictly between
 also merge.  The set predicates, which compare radii, then agree with
 membership, which compares exponents, and every gap holds an element.
 
-Each set caches what its projections and membership tests read, built on
-first use (``_build_index``): the projection kernel's interval tuples with
-the ends' exponents and elements, and per ray the ascending exponent ends,
-which ``contains`` bisects.  The cache is not a field of the value.  A
-one-coordinate segment set's index is built by the same ``_line_index``,
-in the same layout, from its pieces' radial parts, which it merges as this
-canonical form merges intervals.
+A ray set builds its index at construction, and its canonical form is read
+back from it: ``_line_index`` merges the closed intervals as given, on
+exponents, and the fields are its kernel intervals' radial ends.  So the
+merge is decided once, for the predicates and for membership alike.  The
+index also holds what projections and membership tests read: the kernel's
+interval tuples with the ends' exponents and elements, and per ray the
+ascending exponent ends, which ``contains`` bisects.  It is not a field of
+the value.  A one-coordinate segment set builds the same index, in the
+same layout, from its pieces' radial parts, on its first projection.
 """
 
 from __future__ import annotations
@@ -36,9 +38,12 @@ from .algebra import (MINUS, PLUS, RAYS, SElem, Sign, ZERO, _SIGN_ORDER, _check_
 Interval = Tuple[float, float]
 
 
-def _canonical_intervals(intervals) -> Tuple[Interval, ...]:
+def _checked_intervals(intervals) -> List[Interval]:
+    """The intervals as sorted (lo, hi) float pairs, each end checked."""
     cleaned = []
     for lo, hi in intervals:
+        if not (_is_number(lo) and _is_number(hi)):
+            raise ValueError(f"bad interval: its ends must be numbers, got [{lo!r}, {hi!r}]")
         try:
             # + 0.0 turns an end -0.0 into 0.0 and leaves every other float as it is
             lo = float(lo) + 0.0
@@ -50,39 +55,15 @@ def _canonical_intervals(intervals) -> Tuple[Interval, ...]:
         if not 0.0 <= lo <= hi or lo == math.inf:
             raise ValueError(f"bad interval [{lo}, {hi}]")
         cleaned.append((lo, hi))
-    if len(cleaned) < 2:
-        return tuple(cleaned)
     cleaned.sort()
-    merged = cleaned[:1]
-    for lo, hi in cleaned[1:]:
-        last_lo, last_hi = merged[-1]
-        if lo <= last_hi or _no_exponent_between(last_hi, lo):
-            merged[-1] = (last_lo, max(last_hi, hi))
-        else:
-            merged.append((lo, hi))
-    return tuple(merged)
+    return cleaned
 
 
-def _no_exponent_between(hi1: float, lo2: float) -> bool:
-    """Whether no float lies strictly between ``log hi1`` and ``log lo2``,
-    for radii 0 <= hi1 < lo2: then no element lies in the gap, and the two
-    intervals hold the same elements as their union.  A gap from the origin
-    always holds some."""
-    return hi1 > 0.0 and math.log(lo2) <= math.nextafter(math.log(hi1), math.inf)
-
-
-_ORIGIN_ONLY = ((0.0, 0.0),)
+_ORIGIN_ONLY = (0.0, 0.0)
 _NEG_INF = -math.inf
 # the index's slot of the kernel intervals, after the three rays' ends,
 # which sit at the rays' positions in RAYS; the same in a segment set's index
 _KERNEL = 3
-
-
-def _build_index(C: "RaySet") -> tuple:
-    """What the projection kernel and ``contains`` read of a ray set: the
-    ``_line_index`` of its canonical intervals, all closed, which are
-    already disjoint and in order, so that none merges."""
-    return _line_index([_kernel_interval(ray, lo, hi, True, True) for ray in RAYS for lo, hi in C.intervals(ray)])
 
 
 def _line_index(parts) -> tuple:
@@ -100,13 +81,16 @@ def _line_index(parts) -> tuple:
 
     Per ray, a part merges into the interval before it when it overlaps it,
     touches it at a closed end, or leaves a gap with no exponent strictly
-    inside between two closed ends, the ray set's canonical rule; all on
-    exponents, as membership is decided.  Two open ends at one point stay
-    apart.  The merged interval keeps the higher high end, of two equal ones
-    the closed one, and each end's tuple fields as they came, so a point
-    piece's int exponent survives.  So the kernel intervals are disjoint and
-    sorted per ray, and a ray's ends are their exponents in ascending order,
-    (t_lo, t_hi, t_lo, ...), which ``RaySet.contains`` bisects."""
+    inside between two closed ends, so no element; a gap from the origin
+    always holds one.  All on exponents, as membership is decided; this is
+    the one merge of the ray set's canonical form too, which its
+    constructor reads back from the kernel intervals.  Two open ends at
+    one point stay apart.  The merged interval keeps the higher high end,
+    of two equal ones the closed one, and each end's tuple fields as they
+    came, so a point piece's int exponent survives.  So the kernel
+    intervals are disjoint and sorted per ray, and a ray's ends are their
+    exponents in ascending order, (t_lo, t_hi, t_lo, ...), which
+    ``RaySet.contains`` bisects."""
     merged, ends = [], {ray: [] for ray in RAYS}
     for part in parts:
         ray, _, hi, closed_lo, closed_hi, t_lo, t_hi, _, e_hi = part
@@ -144,35 +128,36 @@ def _end_element(ray: Sign, t: float) -> SElem:
 class RaySet(_Record):
     """A closed subset of the tripod, as per-ray interval unions.
 
-    The fields are the three interval tuples.  The slot ``_index`` caches
-    what ``_build_index`` derives from them, built on the first projection
-    or membership test (``_prepare``); it is not a field."""
+    The fields are the three interval tuples, read back from the kernel
+    intervals of the index the constructor builds (``_line_index``).  The
+    slot ``_index`` keeps that index for projections and membership tests;
+    it is not a field."""
 
     __slots__ = ("plus", "minus", "balanced", "_index")
     _fields = ("plus", "minus", "balanced")
     plus: Tuple[Interval, ...]
     minus: Tuple[Interval, ...]
     balanced: Tuple[Interval, ...]
-    _index: Optional[tuple]
+    _index: tuple
 
     def __init__(self, plus=(), minus=(), balanced=()):
-        rays = [ivs if ivs == () else _canonical_intervals(ivs) for ivs in (plus, minus, balanced)]
+        rays = [_checked_intervals(ivs) for ivs in (plus, minus, balanced)]
         # a degenerate [0, 0] interval is just the origin: drop those, and
-        # keep one on the balanced ray only when no fatter interval has it
-        if _ORIGIN_ONLY[0] in rays[0][:1] + rays[1][:1] + rays[2][:1]:
-            rays = [ivs[1:] if ivs[:1] == _ORIGIN_ONLY else ivs for ivs in rays]
+        # keep one on the balanced ray only when no other interval starts
+        # there.  Sorted, they come first on their ray, and none would merge
+        # with an interval past 0: a gap from the origin holds an exponent
+        if _ORIGIN_ONLY in rays[0][:1] + rays[1][:1] + rays[2][:1]:
+            rays = [[iv for iv in ivs if iv != _ORIGIN_ONLY] for ivs in rays]
             if not any(ivs and ivs[0][0] == 0.0 for ivs in rays):
-                rays[2] = _ORIGIN_ONLY + rays[2]
-        object.__setattr__(self, "plus", rays[0])
-        object.__setattr__(self, "minus", rays[1])
-        object.__setattr__(self, "balanced", rays[2])
-        object.__setattr__(self, "_index", None)
-
-    def _prepare(self) -> tuple:
-        """The cached index, built on first use."""
-        if self._index is None:
-            object.__setattr__(self, "_index", _build_index(self))
-        return self._index
+                rays[2].insert(0, _ORIGIN_ONLY)
+        index = _line_index([_kernel_interval(ray, lo, hi, True, True) for ray, ivs in zip(RAYS, rays) for lo, hi in ivs])
+        fields = {ray: [] for ray in RAYS}
+        for part in index[_KERNEL]:
+            fields[part[0]].append(part[1:3])
+        # the fields name the rays in RAYS order
+        for name, ray in zip(self._fields, RAYS):
+            object.__setattr__(self, name, tuple(fields[ray]))
+        object.__setattr__(self, "_index", index)
 
     def intervals(self, ray: Sign) -> Tuple[Interval, ...]:
         if ray is PLUS:
@@ -200,7 +185,7 @@ class RaySet(_Record):
         a high end."""
         if a.is_zero:
             return self.has_origin
-        ends = (self._index or self._prepare())[_SIGN_ORDER[a.sign]]
+        ends = self._index[_SIGN_ORDER[a.sign]]
         t = a.exp
         k = bisect_right(ends, t)
         return k % 2 == 1 or (k > 0 and ends[k - 1] == t)

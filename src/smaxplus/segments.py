@@ -321,8 +321,13 @@ class ArcPiece(_Record):
     """An affine arc in chart coordinates, with endpoint inclusion flags.
 
     The arc is {psi_inverse(chart, (1-t) start + t end) : t in (0,1)} plus
-    the endpoints whose flag is set.  Interior points never cross a
-    coordinate zero, so the pullback is continuous and injective.
+    the endpoints whose flag is set.  The library's own arcs never cross a
+    coordinate zero in their interior, so the pullback is continuous and
+    injective.  An arc read from JSON may: on chart (+, -) from [1.0] to
+    [-1.0] it passes through the origin, ``point_at(0.5)`` being ``eps``.
+    Such an arc is handled where it matters: in a one-coordinate set,
+    ``_build_index`` gives it a part on both rays, each closed at the
+    origin, and ``components`` tests it against every endpoint.
 
     Precondition: where a chart coordinate names one ray twice, (u, u), the
     start and end are nonnegative there.  ``psi`` maps such a coordinate to

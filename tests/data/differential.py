@@ -1,7 +1,7 @@
 """Compare the answers of this checkout with those of another revision, on
 seeded cases, one suite at a time.
 
-    python tests/data/differential.py --base REV --suite eval|segments [--cases N] [--seed 1]
+    python tests/data/differential.py --base REV --suite eval|segments|raysets [--cases N] [--seed 1]
 
 It exports ``src`` of the base revision (``_revision.exported``), runs the
 suite's cases through both trees in two child processes, each importing the
@@ -17,7 +17,7 @@ yields the JSON-able cases, a function ``record(case)`` that returns what
 one tree makes of one case as a JSON-able dict, and the default count.
 Both functions run in each child, from this checkout's copy of this file,
 so both trees read the same cases; only the package differs.  A new suite
-(projection, ray sets, box-max) adds one entry.
+(projection, box-max) adds one entry.
 
 Suites:
 
@@ -50,6 +50,16 @@ Suites:
   line projections of the segment and of the geodesic's segment set, read
   back from that JSON (``line_projections``); and a ``ValueError`` message
   where one is raised.
+* ``raysets`` (50,000 cases): seeded unions of [lo, hi] pairs on the three
+  rays, whose end exponents lie in +-3, 30..40 or +-690, by turns.  Ends
+  may be one ulp apart in radius or in exponent, near 1e15 (where a few
+  units of radius are one exponent ulp), ints, 0 or an unbounded ``inf``
+  high end, and a ray may hold a [0, 0] pair.  Pairs are given in order,
+  touching or apart, or shuffled and overlapping.  The record holds the
+  canonical set's ``repr`` and ``to_json``, ``has_origin``, the five
+  predicates, ``ray_components``, ``find_multipoint_witness`` under both
+  bases, and ``contains`` of the zero element and, on each ray, of each
+  end's exponent and one ulp either side.
 """
 
 from __future__ import annotations
@@ -230,10 +240,89 @@ def segments_record(case: tuple) -> dict:
     return out
 
 
+# --- raysets ----------------------------------------------------------------------
+
+RAYSET_BANDS = ((-3.0, 3.0), (30.0, 40.0), (-690.0, 690.0))
+
+
+def _ray_intervals(rng, band) -> list:
+    """One ray's [lo, hi] pairs: ends drawn as exponents in the band, or one
+    ulp past the end before in radius or in exponent, radii near 1e15, or
+    int ends; paired in order, so that they touch or leave gaps, or
+    shuffled first, so that they overlap.  The last high end may be inf, a
+    first end 0, and a [0, 0] pair may come first."""
+    ends, t, m = [], rng.uniform(*band), 1.0
+    for _ in range(2 * rng.choice((0, 0, 0, 1, 1, 2, 3))):
+        r = rng.random()
+        if r < 0.15:
+            m = math.nextafter(m, math.inf)
+        elif r < 0.3:
+            t = math.nextafter(t, math.inf)
+            m = math.exp(t)
+        elif r < 0.4:
+            m = 1e15 + rng.randint(0, 16)
+        else:
+            t = rng.uniform(*band)
+            m = math.exp(t)
+            if r < 0.5 and m < 1e300:
+                m = int(m)
+        ends.append(m)
+    if rng.random() < 0.8:
+        ends.sort()
+    else:
+        rng.shuffle(ends)
+    ivs = [sorted(pair) for pair in zip(ends[::2], ends[1::2])]
+    if ivs and rng.random() < 0.2:
+        ivs[-1][1] = math.inf
+    if ivs and rng.random() < 0.35:
+        ivs[0][0] = 0
+    if rng.random() < 0.15:
+        ivs.insert(0, [0, 0])
+    return ivs
+
+
+def raysets_cases(count: int, seed: int):
+    rng = random.Random(seed)
+    k = 0
+    while k < count:
+        band = RAYSET_BANDS[k % len(RAYSET_BANDS)]
+        case = [_ray_intervals(rng, band) for _ in range(3)]
+        if any(case):
+            k += 1
+            yield case
+
+
+def raysets_record(case: list) -> dict:
+    """The canonical set of a case, its predicates, components and
+    multipoint witnesses under both bases, and membership of the zero
+    element and, on each ray, of each end's exponent and one ulp either
+    side, as a string of 0s and 1s."""
+    from smaxplus import (RaySet, find_multipoint_witness, is_chebyshev, is_connected,
+                          is_geometrically_convex, is_semimodule_convex, is_traditionally_convex,
+                          ray_components)
+    from smaxplus.algebra import RAYS, ZERO, SElem
+
+    C = RaySet(*case)
+    out = {"case": case, "repr": repr(C), "json": C.to_json(), "has_origin": C.has_origin,
+           "components": repr(ray_components(C))}
+    for predicate in (is_connected, is_chebyshev, is_traditionally_convex, is_geometrically_convex,
+                      is_semimodule_convex):
+        out[predicate.__name__] = predicate(C)
+    for base in (1, 2):
+        witness = find_multipoint_witness(C, base)
+        out[f"witness{base}"] = None if witness is None else witness.to_json()
+    exps = dict.fromkeys(math.log(m) for ivs in case for iv in ivs for m in iv if 0 < m < math.inf)
+    queries = [ZERO] + [SElem(ray, u) for t in exps for ray in RAYS
+                        for u in (math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf))]
+    out["contains"] = "".join("1" if C.contains(x) else "0" for x in queries)
+    return out
+
+
 # name -> (cases, record, default count)
 SUITES = {
     "eval": (eval_cases, eval_record, 200000),
     "segments": (segments_cases, segments_record, 20000),
+    "raysets": (raysets_cases, raysets_record, 50000),
 }
 SHOWN = 3  # differing cases printed
 

@@ -884,6 +884,8 @@ def _json_arc(start, end, closed_lo, closed_hi) -> dict:
 
 
 def _index(C):
+    """A line set's index: a ray set's, built at construction, or a segment
+    set's, built on first use."""
     return C._index or C._prepare()
 
 
@@ -1165,7 +1167,7 @@ def _near_an_end(rng, ends, band) -> SElem:
 
 
 class TestNearestPointsAreTheIndexElements:
-    """A prepared set's index carries each interval end's element, and a
+    """A line set's index carries each interval end's element, and a
     non-member query is answered with those objects, so that a projection
     builds no element of its own; a member is answered with itself."""
 
@@ -1173,7 +1175,7 @@ class TestNearestPointsAreTheIndexElements:
     def _ends(C):
         from smaxplus.raysets import _KERNEL
 
-        return [iv[7:] for iv in (C._index or C._prepare())[_KERNEL]]
+        return [iv[7:] for iv in _index(C)[_KERNEL]]
 
     @staticmethod
     def _assert_answers(C, cases):

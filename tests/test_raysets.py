@@ -88,6 +88,18 @@ class TestRepresentation:
             RaySet(plus=((math.inf, math.inf),))
         with pytest.raises(ValueError):
             point_on_ray(Sign.PLUS, -1.0)
+        # an end is an int or a float, as in JSON: not a str, nor a bool
+        for bad in ((("1", 2),), ((True, 2),), ((1, "2"),), ((0, False),), ((1, "inf"),)):
+            with pytest.raises(ValueError, match="must be numbers"):
+                RaySet(plus=bad)
+            with pytest.raises(ValueError, match="must be numbers"):
+                RaySet(balanced=((0, 1),) + bad)
+        # the JSON reader keeps its own message
+        with pytest.raises(ValueError, match='numbers or "inf" as hi'):
+            RaySet.from_json({"plus": [["1", 2]]})
+        numpy = pytest.importorskip("numpy")
+        C = RaySet(plus=((numpy.float64(1.0), numpy.float64(2.0)),))
+        assert C == RaySet(plus=((1, 2),)) and repr(C) == repr(RaySet(plus=((1.0, 2.0),)))
 
     def test_unbounded(self):
         C = RaySet(plus=((1, math.inf),))
@@ -193,41 +205,61 @@ class TestMembership:
 
 
 class TestPreparedIndex:
-    """A ray set caches what its projections and membership tests read, in
-    a slot that is not a field."""
+    """A ray set builds what its projections and membership tests read at
+    construction, in a slot that is not a field, and reads its canonical
+    intervals back from it."""
+
+    SETS = (TRIPLE, RaySet(plus=((0, 1), (2, math.inf)), balanced=((0, 0),)),
+            RaySet(plus=((1e15, 1e15), (1e15 + 8.0, 1e15 + 9.0), (2e15, 3e15)), minus=((0, 0), (1, 2))),
+            RaySet(balanced=((0, 0), (5e-324, 1), (1, math.nextafter(1, 2)), (math.nextafter(2, 3), 3))))
 
     def test_value_contract_ignores_the_index(self):
         import copy
         import pickle
 
-        for C in (TRIPLE, RaySet(plus=((0, 1), (2, math.inf)), balanced=((0, 0),)),
-                  random_ray_set(random.Random(36))):
-            before = (C, hash(C), repr(C), C.to_json(), pickle.dumps(C))
-            cold = copy.copy(C)
+        for C in (*self.SETS, random_ray_set(random.Random(36))):
+            before = (C, hash(C), repr(C), C.to_json(), pickle.dumps(C), C._index)
             project_ray(SElem.pos(0.5), C, 2)
-            assert C._index is not None
-            after = (C, hash(C), repr(C), C.to_json(), pickle.dumps(C))
-            assert before == after and cold == C and hash(cold) == hash(C)
+            after = (C, hash(C), repr(C), C.to_json(), pickle.dumps(C), C._index)
+            assert before == after
+            # a copy is rebuilt from the fields, and builds an equal index
             for twin in (pickle.loads(pickle.dumps(C)), copy.copy(C), copy.deepcopy(C)):
-                assert twin == C and repr(twin) == repr(C) and twin._index is None
+                assert twin == C and repr(twin) == repr(C) and hash(twin) == hash(C)
+                assert twin._index == C._index
 
     def test_built_once_per_set(self, monkeypatch):
         import smaxplus.raysets as raysets
 
         builds = []
-        build = raysets._build_index
-        monkeypatch.setattr(raysets, "_build_index", lambda C: builds.append(C) or build(C))
+        build = raysets._line_index
+        monkeypatch.setattr(raysets, "_line_index", lambda parts: builds.append(parts) or build(parts))
         C = RaySet(plus=((1, 2), (3, 4)), minus=((0, 5),))
-        assert builds == []
+        assert len(builds) == 1
         for base in (1, 2, 1):
             project_ray(SElem.pos(0.9), C, base)
         assert C.contains(SElem.neg(1.0)) and not C.contains(SElem.pos(1.0))
         distance_to_set(ZERO, C)
-        assert builds == [C]
+        assert len(builds) == 1
         # a set built afresh has its own index
-        project_ray(SElem.pos(0.9), RaySet(plus=((1, 2), (3, 4)), minus=((0, 5),)), 2)
+        RaySet(plus=((1, 2), (3, 4)), minus=((0, 5),))
         assert len(builds) == 2
 
+    def test_the_fields_are_the_kernel_intervals(self):
+        from smaxplus.algebra import RAYS
+        from smaxplus.raysets import _KERNEL
+
+        rng = random.Random(37)
+        sets = [*self.SETS, *(random_ray_set(rng) for _ in range(300))]
+        for C in sets:
+            kernel = C._index[_KERNEL]
+            assert [(part[0], part[1], part[2]) for part in kernel] == [
+                (ray, lo, hi) for ray in RAYS for lo, hi in C.intervals(ray)]
+            assert all(part[3] and part[4] for part in kernel)
+            # each ray's exponent ends sit at the ray's position in RAYS
+            for k, ray in enumerate(RAYS):
+                ends = [m for iv in C.intervals(ray) for m in iv]
+                assert C._index[k] == tuple(math.log(m) if m > 0.0 else -math.inf for m in ends)
+            assert RaySet(C.plus, C.minus, C.balanced) == C
 
 class TestTraditionalConvexity:
     def test_examples(self):
